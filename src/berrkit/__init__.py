@@ -37,6 +37,7 @@ from .errors import (
     ExactSolutionInSubspaceError,
     MatrixMarketFormatError,
     NoFiniteMinimizerError,
+    NonFiniteError,
     OrthogonalRhsError,
     PostBreakdownError,
     RequiresSymmetricError,
@@ -105,6 +106,7 @@ __all__ = [
     "ExactSolutionInSubspaceError",
     "MatrixMarketFormatError",
     "NoFiniteMinimizerError",
+    "NonFiniteError",
     "OrthogonalRhsError",
     "PostBreakdownError",
     "RequiresSymmetricError",

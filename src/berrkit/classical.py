@@ -1,10 +1,15 @@
 """Classical iterative solvers instrumented with backward-error traces.
 
-Every solver starts from x_0 = 0, records its first trace row at iteration 1,
-checks berr against the tolerance whenever a row is recorded (every
-``trace_every`` iterations and at the end), and recomputes the residual from
-scratch every RECOMPUTE_EVERY iterations to cap recurrence drift. Identical
-config and seed give bitwise-identical numeric trace columns.
+Every solver loop, the minimum-backward-error ones in ``minberr`` included,
+runs under one ``_Monitor``. The monitor checks the entry data (a finite,
+nonzero right-hand side of the right shape and a finite positive operator
+norm), owns the trace and its row schedule (every ``trace_every`` iterations
+and at the last one), the RECOMPUTE_EVERY residual refresh that caps
+recurrence drift, the single stopping decision of the classical solvers, and
+the operator rows are measured against. Every solver starts from x_0 = 0 and
+records its first row at iteration 1; a recorded row with a non-finite
+residual or iterate norm raises NonFiniteError. Identical config and seed
+give bitwise-identical numeric trace columns.
 """
 
 import math
@@ -14,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RequiresSymmetricError
+from .errors import NonFiniteError, RequiresSymmetricError
 from .factorize import BidiagState
 from .operators import ShiftedOperator, norm2
 
@@ -118,19 +123,91 @@ def _check_rhs(op, b):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({op.rows},)")
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteError("b holds NaN or infinite entries")
     if not np.any(b):
         raise ValueError("b must be nonzero")
     return b
 
 
-def _traced_residual(op, b, x, own_residual_norm, trace_vs):
-    """Residual norm and opnorm to record: the solver's own, or measured
-    against a different operator (used by the regularized wrapper to report
-    berr with respect to the unshifted A)."""
-    if trace_vs is None:
-        return own_residual_norm
-    orig_op, _ = trace_vs
-    return norm2(orig_op.apply(x) - b)
+def _resolve_opnorm(op, opnorm):
+    """The given spectral norm of op, else its cached estimate; finite and > 0."""
+    s = float(op.opnorm() if opnorm is None else opnorm)
+    if not math.isfinite(s):
+        raise NonFiniteError(f"operator norm is {s}")
+    if s <= 0.0:
+        raise ValueError("operator norm must be positive")
+    return s
+
+
+class _Monitor:
+    """Bookkeeping shared by every solver loop (see the module docstring).
+
+    ``s`` is the solver's own operator norm. ``measure``, if given, is an
+    (operator, opnorm) pair that rows are measured against instead (one extra
+    matvec per row); the stopping decision still uses the solver's own
+    residual and norm, and the result reports the measuring norm.
+    """
+
+    def __init__(self, op, b, config=None, opnorm=None, measure=None):
+        self.cfg = config or SolverConfig()
+        self.b = _check_rhs(op, b)
+        self.s = _resolve_opnorm(op, opnorm)
+        self.norm_b = norm2(self.b)
+        self.measured = measure is not None
+        self.measure_op, measure_s = measure if self.measured else (op, self.s)
+        self.trace = SolveTrace(opnorm=measure_s)
+        self.t0 = time.perf_counter_ns()
+
+    def due(self, k):
+        """Whether iteration k gets a trace row."""
+        return k % self.cfg.trace_every == 0 or k == self.cfg.max_iterations
+
+    @staticmethod
+    def refresh(k):
+        """Whether iteration k recomputes the residual from scratch."""
+        return k % RECOMPUTE_EVERY == 0
+
+    def record(self, k, x, rn=None, xn=None):
+        """Append the row for iterate x. rn is the solver's own residual norm;
+        without one, or when measuring against another operator, the residual
+        is measured with one matvec."""
+        if xn is None:
+            xn = norm2(x)
+        if rn is None or self.measured:
+            rn = norm2(self.measure_op.apply(x) - self.b)
+        if not (math.isfinite(rn) and math.isfinite(xn)):
+            raise NonFiniteError(
+                f"iteration {k}: residual norm {rn}, iterate norm {xn}"
+            )
+        self.trace.record(k, rn, xn, self.t0)
+
+    def check(self, k, x, rn, breakdown=False):
+        """Stopping decision at iteration k, recording a row when one is due.
+
+        rn is the solver's own residual norm, or its residual vector (normed
+        only when a row is due). A breakdown forces a row and ends the run.
+        Returns the Termination, or None to go on.
+        """
+        if not (breakdown or self.due(k)):
+            return None
+        if isinstance(rn, np.ndarray):
+            rn = norm2(rn)
+        xn = norm2(x)
+        stop = Termination.BREAKDOWN if breakdown else None
+        if rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b):
+            stop = Termination.EXACT_SOLUTION
+        elif xn > 0.0 and rn < self.cfg.berr_tolerance * self.s * xn:
+            stop = Termination.TOLERANCE_REACHED
+        if xn != 0.0:
+            self.record(k, x, rn, xn)
+        return stop
+
+    def result(self, x, k, termination=None):
+        """SolveResult after k iterations; no termination means the budget ran out."""
+        return SolveResult(
+            x, self.trace, termination or Termination.MAX_ITERATIONS, self.trace.opnorm, k
+        )
 
 
 def richardson(op, b, config=None, opnorm=None):
@@ -139,143 +216,85 @@ def richardson(op, b, config=None, opnorm=None):
     With eta = 1/(C ||A||_2) the backward error after k iterations is at most
     C/k, which is what the default per-iteration trace shows.
     """
-    cfg = config or SolverConfig()
     if not op.symmetric:
         raise RequiresSymmetricError("richardson expects a symmetric PSD operator")
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    eta = 1.0 / (cfg.step_constant * s)
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=s)
+    mon = _Monitor(op, b, config, opnorm)
+    b = mon.b
+    eta = 1.0 / (mon.cfg.step_constant * mon.s)
     x = np.zeros(op.cols)
     r = -b  # r tracks A x - b
-    termination = Termination.MAX_ITERATIONS
-    k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, mon.cfg.max_iterations + 1):
         x = x - eta * r
-        if k % RECOMPUTE_EVERY == 0:
-            r = op.apply(x) - b
-        else:
-            r = r - eta * op.apply(r)
-        if k % cfg.trace_every == 0 or k == cfg.max_iterations:
-            rn = norm2(r)
-            xn = norm2(x)
-            stop = None
-            if rn == 0.0:
-                stop = Termination.EXACT_SOLUTION
-            elif rn < cfg.berr_tolerance * s * xn:
-                stop = Termination.TOLERANCE_REACHED
-            trace.record(k, rn, xn, t0)
-            if stop is not None:
-                termination = stop
-                break
-    return SolveResult(x, trace, termination, s, k)
+        r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(r)
+        stop = mon.check(k, x, r)
+        if stop is not None:
+            break
+    return mon.result(x, k, stop)
 
 
 def richardson_ne(op, b, config=None, opnorm=None):
     """Richardson on the normal equations: x_{k+1} = x_k - eta A^T (A x_k - b),
     eta = 1/(C ||A||_2^2). Works for any (possibly rectangular) A."""
-    cfg = config or SolverConfig()
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    eta = 1.0 / (cfg.step_constant * s * s)
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=s)
+    mon = _Monitor(op, b, config, opnorm)
+    b = mon.b
+    eta = 1.0 / (mon.cfg.step_constant * mon.s * mon.s)
     x = np.zeros(op.cols)
     r = -b
-    termination = Termination.MAX_ITERATIONS
-    k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, mon.cfg.max_iterations + 1):
         g = op.apply_adjoint(r)
         x = x - eta * g
-        if k % RECOMPUTE_EVERY == 0:
-            r = op.apply(x) - b
-        else:
-            r = r - eta * op.apply(g)
-        if k % cfg.trace_every == 0 or k == cfg.max_iterations:
-            rn = norm2(r)
-            xn = norm2(x)
-            stop = None
-            if rn == 0.0:
-                stop = Termination.EXACT_SOLUTION
-            elif xn > 0.0 and rn < cfg.berr_tolerance * s * xn:
-                stop = Termination.TOLERANCE_REACHED
-            if xn > 0.0:
-                trace.record(k, rn, xn, t0)
-            if stop is not None:
-                termination = stop
-                break
-    return SolveResult(x, trace, termination, s, k)
+        r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(g)
+        stop = mon.check(k, x, r)
+        if stop is not None:
+            break
+    return mon.result(x, k, stop)
 
 
-def cg(op, b, config=None, opnorm=None, trace_vs=None):
-    """Conjugate gradients on symmetric PSD A, traced in backward error.
-
-    trace_vs, if given, is a (operator, opnorm) pair; recorded rows then carry
-    the residual measured against that operator instead (one extra matvec per
-    recorded row).
-    """
-    cfg = config or SolverConfig()
+def cg(op, b, config=None, opnorm=None):
+    """Conjugate gradients on symmetric PSD A, traced in backward error."""
     if not op.symmetric:
         raise RequiresSymmetricError("cg expects a symmetric PSD operator")
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    trace_s = trace_vs[1] if trace_vs is not None else s
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=trace_s)
+    return _cg(op, _Monitor(op, b, config, opnorm))
+
+
+def _cg(op, mon):
+    b = mon.b
     x = np.zeros(op.cols)
     r = b.copy()  # r tracks b - A x
     p = r.copy()
     rs = float(r @ r)
-    termination = Termination.MAX_ITERATIONS
-    k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, mon.cfg.max_iterations + 1):
         ap = op.apply(p)
         pap = float(p @ ap)
         if pap <= 0.0:
-            termination = Termination.BREAKDOWN
-            k -= 1
-            break
+            return mon.result(x, k - 1, Termination.BREAKDOWN)
         gamma = rs / pap
         x = x + gamma * p
-        if k % RECOMPUTE_EVERY == 0:
-            r = b - op.apply(x)
-        else:
-            r = r - gamma * ap
+        r = b - op.apply(x) if mon.refresh(k) else r - gamma * ap
         rs_new = float(r @ r)
-        if k % cfg.trace_every == 0 or k == cfg.max_iterations or rs_new == 0.0:
-            rn = math.sqrt(rs_new)
-            xn = norm2(x)
-            stop = None
-            if rn == 0.0:
-                stop = Termination.EXACT_SOLUTION
-            elif rn < cfg.berr_tolerance * s * xn:
-                stop = Termination.TOLERANCE_REACHED
-            trace.record(k, _traced_residual(op, b, x, rn, trace_vs), xn, t0)
-            if stop is not None:
-                termination = stop
-                break
+        stop = mon.check(k, x, math.sqrt(rs_new), breakdown=rs_new == 0.0)
+        if stop is not None:
+            break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return SolveResult(x, trace, termination, s, k)
+    return mon.result(x, k, stop)
 
 
-def minres(op, b, config=None, opnorm=None, trace_vs=None):
+def minres(op, b, config=None, opnorm=None):
     """MINRES on symmetric A (Paige-Saunders recurrences, no preconditioner).
 
     The residual norm comes from the QR recurrence and is refreshed with an
     exact matvec every RECOMPUTE_EVERY iterations.
     """
-    cfg = config or SolverConfig()
     if not op.symmetric:
         raise RequiresSymmetricError("minres expects a symmetric operator")
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    trace_s = trace_vs[1] if trace_vs is not None else s
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=trace_s)
+    return _minres(op, _Monitor(op, b, config, opnorm))
+
+
+def _minres(op, mon):
+    b = mon.b
     n = op.cols
-    beta1 = norm2(b)
+    beta1 = mon.norm_b
     y = b.copy()
     r1 = b.copy()
     r2 = b.copy()
@@ -289,9 +308,7 @@ def minres(op, b, config=None, opnorm=None, trace_vs=None):
     w = np.zeros(n)
     w2 = np.zeros(n)
     x = np.zeros(n)
-    termination = Termination.MAX_ITERATIONS
-    k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, mon.cfg.max_iterations + 1):
         v = y / beta
         y = op.apply(v)
         if k >= 2:
@@ -316,43 +333,25 @@ def minres(op, b, config=None, opnorm=None, trace_vs=None):
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
-        rn = phibar
-        if k % RECOMPUTE_EVERY == 0:
-            rn = norm2(b - op.apply(x))
-        if k % cfg.trace_every == 0 or k == cfg.max_iterations or beta == 0.0:
-            xn = norm2(x)
-            stop = None
-            if rn == 0.0 or (beta == 0.0 and rn <= 1e-15 * beta1):
-                stop = Termination.EXACT_SOLUTION
-            elif xn > 0.0 and rn < cfg.berr_tolerance * s * xn:
-                stop = Termination.TOLERANCE_REACHED
-            elif beta == 0.0:
-                stop = Termination.BREAKDOWN
-            if xn > 0.0:
-                trace.record(k, _traced_residual(op, b, x, rn, trace_vs), xn, t0)
-            if stop is not None:
-                termination = stop
-                break
-    return SolveResult(x, trace, termination, s, k)
+        rn = norm2(b - op.apply(x)) if mon.refresh(k) else phibar
+        stop = mon.check(k, x, rn, breakdown=beta == 0.0)
+        if stop is not None:
+            break
+    return mon.result(x, k, stop)
 
 
 def lsqr(op, b, config=None, opnorm=None):
     """LSQR over the shared bidiagonalization (plain recurrence, no stored
     bases). Traces berr with the recursive residual-norm estimate, refreshed
     exactly every RECOMPUTE_EVERY iterations."""
-    cfg = config or SolverConfig()
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    state = BidiagState(op, b, opnorm=s, reorth="plain", store_basis=False)
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=s)
+    mon = _Monitor(op, b, config, opnorm)
+    b = mon.b
+    state = BidiagState(op, b, opnorm=mon.s, reorth="plain", store_basis=False)
     x = np.zeros(op.cols)
     w = state.q_latest().copy()
     phibar = state.beta1
     rhobar = state.alphas[0]
-    termination = Termination.MAX_ITERATIONS
-    k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, mon.cfg.max_iterations + 1):
         state.step()
         beta_next = state.betas[k - 1]
         alpha_next = state.alphas[k] if len(state.alphas) > k else 0.0
@@ -366,24 +365,11 @@ def lsqr(op, b, config=None, opnorm=None):
         x = x + (phi / rho) * w
         if not state.breakdown:
             w = state.q_latest() - (theta / rho) * w
-        rn = phibar
-        if k % RECOMPUTE_EVERY == 0:
-            rn = norm2(op.apply(x) - b)
-        if k % cfg.trace_every == 0 or k == cfg.max_iterations or state.breakdown:
-            xn = norm2(x)
-            stop = None
-            if rn == 0.0 or (state.breakdown and rn <= 1e-15 * state.beta1):
-                stop = Termination.EXACT_SOLUTION
-            elif xn > 0.0 and rn < cfg.berr_tolerance * s * xn:
-                stop = Termination.TOLERANCE_REACHED
-            elif state.breakdown:
-                stop = Termination.BREAKDOWN
-            if xn > 0.0:
-                trace.record(k, rn, xn, t0)
-            if stop is not None:
-                termination = stop
-                break
-    return SolveResult(x, trace, termination, s, k)
+        rn = norm2(op.apply(x) - b) if mon.refresh(k) else phibar
+        stop = mon.check(k, x, rn, breakdown=state.breakdown)
+        if stop is not None:
+            break
+    return mon.result(x, k, stop)
 
 
 def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
@@ -401,8 +387,7 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         raise RequiresSymmetricError("regularized_solve expects symmetric PSD A")
     if inner not in ("cg", "minres"):
         raise ValueError(f"unknown inner solver {inner!r}")
-    b = _check_rhs(op, b)
-    s = float(op.opnorm() if opnorm is None else opnorm)
+    s = _resolve_opnorm(op, opnorm)
     ratio_sq = (math.log(k) / k) ** 2
     shift = 2.0 * ratio_sq * s
     shifted = ShiftedOperator(op, shift)
@@ -414,13 +399,7 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         trace_every=trace_every,
         seed=seed,
     )
-    solver = cg if inner == "cg" else minres
-    res = solver(shifted, b, cfg, opnorm=s + shift, trace_vs=(op, s))
-    return SolveResult(
-        x=res.x,
-        trace=res.trace,
-        termination=res.termination,
-        opnorm_used=s,
-        iterations=res.iterations,
-        certified_berr_bound=5.0 * ratio_sq,
-    )
+    mon = _Monitor(shifted, b, cfg, measure=(op, s))
+    res = (_cg if inner == "cg" else _minres)(shifted, mon)
+    res.certified_berr_bound = 5.0 * ratio_sq
+    return res

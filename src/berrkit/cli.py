@@ -103,8 +103,8 @@ def validate_spec(spec):
         raise SpecError("tol must lie in (0, 1)")
     if spec.max_iter < 1:
         raise SpecError("max-iter must be at least 1")
-    if spec.C < 1.0:
-        raise SpecError("C must be at least 1")
+    if not (1.0 <= spec.C < math.inf):
+        raise SpecError("C must be finite and at least 1")
     if not (0.0 < spec.delta < 1.0):
         raise SpecError("delta must lie in (0, 1)")
     if not (0.0 <= spec.perturb_eps < 1.0):
@@ -277,12 +277,17 @@ def write_history(path, trace):
         fh.write(text)
 
 
+def _finite_or_none(value):
+    """value, or None (JSON null) when it is missing or not finite."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def summarize(spec, result, total_matvecs):
     return {
         "spec": asdict(spec),
         "termination": str(result.termination.value),
-        "final_berr": result.trace.final_berr,
-        "certified_bound": result.certified_berr_bound,
+        "final_berr": _finite_or_none(result.trace.final_berr),
+        "certified_bound": _finite_or_none(result.certified_berr_bound),
         "iterations": result.iterations,
         "opnorm_estimate": result.opnorm_used,
         "total_matvecs": total_matvecs,
@@ -290,7 +295,7 @@ def summarize(spec, result, total_matvecs):
 
 
 def write_summary(path, summary):
-    text = json.dumps(summary, indent=2) + "\n"
+    text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -541,7 +546,7 @@ def cmd_bench(args):
         info["history"] = history
         manifest.append(info)
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return EXIT_OK
 

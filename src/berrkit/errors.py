@@ -21,6 +21,10 @@ class RequiresSymmetricError(BerrkitError, ValueError):
     """Solver needs an operator flagged symmetric."""
 
 
+class NonFiniteError(BerrkitError, ValueError):
+    """Input data or a recorded iterate holds NaN or infinity."""
+
+
 class PostBreakdownError(BerrkitError, RuntimeError):
     """A factorization was stepped after it reported breakdown."""
 

@@ -335,10 +335,6 @@ class BidiagState:
         """Most recent right vector q (available in both storage modes)."""
         return self._qcols.view()[:, -1] if self.store_basis else self._last_q
 
-    def u_latest(self):
-        """Most recent left vector u (available in both storage modes)."""
-        return self._u.view()[:, -1] if self.store_basis else self._last_u
-
     def basis_q(self, k=None):
         if not self.store_basis:
             raise ValueError("bases were not stored")

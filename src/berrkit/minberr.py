@@ -18,14 +18,20 @@ O(k ln(k/delta^2)) plus the O(nk) basis combination.
 """
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .berr import composition_bound
-from .classical import SolveTrace, Termination
+from .classical import (
+    SolverConfig,
+    SolveTrace,
+    Termination,
+    _check_rhs,
+    _Monitor,
+    _resolve_opnorm,
+)
 from .errors import (
     DegenerateAlphaError,
     NoFiniteMinimizerError,
@@ -135,26 +141,30 @@ def _recover_ne(state, delta, seed, k_iter, step_factor=1):
     return x, cert, alpha
 
 
-def _minberr_loop(state, push_test, recover, op, b, eps, k_max, trace_on,
-                  trace_every, use_incremental, s):
-    """Shared driver for the PSD and normal-equations variants."""
+def _monitor(op, b, eps, k_max, opnorm, trace, trace_every, measure=None):
+    """The run's monitor; untraced runs record only the final row."""
+    k_max = min(op.cols, 20000) if k_max is None else k_max
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    t0 = time.perf_counter_ns()
-    trace = SolveTrace(opnorm=s)
+    cfg = SolverConfig(
+        max_iterations=k_max,
+        berr_tolerance=eps,
+        trace_every=trace_every if trace else k_max,
+    )
+    return _Monitor(op, b, cfg, opnorm, measure)
+
+
+def _minberr_loop(state, push_test, recover, mon, use_incremental):
+    """Shared driver for the PSD and normal-equations variants: the
+    certificate decides termination, the monitor records measured rows."""
+    k_max = mon.cfg.max_iterations
+    eps = mon.cfg.berr_tolerance
     certificates = []
     incremental_live = use_incremental
     certificate_mode = not use_incremental
     x = cert = alpha = None
     termination = None
     k = 0
-
-    def measure_and_record(k, x, cert):
-        rn = norm2(op.apply(x) - b)
-        xn = norm2(x)
-        trace.record(k, rn, xn, t0)
-        certificates.append(cert)
-
     while k < k_max:
         k += 1
         col = state.step()
@@ -163,7 +173,7 @@ def _minberr_loop(state, push_test, recover, op, b, eps, k_max, trace_on,
             signalled = True
             incremental_live = False
         check_now = signalled or state.breakdown or k == k_max or certificate_mode
-        record_now = trace_on and k % trace_every == 0
+        record_now = mon.due(k)
         if not (check_now or record_now):
             continue
         x, cert, alpha = recover(state, k)
@@ -183,17 +193,18 @@ def _minberr_loop(state, push_test, recover, op, b, eps, k_max, trace_on,
                 # stay on per-iteration certificates from here on
                 certificate_mode = True
         if record_now or termination is not None:
-            measure_and_record(k, x, cert)
+            mon.record(k, x)
+            certificates.append(cert)
         if termination is not None:
             break
 
     return MinberrResult(
         x=x,
-        trace=trace,
+        trace=mon.trace,
         termination=termination,
         sigma_min_certificate=cert,
         alpha=alpha,
-        opnorm_used=s,
+        opnorm_used=mon.trace.opnorm,
         iterations=k,
         certificates=certificates,
     )
@@ -236,38 +247,31 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     if not op.symmetric:
         raise RequiresSymmetricError("minberr_solve expects a symmetric PSD operator")
     use_incremental = _validate_common(eps, delta, seed)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    state = LanczosState(op, b, opnorm=s, reorth=reorth)
-    if k_max is None:
-        k_max = min(op.rows, 20000)
+    mon = _monitor(op, b, eps, k_max, opnorm, trace, trace_every)
+    state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth)
     chol = CholTestState(eps)
 
     def recover(st, k_iter, step_factor=1):
         return _recover_psd(st, delta, seed, k_iter, step_factor=step_factor)
 
-    return _minberr_loop(
-        state, chol.push_column, recover, op, b, eps, k_max, trace,
-        trace_every, use_incremental, s,
-    )
+    return _minberr_loop(state, chol.push_column, recover, mon, use_incremental)
 
 
 def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
-                     opnorm=None, seed=0, trace=False, trace_every=1,
-                     trace_vs=None):
+                     opnorm=None, seed=0, trace=False, trace_every=1):
     """Minimum-backward-error solve over the normal-equations Krylov space.
 
     Same contract as minberr_solve but for general A (square or rectangular),
     built on the Golub-Kahan bidiagonalization with the shifted dqds test.
-    trace_vs, if given, is an (operator, opnorm) pair against which trace rows
-    are measured instead of op (used by the perturbed variant to report berr
-    with respect to the unperturbed A).
     """
     use_incremental = _validate_common(eps, delta, seed)
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    state = BidiagState(op, b, opnorm=s, reorth=reorth, store_basis=True)
-    if k_max is None:
-        k_max = min(op.cols, 20000)
-    dqds = DqdsState(eps)
+    mon = _monitor(op, b, eps, k_max, opnorm, trace, trace_every)
+    return _minberr_ne(op, mon, delta, reorth, seed, use_incremental)
+
+
+def _minberr_ne(op, mon, delta, reorth, seed, use_incremental):
+    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, store_basis=True)
+    dqds = DqdsState(mon.cfg.berr_tolerance)
 
     def push(col):
         if dqds.k == 0:
@@ -277,12 +281,7 @@ def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     def recover(st, k_iter, step_factor=1):
         return _recover_ne(st, delta, seed, k_iter, step_factor=step_factor)
 
-    measure_op, measure_s = (op, s) if trace_vs is None else trace_vs
-    res = _minberr_loop(
-        state, push, recover, measure_op, b, eps, k_max, trace,
-        trace_every, use_incremental, measure_s,
-    )
-    return res
+    return _minberr_loop(state, push, recover, mon, use_incremental)
 
 
 def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
@@ -294,12 +293,13 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     from A by exactly perturb_eps ||A||_2 in spectral norm. A spectrally well
     behaved perturbation removes the tiny singular values that stall the
     unperturbed iteration; the trace still reports backward error measured
-    against the original A, and the result carries the certified bound
-    (1 + perturb_eps) berr_perturbed + perturb_eps.
+    against the original A (and opnorm_used is ||A||_2), and the result
+    carries the certified bound (1 + perturb_eps) berr_perturbed + perturb_eps.
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")
-    s = float(op.opnorm() if opnorm is None else opnorm)
+    s = _resolve_opnorm(op, opnorm)
+    b = _check_rhs(op, b)  # before the O(n^2) set-up of G
     if perturb_eps == 0.0:
         res = minberr_ne_solve(
             op, b, eps=eps, delta=delta, k_max=k_max, reorth=reorth,
@@ -307,6 +307,7 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
         )
         res.certified_berr_bound = composition_bound(res.sigma_min_certificate, 0.0)
         return res
+    use_incremental = _validate_common(eps, delta, seed)
     rng = np.random.default_rng([seed, 1])
     g = rng.standard_normal((op.rows, op.cols))
     g_norm = float(np.linalg.norm(g, 2))
@@ -314,11 +315,8 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     # power iteration underestimates, which errs on the safe side: a smaller
     # norm inflates the reported berr and therefore the certified bound
     s_pert = perturbed.opnorm(rel_tol=1e-4, max_iter=300, seed=[seed, 2])
-    res = minberr_ne_solve(
-        perturbed, b, eps=eps, delta=delta, k_max=k_max, reorth=reorth,
-        opnorm=s_pert, seed=seed, trace=trace, trace_every=trace_every,
-        trace_vs=(op, s),
-    )
+    mon = _monitor(perturbed, b, eps, k_max, s_pert, trace, trace_every, measure=(op, s))
+    res = _minberr_ne(perturbed, mon, delta, reorth, seed, use_incremental)
     res.certified_berr_bound = composition_bound(res.sigma_min_certificate, perturb_eps)
     return res
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, ZeroOperatorError
+from .errors import DimensionMismatchError, NonFiniteError, ZeroOperatorError
 
 __all__ = [
     "NormEstimate",
@@ -26,8 +26,6 @@ __all__ = [
     "CountingOperator",
     "estimate_spectral_norm",
     "norm2",
-    "dot",
-    "axpy",
 ]
 
 
@@ -43,19 +41,6 @@ def _as_vector(v, n, what="vector"):
 def norm2(v):
     """Euclidean norm (overflow-safe via the underlying BLAS nrm2)."""
     return float(np.linalg.norm(v))
-
-
-def dot(u, v):
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"dot of shapes {u.shape} and {v.shape}")
-    return float(u @ v)
-
-
-def axpy(a, x, y):
-    """Return a*x + y as a new vector."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"axpy of shapes {x.shape} and {y.shape}")
-    return a * x + y
 
 
 @dataclass(frozen=True)
@@ -173,6 +158,8 @@ def estimate_spectral_norm(op, rel_tol=1e-3, max_iter=300, seed=0):
                 raise ZeroOperatorError("power iteration produced a zero vector")
             new_est = np.sqrt(nz)
             v = z / nz
+        if not np.isfinite(new_est):
+            raise NonFiniteError("power iteration produced a non-finite vector")
         if new_est - est <= 0.5 * rel_tol * new_est:
             flat += 1
             if flat >= 3:

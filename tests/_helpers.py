@@ -27,3 +27,18 @@ def dense_op(a, opnorm=None):
 
 def measured_berr(op, b, x, opnorm=None):
     return bk.backward_error(op, b, x, opnorm=opnorm).value
+
+
+def capture_row_iterates(monkeypatch):
+    """List that fills with (k, x) for every trace row any solver records."""
+    from berrkit.classical import _Monitor
+
+    rows = []
+    record = _Monitor.record
+
+    def spy(self, k, x, *args, **kwargs):
+        rows.append((k, x.copy()))
+        return record(self, k, x, *args, **kwargs)
+
+    monkeypatch.setattr(_Monitor, "record", spy)
+    return rows

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import berrkit as bk
 
-from _helpers import dense_op, measured_berr, random_psd
+from _helpers import capture_row_iterates, dense_op, measured_berr, random_psd
 
 
 def tight(max_iterations, **kw):
@@ -255,13 +255,19 @@ class TestRegularized:
                 assert measured_berr(p.op, p.b, r.x, opnorm=1.0) <= bound
                 assert r.trace.final_berr <= bound
 
-    def test_trace_is_measured_against_original_operator(self):
+    def test_trace_is_measured_against_original_operator(self, monkeypatch):
         p = bk.ill_conditioned(100, 1e6)
-        r = bk.regularized_solve(p.op, p.b, 20)
-        assert_allclose(
-            r.trace.final_berr, measured_berr(p.op, p.b, r.x, opnorm=1.0), rtol=1e-10
-        )
-        assert r.opnorm_used == 1.0
+        rows = capture_row_iterates(monkeypatch)
+        for inner in ("cg", "minres"):
+            rows.clear()
+            r = bk.regularized_solve(p.op, p.b, 20, inner=inner, trace_every=3)
+            assert_allclose(
+                r.trace.final_berr, measured_berr(p.op, p.b, r.x, opnorm=1.0), rtol=1e-10
+            )
+            assert r.opnorm_used == r.trace.opnorm == 1.0
+            assert [k for k, _ in rows] == r.trace.iterations == [3, 6, 9, 12, 15, 18, 20]
+            for (_, x), berr in zip(rows, r.trace.berr):
+                assert_allclose(berr, measured_berr(p.op, p.b, x, opnorm=1.0), rtol=1e-10)
 
     def test_validation(self):
         p = bk.ill_conditioned(20, 10.0)

@@ -210,6 +210,8 @@ class TestSpecErrors:
             ["--perturb-eps", "1.0"],
             ["--seed", "-4"],
             ["--trace-every", "0"],
+            ["--C", "nan"],
+            ["--C", "inf"],
         ],
     )
     def test_semantic_validation(self, extra, capsys):
@@ -262,6 +264,38 @@ class TestSolverErrors:
             ["solve", "--problem", "cyclic-shift:n=20", "--solver", "minberr"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("solver", ["cg", "lsqr", "minberr-ne"])
+    def test_non_finite_rhs_file_exits_three(self, solver, tmp_path, capsys):
+        b = np.linspace(1.0, 2.0, 50)
+        b[7] = np.nan
+        rhs_path = tmp_path / "b.mtx"
+        mmio.write_array(rhs_path, b)
+        code = run(
+            ["solve", "--problem", QUICK, "--solver", solver, "--rhs", f"file:{rhs_path}"]
+        )
+        assert code == 3
+        assert "NaN" in capsys.readouterr().err
+
+    def test_breakdown_before_first_row_writes_strict_json(self, tmp_path):
+        # p^T A p < 0 at the first step: cg stops at k = 0 with an empty trace
+        matrix, rhs, summ = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "s.json"
+        idx = np.arange(3)
+        mmio.write_coordinate(matrix, idx, idx, [-1.0, -2.0, 1.0], (3, 3), symmetric=True)
+        mmio.write_array(rhs, [1.0, 1.0, 0.0])
+        code = run(
+            ["solve", "--problem", str(matrix), "--solver", "cg",
+             "--rhs", f"file:{rhs}", "--summary", str(summ)]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"summary holds {constant}, which is not JSON")
+
+        info = json.loads(summ.read_text(), parse_constant=reject)
+        assert info["termination"] == "Breakdown"
+        assert info["iterations"] == 0
+        assert info["final_berr"] is None
 
 
 class TestConfigMerging:

@@ -1,0 +1,65 @@
+"""Non-finite data and bad operator norms fail fast and by name in every solver."""
+
+import numpy as np
+import pytest
+
+import berrkit as bk
+
+N = 30
+CFG = bk.SolverConfig(max_iterations=40, trace_every=7)
+
+SOLVERS = {
+    "richardson": lambda op, b, **kw: bk.richardson(op, b, CFG, **kw),
+    "richardson_ne": lambda op, b, **kw: bk.richardson_ne(op, b, CFG, **kw),
+    "cg": lambda op, b, **kw: bk.cg(op, b, CFG, **kw),
+    "minres": lambda op, b, **kw: bk.minres(op, b, CFG, **kw),
+    "lsqr": lambda op, b, **kw: bk.lsqr(op, b, CFG, **kw),
+    "regularized_solve": lambda op, b, **kw: bk.regularized_solve(op, b, 40, trace_every=7, **kw),
+    "minberr_solve": lambda op, b, **kw: bk.minberr_solve(op, b, eps=1e-4, k_max=40, **kw),
+    "minberr_ne_solve": lambda op, b, **kw: bk.minberr_ne_solve(op, b, eps=1e-4, k_max=40, **kw),
+    "minberr_ne_perturbed": lambda op, b, **kw: bk.minberr_ne_perturbed(
+        op, b, 1e-3, eps=1e-4, k_max=40, **kw
+    ),
+}
+
+
+def diagonal(bad=None):
+    d = np.linspace(1.0, 0.01, N)
+    if bad is not None:
+        d[3] = bad
+    return bk.DiagonalOperator(d)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_non_finite_rhs_is_rejected_on_entry(name):
+    b = np.ones(N)
+    b[5] = np.nan
+    with pytest.raises(bk.NonFiniteError) as info:
+        SOLVERS[name](diagonal(), b)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("opnorm", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_bad_opnorm_is_rejected_on_entry(name, opnorm):
+    with pytest.raises(ValueError):
+        SOLVERS[name](diagonal(), np.ones(N), opnorm=opnorm)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_non_finite_iterate_raises_by_name(name, bad):
+    with pytest.raises(bk.NonFiniteError):
+        SOLVERS[name](diagonal(bad), np.ones(N), opnorm=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classical_solver_stops_at_the_first_recorded_row():
+    with pytest.raises(bk.NonFiniteError, match="iteration 7:"):
+        bk.cg(diagonal(np.nan), np.ones(N), CFG, opnorm=1.0)
+
+
+def test_norm_estimate_of_non_finite_operator_raises():
+    with pytest.raises(bk.NonFiniteError):
+        bk.estimate_spectral_norm(bk.DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]])))

@@ -8,7 +8,7 @@ import berrkit as bk
 from berrkit.factorize import BidiagState, LanczosState
 from berrkit.minberr import _recover_ne
 
-from _helpers import dense_op, measured_berr, random_psd
+from _helpers import capture_row_iterates, dense_op, measured_berr, random_psd
 
 
 def sigma_min(band):
@@ -183,6 +183,16 @@ class TestMinberrNePerturbed:
         berr_original = measured_berr(p.op, p.b, r.x, opnorm=1.0)
         assert berr_original <= r.certified_berr_bound
         assert_allclose(r.trace.berr[-1], berr_original, rtol=1e-10)
+
+    def test_every_row_is_measured_against_original_operator(self, monkeypatch):
+        p = bk.ill_conditioned(80, 1e8)
+        rows = capture_row_iterates(monkeypatch)
+        r = bk.minberr_ne_perturbed(p.op, p.b, 1e-2, eps=1e-3, k_max=60, trace=True)
+        assert r.opnorm_used == r.trace.opnorm == p.op.opnorm() == 1.0
+        assert [k for k, _ in rows] == r.trace.iterations
+        assert len(rows) > 10
+        for (_, x), berr in zip(rows, r.trace.berr):
+            assert_allclose(berr, measured_berr(p.op, p.b, x, opnorm=1.0), rtol=1e-10)
 
     def test_perturbation_is_seeded(self):
         p = bk.ill_conditioned(40, 1e6)
