@@ -1,12 +1,23 @@
-"""Hot numeric kernels: numba-jitted with pure-numpy fallbacks.
+"""Hot numeric kernels: pure numpy, with numba-jitted CSR and band solves.
 
 Set ``BERRKIT_PURE_NUMPY=1`` before import to force the numpy path (also used
-when numba is not importable). ``benchmarks/bench_kernels.py`` compares both.
+when numba is not importable). ``benchmarks/bench_kernels.py`` times them.
 
 All kernels take and return float64 arrays. Band arrays follow the upper
 triangular layout used by the factorization views: ``diag[i]`` is entry (i, i),
 ``sup1[i]`` is (i, i+1) for i < k-1, ``sup2[i]`` is (i, i+2) for i < k-2.
-Callers are responsible for rejecting zero diagonals before solving.
+Callers are responsible for rejecting zero diagonals before solving. The numpy
+band solves run the recurrence on Python floats in the numba kernels'
+operation order, so both paths agree bit for bit.
+
+Householder chains use the blocked compact WY representation (Schreiber &
+Van Loan 1989, "A storage-efficient WY representation for products of
+Householder transformations") in its UT form (Joffrain, Low, Quintana-Orti,
+van de Geijn & Van Zee 2006, "Accumulating Householder transformations,
+revisited"): for a block V of unit reflector rows (tau = 2),
+H_0 H_1 ... H_{b-1} = I - V^T T V with T the inverse of 1/2 I + striu(V V^T).
+One block of b reflectors then costs three BLAS-2 calls instead of 2b numpy
+calls, and m reflectors cost 4mn + 2bm flops instead of 4mn.
 """
 
 import os
@@ -17,6 +28,7 @@ __all__ = [
     "USING_NUMBA",
     "csr_matvec",
     "householder_chain",
+    "householder_wy",
     "band_solve_upper",
     "band_solve_upper_t",
     "IMPLEMENTATIONS",
@@ -36,47 +48,68 @@ def _csr_matvec_np(data, indices, indptr, x):
     return out
 
 
-def _householder_chain_np(vecs, x, ascending):
+# reflector rows per compact-WY block
+WY_BLOCK = 64
+
+
+def householder_wy(vecs):
+    """The T factor of every WY_BLOCK-row block of the unit reflector stack."""
+    tfactors = []
+    for start in range(0, vecs.shape[0], WY_BLOCK):
+        v = vecs[start : start + WY_BLOCK]
+        t_inv = np.triu(v @ v.T, 1)
+        np.fill_diagonal(t_inv, 0.5)
+        tfactors.append(np.linalg.inv(t_inv))
+    return tfactors
+
+
+def householder_chain(vecs, tfactors, x, adjoint):
+    """U x (adjoint=False) or U^T x for U = H_0 H_1 ... H_{m-1}, H_i = I - 2 v_i v_i^T.
+
+    ``tfactors`` is ``householder_wy(vecs)``.
+    """
     y = x.copy()
-    m = vecs.shape[0]
-    order = range(m) if ascending else range(m - 1, -1, -1)
-    for i in order:
-        v = vecs[i]
-        y -= (2.0 * (v @ y)) * v
+    blocks = range(len(tfactors))
+    for j in blocks if adjoint else reversed(blocks):
+        v = vecs[j * WY_BLOCK : (j + 1) * WY_BLOCK]
+        t = tfactors[j].T if adjoint else tfactors[j]
+        y -= v.T @ (t @ (v @ y))
     return y
 
 
 def _band_solve_upper_np(diag, sup1, sup2, rhs):
-    k = diag.shape[0]
-    x = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        acc = rhs[i]
-        if i + 1 < k:
-            acc -= sup1[i] * x[i + 1]
-        if i + 2 < k:
-            acc -= sup2[i] * x[i + 2]
-        x[i] = acc / diag[i]
-    return x
+    # x[i+1], x[i+2] ride in x1, x2; the zero padding of sup1 and sup2 makes
+    # the last two rows subtract exact zeros, which changes no bit
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(
+        reversed(diag.tolist()),
+        reversed(sup1.tolist() + [0.0]),
+        reversed(sup2.tolist() + [0.0, 0.0]),
+        reversed(rhs.tolist()),
+    ):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    x.reverse()
+    return np.array(x)
 
 
 def _band_solve_upper_t_np(diag, sup1, sup2, rhs):
-    k = diag.shape[0]
-    x = np.empty(k)
-    for i in range(k):
-        acc = rhs[i]
-        if i >= 1:
-            acc -= sup1[i - 1] * x[i - 1]
-        if i >= 2:
-            acc -= sup2[i - 2] * x[i - 2]
-        x[i] = acc / diag[i]
-    return x
+    # as above, with x[i-1], x[i-2] in x1, x2 and the padding in front
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(
+        diag.tolist(), [0.0] + sup1.tolist(), [0.0, 0.0] + sup2.tolist(), rhs.tolist()
+    ):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    return np.array(x)
 
 
 _FORCE_NUMPY = os.environ.get("BERRKIT_PURE_NUMPY", "") == "1"
 USING_NUMBA = False
 
 _csr_matvec_nb = None
-_householder_chain_nb = None
 _band_solve_upper_nb = None
 _band_solve_upper_t_nb = None
 
@@ -100,23 +133,6 @@ if USING_NUMBA:
                 acc += data[j] * x[indices[j]]
             out[i] = acc
         return out
-
-    @njit(cache=True)
-    def _householder_chain_nb(vecs, x, ascending):
-        m, n = vecs.shape
-        y = x.copy()
-        if ascending:
-            start, stop, step = 0, m, 1
-        else:
-            start, stop, step = m - 1, -1, -1
-        for i in range(start, stop, step):
-            dot = 0.0
-            for j in range(n):
-                dot += vecs[i, j] * y[j]
-            dot *= 2.0
-            for j in range(n):
-                y[j] -= dot * vecs[i, j]
-        return y
 
     @njit(cache=True)
     def _band_solve_upper_nb(diag, sup1, sup2, rhs):
@@ -145,19 +161,16 @@ if USING_NUMBA:
         return x
 
     csr_matvec = _csr_matvec_nb
-    householder_chain = _householder_chain_nb
     band_solve_upper = _band_solve_upper_nb
     band_solve_upper_t = _band_solve_upper_t_nb
 else:
     csr_matvec = _csr_matvec_np
-    householder_chain = _householder_chain_np
     band_solve_upper = _band_solve_upper_np
     band_solve_upper_t = _band_solve_upper_t_np
 
 # name -> (numpy impl, numba impl or None); used by tests and the benchmark
 IMPLEMENTATIONS = {
     "csr_matvec": (_csr_matvec_np, _csr_matvec_nb),
-    "householder_chain": (_householder_chain_np, _householder_chain_nb),
     "band_solve_upper": (_band_solve_upper_np, _band_solve_upper_nb),
     "band_solve_upper_t": (_band_solve_upper_t_np, _band_solve_upper_t_nb),
 }

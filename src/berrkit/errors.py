@@ -22,7 +22,7 @@ class RequiresSymmetricError(BerrkitError, ValueError):
 
 
 class NonFiniteError(BerrkitError, ValueError):
-    """Input data or a recorded iterate holds NaN or infinity."""
+    """Input data, a recorded iterate or a Krylov band column holds NaN or infinity."""
 
 
 class PostBreakdownError(BerrkitError, RuntimeError):

@@ -35,6 +35,7 @@ from .classical import (
 from .errors import (
     DegenerateAlphaError,
     NoFiniteMinimizerError,
+    NonFiniteError,
     RequiresSymmetricError,
     ExactSolutionInSubspaceError,
 )
@@ -156,7 +157,8 @@ def _monitor(op, b, eps, k_max, opnorm, trace, trace_every, measure=None):
 
 def _minberr_loop(state, push_test, recover, mon, use_incremental):
     """Shared driver for the PSD and normal-equations variants: the
-    certificate decides termination, the monitor records measured rows."""
+    certificate decides termination, the monitor records measured rows, and
+    a non-finite band column stops the run at its step."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
@@ -168,6 +170,8 @@ def _minberr_loop(state, push_test, recover, mon, use_incremental):
     while k < k_max:
         k += 1
         col = state.step()
+        if not all(map(math.isfinite, col.tolist())):
+            raise NonFiniteError(f"iteration {k}: band column {col.tolist()}")
         signalled = False
         if incremental_live and push_test(col):
             signalled = True

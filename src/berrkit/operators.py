@@ -314,7 +314,8 @@ class HouseholderChainOperator(LinearOperator):
     """Orthogonal U = H_0 H_1 ... H_{m-1}, each H_i = I - 2 v_i v_i^T.
 
     Reflector vectors are unit-norm rows of ``vecs``. Exactly orthogonal up to
-    rounding, so the cached norm is pinned to 1.
+    rounding, so the cached norm is pinned to 1. Applies use the compact WY
+    factors of ``vecs``, built on the first apply and cached.
     """
 
     def __init__(self, vecs):
@@ -324,6 +325,7 @@ class HouseholderChainOperator(LinearOperator):
         n = vecs.shape[1]
         super().__init__(n, n, symmetric=False)
         self.vecs = np.ascontiguousarray(vecs)
+        self._tfactors = None
         self.set_opnorm(1.0)
 
     @classmethod
@@ -334,15 +336,16 @@ class HouseholderChainOperator(LinearOperator):
             vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         return cls(vecs)
 
+    def _chain(self, v, adjoint):
+        if self._tfactors is None:
+            self._tfactors = _kernels.householder_wy(self.vecs)
+        return _kernels.householder_chain(self.vecs, self._tfactors, v, adjoint)
+
     def _apply(self, v):
-        if self.vecs.shape[0] == 0:
-            return v.copy()
-        return _kernels.householder_chain(self.vecs, v, False)
+        return self._chain(v, False)
 
     def _apply_adjoint(self, v):
-        if self.vecs.shape[0] == 0:
-            return v.copy()
-        return _kernels.householder_chain(self.vecs, v, True)
+        return self._chain(v, True)
 
 
 class ConjugatedOperator(LinearOperator):

@@ -60,6 +60,16 @@ def test_classical_solver_stops_at_the_first_recorded_row():
         bk.cg(diagonal(np.nan), np.ones(N), CFG, opnorm=1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["minberr_solve", "minberr_ne_solve"])
+def test_untraced_minberr_stops_at_the_first_non_finite_step(name, bad):
+    # untraced runs record only their final row, so without a per-step check
+    # the run would spend all 40 steps first
+    with pytest.raises(bk.NonFiniteError, match="iteration 1:"):
+        SOLVERS[name](diagonal(bad), np.ones(N), opnorm=1.0)
+
+
 def test_norm_estimate_of_non_finite_operator_raises():
     with pytest.raises(bk.NonFiniteError):
         bk.estimate_spectral_norm(bk.DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]])))

@@ -1,4 +1,4 @@
-"""The jitted kernels and their numpy fallbacks must agree on everything."""
+"""The kernels against reference loops written here, and the numba paths against numpy."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import berrkit as bk
 from berrkit import _kernels
 
 
@@ -55,30 +56,107 @@ class TestCsrMatvec:
         assert_allclose(out, [0.0, 0.0, 10.0])
 
 
+def _unit_rows(rng, m, n):
+    vecs = rng.standard_normal((m, n))
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+def _chain(vecs, x, adjoint):
+    return _kernels.householder_chain(vecs, _kernels.householder_wy(vecs), x, adjoint)
+
+
+def _reflector_loop(vecs, x, adjoint):
+    """U x or U^T x for U = H_0 ... H_{m-1}, one reflector at a time."""
+    y = x.copy()
+    for v in vecs if adjoint else vecs[::-1]:
+        y -= (2.0 * (v @ y)) * v
+    return y
+
+
 class TestHouseholderChain:
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(1)
-        vecs = rng.standard_normal((6, 20))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        vecs = _unit_rows(rng, 6, 20)
         x = rng.standard_normal(20)
-        y = _kernels.householder_chain(vecs, x.copy(), False)
-        back = _kernels.householder_chain(vecs, y.copy(), True)
+        y = _chain(vecs, x, False)
+        back = _chain(vecs, y, True)
         assert_allclose(back, x, rtol=1e-13, atol=1e-14)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(2)
-        vecs = rng.standard_normal((4, 11))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        vecs = _unit_rows(rng, 4, 11)
         x = rng.standard_normal(11)
-        y = _kernels.householder_chain(vecs, x.copy(), True)
+        y = _chain(vecs, x, True)
         assert_allclose(np.linalg.norm(y), np.linalg.norm(x), rtol=1e-13)
 
     def test_single_reflector_formula(self):
         v = np.zeros(3)
         v[0] = 1.0
         x = np.array([1.0, 2.0, 3.0])
-        y = _kernels.householder_chain(v[None, :], x.copy(), True)
+        y = _chain(v[None, :], x, True)
         assert_allclose(y, [-1.0, 2.0, 3.0])
+
+    # block edges at 64 rows, and more reflectors than dimensions
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("n", [13, 500])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 500])
+    def test_compact_wy_matches_reflector_loop(self, m, n, adjoint):
+        rng = np.random.default_rng([m, n])
+        vecs = _unit_rows(rng, m, n)
+        x = rng.standard_normal(n)
+        expected = _reflector_loop(vecs, x, adjoint)
+        got = _chain(vecs, x, adjoint)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_zero_reflectors_copy_exactly(self):
+        x = np.random.default_rng(3).standard_normal(9)
+        for adjoint in (False, True):
+            y = _chain(np.zeros((0, 9)), x, adjoint)
+            assert y is not x
+            assert np.array_equal(y, x)
+
+    def test_input_vector_is_not_modified(self):
+        rng = np.random.default_rng(4)
+        vecs = _unit_rows(rng, 70, 30)
+        x = rng.standard_normal(30)
+        before = x.copy()
+        _chain(vecs, x, False)
+        assert np.array_equal(x, before)
+
+    def test_operator_keeps_its_reflector_stack(self):
+        u = bk.HouseholderChainOperator.random(40, 100, seed=5)
+        vecs = u.vecs.copy()
+        x = np.random.default_rng(6).standard_normal(40)
+        y = u.apply(x)
+        assert_allclose(u.apply_adjoint(y), x, rtol=1e-13, atol=1e-14)
+        assert u.vecs.shape == (100, 40)
+        assert np.array_equal(u.vecs, vecs)
+
+
+def _scalar_upper_solve(diag, sup1, sup2, rhs):
+    k = diag.shape[0]
+    x = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        acc = rhs[i]
+        if i + 1 < k:
+            acc -= sup1[i] * x[i + 1]
+        if i + 2 < k:
+            acc -= sup2[i] * x[i + 2]
+        x[i] = acc / diag[i]
+    return x
+
+
+def _scalar_upper_t_solve(diag, sup1, sup2, rhs):
+    k = diag.shape[0]
+    x = np.empty(k)
+    for i in range(k):
+        acc = rhs[i]
+        if i >= 1:
+            acc -= sup1[i - 1] * x[i - 1]
+        if i >= 2:
+            acc -= sup2[i - 2] * x[i - 2]
+        x[i] = acc / diag[i]
+    return x
 
 
 class TestBandSolves:
@@ -109,6 +187,23 @@ class TestBandSolves:
         x = _kernels.band_solve_upper_t(diag, sup1, sup2, rhs)
         assert_allclose(x, np.linalg.solve(dense.T, rhs), rtol=1e-11, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 30, 300])
+    def test_solves_match_scalar_loop_bitwise(self, k):
+        rng = np.random.default_rng(200 + k)
+        diag, sup1, sup2, _ = self._random_band(rng, k)
+        rhs = rng.standard_normal(k)
+        rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
+        for name, reference in [
+            ("band_solve_upper", _scalar_upper_solve),
+            ("band_solve_upper_t", _scalar_upper_t_solve),
+        ]:
+            expected = reference(diag, sup1, sup2, rhs).tobytes()
+            for impl in _kernels.IMPLEMENTATIONS[name]:
+                if impl is not None:
+                    x = impl(diag, sup1, sup2, rhs)
+                    assert x.dtype == np.float64
+                    assert x.tobytes() == expected
+
 
 @pytest.mark.parametrize("name", sorted(_kernels.IMPLEMENTATIONS))
 def test_numba_and_numpy_paths_agree(name):
@@ -121,12 +216,6 @@ def test_numba_and_numpy_paths_agree(name):
         x = rng.standard_normal(17)
         args_a = (data, indices, indptr, x)
         args_b = (data.copy(), indices.copy(), indptr.copy(), x.copy())
-    elif name == "householder_chain":
-        vecs = rng.standard_normal((5, 13))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        x = rng.standard_normal(13)
-        args_a = (vecs, x.copy(), True)
-        args_b = (vecs.copy(), x.copy(), True)
     else:
         k = 19
         diag = rng.uniform(0.5, 2.0, size=k)
