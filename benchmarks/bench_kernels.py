@@ -1,11 +1,14 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Two tables:
+millisecond range where dispatch overhead matters. Three tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
   entry, with the one-off WY factor build reported separately;
+* ||G||_2 of an n x n Gaussian G, as the minberr-ne-perturbed set-up needs
+  it: LAPACK's full SVD against the Golub-Kahan run that replaced it, with
+  its step count, for each ``--norm-sizes`` entry;
 * the numpy path against the numba-jitted path for the kernels that still
   have both (the numba column reads n/a when numba is not installed).
 
@@ -22,6 +25,7 @@ import timeit
 import numpy as np
 
 from berrkit._kernels import IMPLEMENTATIONS, householder_chain, householder_wy
+from berrkit.minberr import _dense_norm
 
 
 def csr_inputs(rows, per_row, rng):
@@ -75,6 +79,21 @@ def householder_table(sizes, repeats, rng):
               f"{t_loop / t_wy:>8.1f}x {t_build * 1e6:>10.1f}us")
 
 
+def norm_table(sizes, repeats, rng):
+    header = f"{'n':<8} {'LAPACK SVD':>12} {'Golub-Kahan':>12} {'speedup':>9} {'steps':>6}"
+    print(header)
+    print("-" * len(header))
+    for n in sizes:
+        g = rng.standard_normal((n, n))
+        want = np.linalg.norm(g, 2)
+        got, steps = _dense_norm(g, 0)
+        assert abs(got - want) <= 1e-13 * want
+        t_svd = best_seconds(np.linalg.norm, (g, 2), repeats)
+        t_gk = best_seconds(_dense_norm, (g, 0), repeats)
+        print(f"{n:<8} {t_svd * 1e3:>10.1f}ms {t_gk * 1e3:>10.1f}ms "
+              f"{t_svd / t_gk:>8.1f}x {steps:>6}")
+
+
 def numba_table(cases, repeats):
     header = f"{'kernel':<20} {'numpy':>12} {'numba':>12} {'speedup':>9}"
     print(header)
@@ -96,6 +115,7 @@ def main(argv=None):
     parser.add_argument("--csr-rows", type=int, default=200_000)
     parser.add_argument("--csr-per-row", type=int, default=8)
     parser.add_argument("--wy-sizes", type=int, nargs="+", default=[500, 2000])
+    parser.add_argument("--norm-sizes", type=int, nargs="+", default=[500, 1000, 2000])
     parser.add_argument("--band-size", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
@@ -103,6 +123,8 @@ def main(argv=None):
 
     rng = np.random.default_rng(args.seed)
     householder_table(args.wy_sizes, args.repeats, rng)
+    print()
+    norm_table(args.norm_sizes, args.repeats, rng)
     print()
     numba_table(
         {

@@ -130,6 +130,11 @@ class _GrowingColumns:
         return self._buf[:, : self.count if k is None else k]
 
 
+def _check_reorth(reorth):
+    if reorth not in ("plain", "full"):
+        raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
+
+
 def _reorthogonalize(w, basis):
     """Two classical Gram-Schmidt sweeps of w against the stored columns."""
     for _ in range(2):
@@ -160,8 +165,7 @@ class LanczosState:
     def __init__(self, op, b, opnorm=None, reorth="plain"):
         if not op.symmetric:
             raise RequiresSymmetricError("Lanczos needs a symmetric operator")
-        if reorth not in ("plain", "full"):
-            raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
+        _check_reorth(reorth)
         b = np.asarray(b, dtype=np.float64)
         self.norm_b = norm2(b)
         if self.norm_b == 0.0:
@@ -242,8 +246,7 @@ class BidiagState:
     """
 
     def __init__(self, op, b, opnorm=None, reorth="plain", store_basis=True):
-        if reorth not in ("plain", "full"):
-            raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
+        _check_reorth(reorth)
         if reorth == "full" and not store_basis:
             raise ValueError("full reorthogonalization requires stored bases")
         b = np.asarray(b, dtype=np.float64)

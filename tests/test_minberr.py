@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import berrkit as bk
 from berrkit.factorize import BidiagState, LanczosState
-from berrkit.minberr import _recover_ne
+from berrkit import minberr
+from berrkit.minberr import _dense_norm, _recover_ne
 
 from _helpers import capture_row_iterates, dense_op, measured_berr, random_psd
 
@@ -205,6 +206,95 @@ class TestMinberrNePerturbed:
         p = bk.ill_conditioned(10, 10.0)
         with pytest.raises(ValueError):
             bk.minberr_ne_perturbed(p.op, p.b, pe)
+
+    @pytest.mark.parametrize("bad", [
+        {"k_max": 0},
+        {"reorth": "partial"},
+        {"trace": True, "trace_every": 0},
+    ])
+    def test_bad_arguments_raise_before_the_dense_set_up(self, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense perturbation was set up")
+
+        monkeypatch.setattr(minberr, "GaussianPerturbedOperator", refuse)
+        monkeypatch.setattr(minberr, "_dense_norm", refuse)
+        p = bk.ill_conditioned(10, 10.0)
+        with pytest.raises(ValueError):
+            bk.minberr_ne_perturbed(p.op, p.b, 1e-2, **bad)
+
+    def test_perturbation_norm_and_solver_norm(self, monkeypatch):
+        """||E|| <= perturb_eps ||A|| (the premise of the composition bound),
+        G is the seeded draw, and the solver runs on the proven lower bound
+        (1 - perturb_eps) ||A|| <= ||A + E|| without a power iteration."""
+        built, monitor_norms = [], []
+        make_op, make_mon = minberr.GaussianPerturbedOperator, minberr._monitor
+
+        def spy_op(*args):
+            built.append(make_op(*args))
+            return built[-1]
+
+        def spy_mon(op, b, eps, k_max, opnorm, *args, **kwargs):
+            monitor_norms.append(opnorm)
+            return make_mon(op, b, eps, k_max, opnorm, *args, **kwargs)
+
+        def no_power_iteration(op, *args, **kwargs):
+            raise AssertionError(f"power iteration on {type(op).__name__}")
+
+        monkeypatch.setattr(minberr, "GaussianPerturbedOperator", spy_op)
+        monkeypatch.setattr(minberr, "_monitor", spy_mon)
+        monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_power_iteration)
+        a = np.random.default_rng(5).standard_normal((40, 30))
+        s = float(np.linalg.norm(a, 2))
+        b = np.random.default_rng(6).standard_normal(40)
+        pe = 1e-2
+        bk.minberr_ne_perturbed(dense_op(a, s), b, pe, eps=1e-3, k_max=20, seed=3)
+        (perturbed,), (s_pert,) = built, monitor_norms
+        g = np.random.default_rng([3, 1]).standard_normal((40, 30))
+        assert np.array_equal(perturbed.g, g)
+        assert np.linalg.norm(perturbed.coeff * g, 2) <= pe * s * (1 + 1e-13)
+        assert s_pert == (1 - pe) * s
+        assert s_pert <= np.linalg.norm(perturbed.to_dense(), 2)
+
+    def test_matvecs_on_a_match_the_unperturbed_solve(self):
+        """The set-up costs no matvec on A: the perturbed solve uses exactly
+        the solve's 1 + 2k plus one measuring matvec per trace row."""
+        p = bk.ill_conditioned(80, 1e8)
+        counts = {}
+        for name, solver in (("plain", bk.minberr_ne_solve), ("perturbed", bk.minberr_ne_perturbed)):
+            op = bk.CountingOperator(p.op).set_opnorm(1.0)
+            extra = (1e-2,) if name == "perturbed" else ()
+            r = solver(op, p.b, *extra, eps=1e-6, k_max=60, trace=True)
+            assert r.iterations == 60
+            counts[name] = op.matvecs
+        assert counts["perturbed"] == counts["plain"] == 1 + 2 * 60 + 60
+
+
+class TestDenseNorm:
+    """The Golub-Kahan ||G||_2 that scales the Gaussian perturbation."""
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 4), (4, 1), (2, 2), (5, 5), (50, 50), (200, 300), (300, 200),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_svd(self, shape, seed):
+        g = np.random.default_rng([seed, 1]).standard_normal(shape)
+        norm, steps = _dense_norm(g, seed)
+        assert 1 <= steps <= min(shape)
+        assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_svd_at_n_1000(self, seed):
+        g = np.random.default_rng([seed, 1]).standard_normal((1000, 1000))
+        norm, steps = _dense_norm(g, seed)
+        assert steps < 200
+        assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
+
+    def test_rank_one_breaks_down_at_step_one(self):
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal(30), rng.standard_normal(20)
+        norm, steps = _dense_norm(np.outer(x, y), 0)
+        assert steps == 1
+        assert_allclose(norm, np.linalg.norm(x) * np.linalg.norm(y), rtol=1e-15)
 
 
 class TestNoFiniteMinimizer:
