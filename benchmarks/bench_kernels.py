@@ -9,11 +9,10 @@ millisecond range where dispatch overhead matters. Three tables:
 * ||G||_2 of an n x n Gaussian G, as the minberr-ne-perturbed set-up needs
   it: LAPACK's full SVD against the Golub-Kahan run that replaced it, with
   its step count, for each ``--norm-sizes`` entry;
-* the numpy path against the numba-jitted path for the kernels that still
-  have both (the numba column reads n/a when numba is not installed).
+* the CSR matvec and the two band solves, with their sizes.
 
-Every pair is cross-checked for agreement before it is timed, and jitted
-functions are warmed first so compilation never lands in the measured window.
+Each pair in the first two tables is cross-checked for agreement before it
+is timed; ``tests/test_kernels.py`` checks the kernels of the third.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
@@ -24,7 +23,13 @@ import timeit
 
 import numpy as np
 
-from berrkit._kernels import IMPLEMENTATIONS, householder_chain, householder_wy
+from berrkit._kernels import (
+    band_solve_upper,
+    band_solve_upper_t,
+    csr_matvec,
+    householder_chain,
+    householder_wy,
+)
 from berrkit.minberr import _dense_norm
 
 
@@ -94,20 +99,13 @@ def norm_table(sizes, repeats, rng):
               f"{t_svd / t_gk:>8.1f}x {steps:>6}")
 
 
-def numba_table(cases, repeats):
-    header = f"{'kernel':<20} {'numpy':>12} {'numba':>12} {'speedup':>9}"
+def kernel_table(cases, repeats):
+    header = f"{'kernel':<20} {'size':>20} {'time':>12}"
     print(header)
     print("-" * len(header))
-    for name, inputs in cases.items():
-        np_impl, nb_impl = IMPLEMENTATIONS[name]
-        t_np = best_seconds(np_impl, inputs, repeats)
-        if nb_impl is None:
-            print(f"{name:<20} {t_np * 1e6:>10.1f}us {'n/a':>12} {'n/a':>9}")
-            continue
-        got = nb_impl(*inputs)
-        np.testing.assert_allclose(got, np_impl(*inputs), rtol=1e-12, atol=1e-14)
-        t_nb = best_seconds(nb_impl, inputs, repeats)
-        print(f"{name:<20} {t_np * 1e6:>10.1f}us {t_nb * 1e6:>10.1f}us {t_np / t_nb:>8.1f}x")
+    for fn, size, inputs in cases:
+        t = best_seconds(fn, inputs, repeats)
+        print(f"{fn.__name__:<20} {size:>20} {t * 1e6:>10.1f}us")
 
 
 def main(argv=None):
@@ -126,12 +124,14 @@ def main(argv=None):
     print()
     norm_table(args.norm_sizes, args.repeats, rng)
     print()
-    numba_table(
-        {
-            "csr_matvec": csr_inputs(args.csr_rows, args.csr_per_row, rng),
-            "band_solve_upper": band_inputs(args.band_size, rng),
-            "band_solve_upper_t": band_inputs(args.band_size, rng),
-        },
+    csr_size = f"n = {args.csr_rows}, {args.csr_per_row}/row"
+    band_size = f"k = {args.band_size}"
+    kernel_table(
+        [
+            (csr_matvec, csr_size, csr_inputs(args.csr_rows, args.csr_per_row, rng)),
+            (band_solve_upper, band_size, band_inputs(args.band_size, rng)),
+            (band_solve_upper_t, band_size, band_inputs(args.band_size, rng)),
+        ],
         args.repeats,
     )
     return 0

@@ -1,14 +1,11 @@
-"""Hot numeric kernels: pure numpy, with numba-jitted CSR and band solves.
-
-Set ``BERRKIT_PURE_NUMPY=1`` before import to force the numpy path (also used
-when numba is not importable). ``benchmarks/bench_kernels.py`` times them.
+"""Hot numeric kernels, in numpy. ``benchmarks/bench_kernels.py`` times them.
 
 All kernels take and return float64 arrays. Band arrays follow the upper
 triangular layout used by the factorization views: ``diag[i]`` is entry (i, i),
 ``sup1[i]`` is (i, i+1) for i < k-1, ``sup2[i]`` is (i, i+2) for i < k-2.
-Callers are responsible for rejecting zero diagonals before solving. The numpy
-band solves run the recurrence on Python floats in the numba kernels'
-operation order, so both paths agree bit for bit.
+Callers are responsible for rejecting zero diagonals before solving. The band
+solves run the recurrence on Python floats in the operation order of the
+scalar reference loops in ``tests/test_kernels.py`` and match them bit for bit.
 
 Householder chains use the blocked compact WY representation (Schreiber &
 Van Loan 1989, "A storage-efficient WY representation for products of
@@ -20,8 +17,6 @@ One block of b reflectors then costs three BLAS-2 calls instead of 2b numpy
 calls, and m reflectors cost 4mn + 2bm flops instead of 4mn.
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -31,11 +26,13 @@ __all__ = [
     "householder_wy",
     "band_solve_upper",
     "band_solve_upper_t",
-    "IMPLEMENTATIONS",
 ]
 
+# berrkit has no numba path; perfbench/runner.py still reads this flag
+USING_NUMBA = False
 
-def _csr_matvec_np(data, indices, indptr, x):
+
+def csr_matvec(data, indices, indptr, x):
     out = np.zeros(indptr.shape[0] - 1)
     if data.shape[0] == 0:
         return out
@@ -77,7 +74,7 @@ def householder_chain(vecs, tfactors, x, adjoint):
     return y
 
 
-def _band_solve_upper_np(diag, sup1, sup2, rhs):
+def band_solve_upper(diag, sup1, sup2, rhs):
     # x[i+1], x[i+2] ride in x1, x2; the zero padding of sup1 and sup2 makes
     # the last two rows subtract exact zeros, which changes no bit
     x = []
@@ -94,7 +91,7 @@ def _band_solve_upper_np(diag, sup1, sup2, rhs):
     return np.array(x)
 
 
-def _band_solve_upper_t_np(diag, sup1, sup2, rhs):
+def band_solve_upper_t(diag, sup1, sup2, rhs):
     # as above, with x[i-1], x[i-2] in x1, x2 and the padding in front
     x = []
     x1 = x2 = 0.0
@@ -105,72 +102,3 @@ def _band_solve_upper_t_np(diag, sup1, sup2, rhs):
         x.append(x1)
     return np.array(x)
 
-
-_FORCE_NUMPY = os.environ.get("BERRKIT_PURE_NUMPY", "") == "1"
-USING_NUMBA = False
-
-_csr_matvec_nb = None
-_band_solve_upper_nb = None
-_band_solve_upper_t_nb = None
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _csr_matvec_nb(data, indices, indptr, x):
-        n = indptr.shape[0] - 1
-        out = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(indptr[i], indptr[i + 1]):
-                acc += data[j] * x[indices[j]]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _band_solve_upper_nb(diag, sup1, sup2, rhs):
-        k = diag.shape[0]
-        x = np.empty(k)
-        for i in range(k - 1, -1, -1):
-            acc = rhs[i]
-            if i + 1 < k:
-                acc -= sup1[i] * x[i + 1]
-            if i + 2 < k:
-                acc -= sup2[i] * x[i + 2]
-            x[i] = acc / diag[i]
-        return x
-
-    @njit(cache=True)
-    def _band_solve_upper_t_nb(diag, sup1, sup2, rhs):
-        k = diag.shape[0]
-        x = np.empty(k)
-        for i in range(k):
-            acc = rhs[i]
-            if i >= 1:
-                acc -= sup1[i - 1] * x[i - 1]
-            if i >= 2:
-                acc -= sup2[i - 2] * x[i - 2]
-            x[i] = acc / diag[i]
-        return x
-
-    csr_matvec = _csr_matvec_nb
-    band_solve_upper = _band_solve_upper_nb
-    band_solve_upper_t = _band_solve_upper_t_nb
-else:
-    csr_matvec = _csr_matvec_np
-    band_solve_upper = _band_solve_upper_np
-    band_solve_upper_t = _band_solve_upper_t_np
-
-# name -> (numpy impl, numba impl or None); used by tests and the benchmark
-IMPLEMENTATIONS = {
-    "csr_matvec": (_csr_matvec_np, _csr_matvec_nb),
-    "band_solve_upper": (_band_solve_upper_np, _band_solve_upper_nb),
-    "band_solve_upper_t": (_band_solve_upper_t_np, _band_solve_upper_t_nb),
-}

@@ -142,7 +142,7 @@ def _param_float(params, key, what):
 
 def _param_int(params, key, what):
     value = _param_float(params, key, what)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise SpecError(f"{what}: {key} must be an integer")
     return int(value)
 
@@ -210,6 +210,8 @@ def resolve_rhs(spec_rhs, p):
         dense = data.to_dense()
         if min(dense.shape) != 1:
             raise SpecError("rhs file must hold a single row or column")
+        if dense.size != p.op.rows:
+            raise SpecError(f"rhs file has {dense.size} entries, expected {p.op.rows}")
         return dense.reshape(-1)
     raise SpecError(f"unknown rhs {spec_rhs!r}")
 

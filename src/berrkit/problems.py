@@ -79,8 +79,8 @@ def ill_conditioned(n, kappa):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if kappa <= 1.0:
-        raise ValueError("kappa must exceed 1")
+    if not 1.0 < kappa < np.inf:
+        raise ValueError("kappa must be finite and exceed 1")
     d = _log_spaced(1.0, 1.0 / kappa, n)
     b = np.ones(n)
     b[-1] = kappa
@@ -105,6 +105,8 @@ def small_outlier(n, kappa, sigma_penult):
         raise ValueError("n must be at least 3")
     if not (0.0 < sigma_penult < 1.0):
         raise ValueError("sigma_penult must lie in (0, 1)")
+    if not kappa > 0.0:
+        raise ValueError("kappa must be positive")
     if 1.0 / kappa >= sigma_penult:
         raise ValueError("1/kappa must lie below sigma_penult")
     d = np.empty(n)

@@ -188,6 +188,16 @@ class TestRhsModes:
         assert code == 2
         assert "row or column" in capsys.readouterr().err
 
+    def test_rhs_file_must_match_the_operator(self, tmp_path, capsys):
+        rhs_path = tmp_path / "short.mtx"
+        mmio.write_array(rhs_path, np.ones((3, 1)))
+        code = run(
+            ["solve", "--problem", QUICK, "--solver", "cg",
+             "--rhs", f"file:{rhs_path}"]
+        )
+        assert code == 2
+        assert "3 entries, expected 50" in capsys.readouterr().err
+
     def test_unknown_rhs(self, capsys):
         code = run(["solve", "--problem", QUICK, "--solver", "cg", "--rhs", "zeros"])
         assert code == 2
@@ -232,10 +242,19 @@ class TestSpecErrors:
         assert code == 2
         assert "unknown problem" in capsys.readouterr().err
 
-    def test_bad_problem_params(self, capsys):
-        code = run(
-            ["solve", "--problem", "ill-conditioned:n=50", "--solver", "cg"]
-        )
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            "ill-conditioned:n=50",
+            "ill-conditioned:n=inf,kappa=10",
+            "ill-conditioned:n=1e400,kappa=10",
+            "cyclic-shift:n=-inf",
+            "ill-conditioned:n=50,kappa=nan",
+            "small-outlier:n=50,kappa=0,sigma=1e-3",
+        ],
+    )
+    def test_bad_problem_params(self, capsys, problem):
+        code = run(["solve", "--problem", problem, "--solver", "cg"])
         assert code == 2
 
     def test_unknown_problem_param_rejected(self, capsys):

@@ -1,11 +1,13 @@
-"""The kernels against reference loops written here, and the numba paths against numpy."""
+"""The kernels against dense products and the reference loops written here.
 
-import os
-import subprocess
-import sys
+The band solves match the scalar reference loops bit for bit; the CSR matvec
+is checked against a dense product on Hypothesis-drawn inputs.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
@@ -54,6 +56,44 @@ class TestCsrMatvec:
         indptr = np.array([0, 0, 0, 1], dtype=np.int64)
         out = _kernels.csr_matvec(data, indices, indptr, np.array([10.0, 4.0]))
         assert_allclose(out, [0.0, 0.0, 10.0])
+
+
+def _entries(rng, shape):
+    """Zero (one in eight) or a log-uniform magnitude in [1e-6, 1e6], either sign.
+
+    Products stay far from underflow, so the only error is summation rounding,
+    bounded by n u (|a| @ |x|) for each side of the comparison.
+    """
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    values[rng.random(shape) < 0.125] = 0.0
+    return values
+
+
+@st.composite
+def _csr_and_vector(draw):
+    """A CSR matrix (rectangular, often with empty rows or nnz = 0) and an x.
+
+    Hypothesis draws the shape and one column bitmask per row (0 is an empty
+    row); the values, stored zeros included, come from a drawn seed.
+    """
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    masks = draw(st.lists(st.integers(0, 2**cols - 1), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = np.array([[(m >> j) & 1 for j in range(cols)] for m in masks], dtype=bool)
+    dense = np.where(stored, _entries(rng, (rows, cols)), 0.0)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))]).astype(np.int64)
+    indices = np.nonzero(stored)[1].astype(np.int64)
+    return (dense[stored], indices, indptr), dense, _entries(rng, cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_csr_and_vector())
+def test_csr_matvec_matches_dense_product(case):
+    (data, indices, indptr), dense, x = case
+    out = _kernels.csr_matvec(data, indices, indptr, x)
+    assert out.shape == (dense.shape[0],)
+    assert np.all(np.abs(out - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
 
 
 def _unit_rows(rng, m, n):
@@ -193,61 +233,10 @@ class TestBandSolves:
         diag, sup1, sup2, _ = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
         rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
-        for name, reference in [
-            ("band_solve_upper", _scalar_upper_solve),
-            ("band_solve_upper_t", _scalar_upper_t_solve),
+        for solve, reference in [
+            (_kernels.band_solve_upper, _scalar_upper_solve),
+            (_kernels.band_solve_upper_t, _scalar_upper_t_solve),
         ]:
-            expected = reference(diag, sup1, sup2, rhs).tobytes()
-            for impl in _kernels.IMPLEMENTATIONS[name]:
-                if impl is not None:
-                    x = impl(diag, sup1, sup2, rhs)
-                    assert x.dtype == np.float64
-                    assert x.tobytes() == expected
-
-
-@pytest.mark.parametrize("name", sorted(_kernels.IMPLEMENTATIONS))
-def test_numba_and_numpy_paths_agree(name):
-    np_impl, nb_impl = _kernels.IMPLEMENTATIONS[name]
-    if nb_impl is None:
-        pytest.skip("numba path not compiled in this process")
-    rng = np.random.default_rng(42)
-    if name == "csr_matvec":
-        data, indices, indptr, _ = _random_csr(rng, 23, 17)
-        x = rng.standard_normal(17)
-        args_a = (data, indices, indptr, x)
-        args_b = (data.copy(), indices.copy(), indptr.copy(), x.copy())
-    else:
-        k = 19
-        diag = rng.uniform(0.5, 2.0, size=k)
-        sup1 = rng.standard_normal(k - 1)
-        sup2 = rng.standard_normal(k - 2)
-        rhs = rng.standard_normal(k)
-        args_a = (diag, sup1, sup2, rhs)
-        args_b = (diag.copy(), sup1.copy(), sup2.copy(), rhs.copy())
-    assert_allclose(np_impl(*args_a), nb_impl(*args_b), rtol=1e-13, atol=1e-15)
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    code = (
-        "from berrkit import _kernels; "
-        "print(_kernels.USING_NUMBA, _kernels.IMPLEMENTATIONS['csr_matvec'][1] is None)"
-    )
-    env = dict(os.environ, BERRKIT_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_solvers_run_under_pure_numpy():
-    code = (
-        "import numpy as np, berrkit as bk; "
-        "q = bk.ill_conditioned(50, 1e4); "
-        "r = bk.minberr_solve(q.op, q.b, eps=1e-4); "
-        "print(r.termination.value)"
-    )
-    env = dict(os.environ, BERRKIT_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "ToleranceReached"
+            x = solve(diag, sup1, sup2, rhs)
+            assert x.dtype == np.float64
+            assert x.tobytes() == reference(diag, sup1, sup2, rhs).tobytes()

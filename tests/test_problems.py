@@ -39,6 +39,9 @@ class TestIllConditioned:
             bk.ill_conditioned(1, 10.0)
         with pytest.raises(ValueError):
             bk.ill_conditioned(5, 1.0)
+        for kappa in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                bk.ill_conditioned(5, kappa)
 
 
 class TestSmallOutlier:
@@ -62,6 +65,9 @@ class TestSmallOutlier:
             bk.small_outlier(5, 1e8, 1.5)
         with pytest.raises(ValueError):
             bk.small_outlier(5, 10.0, 1e-3)
+        for kappa in (np.nan, 0.0, -1e8):
+            with pytest.raises(ValueError, match="kappa"):
+                bk.small_outlier(5, kappa, 1e-3)
 
 
 class TestCyclicShift:
