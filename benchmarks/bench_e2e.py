@@ -1,0 +1,136 @@
+"""End-to-end timings of the five offline ``berrkit bench`` suites.
+
+Every run of each suite's grid executes as ``berrkit bench`` executes it
+(problem build, solve, history CSV), REPEATS times in one process, BLAS on one
+thread. Per run the entry records the min and the median ``wall_ns`` over the
+repeats, the deterministic outcome (matvecs, iterations, termination,
+``final_berr``, which must agree across repeats) and whether minberr ran in
+per-iteration certificate mode (eps below sqrt(u), where it recovers at every
+step; read from its warning, not from the spec). Per suite it also records the
+min and median of the whole grid's wall time. An environment block gives the
+python and numpy versions, the CPU count and model and the BLAS thread count.
+
+The entry is stored under ``--label`` in the trajectory file ``--out``: an
+entry with the same label is replaced, any other is kept, so one file holds
+the before and after of a change. About 25 s on one core::
+
+    python3 benchmarks/bench_e2e.py --out BENCH_6.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_6.json --label change
+
+SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
+to time that one.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+SUITES = ("psd-synthetic", "nonsym-synthetic", "minres-worstcase", "stagnation", "perturbed")
+REPEATS = 3
+OUTCOME = ("total_matvecs", "iterations", "termination", "final_berr")
+
+
+def environment():
+    import numpy as np
+
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+        "blas_threads": BLAS_THREADS,
+    }
+
+
+def time_run(cli, spec, history):
+    """(wall_ns, summary, per-iteration certificate mode) of one grid run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.perf_counter_ns()
+        info = cli.run_one(spec, history=history)
+        wall = time.perf_counter_ns() - t0
+    cert_mode = any(
+        issubclass(w.category, RuntimeWarning) and "per-iteration" in str(w.message)
+        for w in caught
+    )
+    return wall, info, cert_mode
+
+
+def bench_suite(cli, suite, tmp):
+    grid = cli._bench_grid(suite, None)
+    walls = {name: [] for name, _ in grid}
+    runs = {}
+    totals = []
+    for _ in range(REPEATS):
+        total = 0
+        for name, spec in grid:
+            wall, info, cert_mode = time_run(cli, spec, os.path.join(tmp, f"{name}.csv"))
+            total += wall
+            walls[name].append(wall)
+            outcome = {key: info[key] for key in OUTCOME}
+            outcome["per_iteration_certificates"] = cert_mode
+            if runs.setdefault(name, outcome) != outcome:
+                raise RuntimeError(f"{suite}/{name}: outcome differs across repeats")
+        totals.append(total)
+    for name, _ in grid:
+        runs[name] = {
+            "wall_ns_min": min(walls[name]),
+            "wall_ns_median": int(statistics.median(walls[name])),
+            **runs[name],
+        }
+    return {"wall_ns_min": min(totals), "wall_ns_median": int(statistics.median(totals)),
+            "runs": runs}
+
+
+def main(argv):
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=os.path.join(here, "..", "src"),
+                        help="berrkit source directory (default: this checkout's src)")
+    parser.add_argument("--out", required=True, help="trajectory JSON file to update")
+    parser.add_argument("--label", required=True, help="name of this entry in the file")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from berrkit import cli
+
+    entry = {"label": args.label, "environment": environment(), "repeats": REPEATS,
+             "suites": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for suite in SUITES:
+            entry["suites"][suite] = bench_suite(cli, suite, tmp)
+            med = entry["suites"][suite]["wall_ns_median"] / 1e9
+            print(f"{suite}: median {med:.2f} s over {REPEATS} repeats", file=sys.stderr)
+
+    entries = []
+    if os.path.exists(args.out):
+        with open(args.out, encoding="ascii") as fh:
+            entries = json.load(fh)["entries"]
+    entries = [e for e in entries if e["label"] != args.label] + [entry]
+    with open(args.out, "w", encoding="ascii") as fh:
+        json.dump({"entries": entries}, fh, indent=1, allow_nan=False)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

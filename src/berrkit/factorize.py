@@ -112,22 +112,32 @@ class BandMatrix:
 
 
 class _GrowingColumns:
-    """Column store with geometric growth."""
+    """Column store with geometric growth.
+
+    The buffer is Fortran-ordered, so each stored vector is one contiguous
+    column: the per-step reads and writes touch n consecutive floats instead
+    of one cache line per entry, and ``view(k)`` is an F-contiguous slice.
+    """
 
     def __init__(self, n, capacity=16):
-        self._buf = np.empty((n, capacity))
+        self._buf = np.empty((n, capacity), order="F")
         self.count = 0
 
     def push(self, v):
         if self.count == self._buf.shape[1]:
-            grown = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]))
+            grown = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]), order="F")
             grown[:, : self.count] = self._buf
             self._buf = grown
         self._buf[:, self.count] = v
         self.count += 1
 
     def view(self, k=None):
-        return self._buf[:, : self.count if k is None else k]
+        """The first k stored columns (default: all), without a copy."""
+        if k is None:
+            k = self.count
+        elif not (0 <= k <= self.count):
+            raise ValueError(f"asked for {k} basis vectors, {self.count} stored")
+        return self._buf[:, :k]
 
 
 def _check_reorth(reorth):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from berrkit import factorize
 from berrkit.factorize import BandMatrix, BidiagState, LanczosState
 
 from _helpers import dense_op, random_psd
@@ -159,6 +160,14 @@ class TestLanczos:
         with pytest.raises(ValueError):
             LanczosState(op, np.ones(3), reorth="selective")
 
+    def test_basis_beyond_stored_vectors_raises(self):
+        st = LanczosState(dense_op(random_psd(50, seed=9)), np.ones(50))
+        for _ in range(3):
+            st.step()
+        assert st.basis(4).shape == (50, 4)
+        with pytest.raises(ValueError, match="asked for 10 basis vectors, 4 stored"):
+            st.basis(10)
+
 
 class TestBidiag:
     def test_exact_solve_in_one_step(self):
@@ -236,6 +245,16 @@ class TestBidiag:
             st.basis_q(1)
         assert st.q_latest().shape == (10,)
 
+    @pytest.mark.parametrize("accessor", ["basis_q", "basis_u"])
+    def test_basis_beyond_stored_vectors_raises(self, accessor):
+        rng = np.random.default_rng(10)
+        st = BidiagState(dense_op(rng.standard_normal((50, 50))), rng.standard_normal(50))
+        for _ in range(3):
+            st.step()
+        assert getattr(st, accessor)(4).shape == (50, 4)
+        with pytest.raises(ValueError, match="asked for 10 basis vectors, 4 stored"):
+            getattr(st, accessor)(10)
+
     def test_btilde_band_layout(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((15, 15))
@@ -249,3 +268,51 @@ class TestBidiag:
         assert_allclose(band.diag, nb[:5])
         assert_allclose(band.sup1, na[1:5])
         assert not band.sup2.any()
+
+
+class TestBasisStore:
+    """The stored Krylov bases: one contiguous column per vector, read in
+    place by recovery, and bitwise equal to what was pushed across every
+    doubling of the buffer (16, 32, 64, 128 columns)."""
+
+    CHECKPOINTS = (1, 16, 17, 40, 100)
+
+    @staticmethod
+    def _record_pushes(monkeypatch):
+        pushed = {}
+        push = factorize._GrowingColumns.push
+
+        def spy(self, v):
+            pushed.setdefault(id(self), []).append(np.array(v, copy=True))
+            return push(self, v)
+
+        monkeypatch.setattr(factorize._GrowingColumns, "push", spy)
+        return pushed
+
+    @staticmethod
+    def _check(basis, store, pushed, k):
+        assert basis.shape[1] == k
+        assert all(basis[:, j].flags.c_contiguous for j in range(k))
+        assert np.shares_memory(basis, store._buf)
+        for j in range(k):
+            assert np.array_equal(basis[:, j], pushed[id(store)][j])
+
+    def test_lanczos_basis(self, monkeypatch):
+        pushed = self._record_pushes(monkeypatch)
+        rng = np.random.default_rng(11)
+        op = bk.DiagonalOperator(np.linspace(1.0, 3.0, 200))
+        st = LanczosState(op, rng.standard_normal(200))
+        for k in range(1, max(self.CHECKPOINTS) + 1):
+            st.step()
+            if k in self.CHECKPOINTS:
+                self._check(st.basis(k), st._q, pushed, k)
+
+    def test_bidiag_bases(self, monkeypatch):
+        pushed = self._record_pushes(monkeypatch)
+        rng = np.random.default_rng(12)
+        st = BidiagState(dense_op(rng.standard_normal((160, 130))), rng.standard_normal(160))
+        for k in range(1, max(self.CHECKPOINTS) + 1):
+            st.step()
+            if k in self.CHECKPOINTS:
+                self._check(st.basis_q(k), st._qcols, pushed, k)
+                self._check(st.basis_u(k), st._u, pushed, k)

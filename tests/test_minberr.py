@@ -1,7 +1,11 @@
 """Backward-error-minimizing solvers, their certificates, and the dense oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
@@ -51,6 +55,67 @@ class TestCertificateIsSubspaceMinimum:
             state.step()
         ref = bk.dense_minberr_oracle(a, b, state.basis(r.iterations), opnorm=op.opnorm())
         assert measured_berr(op, b, r.x) <= 1.5 * np.sqrt(ref.lambda_min)
+
+
+def _assert_certificate_within_oracle(result, a, b, basis, s):
+    """sigma_min_certificate^2 lies in [1, 1.5] x the oracle's lambda_min over
+    the solver's own basis (up to rounding in the last digits), and every
+    trace row's berr is rn / (s xn) exactly as stored."""
+    try:
+        ref = bk.dense_minberr_oracle(a, b, basis, opnorm=s)
+    except bk.ExactSolutionInSubspaceError:
+        assume(False)
+    sigma = math.sqrt(ref.lambda_min)
+    cert = result.sigma_min_certificate
+    assert sigma * (1.0 - 1e-9) - 1e-14 <= cert <= math.sqrt(1.5) * sigma * (1.0 + 1e-9) + 1e-14
+    t = result.trace
+    assert len(t) == result.iterations
+    for rn, xn, berr in zip(t.residual_norm, t.x_norm, t.berr):
+        assert berr == rn / (t.opnorm * xn)
+
+
+@st.composite
+def _problem(draw, square):
+    n = draw(st.integers(2, 12))
+    m = n if square else draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    eps = 10.0 ** draw(st.floats(-6.0, -1.0))
+    return m, n, seed, eps
+
+
+class TestCertificateProperty:
+    """Hypothesis: the certificate of a full-reorthogonalization solve agrees
+    with the dense oracle on the basis the solver built."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_problem(square=True), st.floats(0.5, 6.0))
+    def test_minberr_solve(self, problem, spread):
+        _, n, seed, eps = problem
+        a = random_psd(n, seed=seed, spread=spread)
+        b = np.random.default_rng([seed, 1]).standard_normal(n)
+        op = dense_op(a)
+        r = bk.minberr_solve(op, b, eps=eps, k_max=n - 1, reorth="full", seed=seed, trace=True)
+        assume(r.termination != bk.Termination.BREAKDOWN)
+        state = LanczosState(op, b, opnorm=op.opnorm(), reorth="full")
+        for _ in range(r.iterations):
+            state.step()
+        _assert_certificate_within_oracle(r, a, b, state.basis(r.iterations), op.opnorm())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_problem(square=False))
+    def test_minberr_ne_solve(self, problem):
+        m, n, seed, eps = problem
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        op = dense_op(a)
+        r = bk.minberr_ne_solve(op, b, eps=eps, k_max=min(m, n) - 1, reorth="full",
+                                seed=seed, trace=True)
+        assume(r.termination != bk.Termination.BREAKDOWN)
+        state = BidiagState(op, b, opnorm=op.opnorm(), reorth="full")
+        for _ in range(r.iterations):
+            state.step()
+        _assert_certificate_within_oracle(r, a, b, state.basis_q(r.iterations), op.opnorm())
 
 
 class TestMinberrSolve:
