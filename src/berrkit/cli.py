@@ -8,9 +8,17 @@ Three subcommands:
 * ``bench``  — a named grid of solve runs with a combined manifest.
 * ``synth``  — write a synthetic instance to Matrix Market files.
 
-Exit codes: 0 on success (MaxIterations included), 2 for spec or input
-errors, 3 for solver failures. stdout stays empty unless the summary is
-directed there with ``--summary -``; diagnostics go to stderr.
+Each choice is one table: the ``RunSpec`` fields are the run options (flags,
+config keys, defaults, help, range checks), and ``SOLVERS``, ``_FAMILIES`` and
+``SUITES`` map solver, problem family and suite names to what they run.
+
+Exit codes: 0 on success (MaxIterations included), 2 for bad input, 3 for
+solver failures. Everything before the solver starts (config file, spec
+check, problem build, rhs file) raises ``SpecError`` on bad input, and
+``main`` reports it, or any ``OSError`` (a missing file, a directory given as
+a path), with exit 2. ``bench`` records a failed run in its manifest and goes
+on. stdout stays empty unless the summary is directed there with
+``--summary -``; diagnostics go to stderr.
 
 All numeric output uses 17 significant digits so doubles round-trip exactly.
 History CSVs are deterministic for a fixed spec and seed except for the
@@ -22,13 +30,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import classical, minberr, mmio, problems
 from .classical import SolverConfig
 from .errors import BerrkitError
+from .factorize import _REORTH_POLICIES
 from .operators import CountingOperator
 
 __all__ = ["RunSpec", "main"]
@@ -37,86 +48,148 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_SOLVER = 3
 
-SOLVERS = (
-    "richardson",
-    "richardson-ne",
-    "cg",
-    "minres",
-    "lsqr",
-    "regularized-cg",
-    "regularized-minres",
-    "minberr",
-    "minberr-ne",
-    "minberr-ne-perturbed",
-)
-
-SUITES = (
-    "psd-synthetic",
-    "nonsym-synthetic",
-    "minres-worstcase",
-    "stagnation",
-    "perturbed",
-    "suitesparse",
-)
-
 CSV_HEADER = "iter,berr,residual_norm,x_norm,wall_nanos"
 
-# option name -> (type, default); single source for flag/config/default merging
-OPTION_SPECS = {
-    "rhs": (str, "default"),
-    "tol": (float, 1e-6),
-    "max-iter": (int, 1000),
-    "C": (float, 1.0),
-    "delta": (float, 1e-6),
-    "perturb-eps": (float, 1e-3),
-    "seed": (int, 0),
-    "reorth": (str, "plain"),
-    "trace-every": (int, 1),
-}
+
+class SpecError(Exception):
+    """Bad run specification or input file (maps to exit code 2)."""
+
+
+# what main reports with exit 2 and with exit 3; bench records either in its
+# manifest and goes on with the next run
+_INPUT_ERRORS = (SpecError, OSError)
+_SOLVER_ERRORS = (BerrkitError, ValueError)
+
+
+@contextmanager
+def _bad_input(what):
+    """Re-raise a ValueError from reading ``what`` as a SpecError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}") from None
+
+
+def _option(default, help, valid=None, rule=None, choices=None):
+    """A RunSpec field that is also a ``--flag`` and a config key.
+
+    ``valid(value)`` says whether a value is in range and ``rule`` says, after
+    the option name, what the range is; ``choices`` sets both.
+    """
+    if choices is not None:
+        valid, rule = choices.__contains__, "must be one of " + ", ".join(choices)
+    return field(
+        default=default,
+        metadata={"help": help, "valid": valid, "rule": rule, "choices": choices},
+    )
 
 
 @dataclass
 class RunSpec:
-    """Everything needed to reproduce one run; echoed into the JSON summary."""
+    """Everything needed to reproduce one run; echoed into the JSON summary.
+
+    Every field after ``solver`` is a run option: a ``--flag`` of ``berrkit
+    solve`` and a key of its ``--config`` file, with the default given here.
+    """
 
     problem: str
     solver: str
-    rhs: str = "default"
-    tol: float = 1e-6
-    max_iter: int = 1000
-    C: float = 1.0
-    delta: float = 1e-6
-    perturb_eps: float = 1e-3
-    seed: int = 0
-    reorth: str = "plain"
-    trace_every: int = 1
+    rhs: str = _option("default", "default | ones | smallest-left-singular | file:PATH")
+    tol: float = _option(1e-6, "backward-error tolerance",
+                         lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+    max_iter: int = _option(1000, "iteration cap (also the k of regularized-*)",
+                            lambda v: v >= 1, "must be at least 1")
+    C: float = _option(1.0, "Richardson step constant",
+                       lambda v: 1.0 <= v < math.inf, "must be finite and at least 1")
+    delta: float = _option(1e-6, "recovery failure probability",
+                           lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+    perturb_eps: float = _option(1e-3, "relative Gaussian perturbation size",
+                                 lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+    seed: int = _option(0, "seed for all randomized pieces",
+                        lambda v: v >= 0, "must be nonnegative")
+    reorth: str = _option("plain", "reorthogonalization policy", choices=_REORTH_POLICIES)
+    trace_every: int = _option(1, "record every i-th iteration",
+                               lambda v: v >= 1, "must be at least 1")
 
 
-class SpecError(Exception):
-    """Bad run specification (maps to exit code 2)."""
+_RUN_OPTIONS = [f for f in fields(RunSpec) if "help" in f.metadata]
+
+
+def _key(name):
+    """Flag and config-key form of a RunSpec field name."""
+    return name.replace("_", "-")
+
+
+def _config(spec):
+    """SolverConfig of a classical run."""
+    return SolverConfig(
+        step_constant=spec.C,
+        max_iterations=spec.max_iter,
+        berr_tolerance=spec.tol,
+        trace_every=spec.trace_every,
+        seed=spec.seed,
+    )
+
+
+def _minberr_kw(spec):
+    """Keyword arguments of a traced minberr run."""
+    return dict(eps=spec.tol, delta=spec.delta, k_max=spec.max_iter, reorth=spec.reorth,
+                seed=spec.seed, trace=True, trace_every=spec.trace_every)
+
+
+def _regularized(inner):
+    return lambda spec, op, b: classical.regularized_solve(
+        op, b, spec.max_iter, inner=inner, trace_every=spec.trace_every, seed=spec.seed
+    )
+
+
+class _Solver(NamedTuple):
+    run: Callable  # run(spec, op, b) -> result; looks the solver up at call time
+    min_iter: int = 1
+
+
+SOLVERS = {
+    "richardson": _Solver(lambda spec, op, b: classical.richardson(op, b, _config(spec))),
+    "richardson-ne": _Solver(lambda spec, op, b: classical.richardson_ne(op, b, _config(spec))),
+    "cg": _Solver(lambda spec, op, b: classical.cg(op, b, _config(spec))),
+    "minres": _Solver(lambda spec, op, b: classical.minres(op, b, _config(spec))),
+    "lsqr": _Solver(lambda spec, op, b: classical.lsqr(op, b, _config(spec))),
+    # the shift schedule of regularized_solve needs k >= 9
+    "regularized-cg": _Solver(_regularized("cg"), min_iter=9),
+    "regularized-minres": _Solver(_regularized("minres"), min_iter=9),
+    "minberr": _Solver(lambda spec, op, b: minberr.minberr_solve(op, b, **_minberr_kw(spec))),
+    "minberr-ne": _Solver(
+        lambda spec, op, b: minberr.minberr_ne_solve(op, b, **_minberr_kw(spec))
+    ),
+    "minberr-ne-perturbed": _Solver(
+        lambda spec, op, b: minberr.minberr_ne_perturbed(
+            op, b, spec.perturb_eps, **_minberr_kw(spec)
+        )
+    ),
+}
 
 
 def validate_spec(spec):
     if spec.solver not in SOLVERS:
         raise SpecError(f"unknown solver {spec.solver!r}")
-    if not (0.0 < spec.tol < 1.0):
-        raise SpecError("tol must lie in (0, 1)")
-    if spec.max_iter < 1:
-        raise SpecError("max-iter must be at least 1")
-    if not (1.0 <= spec.C < math.inf):
-        raise SpecError("C must be finite and at least 1")
-    if not (0.0 < spec.delta < 1.0):
-        raise SpecError("delta must lie in (0, 1)")
-    if not (0.0 <= spec.perturb_eps < 1.0):
-        raise SpecError("perturb-eps must lie in [0, 1)")
-    if spec.seed < 0:
-        raise SpecError("seed must be nonnegative")
-    if spec.reorth not in ("plain", "full"):
-        raise SpecError("reorth must be 'plain' or 'full'")
-    if spec.trace_every < 1:
-        raise SpecError("trace-every must be at least 1")
-    if spec.solver.startswith("regularized") and spec.max_iter < 9:
-        raise SpecError("regularized solvers need max-iter of at least 9")
+    for f in _RUN_OPTIONS:
+        valid = f.metadata["valid"]
+        if valid is not None and not valid(getattr(spec, f.name)):
+            raise SpecError(f"{_key(f.name)} {f.metadata['rule']}")
+    min_iter = SOLVERS[spec.solver].min_iter
+    if spec.max_iter < min_iter:
+        raise SpecError(f"{spec.solver} needs max-iter of at least {min_iter}")
+
+
+# family name -> (problems constructor, its parameters in call order with their types)
+_FAMILIES = {
+    "ill-conditioned": ("ill_conditioned", {"n": int, "kappa": float}),
+    "small-outlier": ("small_outlier", {"n": int, "kappa": float, "sigma": float}),
+    "cyclic-shift": ("cyclic_shift", {"n": int}),
+}
+
+# problem suffix -> two_sided argument of problems.disguise
+_DISGUISES = {"+disguise2": True, "+disguise": False}
 
 
 def _parse_params(text, what):
@@ -131,20 +204,14 @@ def _parse_params(text, what):
     return params
 
 
-def _param_float(params, key, what):
+def _param(params, key, typ, what):
+    """Pop params[key] as a number of type typ (float or int)."""
     if key not in params:
         raise SpecError(f"{what} needs {key}=...")
-    try:
-        return float(params.pop(key))
-    except ValueError:
-        raise SpecError(f"{what}: {key} must be a number") from None
-
-
-def _param_int(params, key, what):
-    value = _param_float(params, key, what)
-    if not math.isfinite(value) or value != int(value):
+    value = float(params.pop(key))
+    if typ is int and (not math.isfinite(value) or value != int(value)):
         raise SpecError(f"{what}: {key} must be an integer")
-    return int(value)
+    return typ(value)
 
 
 def build_problem(text, seed):
@@ -154,112 +221,55 @@ def build_problem(text, seed):
     ``small-outlier:n=500,kappa=1e10,sigma=1e-3``, ``cyclic-shift:n=50``,
     each optionally suffixed with ``+disguise`` (one-sided) or ``+disguise2``
     (two-sided, breaks symmetry). Anything else is treated as a Matrix Market
-    file path.
+    file path. Bad input raises SpecError.
     """
-    disguise_mode = None
-    for suffix, mode in (("+disguise2", "two"), ("+disguise", "one")):
-        if text.endswith(suffix):
-            disguise_mode = mode
-            text = text[: -len(suffix)]
-            break
+    suffix = next((s for s in _DISGUISES if text.endswith(s)), None)
+    if suffix:
+        text = text[: -len(suffix)]
     name, _, param_text = text.partition(":")
-    try:
-        if name == "ill-conditioned":
+    with _bad_input(text):
+        if name in _FAMILIES:
+            constructor, types = _FAMILIES[name]
             params = _parse_params(param_text, name)
-            p = problems.ill_conditioned(
-                _param_int(params, "n", name), _param_float(params, "kappa", name)
-            )
-        elif name == "small-outlier":
-            params = _parse_params(param_text, name)
-            p = problems.small_outlier(
-                _param_int(params, "n", name),
-                _param_float(params, "kappa", name),
-                _param_float(params, "sigma", name),
-            )
-        elif name == "cyclic-shift":
-            params = _parse_params(param_text, name)
-            p = problems.cyclic_shift(_param_int(params, "n", name))
-        else:
-            if not os.path.exists(text):
-                raise SpecError(
-                    f"unknown problem {text!r}: not a synthetic family and not a file"
-                )
+            args = [_param(params, key, typ, name) for key, typ in types.items()]
+            if params:
+                raise SpecError(f"{name}: unknown parameters {sorted(params)}")
+            p = getattr(problems, constructor)(*args)
+        elif os.path.exists(text):
             p = problems.read_matrix_market(text)
-            params = {}
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    if params:
-        raise SpecError(f"{name}: unknown parameters {sorted(params)}")
-    if disguise_mode is not None:
-        p = problems.disguise(p, two_sided=disguise_mode == "two", seed=seed)
+        else:
+            raise SpecError(f"unknown problem {text!r}: not a synthetic family and not a file")
+        if suffix:
+            p = problems.disguise(p, two_sided=_DISGUISES[suffix], seed=seed)
     return p
 
 
+# rhs name -> right-hand side of a ProblemInstance; ``file:PATH`` reads PATH
+_RHS = {
+    "default": lambda p: np.asarray(p.b, dtype=np.float64),
+    "ones": lambda p: np.ones(p.op.rows),
+    "smallest-left-singular": lambda p: problems.rhs_smallest_left_singular(p),
+}
+
+
 def resolve_rhs(spec_rhs, p):
-    if spec_rhs == "default":
-        return np.asarray(p.b, dtype=np.float64)
-    if spec_rhs == "ones":
-        return np.ones(p.op.rows)
-    if spec_rhs == "smallest-left-singular":
-        return problems.rhs_smallest_left_singular(p)
-    if spec_rhs.startswith("file:"):
-        path = spec_rhs[len("file:") :]
-        if not os.path.exists(path):
-            raise SpecError(f"rhs file not found: {path}")
-        data = mmio.read_matrix_market(path)
-        dense = data.to_dense()
-        if min(dense.shape) != 1:
-            raise SpecError("rhs file must hold a single row or column")
-        if dense.size != p.op.rows:
-            raise SpecError(f"rhs file has {dense.size} entries, expected {p.op.rows}")
-        return dense.reshape(-1)
-    raise SpecError(f"unknown rhs {spec_rhs!r}")
+    """The right-hand side spec_rhs names for p; bad input raises SpecError."""
+    with _bad_input(f"rhs {spec_rhs}"):
+        if spec_rhs in _RHS:
+            return _RHS[spec_rhs](p)
+        if not spec_rhs.startswith("file:"):
+            raise SpecError(f"unknown rhs {spec_rhs!r}")
+        dense = mmio.read_matrix_market(spec_rhs[len("file:") :]).to_dense()
+    if min(dense.shape) != 1:
+        raise SpecError("rhs file must hold a single row or column")
+    if dense.size != p.op.rows:
+        raise SpecError(f"rhs file has {dense.size} entries, expected {p.op.rows}")
+    return dense.reshape(-1)
 
 
 def run_solver(spec, op, b):
-    """Dispatch one RunSpec; returns the solver's result object."""
-    cfg = SolverConfig(
-        step_constant=spec.C,
-        max_iterations=spec.max_iter,
-        berr_tolerance=spec.tol,
-        trace_every=spec.trace_every,
-        seed=spec.seed,
-    )
-    if spec.solver == "richardson":
-        return classical.richardson(op, b, cfg)
-    if spec.solver == "richardson-ne":
-        return classical.richardson_ne(op, b, cfg)
-    if spec.solver == "cg":
-        return classical.cg(op, b, cfg)
-    if spec.solver == "minres":
-        return classical.minres(op, b, cfg)
-    if spec.solver == "lsqr":
-        return classical.lsqr(op, b, cfg)
-    if spec.solver in ("regularized-cg", "regularized-minres"):
-        return classical.regularized_solve(
-            op,
-            b,
-            spec.max_iter,
-            inner=spec.solver.split("-", 1)[1],
-            trace_every=spec.trace_every,
-            seed=spec.seed,
-        )
-    common = dict(
-        eps=spec.tol,
-        delta=spec.delta,
-        k_max=spec.max_iter,
-        reorth=spec.reorth,
-        seed=spec.seed,
-        trace=True,
-        trace_every=spec.trace_every,
-    )
-    if spec.solver == "minberr":
-        return minberr.minberr_solve(op, b, **common)
-    if spec.solver == "minberr-ne":
-        return minberr.minberr_ne_solve(op, b, **common)
-    if spec.solver == "minberr-ne-perturbed":
-        return minberr.minberr_ne_perturbed(op, b, spec.perturb_eps, **common)
-    raise SpecError(f"unknown solver {spec.solver!r}")
+    """Run spec.solver on (op, b); returns the solver's result object."""
+    return SOLVERS[spec.solver].run(spec, op, b)
 
 
 def _fmt(value):
@@ -408,128 +418,113 @@ def run_one(spec, history=None, summary=None, plot=None):
     return info
 
 
-def _merge_options(args, config_path):
-    """flags > config file > defaults, per option in OPTION_SPECS."""
+def _read_config(path):
+    """The key=value lines of a config file, keys in flag form."""
     config = {}
-    if config_path:
-        if not os.path.exists(config_path):
-            raise SpecError(f"config file not found: {config_path}")
-        with open(config_path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise SpecError(f"{config_path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                config[key.strip().replace("_", "-")] = value.strip()
-    merged = {}
-    for key, (typ, default) in OPTION_SPECS.items():
-        attr = key.replace("-", "_")
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            merged[attr] = flag_value
-        elif key in config:
-            try:
-                merged[attr] = typ(config[key])
-            except ValueError:
-                raise SpecError(f"config value for {key} is not a {typ.__name__}")
-        else:
-            merged[attr] = default
-    unknown = set(config) - set(OPTION_SPECS)
-    if unknown:
-        raise SpecError(f"config file has unknown keys {sorted(unknown)}")
-    return merged
+    with open(path, encoding="ascii") as fh, _bad_input(path):
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise SpecError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            config[_key(key.strip())] = value.strip()
+    return config
+
+
+def _spec_from_args(args):
+    """The RunSpec of a solve: flags beat the config file, which beats the defaults."""
+    config = _read_config(args.config) if args.config else {}
+    values = {}
+    for f in _RUN_OPTIONS:
+        text = config.pop(_key(f.name), None)
+        value = getattr(args, f.name)
+        if value is None and text is not None:
+            with _bad_input(f"config value for {_key(f.name)}"):
+                value = f.type(text)
+        if value is not None:
+            values[f.name] = value
+    if config:
+        raise SpecError(f"config file has unknown keys {sorted(config)}")
+    return RunSpec(args.problem, args.solver, **values)
 
 
 def cmd_solve(args):
-    merged = _merge_options(args, args.config)
-    spec = RunSpec(
-        problem=args.problem,
-        solver=args.solver,
-        rhs=merged["rhs"],
-        tol=merged["tol"],
-        max_iter=merged["max_iter"],
-        C=merged["C"],
-        delta=merged["delta"],
-        perturb_eps=merged["perturb_eps"],
-        seed=merged["seed"],
-        reorth=merged["reorth"],
-        trace_every=merged["trace_every"],
-    )
+    spec = _spec_from_args(args)
     run_one(spec, history=args.history, summary=args.summary, plot=args.plot)
     return EXIT_OK
 
 
-def _bench_grid(suite, suitesparse_dir):
-    """The RunSpec grid for a named suite, as (run name, RunSpec) pairs."""
-    grid = []
-
-    def add(name, **kw):
-        grid.append((name, RunSpec(**kw)))
-
-    if suite == "psd-synthetic":
-        prob = "ill-conditioned:n=2000,kappa=1e8"
-        for solver in ("richardson", "cg", "minres"):
-            add(solver, problem=prob, solver=solver, tol=1e-8, max_iter=2000)
-        add("minberr", problem=prob, solver="minberr", tol=1e-8, max_iter=200)
-    elif suite == "nonsym-synthetic":
-        for kappa in ("1e2", "1e4", "1e6"):
-            prob = f"ill-conditioned:n=500,kappa={kappa}+disguise2"
-            for solver in ("richardson-ne", "lsqr", "minberr-ne"):
-                add(
-                    f"{solver}-kappa{kappa}",
-                    problem=prob,
-                    solver=solver,
-                    tol=1e-6,
-                    max_iter=300,
-                )
-    elif suite == "minres-worstcase":
-        prob = "small-outlier:n=2000,kappa=1e10,sigma=1e-3"
-        add("minres", problem=prob, solver="minres", tol=1e-10, max_iter=200)
-        add("minberr", problem=prob, solver="minberr", tol=1e-10, max_iter=200)
-    elif suite == "stagnation":
-        prob = "small-outlier:n=500,kappa=1e14,sigma=1e-3"
-        add("minberr-ne", problem=prob, solver="minberr-ne", tol=1e-4, max_iter=300)
-        add(
-            "minberr-ne-perturbed",
-            problem=prob,
-            solver="minberr-ne-perturbed",
-            tol=1e-4,
-            perturb_eps=1e-3,
-            max_iter=300,
+def _suitesparse_grid(directory):
+    """minberr-ne and lsqr on each .mtx file of directory (else BERR_SUITESPARSE_DIR)."""
+    directory = directory or os.environ.get("BERR_SUITESPARSE_DIR", "")
+    if not directory or not os.path.isdir(directory):
+        print(
+            "suitesparse suite: set BERR_SUITESPARSE_DIR to a directory of "
+            ".mtx files; nothing to run",
+            file=sys.stderr,
         )
-    elif suite == "perturbed":
-        for kappa in ("1e6", "1e10", "1e14"):
-            add(
-                f"perturbed-kappa{kappa}",
-                problem=f"small-outlier:n=500,kappa={kappa},sigma=1e-3",
-                solver="minberr-ne-perturbed",
-                tol=1e-4,
-                perturb_eps=1e-3,
-                max_iter=300,
-            )
-    elif suite == "suitesparse":
-        directory = suitesparse_dir or os.environ.get("BERR_SUITESPARSE_DIR", "")
-        if not directory or not os.path.isdir(directory):
-            print(
-                "suitesparse suite: set BERR_SUITESPARSE_DIR to a directory of "
-                ".mtx files; nothing to run",
-                file=sys.stderr,
-            )
-            return grid
-        for fname in sorted(os.listdir(directory)):
-            if not fname.endswith(".mtx"):
-                continue
+        return []
+    grid = []
+    for fname in sorted(os.listdir(directory)):
+        if fname.endswith(".mtx"):
             path = os.path.join(directory, fname)
             stem = os.path.splitext(fname)[0]
-            add(f"{stem}-minberr-ne", problem=path, solver="minberr-ne",
-                tol=1e-6, max_iter=500)
-            add(f"{stem}-lsqr", problem=path, solver="lsqr",
-                tol=1e-6, max_iter=500)
-    else:
-        raise SpecError(f"unknown suite {suite!r}")
+            for solver in ("minberr-ne", "lsqr"):
+                grid.append((f"{stem}-{solver}", RunSpec(path, solver, tol=1e-6, max_iter=500)))
     return grid
+
+
+_PSD = "ill-conditioned:n=2000,kappa=1e8"
+
+# suite name -> its (run name, RunSpec) pairs, or a function of the
+# --suitesparse-dir value that returns them
+SUITES = {
+    "psd-synthetic": [
+        *((s, RunSpec(_PSD, s, tol=1e-8, max_iter=2000)) for s in ("richardson", "cg", "minres")),
+        ("minberr", RunSpec(_PSD, "minberr", tol=1e-8, max_iter=200)),
+    ],
+    "nonsym-synthetic": [
+        (
+            f"{s}-kappa{kappa}",
+            RunSpec(f"ill-conditioned:n=500,kappa={kappa}+disguise2", s, tol=1e-6, max_iter=300),
+        )
+        for kappa in ("1e2", "1e4", "1e6")
+        for s in ("richardson-ne", "lsqr", "minberr-ne")
+    ],
+    "minres-worstcase": [
+        (s, RunSpec("small-outlier:n=2000,kappa=1e10,sigma=1e-3", s, tol=1e-10, max_iter=200))
+        for s in ("minres", "minberr")
+    ],
+    "stagnation": [
+        (
+            s,
+            RunSpec("small-outlier:n=500,kappa=1e14,sigma=1e-3", s,
+                    tol=1e-4, perturb_eps=1e-3, max_iter=300),
+        )
+        for s in ("minberr-ne", "minberr-ne-perturbed")
+    ],
+    "perturbed": [
+        (
+            f"perturbed-kappa{kappa}",
+            RunSpec(f"small-outlier:n=500,kappa={kappa},sigma=1e-3", "minberr-ne-perturbed",
+                    tol=1e-4, perturb_eps=1e-3, max_iter=300),
+        )
+        for kappa in ("1e6", "1e10", "1e14")
+    ],
+    "suitesparse": _suitesparse_grid,
+}
+
+
+def _bench_grid(suite, suitesparse_dir):
+    """The RunSpec grid for a named suite, as (run name, RunSpec) pairs."""
+    if suite not in SUITES:
+        raise SpecError(f"unknown suite {suite!r}")
+    grid = SUITES[suite]
+    if callable(grid):
+        return grid(suitesparse_dir)
+    return [(name, replace(spec)) for name, spec in grid]
 
 
 def cmd_bench(args):
@@ -540,7 +535,7 @@ def cmd_bench(args):
         history = os.path.join(args.out, f"{name}.csv")
         try:
             info = run_one(spec, history=history)
-        except (BerrkitError, ValueError) as exc:
+        except _INPUT_ERRORS + _SOLVER_ERRORS as exc:
             print(f"{name}: skipped ({exc})", file=sys.stderr)
             manifest.append({"name": name, "spec": asdict(spec), "error": str(exc)})
             continue
@@ -554,7 +549,7 @@ def cmd_bench(args):
 
 
 def cmd_synth(args):
-    p = build_problem(args.problem, args.seed if args.seed is not None else 0)
+    p = build_problem(args.problem, args.seed)
     op = p.op
     if not hasattr(op, "d") and not hasattr(op, "data"):
         raise SpecError("synth writes bare synthetic or file-backed instances only")
@@ -584,30 +579,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--rhs", help="default | ones | smallest-left-singular | file:PATH")
-        sp.add_argument("--tol", type=float, help="backward-error tolerance")
-        sp.add_argument("--max-iter", type=int, help="iteration cap (also the k of regularized-*)")
-        sp.add_argument("--C", type=float, help="Richardson step constant")
-        sp.add_argument("--delta", type=float, help="recovery failure probability")
-        sp.add_argument("--perturb-eps", type=float, help="relative Gaussian perturbation size")
-        sp.add_argument("--seed", type=int, help="seed for all randomized pieces")
-        sp.add_argument("--reorth", choices=("plain", "full"), help="reorthogonalization policy")
-        sp.add_argument("--trace-every", type=int, help="record every i-th iteration")
-        sp.add_argument("--config", help="key=value file supplying defaults for these flags")
-
     sp = sub.add_parser("solve", help="run one solver on one problem")
     sp.add_argument("--problem", required=True,
                     help="synthetic spec (e.g. ill-conditioned:n=100,kappa=1e6) or .mtx path")
-    sp.add_argument("--solver", required=True, choices=SOLVERS)
-    add_common(sp)
+    sp.add_argument("--solver", required=True, choices=list(SOLVERS))
+    for f in _RUN_OPTIONS:
+        sp.add_argument("--" + _key(f.name), type=f.type, choices=f.metadata["choices"],
+                        help=f.metadata["help"])
+    sp.add_argument("--config", help="key=value file supplying defaults for these flags")
     sp.add_argument("--history", help="per-iteration CSV output path")
     sp.add_argument("--summary", help="JSON summary output path ('-' for stdout)")
     sp.add_argument("--plot", help="SVG convergence chart output path")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("bench", help="run a named suite of solves")
-    sp.add_argument("suite", choices=SUITES)
+    sp.add_argument("suite", choices=list(SUITES))
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--suitesparse-dir", help="directory of .mtx files (else BERR_SUITESPARSE_DIR)")
     sp.set_defaults(func=cmd_bench)
@@ -615,7 +601,7 @@ def build_parser():
     sp = sub.add_parser("synth", help="write a synthetic instance as Matrix Market files")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--out", required=True, help="path of the matrix file; b goes next to it")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_synth)
     return parser
 
@@ -625,16 +611,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except BerrkitError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
+    except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -34,6 +34,10 @@ __all__ = ["BandMatrix", "LanczosState", "BidiagState", "BREAKDOWN_TOL_FACTOR"]
 # breakdown threshold, as a multiple of ||A||_2
 BREAKDOWN_TOL_FACTOR = 1e-14
 
+# reorthogonalization policies: "plain" runs the short recurrence alone,
+# "full" also orthogonalizes each new vector against the stored basis
+_REORTH_POLICIES = ("plain", "full")
+
 
 class BandMatrix:
     """Upper-triangular matrix with up to two superdiagonals.
@@ -141,7 +145,7 @@ class _GrowingColumns:
 
 
 def _check_reorth(reorth):
-    if reorth not in ("plain", "full"):
+    if reorth not in _REORTH_POLICIES:
         raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
 
 

@@ -60,7 +60,7 @@ def _parse_value(token, field, lineno):
         if field == "integer":
             return float(int(token))
         return float(token.replace("D", "e").replace("d", "e"))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise MatrixMarketFormatError(
             f"bad {field} value {token!r}", line=lineno
         ) from None
@@ -168,16 +168,13 @@ def read_matrix_market(path):
 
     # array layout: one value per line, column-major; symmetric stores the
     # lower triangle of each column
-    if symmetric:
-        coords = [(i, j) for j in range(ncols) for i in range(j, nrows)]
-    else:
-        coords = [(i, j) for j in range(ncols) for i in range(nrows)]
-    if len(body) != len(coords):
-        where = body[len(coords)][0] if len(body) > len(coords) else len(lines)
+    count = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
+    if len(body) != count:
+        where = body[count][0] if len(body) > count else len(lines)
         raise MatrixMarketFormatError(
-            f"expected {len(coords)} array values, found {len(body)}", line=where
+            f"expected {count} array values, found {len(body)}", line=where
         )
-    vals = np.empty(len(coords))
+    vals = np.empty(count)
     for pos, (entry_lineno, text) in enumerate(body):
         toks = text.split()
         if len(toks) != 1:
@@ -185,8 +182,12 @@ def read_matrix_market(path):
                 "array entry lines carry exactly one value", line=entry_lineno
             )
         vals[pos] = _parse_value(toks[0], field, entry_lineno)
-    rows = np.fromiter((i for i, _ in coords), dtype=np.int64, count=len(coords))
-    cols = np.fromiter((j for _, j in coords), dtype=np.int64, count=len(coords))
+    if symmetric:
+        # triu_indices lists (j, i), i >= j, row by row: column j's lower part
+        cols, rows = np.triu_indices(nrows)
+    else:
+        cols, rows = np.divmod(np.arange(count), nrows)
+    rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
     return MatrixMarketData((nrows, ncols), rows, cols, vals, symmetric, "array")
 
 

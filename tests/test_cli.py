@@ -1,15 +1,19 @@
 """End-to-end command-line behavior: artifacts, exit codes, option merging."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import berrkit as bk
 from berrkit import mmio
-from berrkit.cli import CSV_HEADER, main
+from berrkit.cli import CSV_HEADER, SOLVERS, RunSpec, main
 
 QUICK = "ill-conditioned:n=50,kappa=1e2"
+
+# solvers that refuse an operator not flagged symmetric
+SYMMETRIC_ONLY = {"richardson", "cg", "minres", "regularized-cg", "regularized-minres", "minberr"}
 
 
 def run(argv):
@@ -116,10 +120,9 @@ class TestSolveArtifacts:
                 value = float(field)
                 assert format(value, ".17g") == field
 
-    @pytest.mark.parametrize(
-        "solver", ["richardson", "cg", "minres", "minberr", "regularized-cg"]
-    )
+    @pytest.mark.parametrize("solver", list(SOLVERS))
     def test_symmetric_solvers_run(self, solver, tmp_path):
+        # every solver accepts a symmetric operator
         summ = tmp_path / "s.json"
         code = run(
             ["solve", "--problem", QUICK, "--solver", solver,
@@ -131,13 +134,17 @@ class TestSolveArtifacts:
             assert info["certified_bound"] is not None
         assert np.isfinite(info["final_berr"])
 
-    @pytest.mark.parametrize("solver", ["richardson-ne", "lsqr", "minberr-ne"])
-    def test_nonsymmetric_solvers_run(self, solver, tmp_path):
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_nonsymmetric_solvers_run(self, solver, tmp_path, capsys):
         code = run(
             ["solve", "--problem", "cyclic-shift:n=30", "--solver", solver,
              "--tol", "1e-7", "--max-iter", "50"]
         )
-        assert code == 0
+        if solver in SYMMETRIC_ONLY:
+            assert code == 3
+            assert "symmetric" in capsys.readouterr().err
+        else:
+            assert code == 0
 
     def test_perturbed_solver_reports_bound(self, tmp_path):
         summ = tmp_path / "s.json"
@@ -270,6 +277,57 @@ class TestSpecErrors:
         assert code == 2
 
 
+def _directory(tmp_path):
+    path = tmp_path / "a-directory"
+    path.mkdir()
+    return str(path)
+
+
+def _malformed_rhs(tmp_path):
+    path = tmp_path / "b.mtx"
+    values = ["1.0"] * 50
+    values[1] = "x"
+    path.write_text("%%MatrixMarket matrix array real general\n50 1\n" + "\n".join(values) + "\n")
+    return f"file:{path}"
+
+
+def _huge_integer_rhs(tmp_path):
+    path = tmp_path / "b.mtx"
+    path.write_text("%%MatrixMarket matrix array integer general\n50 1\n" + ("9" * 400 + "\n") * 50)
+    return f"file:{path}"
+
+
+def _non_ascii_config(tmp_path):
+    path = tmp_path / "berr.cfg"
+    path.write_bytes("tol = 1e-3\n# r\u00e9glage\n".encode("utf-8"))
+    return str(path)
+
+
+# case -> (flags added to a quick cg solve, given tmp_path; text the error names)
+BAD_INPUTS = {
+    "problem-directory": (lambda t: ["--problem", _directory(t)], "Is a directory"),
+    "rhs-directory": (lambda t: ["--rhs", "file:" + _directory(t)], "Is a directory"),
+    "config-directory": (lambda t: ["--config", _directory(t)], "Is a directory"),
+    "history-directory": (lambda t: ["--history", _directory(t)], "Is a directory"),
+    "summary-directory": (lambda t: ["--summary", _directory(t)], "Is a directory"),
+    "plot-directory": (lambda t: ["--plot", _directory(t)], "Is a directory"),
+    "malformed-rhs": (lambda t: ["--rhs", _malformed_rhs(t)], "line 4: bad real value 'x'"),
+    "huge-integer-rhs": (lambda t: ["--rhs", _huge_integer_rhs(t)], "line 3: bad integer value"),
+    "non-ascii-config": (lambda t: ["--config", _non_ascii_config(t)], "can't decode byte"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_exits_two(self, case, tmp_path, capsys):
+        flags, named = BAD_INPUTS[case]
+        code = run(["solve", "--problem", QUICK, "--solver", "cg"] + flags(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+
+
 class TestSolverErrors:
     def test_symmetry_violation_exits_three(self, capsys):
         code = run(
@@ -366,6 +424,44 @@ class TestConfigMerging:
         assert code == 2
 
 
+# a value other than the default for every run option: (flag text, parsed value)
+OPTION_VALUES = {
+    "rhs": ("ones", "ones"),
+    "tol": ("1e-3", 1e-3),
+    "max_iter": ("77", 77),
+    "C": ("2.5", 2.5),
+    "delta": ("1e-3", 1e-3),
+    "perturb_eps": ("0.01", 0.01),
+    "seed": ("9", 9),
+    "reorth": ("full", "full"),
+    "trace_every": ("3", 3),
+}
+OPTION_DEFAULTS = {f.name: f.default for f in fields(RunSpec)[2:]}
+
+
+def test_option_values_cover_every_run_option():
+    assert list(OPTION_VALUES) == list(OPTION_DEFAULTS)
+
+
+@pytest.mark.parametrize("form", ["flag", "config-dashed", "config-underscored"])
+@pytest.mark.parametrize("name", list(OPTION_VALUES))
+def test_every_option_is_a_flag_and_a_config_key(name, form, tmp_path):
+    text, value = OPTION_VALUES[name]
+    assert value != OPTION_DEFAULTS[name]
+    argv = ["solve", "--problem", QUICK, "--solver", "minberr"]
+    if form == "flag":
+        argv += ["--" + name.replace("_", "-"), text]
+    else:
+        key = name.replace("_", "-") if form == "config-dashed" else name
+        cfg = tmp_path / "berr.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(cfg)]
+    summ = tmp_path / "s.json"
+    assert run(argv + ["--summary", str(summ)]) == 0
+    spec = json.loads(summ.read_text())["spec"]
+    assert spec == {"problem": QUICK, "solver": "minberr", **OPTION_DEFAULTS, name: value}
+
+
 class TestSynth:
     def test_writes_matrix_and_rhs(self, tmp_path):
         out = tmp_path / "inst.mtx"
@@ -449,6 +545,27 @@ class TestBench:
         assert {e["name"] for e in manifest} == {"tiny-minberr-ne", "tiny-lsqr"}
         for entry in manifest:
             assert entry["termination"] in ("ToleranceReached", "ExactSolution")
+
+    def test_unreadable_matrix_is_recorded_and_skipped(self, tmp_path):
+        mats = tmp_path / "mats"
+        mats.mkdir()
+        mmio.write_coordinate(
+            mats / "good.mtx", [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0], (3, 3)
+        )
+        (mats / "bad.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 2.0\n"
+        )
+        out = tmp_path / "bench"
+        code = run(["bench", "suitesparse", "--suitesparse-dir", str(mats), "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest) == 4
+        by_name = {e["name"]: e for e in manifest}
+        for name in ("bad-minberr-ne", "bad-lsqr"):
+            assert "expected 3 entries" in by_name[name]["error"]
+        for name in ("good-minberr-ne", "good-lsqr"):
+            assert "error" not in by_name[name]
+            assert by_name[name]["termination"] in ("ToleranceReached", "ExactSolution")
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as info:

@@ -1,7 +1,11 @@
 """Matrix Market reader/writer: round trips, format coverage, error reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from berrkit import mmio
@@ -123,6 +127,28 @@ class TestFormatAcceptance:
         data = mmio.read_matrix_market(path)
         assert np.array_equal(data.to_dense(), [[1.0, 2.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize(
+        "shape, symmetry",
+        [((1, 1), "general"), ((4, 1), "general"), ((1, 4), "general"), ((3, 5), "general"),
+         ((1, 1), "symmetric"), ((4, 4), "symmetric")],
+    )
+    def test_array_entries_run_down_each_column(self, tmp_path, shape, symmetry):
+        nrows, ncols = shape
+        if symmetry == "symmetric":
+            coords = [(i, j) for j in range(ncols) for i in range(j, nrows)]
+        else:
+            coords = [(i, j) for j in range(ncols) for i in range(nrows)]
+        body = "".join(f"{pos + 0.5}\n" for pos in range(len(coords)))
+        path = write_text(
+            tmp_path / "a.mtx",
+            f"%%MatrixMarket matrix array real {symmetry}\n{nrows} {ncols}\n{body}",
+        )
+        data = mmio.read_matrix_market(path)
+        assert data.rows.dtype == data.cols.dtype == np.int64
+        assert data.rows.tolist() == [i for i, _ in coords]
+        assert data.cols.tolist() == [j for _, j in coords]
+        assert data.values.tolist() == [pos + 0.5 for pos in range(len(coords))]
+
 
 class TestErrorReporting:
     def check(self, tmp_path, text, lineno, fragment):
@@ -210,6 +236,29 @@ class TestErrorReporting:
             "bad real value",
         )
 
+    def test_integer_too_large_for_a_float(self, tmp_path):
+        self.check(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 " + "9" * 400 + "\n",
+            3,
+            "bad integer value",
+        )
+
+    def test_array_count_checked_before_any_coordinates(self, tmp_path):
+        path = write_text(
+            tmp_path / "short.mtx",
+            "%%MatrixMarket matrix array real general\n1000 1000\n1.0\n",
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketFormatError, match="expected 1000000") as info:
+                mmio.read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == 3
+        assert peak < 1_000_000  # one coordinate per declared entry would take ~100 MB
+
     def test_line_number_prefix_in_message(self, tmp_path):
         path = write_text(
             tmp_path / "bad.mtx",
@@ -217,6 +266,78 @@ class TestErrorReporting:
         )
         with pytest.raises(MatrixMarketFormatError, match="line 3:"):
             mmio.read_matrix_market(path)
+
+
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(["1.5D+3", "x", "9" * 400, "1e400", "-0", "1_0", "nan", "%", "0", "-1"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _matrix_market_bytes(draw):
+    """Bytes that mostly hold a well-formed header, size line and entries, so
+    that the body parser is reached; declared dimensions stay at 50 or below."""
+
+    def usually(value, odd):
+        return value if draw(st.integers(0, 9)) else draw(odd)
+
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=200))
+    layout = usually(draw(st.sampled_from(["coordinate", "array", "ARRAY"])), _ODD_TOKENS)
+    field = usually(draw(st.sampled_from(["real", "integer"])), st.just("complex"))
+    symmetry = usually(draw(st.sampled_from(["general", "symmetric"])), st.just("hermitian"))
+    nrows = usually(draw(st.integers(1, 4)), st.integers(-1, 50))
+    ncols = nrows if symmetry == "symmetric" else usually(draw(st.integers(1, 4)),
+                                                          st.integers(-1, 50))
+    if layout == "coordinate":
+        count = usually(draw(st.integers(0, 6)), st.integers(-1, 50))
+        size, count = [nrows, ncols, count], min(max(count, 0), 6)
+    else:
+        size, count = [nrows, ncols], nrows * ncols
+        if symmetry == "symmetric":
+            count = nrows * (nrows + 1) // 2
+        count = count if 0 <= count <= 30 else draw(st.integers(0, 5))
+    lines = [f"%%MatrixMarket matrix {layout} {field} {symmetry}"]
+    lines.append(usually(" ".join(map(str, size)), _ODD_TOKENS))
+    for _ in range(count):
+        lines.append(usually(draw(st.sampled_from(["", "% comment"])), st.just("1 2 3 4")))
+        if field == "integer":  # some integers are too large for a float
+            number = usually(str(draw(st.integers(-99, 99))), st.integers(-10**400, 10**400))
+        else:
+            number = repr(draw(st.floats()))
+        entry = [usually(str(number), _ODD_TOKENS)]
+        if layout == "coordinate":
+            i = draw(st.integers(1, max(nrows, 1)))
+            j = draw(st.integers(1, i if symmetry == "symmetric" else max(ncols, 1)))
+            entry = [usually(str(i), _ODD_TOKENS), usually(str(j), _ODD_TOKENS)] + entry
+        lines.append(" ".join(entry))
+    raw = "\n".join(lines).encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 9)) == 0:
+        raw = raw[: draw(st.integers(0, len(raw)))] + draw(st.binary(max_size=8))
+    return raw
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=_matrix_market_bytes())
+def test_any_bytes_parse_or_raise_with_a_line_number(tmp_path, raw):
+    path = tmp_path / "fuzz.mtx"
+    path.write_bytes(raw)
+    try:
+        data = mmio.read_matrix_market(path)
+    except MatrixMarketFormatError as exc:
+        assert isinstance(exc.line, int) and exc.line >= 1
+        assert str(exc).startswith(f"line {exc.line}: ")
+    else:
+        nrows, ncols = data.shape
+        assert data.rows.shape == data.cols.shape == data.values.shape
+        assert np.all((0 <= data.rows) & (data.rows < nrows))
+        assert np.all((0 <= data.cols) & (data.cols < ncols))
 
 
 class TestScipyCrossCheck:
