@@ -349,7 +349,7 @@ def lsqr(op, b, config=None, opnorm=None):
     state = BidiagState(op, b, opnorm=mon.s, reorth="plain", store_basis=False)
     x = np.zeros(op.cols)
     w = state.q_latest().copy()
-    phibar = state.beta1
+    phibar = state.norm_b
     rhobar = state.alphas[0]
     for k in range(1, mon.cfg.max_iterations + 1):
         state.step()

@@ -26,6 +26,7 @@ wall_nanos column, which reports real elapsed time.
 """
 
 import argparse
+import html
 import json
 import math
 import os
@@ -134,7 +135,7 @@ def _config(spec):
 def _minberr_kw(spec):
     """Keyword arguments of a traced minberr run."""
     return dict(eps=spec.tol, delta=spec.delta, k_max=spec.max_iter, reorth=spec.reorth,
-                seed=spec.seed, trace=True, trace_every=spec.trace_every)
+                seed=spec.seed, trace_every=spec.trace_every)
 
 
 def _regularized(inner):
@@ -322,6 +323,8 @@ def _svg_path(xs, ys, x_map, y_map):
 
 def write_plot(path, trace, title):
     """Standalone SVG: berr vs iteration, log-log, with 1/k and 1/k^2 guides."""
+    # the title holds a file name: escape it, non-ASCII as character references
+    title = html.escape(title).encode("ascii", "xmlcharrefreplace").decode("ascii")
     pairs = [
         (it, berr)
         for it, berr in zip(trace.iterations, trace.berr)

@@ -1,8 +1,8 @@
 """Lanczos tridiagonalization and Golub-Kahan bidiagonalization.
 
-Both factorizations are driven one step at a time and maintain, alongside the
-raw recurrence coefficients, a banded upper-triangular view built from the
-coefficients divided by the operator norm:
+Both factorizations are driven one step at a time and keep only the raw
+recurrence coefficients; the step column and the banded upper-triangular view
+divide them by the operator norm when they are built:
 
 * Lanczos: T_k is the (k+1) x k tridiagonal; dropping its first row leaves the
   k x k upper-triangular ``Ttilde`` with bandwidth 3, whose smallest singular
@@ -80,15 +80,6 @@ class BandMatrix:
             y[:-2] += self.sup2 * v[2:]
         return y
 
-    def rmatvec(self, v):
-        k = self.k
-        y = self.diag * v
-        if k > 1:
-            y[1:] += self.sup1 * v[:-1]
-        if k > 2:
-            y[2:] += self.sup2 * v[:-2]
-        return y
-
     def _solve_diag(self, floor):
         d = self.diag
         if floor > 0.0:
@@ -160,8 +151,8 @@ class LanczosState:
     """Symmetric Lanczos with stored basis and the scaled Ttilde view.
 
     Raw coefficients: ``alphas[i]`` is alpha_{i+1}, ``betas[i]`` is beta_{i+2}
-    (the beta produced at step i+1). ``norm_b`` is ||b||. Scaled copies (divided
-    by opnorm) live in ``nalphas`` / ``nbetas`` and feed the band view.
+    (the beta produced at step i+1). ``norm_b`` is ||b||. The step column and
+    ``ttilde`` divide them by opnorm.
 
     Parameters
     ----------
@@ -192,8 +183,6 @@ class LanczosState:
         self._q.push(b / self.norm_b)
         self.alphas = []
         self.betas = []
-        self.nalphas = []
-        self.nbetas = []
         self.k = 0
         self.breakdown = False
 
@@ -218,19 +207,16 @@ class LanczosState:
         beta_next = norm2(w)
         self.alphas.append(alpha_k)
         self.betas.append(beta_next)
-        self.nalphas.append(alpha_k / self.opnorm)
-        self.nbetas.append(beta_next / self.opnorm)
-        if beta_next <= self.breakdown_tol:
-            self.breakdown = True
-        else:
+        self.breakdown = beta_next <= self.breakdown_tol
+        if not self.breakdown:
             self._q.push(w / beta_next)
         self.k = k
         col = np.zeros(3)
-        col[2] = self.nbetas[k - 1]
+        col[2] = beta_next / self.opnorm
         if k >= 2:
-            col[1] = self.nalphas[k - 1]
+            col[1] = alpha_k / self.opnorm
         if k >= 3:
-            col[0] = self.nbetas[k - 2]
+            col[0] = self.betas[k - 2] / self.opnorm
         return col
 
     def basis(self, k=None):
@@ -242,18 +228,19 @@ class LanczosState:
         k = self.k if k is None else k
         if not (1 <= k <= self.k):
             raise ValueError(f"no Ttilde_{k} after {self.k} steps")
-        nb = np.asarray(self.nbetas[:k])
-        na = np.asarray(self.nalphas[:k])
-        return BandMatrix(nb, na[1:], nb[1 : k - 1])
+        nb = np.asarray(self.betas[:k]) / self.opnorm
+        na = np.asarray(self.alphas[1:k]) / self.opnorm
+        return BandMatrix(nb, na, nb[1 : k - 1])
 
 
 class BidiagState:
     """Golub-Kahan bidiagonalization with the scaled Btilde view.
 
-    Raw coefficients: ``beta1`` is ||b||, ``alphas[i]`` is alpha_{i+1} (so
-    alpha_1 is computed at construction), ``betas[i]`` is beta_{i+2}. The
-    Btilde view is upper bidiagonal with diagonal (beta_2, ..., beta_{k+1})
-    and superdiagonal (alpha_2, ..., alpha_k), scaled by 1/opnorm.
+    Raw coefficients: ``norm_b`` is beta_1 = ||b||, ``alphas[i]`` is
+    alpha_{i+1} (so alpha_1 is computed at construction), ``betas[i]`` is
+    beta_{i+2}. The Btilde view is upper bidiagonal with diagonal
+    (beta_2, ..., beta_{k+1}) and superdiagonal (alpha_2, ..., alpha_k),
+    scaled by 1/opnorm.
 
     ``store_basis=False`` keeps only the two live vectors (the plain LSQR
     recurrence); recovery then becomes unavailable.
@@ -269,11 +256,10 @@ class BidiagState:
         self.store_basis = store_basis
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
-        self.beta1 = norm2(b)
-        if self.beta1 == 0.0:
+        self.norm_b = norm2(b)
+        if self.norm_b == 0.0:
             raise ValueError("b must be nonzero")
-        self.norm_b = self.beta1
-        u = b / self.beta1
+        u = b / self.norm_b
         z = op.apply_adjoint(u)
         alpha1 = norm2(z)
         if alpha1 <= self.breakdown_tol:
@@ -289,16 +275,11 @@ class BidiagState:
             self._last_q = q
         self.alphas = [alpha1]
         self.betas = []
-        self.nalphas = [alpha1 / self.opnorm]
-        self.nbetas = []
         self.k = 0
         self.breakdown = False
 
     def _u_k(self):
         return self._u.view()[:, -1] if self.store_basis else self._last_u
-
-    def _q_k(self):
-        return self._qcols.view()[:, -1] if self.store_basis else self._last_q
 
     def step(self):
         """One bidiagonalization step; returns the new scaled Btilde column.
@@ -311,18 +292,17 @@ class BidiagState:
             raise PostBreakdownError("bidiagonalization stepped after breakdown")
         k = self.k + 1
         u_k = self._u_k()
-        q_k = self._q_k()
+        q_k = self.q_latest()
         w = self.op.apply(q_k) - self.alphas[k - 1] * u_k
         if self.reorth == "full":
             w = _reorthogonalize(w, self._u.view())
         beta_next = norm2(w)
         self.betas.append(beta_next)
-        self.nbetas.append(beta_next / self.opnorm)
         self.k = k
         col = np.zeros(2)
-        col[1] = self.nbetas[k - 1]
+        col[1] = beta_next / self.opnorm
         if k >= 2:
-            col[0] = self.nalphas[k - 1]
+            col[0] = self.alphas[k - 1] / self.opnorm
         if beta_next <= self.breakdown_tol:
             self.breakdown = True
             return col
@@ -332,20 +312,15 @@ class BidiagState:
             z = _reorthogonalize(z, self._qcols.view())
         alpha_next = norm2(z)
         self.alphas.append(alpha_next)
-        self.nalphas.append(alpha_next / self.opnorm)
-        if alpha_next <= self.breakdown_tol:
-            self.breakdown = True
-            if self.store_basis:
-                self._u.push(u_next)
-            else:
-                self._last_u = u_next
-            return col
+        self.breakdown = alpha_next <= self.breakdown_tol
         if self.store_basis:
             self._u.push(u_next)
-            self._qcols.push(z / alpha_next)
+            if not self.breakdown:
+                self._qcols.push(z / alpha_next)
         else:
             self._last_u = u_next
-            self._last_q = z / alpha_next
+            if not self.breakdown:
+                self._last_q = z / alpha_next
         return col
 
     def q_latest(self):
@@ -367,6 +342,6 @@ class BidiagState:
         k = self.k if k is None else k
         if not (1 <= k <= self.k):
             raise ValueError(f"no Btilde_{k} after {self.k} steps")
-        nb = np.asarray(self.nbetas[:k])
-        na = np.asarray(self.nalphas[1:k])
+        nb = np.asarray(self.betas[:k]) / self.opnorm
+        na = np.asarray(self.alphas[1:k]) / self.opnorm
         return BandMatrix(nb, na)

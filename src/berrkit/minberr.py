@@ -26,10 +26,9 @@ import numpy as np
 from .berr import composition_bound
 from .classical import (
     SolverConfig,
-    SolveTrace,
+    SolveResult,
     Termination,
     _Monitor,
-    _resolve_opnorm,
 )
 from .errors import (
     DegenerateAlphaError,
@@ -63,7 +62,7 @@ DEGENERATE_ALPHA_TOL = 1e-14
 
 
 @dataclass
-class MinberrResult:
+class MinberrResult(SolveResult):
     """Outcome of a minimum-backward-error solve.
 
     ``sigma_min_certificate`` is ||Ttilde v||/||v|| (scaled units) for the
@@ -72,26 +71,28 @@ class MinberrResult:
     rows themselves carry directly measured residual and solution norms.
     """
 
-    x: np.ndarray
-    trace: SolveTrace
-    termination: Termination
-    sigma_min_certificate: float
-    alpha: float
-    opnorm_used: float
-    iterations: int
+    sigma_min_certificate: float = None
     certificates: list = field(default_factory=list)
-    certified_berr_bound: float = None
 
 
-def _validate_common(eps, delta, seed):
+def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm, perturb_eps=0.0):
+    """Check the run's arguments before any work, then return its monitor and
+    whether the O(1) convergence test is trusted at eps. A perturbed run
+    solves on (1 - perturb_eps) ||A||_2 and measures its rows against A."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    sqrt_u = math.sqrt(np.finfo(float).eps)
-    if eps < sqrt_u:
+    _check_reorth(reorth)
+    k_max = min(op.cols, 20000) if k_max is None else k_max
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if trace_every is not None and trace_every < 1:
+        raise ValueError("trace_every must be at least 1")
+    trusted = eps >= math.sqrt(np.finfo(float).eps)
+    if not trusted:
         warnings.warn(
             "eps below sqrt(machine epsilon): the incremental convergence test "
             "is unreliable at this scale; switching to per-iteration inverse-"
@@ -99,20 +100,31 @@ def _validate_common(eps, delta, seed):
             RuntimeWarning,
             stacklevel=3,
         )
-        return False
-    return True
+    # untraced runs record only the final row
+    cfg = SolverConfig(
+        max_iterations=k_max,
+        berr_tolerance=eps,
+        trace_every=k_max if trace_every is None else trace_every,
+    )
+    # the plain monitor checks b before ||A||_2 is estimated
+    mon = _Monitor(op, b, cfg, opnorm)
+    if perturb_eps:
+        mon = _Monitor(op, mon.b, cfg, (1.0 - perturb_eps) * mon.s, (op, mon.s))
+    return mon, trusted
 
 
-def _recover_psd(state, delta, seed, k_iter, step_factor=1):
-    """Smallest singular pair of Ttilde_k, recovery scalar, and iterate."""
-    k = state.k
-    band = state.ttilde()
+def _smallest_pair(band, k, delta, seed, step_factor):
     budget = step_factor * inverse_iteration_steps(k, delta)
-    v, _, _ = inverse_iteration(band, delta, seed=[seed, k_iter], max_steps=budget)
-    cert = rayleigh_certificate(band, v)
-    scaled_alpha = state.nalphas[0] * v[0]
+    v, _, _ = inverse_iteration(band, delta, seed=[seed, k], max_steps=budget)
+    return v, rayleigh_certificate(band, v)
+
+
+def _recover_psd(state, k, delta, seed, step_factor=1):
+    """x and certificate from Ttilde_k and the first k Lanczos vectors only."""
+    v, cert = _smallest_pair(state.ttilde(k), k, delta, seed, step_factor)
+    scaled_alpha = state.alphas[0] / state.opnorm * v[0]
     if k >= 2:
-        scaled_alpha += state.nbetas[0] * v[1]
+        scaled_alpha += state.betas[0] / state.opnorm * v[1]
     if abs(scaled_alpha) < DEGENERATE_ALPHA_TOL:
         raise DegenerateAlphaError(
             "recovery scalar vanished: b lies (numerically) in the null space of A"
@@ -121,49 +133,32 @@ def _recover_psd(state, delta, seed, k_iter, step_factor=1):
     if k >= 2:
         alpha += state.betas[0] * v[1]
     alpha /= state.norm_b
-    x = state.basis(k) @ (v / alpha)
-    return x, cert, alpha
+    return state.basis(k) @ (v / alpha), cert
 
 
-def _recover_ne(state, delta, seed, k_iter, step_factor=1):
-    k = state.k
-    band = state.btilde()
-    budget = step_factor * inverse_iteration_steps(k, delta)
-    v, _, _ = inverse_iteration(band, delta, seed=[seed, k_iter], max_steps=budget)
-    cert = rayleigh_certificate(band, v)
-    if abs(state.nalphas[0] * v[0]) < DEGENERATE_ALPHA_TOL:
+def _recover_ne(state, k, delta, seed, step_factor=1):
+    """As _recover_psd, from Btilde_k and the first k right vectors."""
+    v, cert = _smallest_pair(state.btilde(k), k, delta, seed, step_factor)
+    if abs(state.alphas[0] / state.opnorm * v[0]) < DEGENERATE_ALPHA_TOL:
         raise NoFiniteMinimizerError(
             "the backward-error infimum over this subspace is approached only "
             "in the limit of unbounded iterates"
         )
     alpha = state.alphas[0] * v[0] / state.norm_b
-    x = state.basis_q(k) @ (v / alpha)
-    return x, cert, alpha
+    return state.basis_q(k) @ (v / alpha), cert
 
 
-def _monitor(op, b, eps, k_max, opnorm, trace, trace_every, measure=None):
-    """The run's monitor; untraced runs record only the final row."""
-    k_max = min(op.cols, 20000) if k_max is None else k_max
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    cfg = SolverConfig(
-        max_iterations=k_max,
-        berr_tolerance=eps,
-        trace_every=trace_every if trace else k_max,
-    )
-    return _Monitor(op, b, cfg, opnorm, measure)
-
-
-def _minberr_loop(state, push_test, recover, mon, use_incremental):
+def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
     """Shared driver for the PSD and normal-equations variants: the
     certificate decides termination, the monitor records measured rows, and
-    a non-finite band column stops the run at its step."""
+    a non-finite band column stops the run at its step. While ``testing``,
+    only the O(1) test, breakdown, the cap and trace rows trigger a recovery;
+    once the test fires (or from the start when untrusted) every step does."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
-    incremental_live = use_incremental
-    certificate_mode = not use_incremental
-    x = cert = alpha = None
+    testing = trusted
+    x = cert = None
     termination = None
     k = 0
     while k < k_max:
@@ -171,30 +166,26 @@ def _minberr_loop(state, push_test, recover, mon, use_incremental):
         col = state.step()
         if not all(map(math.isfinite, col.tolist())):
             raise NonFiniteError(f"iteration {k}: band column {col.tolist()}")
-        signalled = False
-        if incremental_live and push_test(col):
-            signalled = True
-            incremental_live = False
-        check_now = signalled or state.breakdown or k == k_max or certificate_mode
+        signalled = testing and push_test(col)
+        if signalled:
+            testing = False
+        check_now = not testing or state.breakdown or k == k_max
         record_now = mon.due(k)
         if not (check_now or record_now):
             continue
-        x, cert, alpha = recover(state, k)
+        x, cert = recover(state, k, delta, seed)
         if check_now:
             if cert >= eps and (signalled or state.breakdown):
                 # the test certified sigma_min < eps (or the subspace became
                 # invariant) but the recovered pair sits above tolerance:
                 # retry once with a quadrupled step budget
-                x, cert, alpha = recover(state, k, step_factor=4)
+                x, cert = recover(state, k, delta, seed, step_factor=4)
             if cert < eps:
                 termination = Termination.TOLERANCE_REACHED
             elif state.breakdown:
                 termination = Termination.BREAKDOWN
             elif k == k_max:
                 termination = Termination.MAX_ITERATIONS
-            elif signalled:
-                # stay on per-iteration certificates from here on
-                certificate_mode = True
         if record_now or termination is not None:
             mon.record(k, x)
             certificates.append(cert)
@@ -205,16 +196,15 @@ def _minberr_loop(state, push_test, recover, mon, use_incremental):
         x=x,
         trace=mon.trace,
         termination=termination,
-        sigma_min_certificate=cert,
-        alpha=alpha,
         opnorm_used=mon.trace.opnorm,
         iterations=k,
+        sigma_min_certificate=cert,
         certificates=certificates,
     )
 
 
 def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
-                  opnorm=None, seed=0, trace=False, trace_every=1):
+                  opnorm=None, seed=0, trace_every=None):
     """Minimum-backward-error Krylov solve for symmetric PSD A.
 
     Parameters
@@ -239,9 +229,9 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
         Spectral norm of op (cached estimate used when omitted).
     seed : int
         Seeds the inverse-iteration starts (sub-seeded per iteration).
-    trace : bool
-        Record a trace row every trace_every iterations; each row costs a
-        recovery plus one measuring matvec.
+    trace_every : int, optional
+        Record a trace row every trace_every iterations and at the last; each
+        row costs a recovery plus one measuring matvec. None: the last only.
 
     Returns
     -------
@@ -249,47 +239,25 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minberr_solve expects a symmetric PSD operator")
-    use_incremental = _validate_common(eps, delta, seed)
-    mon = _monitor(op, b, eps, k_max, opnorm, trace, trace_every)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm)
     state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth)
-    chol = CholTestState(eps)
-
-    def recover(st, k_iter, step_factor=1):
-        return _recover_psd(st, delta, seed, k_iter, step_factor=step_factor)
-
-    return _minberr_loop(state, chol.push_column, recover, mon, use_incremental)
+    return _minberr_loop(state, CholTestState(eps).push_column, _recover_psd, mon,
+                         trusted, delta, seed)
 
 
 def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
-                     opnorm=None, seed=0, trace=False, trace_every=1):
+                     opnorm=None, seed=0, trace_every=None):
     """Minimum-backward-error solve over the normal-equations Krylov space.
 
     Same contract as minberr_solve but for general A (square or rectangular),
     built on the Golub-Kahan bidiagonalization with the shifted dqds test.
     """
-    use_incremental = _validate_common(eps, delta, seed)
-    mon = _monitor(op, b, eps, k_max, opnorm, trace, trace_every)
-    return _minberr_ne(op, mon, delta, reorth, seed, use_incremental)
-
-
-def _minberr_ne(op, mon, delta, reorth, seed, use_incremental):
-    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, store_basis=True)
-    dqds = DqdsState(mon.cfg.berr_tolerance)
-
-    def push(col):
-        if dqds.k == 0:
-            return dqds.push(col[1] * col[1])
-        return dqds.push(col[1] * col[1], col[0] * col[0])
-
-    def recover(st, k_iter, step_factor=1):
-        return _recover_ne(st, delta, seed, k_iter, step_factor=step_factor)
-
-    return _minberr_loop(state, push, recover, mon, use_incremental)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm)
+    return _minberr_ne(op, mon, trusted, 0.0, delta, reorth, seed)
 
 
 def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
-                         reorth="plain", opnorm=None, seed=0, trace=False,
-                         trace_every=1):
+                         reorth="plain", opnorm=None, seed=0, trace_every=None):
     """minberr_ne_solve against A + perturb_eps (||A||_2/||G||_2) G.
 
     G is a seeded dense Gaussian matrix, so the perturbed operator differs
@@ -303,28 +271,28 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     precision (no full SVD). The solver's own norm is the lower bound
     (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <= ||A + E||_2, which errs
     on the safe side: a smaller norm inflates the certificate and therefore
-    the certified bound. Arguments are checked before G is drawn.
+    the certified bound. Arguments are checked before G is drawn; at
+    perturb_eps = 0 no G is drawn and the run is minberr_ne_solve's.
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")
-    s = _resolve_opnorm(op, opnorm)
-    if perturb_eps == 0.0:
-        res = minberr_ne_solve(
-            op, b, eps=eps, delta=delta, k_max=k_max, reorth=reorth,
-            opnorm=s, seed=seed, trace=trace, trace_every=trace_every,
-        )
-        res.certified_berr_bound = composition_bound(res.sigma_min_certificate, 0.0)
-        return res
-    use_incremental = _validate_common(eps, delta, seed)
-    _check_reorth(reorth)
-    mon = _monitor(op, b, eps, k_max, (1.0 - perturb_eps) * s, trace, trace_every,
-                   measure=(op, s))
-    g = np.random.default_rng([seed, 1]).standard_normal((op.rows, op.cols))
-    g_norm, _ = _dense_norm(g, seed)
-    perturbed = GaussianPerturbedOperator(op, g, perturb_eps * s / g_norm)
-    res = _minberr_ne(perturbed, mon, delta, reorth, seed, use_incremental)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm,
+                          perturb_eps)
+    res = _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed)
     res.certified_berr_bound = composition_bound(res.sigma_min_certificate, perturb_eps)
     return res
+
+
+def _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed):
+    """Golub-Kahan run on A, or on A + E with ||E||_2 = perturb_eps ||A||_2."""
+    if perturb_eps:
+        g = np.random.default_rng([seed, 1]).standard_normal((op.rows, op.cols))
+        g_norm, _ = _dense_norm(g, seed)
+        # the monitor measures rows against A, so its trace norm is ||A||_2
+        op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
+    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, store_basis=True)
+    dqds = DqdsState(mon.cfg.berr_tolerance)
+    return _minberr_loop(state, dqds.push, _recover_ne, mon, trusted, delta, seed)
 
 
 def _dense_norm(g, seed):

@@ -87,7 +87,12 @@ def read_matrix_market(path):
     on the unsupported field/symmetry combinations.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
+        # split at line ends only (universal newlines already turned \r and
+        # \r\n into \n): splitlines() would also split at form feeds and
+        # the other control characters a comment may hold
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise MatrixMarketFormatError("empty file", line=1)
     header = lines[0].strip().lower().split()

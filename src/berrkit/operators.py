@@ -87,12 +87,12 @@ class LinearOperator:
         self._opnorm_cache = NormEstimate(value, 0.0, 0)
         return self
 
-    def opnorm(self, rel_tol=1e-3, max_iter=300, seed=0):
-        """Cached spectral-norm value; estimated by power iteration on first use."""
+    def opnorm(self):
+        """Cached spectral-norm value; estimated on first use by power iteration
+        at the fixed defaults of estimate_spectral_norm (rel_tol 1e-3, at most
+        300 steps, seed 0)."""
         if self._opnorm_cache is None:
-            self._opnorm_cache = estimate_spectral_norm(
-                self, rel_tol=rel_tol, max_iter=max_iter, seed=seed
-            )
+            self._opnorm_cache = estimate_spectral_norm(self)
         return self._opnorm_cache.value
 
     @property
@@ -387,8 +387,8 @@ class CountingOperator(LinearOperator):
         self.matvecs += 1
         return self.base.apply_adjoint(v)
 
-    def opnorm(self, rel_tol=1e-3, max_iter=300, seed=0):
-        return self.base.opnorm(rel_tol=rel_tol, max_iter=max_iter, seed=seed)
+    def opnorm(self):
+        return self.base.opnorm()
 
     def set_opnorm(self, value):
         self.base.set_opnorm(value)

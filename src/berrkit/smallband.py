@@ -8,8 +8,9 @@ below a tolerance eps, consuming one new column per factorization step:
   Gram matrix of the first k columns, so a nonpositive pivot at column k means
   sigma_min(Ttilde_k) <= eps, and conversely.
 * ``DqdsState`` runs the shifted dqds recurrence on the upper-bidiagonal
-  Btilde (squared diagonal entries p, squared superdiagonal entries e); the
-  carry d_k going nonpositive is the same criterion.
+  Btilde; it takes the same band column the factorization step returns and
+  squares its entries (diagonal p, superdiagonal e) itself. The carry d_k
+  going nonpositive is the same criterion.
 
 Appending a column never changes earlier pivots or carries, which is what
 makes the one-step updates valid.
@@ -86,10 +87,11 @@ class CholTestState:
 class DqdsState:
     """Shifted dqds test for sigma_min(Btilde_k) < eps.
 
-    ``push(p_k)`` for the first column, then ``push(p_k, e_km1)`` where p_k is
-    the squared scaled diagonal entry beta_{k+1}^2 and e_{k-1} the squared
-    scaled superdiagonal entry alpha_k^2. Returns True once the carry goes
-    nonpositive.
+    Feed ``push`` the scaled Btilde column ``(alpha_k, beta_{k+1})`` (the
+    first column's alpha entry is ignored); p_k = beta_{k+1}^2 is the squared
+    diagonal entry and e_{k-1} = alpha_k^2 the squared superdiagonal entry.
+    Returns True once the carry goes nonpositive; the state then rejects
+    further columns.
     """
 
     def __init__(self, eps):
@@ -101,20 +103,16 @@ class DqdsState:
         self.k = 0
         self.converged = False
 
-    def push(self, p_k, e_km1=None):
+    def push(self, col):
         if self.converged:
             raise RuntimeError("convergence test already signalled")
-        if self.k == 0:
-            if e_km1 is not None:
-                raise ValueError("first push takes no superdiagonal entry")
-            self.k = 1
-            self.d = float(p_k) - self._shift
+        p_k = float(col[1] * col[1])
+        self.k += 1
+        if self.k == 1:
+            self.d = p_k - self._shift
         else:
-            if e_km1 is None:
-                raise ValueError("push after the first needs the superdiagonal entry")
-            self.k += 1
-            p_hat = self.d + float(e_km1)
-            self.d = self.d * (float(p_k) / p_hat) - self._shift
+            p_hat = self.d + float(col[0] * col[0])
+            self.d = self.d * (p_k / p_hat) - self._shift
         if self.d <= 0.0:
             self.converged = True
         return self.converged

@@ -108,7 +108,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         state = LanczosState(op, b, reorth="full")
         for _ in range(8):
             state.step()
-        x, _, _ = _recover_psd(state, 0.1, t, 8)
+        x, _ = _recover_psd(state, 8, 0.1, t)
         if measured_berr(op, b, x) <= 1.5 * svd_min(state.ttilde(8)):
             hits += 1
     for t in range(100):
@@ -118,7 +118,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         state = BidiagState(op, b, reorth="full", store_basis=True)
         for _ in range(8):
             state.step()
-        x, _, _ = _recover_ne(state, 0.1, t, 8)
+        x, _ = _recover_ne(state, 8, 0.1, t)
         if measured_berr(op, b, x) <= 1.5 * svd_min(state.btilde(8)):
             hits += 1
 
@@ -200,11 +200,8 @@ def _push_tridiag(state, diag, sup1, sup2):
 
 def _push_bidiag(state, diag, sup1):
     for j in range(1, len(diag) + 1):
-        if j == 1:
-            hit = state.push(diag[0] ** 2)
-        else:
-            hit = state.push(diag[j - 1] ** 2, sup1[j - 2] ** 2)
-        if hit:
+        col = np.array([sup1[j - 2] if j >= 2 else 0.0, diag[j - 1]])
+        if state.push(col):
             return j
     return None
 
@@ -297,14 +294,14 @@ def test_certificates_track_measured_backward_error():
     error to 1e-8 relative under full reorthogonalization."""
     runs = []
     p = bk.small_outlier(300, 1e8, 1e-3)
-    runs.append(bk.minberr_solve(p.op, p.b, eps=1e-7, k_max=100, reorth="full", trace=True))
+    runs.append(bk.minberr_solve(p.op, p.b, eps=1e-7, k_max=100, reorth="full", trace_every=1))
     a = random_psd(200, seed=[9, 0], spread=6.0)
     b = np.random.default_rng([9, 0, 1]).standard_normal(200)
-    runs.append(bk.minberr_solve(dense_op(a), b, eps=1e-5, k_max=150, reorth="full", trace=True))
+    runs.append(bk.minberr_solve(dense_op(a), b, eps=1e-5, k_max=150, reorth="full", trace_every=1))
     g = random_general(150, seed=[9, 1])
     bg = np.random.default_rng([9, 1, 1]).standard_normal(150)
     runs.append(bk.minberr_ne_solve(dense_op(g), bg, eps=1e-5, k_max=100, reorth="full",
-                                    trace=True))
+                                    trace_every=1))
     rows = 0
     worst = 0.0
     for r in runs:
@@ -342,7 +339,7 @@ def test_minres_floor_on_small_outlier():
 
 def test_minberr_beats_rate_where_minres_is_slow():
     p = bk.small_outlier(2000, 1e10, 1e-3)
-    r = bk.minberr_solve(p.op, p.b, eps=1e-5, k_max=50, reorth="full", trace=True)
+    r = bk.minberr_solve(p.op, p.b, eps=1e-5, k_max=50, reorth="full", trace_every=1)
     assert r.termination is bk.Termination.MAX_ITERATIONS
     assert r.trace.iterations[-1] == 50
     b50 = r.trace.berr[-1]
@@ -374,7 +371,7 @@ def test_perturbed_solver_escapes_stagnation():
     for kappa in (1e6, 1e10, 1e14):
         p = bk.small_outlier(500, kappa, 1e-3)
         r = bk.minberr_ne_perturbed(p.op, p.b, perturb_eps=1e-3, eps=3e-3,
-                                    k_max=300, seed=0, trace=True)
+                                    k_max=300, seed=0, trace_every=1)
         berr = np.asarray(r.trace.berr)
         ks = np.asarray(r.trace.iterations)
         idx = np.nonzero(berr <= 1e-2)[0]
@@ -401,7 +398,7 @@ def test_unperturbed_stalls_at_extreme_kappa():
     failing by design as the honest record of that measurement.
     """
     p = bk.small_outlier(500, 1e14, 1e-3)
-    r = bk.minberr_ne_solve(p.op, p.b, eps=1e-4, k_max=300, trace=True)
+    r = bk.minberr_ne_solve(p.op, p.b, eps=1e-4, k_max=300, trace_every=1)
     assert r.trace.iterations[-1] == 300
     b300 = r.trace.berr[-1]
     ok = b300 > 1e-2
@@ -418,8 +415,8 @@ def test_backward_error_traces_are_disguise_invariant():
     rd = bk.richardson(hidden.op, hidden.b, tight(100))
     assert rp.trace.iterations == rd.trace.iterations
     diff_rich = float(np.max(np.abs(np.asarray(rp.trace.berr) - np.asarray(rd.trace.berr))))
-    mp = bk.minberr_solve(plain.op, plain.b, eps=1e-7, k_max=100, reorth="full", trace=True)
-    md = bk.minberr_solve(hidden.op, hidden.b, eps=1e-7, k_max=100, reorth="full", trace=True)
+    mp = bk.minberr_solve(plain.op, plain.b, eps=1e-7, k_max=100, reorth="full", trace_every=1)
+    md = bk.minberr_solve(hidden.op, hidden.b, eps=1e-7, k_max=100, reorth="full", trace_every=1)
     assert mp.trace.iterations == md.trace.iterations
     diff_mb = float(np.max(np.abs(np.asarray(mp.trace.berr) - np.asarray(md.trace.berr))))
     ok = diff_rich <= 1e-6 and diff_mb <= 1e-6

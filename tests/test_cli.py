@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, option merging."""
 
 import json
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 
 import numpy as np
@@ -74,6 +75,19 @@ class TestSolveArtifacts:
         svg = plot.read_text()
         assert "<svg" in svg
         assert "1/k" in svg
+
+    @pytest.mark.parametrize("stem", ["a&b", "m<1>", "matriz\u00e9"])
+    def test_plot_title_is_escaped_xml(self, stem, tmp_path):
+        problem = tmp_path / f"{stem}.mtx"
+        assert run(["synth", "--problem", "ill-conditioned:n=6,kappa=1e3",
+                    "--out", str(problem)]) == 0
+        plot = tmp_path / "p.svg"
+        code = run(["solve", "--problem", str(problem), "--solver", "cg",
+                    "--rhs", "ones", "--plot", str(plot)])
+        assert code == 0
+        plot.read_bytes().decode("ascii")
+        title = ET.parse(plot).getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text == f"cg on {problem}"
 
     def test_summary_to_stdout(self, tmp_path, capsys):
         code = run(

@@ -39,6 +39,19 @@ def test_non_finite_rhs_is_rejected_on_entry(name):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("name", ["minberr_solve", "minberr_ne_solve", "minberr_ne_perturbed"])
+def test_bad_rhs_is_rejected_before_the_norm_estimate(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operator norm was estimated before b was checked")
+
+    monkeypatch.setattr(bk.operators, "estimate_spectral_norm", refuse)
+    b = np.ones(N)
+    b[5] = np.nan
+    unpinned = bk.DenseOperator(np.diag(np.linspace(1.0, 0.01, N)))
+    with pytest.raises(bk.NonFiniteError):
+        SOLVERS[name](unpinned, b)
+
+
 @pytest.mark.parametrize("opnorm", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("name", SOLVERS)
 def test_bad_opnorm_is_rejected_on_entry(name, opnorm):

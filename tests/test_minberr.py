@@ -94,7 +94,7 @@ class TestCertificateProperty:
         a = random_psd(n, seed=seed, spread=spread)
         b = np.random.default_rng([seed, 1]).standard_normal(n)
         op = dense_op(a)
-        r = bk.minberr_solve(op, b, eps=eps, k_max=n - 1, reorth="full", seed=seed, trace=True)
+        r = bk.minberr_solve(op, b, eps=eps, k_max=n - 1, reorth="full", seed=seed, trace_every=1)
         assume(r.termination != bk.Termination.BREAKDOWN)
         state = LanczosState(op, b, opnorm=op.opnorm(), reorth="full")
         for _ in range(r.iterations):
@@ -110,7 +110,7 @@ class TestCertificateProperty:
         b = rng.standard_normal(m)
         op = dense_op(a)
         r = bk.minberr_ne_solve(op, b, eps=eps, k_max=min(m, n) - 1, reorth="full",
-                                seed=seed, trace=True)
+                                seed=seed, trace_every=1)
         assume(r.termination != bk.Termination.BREAKDOWN)
         state = BidiagState(op, b, opnorm=op.opnorm(), reorth="full")
         for _ in range(r.iterations):
@@ -121,7 +121,7 @@ class TestCertificateProperty:
 class TestMinberrSolve:
     def test_certificates_match_measured_berr(self):
         p = bk.ill_conditioned(60, 1e6)
-        r = bk.minberr_solve(p.op, p.b, eps=1e-7, reorth="full", trace=True)
+        r = bk.minberr_solve(p.op, p.b, eps=1e-7, reorth="full", trace_every=1)
         assert len(r.certificates) == len(r.trace)
         for cert, berr in zip(r.certificates, r.trace.berr):
             assert abs(cert - berr) <= 1e-8 * berr + 1e-15
@@ -130,7 +130,7 @@ class TestMinberrSolve:
         a = random_psd(60, seed=26, spread=5.0)
         op = dense_op(a)
         b = np.random.default_rng(27).standard_normal(60)
-        r = bk.minberr_solve(op, b, eps=1e-7, k_max=40, trace=True)
+        r = bk.minberr_solve(op, b, eps=1e-7, k_max=40, trace_every=1)
         cs = np.array(r.certificates)
         ks = np.array(r.trace.iterations, dtype=np.float64)
         past_first = ks >= 2
@@ -148,7 +148,7 @@ class TestMinberrSolve:
 
     def test_trace_every_keeps_multiples_plus_final(self):
         p = bk.ill_conditioned(60, 1e6)
-        r = bk.minberr_solve(p.op, p.b, eps=1e-7, trace=True, trace_every=3)
+        r = bk.minberr_solve(p.op, p.b, eps=1e-7, trace_every=3)
         ks = r.trace.iterations
         assert all(k % 3 == 0 for k in ks[:-1])
         assert ks[-1] == r.iterations
@@ -179,6 +179,9 @@ class TestMinberrSolve:
             {"delta": 1.0},
             {"seed": -1},
             {"k_max": 0},
+            {"reorth": "partial"},
+            {"trace_every": 0},
+            {"trace_every": -3},
         ],
     )
     def test_validation(self, kw):
@@ -194,6 +197,91 @@ class TestMinberrSolve:
             r = bk.minberr_solve(op, b, eps=1e-9)
         assert r.termination == bk.Termination.TOLERANCE_REACHED
         assert r.sigma_min_certificate < 1e-9
+
+
+ENTRIES = {
+    "minberr": (bk.minberr_solve, ()),
+    "minberr-ne": (bk.minberr_ne_solve, ()),
+    "minberr-ne-perturbed": (bk.minberr_ne_perturbed, (1e-2,)),
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_trace_every_below_one_is_rejected(name):
+    solver, extra = ENTRIES[name]
+    p = bk.ill_conditioned(10, 10.0)
+    with pytest.raises(ValueError, match="trace_every"):
+        solver(p.op, p.b, *extra, trace_every=0)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_sqrt_u_warning_points_at_the_caller(name):
+    solver, extra = ENTRIES[name]
+    p = bk.ill_conditioned(20, 10.0)
+    with pytest.warns(RuntimeWarning, match=r"sqrt\(machine epsilon\)") as record:
+        solver(p.op, p.b, *extra, eps=1e-9, k_max=5)
+    assert [w.filename for w in record] == [__file__]
+
+
+class TestPrefixRecovery:
+    """Recovery reads only the first k steps of the factorization, so
+    recovering at a prefix j after more steps gives bit for bit the x and
+    certificate of recovering when the state stood at j."""
+
+    @pytest.mark.parametrize("reorth", ["plain", "full"])
+    @pytest.mark.parametrize("j", [1, 2, 9, 16])
+    def test_lanczos(self, reorth, j):
+        a = random_psd(60, seed=44, spread=4.0)
+        b = np.random.default_rng(45).standard_normal(60)
+        state = LanczosState(dense_op(a), b, reorth=reorth)
+        for _ in range(j):
+            state.step()
+        x_then, cert_then = minberr._recover_psd(state, j, 1e-6, 3)
+        # past one doubling of the basis buffer (16 -> 32 -> 64 columns)
+        for _ in range(40 - j):
+            state.step()
+        x_now, cert_now = minberr._recover_psd(state, j, 1e-6, 3)
+        assert np.array_equal(x_now, x_then)
+        assert cert_now == cert_then
+
+    @pytest.mark.parametrize("reorth", ["plain", "full"])
+    @pytest.mark.parametrize("j", [1, 2, 9, 16])
+    def test_golub_kahan(self, reorth, j):
+        a = np.random.default_rng(46).standard_normal((70, 60))
+        b = np.random.default_rng(47).standard_normal(70)
+        state = BidiagState(dense_op(a), b, reorth=reorth)
+        for _ in range(j):
+            state.step()
+        x_then, cert_then = minberr._recover_ne(state, j, 1e-6, 3)
+        for _ in range(40 - j):
+            state.step()
+        x_now, cert_now = minberr._recover_ne(state, j, 1e-6, 3)
+        assert np.array_equal(x_now, x_then)
+        assert cert_now == cert_then
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    two_sided=st.booleans(),
+    normal_equations=st.booleans(),
+    n=st.integers(41, 60),
+    log_kappa=st.integers(4, 12),
+)
+def test_disguise_invariance_across_seeds(seed, two_sided, normal_equations, n, log_kappa):
+    """Orthogonal conjugation by any seeded Householder chain leaves the
+    minberr and minberr-ne traces unchanged to the A11 bound, 1e-6, over 40
+    steps. A two-sided disguise makes a symmetric A unsymmetric, so it is
+    drawn for minberr-ne only."""
+    two_sided = two_sided and normal_equations
+    solver = bk.minberr_ne_solve if normal_equations else bk.minberr_solve
+    plain = bk.small_outlier(n, 10.0 ** log_kappa, 1e-3)
+    hidden = bk.disguise(plain, two_sided=two_sided, seed=seed)
+    runs = [solver(q.op, q.b, eps=1e-7, k_max=40, reorth="full", trace_every=1)
+            for q in (plain, hidden)]
+    assert runs[0].trace.iterations == runs[1].trace.iterations
+    diff = np.abs(np.asarray(runs[0].trace.berr) - np.asarray(runs[1].trace.berr))
+    assert float(np.max(diff)) <= 1e-6
 
 
 class TestMinberrNeSolve:
@@ -228,7 +316,7 @@ class TestMinberrNeSolve:
 
     def test_certificates_match_measured_berr(self):
         p = bk.ill_conditioned(50, 1e6)
-        r = bk.minberr_ne_solve(p.op, p.b, eps=1e-4, k_max=200, reorth="full", trace=True)
+        r = bk.minberr_ne_solve(p.op, p.b, eps=1e-4, k_max=200, reorth="full", trace_every=1)
         for cert, berr in zip(r.certificates, r.trace.berr):
             assert abs(cert - berr) <= 1e-8 * berr + 1e-15
 
@@ -244,7 +332,7 @@ class TestMinberrNePerturbed:
     def test_certified_bound_structure_and_validity(self):
         p = bk.ill_conditioned(80, 1e8)
         pe = 1e-2
-        r = bk.minberr_ne_perturbed(p.op, p.b, pe, eps=1e-3, k_max=300, trace=True)
+        r = bk.minberr_ne_perturbed(p.op, p.b, pe, eps=1e-3, k_max=300, trace_every=1)
         assert r.certified_berr_bound == bk.composition_bound(r.sigma_min_certificate, pe)
         berr_original = measured_berr(p.op, p.b, r.x, opnorm=1.0)
         assert berr_original <= r.certified_berr_bound
@@ -253,7 +341,7 @@ class TestMinberrNePerturbed:
     def test_every_row_is_measured_against_original_operator(self, monkeypatch):
         p = bk.ill_conditioned(80, 1e8)
         rows = capture_row_iterates(monkeypatch)
-        r = bk.minberr_ne_perturbed(p.op, p.b, 1e-2, eps=1e-3, k_max=60, trace=True)
+        r = bk.minberr_ne_perturbed(p.op, p.b, 1e-2, eps=1e-3, k_max=60, trace_every=1)
         assert r.opnorm_used == r.trace.opnorm == p.op.opnorm() == 1.0
         assert [k for k, _ in rows] == r.trace.iterations
         assert len(rows) > 10
@@ -275,7 +363,10 @@ class TestMinberrNePerturbed:
     @pytest.mark.parametrize("bad", [
         {"k_max": 0},
         {"reorth": "partial"},
-        {"trace": True, "trace_every": 0},
+        {"trace_every": 0},
+        {"eps": 0.0},
+        {"delta": 1.0},
+        {"seed": -1},
     ])
     def test_bad_arguments_raise_before_the_dense_set_up(self, monkeypatch, bad):
         def refuse(*args, **kwargs):
@@ -292,28 +383,28 @@ class TestMinberrNePerturbed:
         G is the seeded draw, and the solver runs on the proven lower bound
         (1 - perturb_eps) ||A|| <= ||A + E|| without a power iteration."""
         built, monitor_norms = [], []
-        make_op, make_mon = minberr.GaussianPerturbedOperator, minberr._monitor
+        make_op, make_mon = minberr.GaussianPerturbedOperator, minberr._Monitor
 
         def spy_op(*args):
             built.append(make_op(*args))
             return built[-1]
 
-        def spy_mon(op, b, eps, k_max, opnorm, *args, **kwargs):
+        def spy_mon(op, b, cfg, opnorm, *args, **kwargs):
             monitor_norms.append(opnorm)
-            return make_mon(op, b, eps, k_max, opnorm, *args, **kwargs)
+            return make_mon(op, b, cfg, opnorm, *args, **kwargs)
 
         def no_power_iteration(op, *args, **kwargs):
             raise AssertionError(f"power iteration on {type(op).__name__}")
 
         monkeypatch.setattr(minberr, "GaussianPerturbedOperator", spy_op)
-        monkeypatch.setattr(minberr, "_monitor", spy_mon)
+        monkeypatch.setattr(minberr, "_Monitor", spy_mon)
         monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_power_iteration)
         a = np.random.default_rng(5).standard_normal((40, 30))
         s = float(np.linalg.norm(a, 2))
         b = np.random.default_rng(6).standard_normal(40)
         pe = 1e-2
         bk.minberr_ne_perturbed(dense_op(a, s), b, pe, eps=1e-3, k_max=20, seed=3)
-        (perturbed,), (s_pert,) = built, monitor_norms
+        (perturbed,), s_pert = built, monitor_norms[-1]
         g = np.random.default_rng([3, 1]).standard_normal((40, 30))
         assert np.array_equal(perturbed.g, g)
         assert np.linalg.norm(perturbed.coeff * g, 2) <= pe * s * (1 + 1e-13)
@@ -328,7 +419,7 @@ class TestMinberrNePerturbed:
         for name, solver in (("plain", bk.minberr_ne_solve), ("perturbed", bk.minberr_ne_perturbed)):
             op = bk.CountingOperator(p.op).set_opnorm(1.0)
             extra = (1e-2,) if name == "perturbed" else ()
-            r = solver(op, p.b, *extra, eps=1e-6, k_max=60, trace=True)
+            r = solver(op, p.b, *extra, eps=1e-6, k_max=60, trace_every=1)
             assert r.iterations == 60
             counts[name] = op.matvecs
         assert counts["perturbed"] == counts["plain"] == 1 + 2 * 60 + 60
@@ -369,15 +460,15 @@ class TestNoFiniteMinimizer:
 
         class StubState:
             k = 2
-            nalphas = np.array([0.9])
             alphas = np.array([0.9])
+            opnorm = 1.0
             norm_b = 1.0
 
             def btilde(self, k=None):
                 return bk.BandMatrix([0.9, 1e-16], [0.0])
 
         with pytest.raises(bk.NoFiniteMinimizerError):
-            _recover_ne(StubState(), 0.1, 0, 1)
+            _recover_ne(StubState(), 2, 0.1, 0)
 
 
 class TestDenseOracle:

@@ -259,6 +259,29 @@ class TestErrorReporting:
         assert info.value.line == 3
         assert peak < 1_000_000  # one coordinate per declared entry would take ~100 MB
 
+    @pytest.mark.parametrize("byte", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_control_byte_in_a_comment_keeps_line_numbers(self, tmp_path, byte):
+        # str.splitlines() breaks at these bytes too, which shifted every
+        # later line number and read the rest of the comment as a size line
+        self.check(
+            tmp_path,
+            f"%%MatrixMarket matrix coordinate real general\n% note{byte}more\n"
+            "2 2 1\n1 1 abc\n",
+            4,
+            "bad real value",
+        )
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_every_line_end_counts_one_line(self, tmp_path, end):
+        path = tmp_path / "ends.mtx"
+        path.write_bytes(end.join([
+            "%%MatrixMarket matrix coordinate real general", "% note", "2 2 1",
+            "1 1 abc", "",
+        ]).encode("ascii"))
+        with pytest.raises(MatrixMarketFormatError) as info:
+            mmio.read_matrix_market(path)
+        assert info.value.line == 4
+
     def test_line_number_prefix_in_message(self, tmp_path):
         path = write_text(
             tmp_path / "bad.mtx",

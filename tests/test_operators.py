@@ -62,8 +62,8 @@ class TestNormEstimation:
     def test_opnorm_is_cached(self):
         a = np.random.default_rng(4).standard_normal((10, 10))
         op = bk.DenseOperator(a)
-        first = op.opnorm(rel_tol=1e-3)
-        second = op.opnorm(rel_tol=1e-3)
+        first = op.opnorm()
+        second = op.opnorm()
         assert first == second
 
     def test_set_opnorm_pins_exact_value(self):

@@ -34,11 +34,8 @@ def push_tridiag_columns(state, diag, sup1, sup2):
 
 def push_bidiag_columns(state, diag, sup1):
     for j in range(1, len(diag) + 1):
-        if j == 1:
-            hit = state.push(diag[0] ** 2)
-        else:
-            hit = state.push(diag[j - 1] ** 2, sup1[j - 2] ** 2)
-        if hit:
+        col = np.array([sup1[j - 2] if j >= 2 else 0.0, diag[j - 1]])
+        if state.push(col):
             return j
     return None
 
@@ -100,19 +97,11 @@ class TestDqdsState:
                 decided = signalled is not None and j >= signalled
                 assert decided == (s <= eps), (trial, j, s, eps)
 
-    def test_push_argument_protocol(self):
-        state = DqdsState(0.1)
-        with pytest.raises(ValueError):
-            state.push(1.0, 0.5)
-        state.push(1.0)
-        with pytest.raises(ValueError):
-            state.push(1.0)
-
     def test_rejects_pushes_after_convergence(self):
         state = DqdsState(2.0)
-        assert state.push(1.0)
+        assert state.push([0.0, 1.0])
         with pytest.raises(RuntimeError):
-            state.push(1.0, 1.0)
+            state.push([1.0, 1.0])
 
 
 class TestExactArithmeticAgreement:
