@@ -15,12 +15,29 @@ revisited"): for a block V of unit reflector rows (tau = 2),
 H_0 H_1 ... H_{b-1} = I - V^T T V with T the inverse of 1/2 I + striu(V V^T).
 One block of b reflectors then costs three BLAS-2 calls instead of 2b numpy
 calls, and m reflectors cost 4mn + 2bm flops instead of 4mn.
+
+The CSR matvec runs on a length-bucketed, slot-major layout in the spirit of
+sliced ELLPACK (Kreutzer, Hager, Wellein, Fehske & Bishop 2014, "A unified
+sparse matrix data format for efficient general sparse matrix-vector
+multiplication on modern processors with wide SIMD units"). ``csr_slots``
+groups the nonempty rows by floor(log2 length); a bucket stores its rows'
+column indices and values as ``width x rows`` arrays, ``width`` being its
+longest row, so one bucket costs four numpy calls (take, multiply, column
+sum, scatter) whatever its row count. A row of length L sits in a bucket of
+width below 2L, so the padded size stays below 2 nnz, with at most
+floor(log2 max length) + 1 buckets; empty rows are in none and read 0. A
+padded slot holds 0.0 at the row's own last stored column, so it reads only
+an entry of x the row already reads: an inf or NaN in x[j] reaches exactly the
+rows that store column j. Each row sums its products in slot order, first to
+last (numpy's axis-0 reduction), padding included; the padding adds exact
+zeros.
 """
 
 import numpy as np
 
 __all__ = [
     "USING_NUMBA",
+    "csr_slots",
     "csr_matvec",
     "householder_chain",
     "householder_wy",
@@ -32,16 +49,38 @@ __all__ = [
 USING_NUMBA = False
 
 
-def csr_matvec(data, indices, indptr, x):
-    out = np.zeros(indptr.shape[0] - 1)
-    if data.shape[0] == 0:
-        return out
-    prod = data * x[indices]
+def csr_slots(data, indices, indptr):
+    """The length-bucketed, slot-major layout of a CSR matrix (see above).
+
+    One ``(rows, idx, val)`` triple per nonempty bucket: ``rows`` are the row
+    ids, ``idx`` and ``val`` are ``width x len(rows)`` arrays with slot s of
+    row ``rows[i]`` in column i.
+    """
     lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    # reduceat over the starts of nonempty rows; empty rows contribute nothing
-    # to the segments between consecutive nonempty starts.
-    out[nonempty] = np.add.reduceat(prod, indptr[:-1][nonempty])
+    nonempty = np.flatnonzero(lengths)
+    lens = lengths[nonempty]
+    # frexp is exact on integers: its exponent minus one is floor(log2(len))
+    level = np.frexp(lens.astype(np.float64))[1] - 1
+    buckets = []
+    for lev in np.unique(level):
+        pick = level == lev
+        rows, rlens = nonempty[pick], lens[pick]
+        slot = np.arange(rlens.max())[:, None]
+        pos = indptr[rows] + np.minimum(slot, rlens - 1)
+        buckets.append((rows, indices[pos], np.where(slot < rlens, data[pos], 0.0)))
+    return buckets
+
+
+def csr_matvec(data, indices, indptr, x, slots=None):
+    """A x for CSR (data, indices, indptr); ``slots`` is ``csr_slots`` of the
+    same matrix, built here when not given."""
+    if slots is None:
+        slots = csr_slots(data, indices, indptr)
+    out = np.zeros(indptr.shape[0] - 1)
+    for rows, idx, val in slots:
+        prod = np.take(x, idx)
+        prod *= val
+        out[rows] = prod.sum(axis=0)
     return out
 
 

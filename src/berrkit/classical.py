@@ -387,6 +387,7 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         raise RequiresSymmetricError("regularized_solve expects symmetric PSD A")
     if inner not in ("cg", "minres"):
         raise ValueError(f"unknown inner solver {inner!r}")
+    b = _check_rhs(op, b)  # before ||A||_2 is estimated
     s = _resolve_opnorm(op, opnorm)
     ratio_sq = (math.log(k) / k) ** 2
     shift = 2.0 * ratio_sq * s

@@ -194,7 +194,11 @@ class DenseOperator(LinearOperator):
 
 
 class CsrOperator(LinearOperator):
-    """Compressed-sparse-row operator; stores the transpose layout as well."""
+    """Compressed-sparse-row operator; stores the transpose layout as well.
+
+    The structure is checked on construction. Each direction's matvec layout
+    (``_kernels.csr_slots``) is built on its first apply and cached.
+    """
 
     def __init__(self, data, indices, indptr, shape, symmetric=False):
         rows, cols = shape
@@ -202,8 +206,9 @@ class CsrOperator(LinearOperator):
         self.data = np.asarray(data, dtype=np.float64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        if self.indptr.shape[0] != rows + 1:
-            raise DimensionMismatchError("indptr length must be rows + 1")
+        _check_csr(self.data, self.indices, self.indptr, rows, cols)
+        self._slots = None
+        self._tslots = None
         if not symmetric:
             td, ti, tp = _csr_transpose(
                 self.data, self.indices, self.indptr, rows, cols
@@ -217,6 +222,12 @@ class CsrOperator(LinearOperator):
         rows_idx = np.asarray(rows_idx, dtype=np.int64)
         cols_idx = np.asarray(cols_idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
+        if not (rows_idx.ndim == 1 and rows_idx.shape == cols_idx.shape == values.shape):
+            raise DimensionMismatchError(
+                f"triplets need three 1-D arrays of one length, got shapes "
+                f"{rows_idx.shape}, {cols_idx.shape} and {values.shape}"
+            )
+        _check_index_range(rows_idx, rows, "row")
         order = np.lexsort((cols_idx, rows_idx))
         r, c, v = rows_idx[order], cols_idx[order], values[order]
         if r.size:
@@ -234,14 +245,46 @@ class CsrOperator(LinearOperator):
         return cls(data, c, indptr, shape, symmetric=symmetric)
 
     def _apply(self, v):
-        return _kernels.csr_matvec(self.data, self.indices, self.indptr, v)
+        if self._slots is None:
+            self._slots = _kernels.csr_slots(self.data, self.indices, self.indptr)
+        return _kernels.csr_matvec(self.data, self.indices, self.indptr, v, self._slots)
 
     def _apply_adjoint(self, v):
-        return _kernels.csr_matvec(self._tdata, self._tindices, self._tindptr, v)
+        if self._tslots is None:
+            self._tslots = _kernels.csr_slots(self._tdata, self._tindices, self._tindptr)
+        return _kernels.csr_matvec(
+            self._tdata, self._tindices, self._tindptr, v, self._tslots
+        )
 
     @property
     def nnz(self):
         return int(self.data.shape[0])
+
+
+def _check_index_range(idx, bound, what):
+    bad = idx[(idx < 0) | (idx >= bound)]
+    if bad.size:
+        raise DimensionMismatchError(f"{what} index {bad[0]} outside [0, {bound})")
+
+
+def _check_csr(data, indices, indptr, rows, cols):
+    """Raise DimensionMismatchError naming the first structural fault."""
+    if data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
+        raise DimensionMismatchError("data, indices and indptr must be 1-D")
+    nnz = data.shape[0]
+    if indices.shape[0] != nnz:
+        raise DimensionMismatchError(
+            f"{nnz} values but {indices.shape[0]} column indices"
+        )
+    if indptr.shape[0] != rows + 1:
+        raise DimensionMismatchError("indptr length must be rows + 1")
+    if indptr[0] != 0:
+        raise DimensionMismatchError(f"indptr starts at {indptr[0]}, not 0")
+    if indptr[-1] != nnz:
+        raise DimensionMismatchError(f"indptr ends at {indptr[-1]}, not nnz = {nnz}")
+    if np.any(np.diff(indptr) < 0):
+        raise DimensionMismatchError("indptr decreases")
+    _check_index_range(indices, cols, "column")
 
 
 def _csr_transpose(data, indices, indptr, rows, cols):

@@ -52,6 +52,29 @@ def test_bad_rhs_is_rejected_before_the_norm_estimate(name, monkeypatch):
         SOLVERS[name](unpinned, b)
 
 
+BAD_RHS = {
+    "nan": (np.r_[np.ones(5), np.nan, np.ones(N - 6)], bk.NonFiniteError),
+    "zero": (np.zeros(N), ValueError),
+    "short": (np.ones(N - 1), ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RHS)
+@pytest.mark.parametrize("name", SOLVERS)
+def test_bad_rhs_costs_no_norm_estimate(name, bad, monkeypatch):
+    calls = []
+    estimate = bk.operators.estimate_spectral_norm
+    monkeypatch.setattr(
+        bk.operators, "estimate_spectral_norm",
+        lambda *a, **kw: calls.append(a) or estimate(*a, **kw),
+    )
+    b, error = BAD_RHS[bad]
+    unpinned = bk.DenseOperator(np.diag(np.linspace(1.0, 0.01, N)))
+    with pytest.raises(error):
+        SOLVERS[name](unpinned, b)
+    assert calls == []
+
+
 @pytest.mark.parametrize("opnorm", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("name", SOLVERS)
 def test_bad_opnorm_is_rejected_on_entry(name, opnorm):

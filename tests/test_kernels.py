@@ -1,7 +1,8 @@
 """The kernels against dense products and the reference loops written here.
 
 The band solves match the scalar reference loops bit for bit; the CSR matvec
-is checked against a dense product on Hypothesis-drawn inputs.
+is checked against a dense product on Hypothesis-drawn and skewed inputs, and
+its length-bucketed layout against its stated bounds.
 """
 
 import numpy as np
@@ -14,22 +15,17 @@ import berrkit as bk
 from berrkit import _kernels
 
 
+def _dense_to_csr(dense):
+    stored = dense != 0.0
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))]).astype(np.int64)
+    return dense[stored], np.nonzero(stored)[1].astype(np.int64), indptr
+
+
 def _random_csr(rng, rows, cols, density=0.3):
     dense = rng.standard_normal((rows, cols))
     dense[rng.random((rows, cols)) > density] = 0.0
     dense[rows // 2, :] = 0.0
-    data, indices, indptr = [], [], [0]
-    for i in range(rows):
-        nz = np.nonzero(dense[i])[0]
-        indices.extend(nz.tolist())
-        data.extend(dense[i, nz].tolist())
-        indptr.append(len(indices))
-    return (
-        np.asarray(data, dtype=np.float64),
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(indptr, dtype=np.int64),
-        dense,
-    )
+    return (*_dense_to_csr(dense), dense)
 
 
 class TestCsrMatvec:
@@ -87,6 +83,27 @@ def _csr_and_vector(draw):
     return (dense[stored], indices, indptr), dense, _entries(rng, cols)
 
 
+def _check_layout(slots, data, indices, indptr):
+    """csr_slots keeps every stored entry once, pads within its bounds, and
+    fills each padded slot with 0.0 at the row's own last stored column."""
+    lengths = np.diff(indptr)
+    nnz = data.shape[0]
+    assert sum(val.size for _, _, val in slots) < max(2 * nnz, 1)
+    if nnz:
+        assert len(slots) <= int(np.log2(lengths.max())) + 1
+    seen = np.concatenate([rows for rows, _, _ in slots] + [np.zeros(0, np.int64)])
+    assert np.array_equal(np.sort(seen), np.flatnonzero(lengths))
+    for rows, idx, val in slots:
+        assert idx.shape == val.shape == (idx.shape[0], rows.shape[0])
+        for j, row in enumerate(rows):
+            lo, hi = indptr[row], indptr[row + 1]
+            n = hi - lo
+            assert np.array_equal(idx[:n, j], indices[lo:hi])
+            assert np.array_equal(val[:n, j], data[lo:hi])
+            assert np.all(idx[n:, j] == indices[hi - 1])
+            assert np.all(val[n:, j] == 0.0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_csr_and_vector())
 def test_csr_matvec_matches_dense_product(case):
@@ -94,6 +111,80 @@ def test_csr_matvec_matches_dense_product(case):
     out = _kernels.csr_matvec(data, indices, indptr, x)
     assert out.shape == (dense.shape[0],)
     assert np.all(np.abs(out - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+    slots = _kernels.csr_slots(data, indices, indptr)
+    _check_layout(slots, data, indices, indptr)
+    assert _kernels.csr_matvec(data, indices, indptr, x, slots).tobytes() == out.tobytes()
+
+
+def _skewed_csr(rng, n):
+    """n x n with one row holding half the nonzeros, every tenth row empty,
+    and the other rows 1-6 long."""
+    lengths = rng.integers(1, 7, size=n)
+    lengths[::10] = 0
+    lengths[3] = lengths.sum()
+    dense = np.zeros((n, n))
+    for i, length in enumerate(lengths):
+        cols = rng.choice(n, size=min(length, n), replace=False)
+        dense[i, cols] = rng.standard_normal(cols.size)
+    return dense
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_csr_matvec_on_skewed_rows_matches_dense(transpose):
+    # transposed, the long row becomes a heavy column and the empty rows
+    # become empty columns
+    rng = np.random.default_rng(7)
+    dense = _skewed_csr(rng, 400)
+    if transpose:
+        dense = dense.T.copy()
+    data, indices, indptr = _dense_to_csr(dense)
+    slots = _kernels.csr_slots(data, indices, indptr)
+    _check_layout(slots, data, indices, indptr)
+    x = rng.standard_normal(dense.shape[1])
+    out = _kernels.csr_matvec(data, indices, indptr, x, slots)
+    assert np.all(np.abs(out - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+    if not transpose:
+        assert not out[::10].any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_x_reaches_only_rows_that_store_its_column():
+    rng = np.random.default_rng(8)
+    dense = _skewed_csr(rng, 120)
+    data, indices, indptr = _dense_to_csr(dense)
+    for j in (0, 3, 57, 119):
+        for bad in (np.inf, np.nan):
+            x = rng.standard_normal(120)
+            x[j] = bad
+            out = _kernels.csr_matvec(data, indices, indptr, x)
+            assert np.array_equal(~np.isfinite(out), dense[:, j] != 0.0)
+
+
+def test_csr_operator_builds_each_layout_once(monkeypatch):
+    calls = []
+    build = _kernels.csr_slots
+    monkeypatch.setattr(_kernels, "csr_slots", lambda *a: calls.append(a) or build(*a))
+    rng = np.random.default_rng(9)
+    dense = _skewed_csr(rng, 50)
+    rows, cols = np.nonzero(dense)
+    op = bk.CsrOperator.from_coo(rows, cols, dense[rows, cols], dense.shape)
+    assert calls == []
+    x = rng.standard_normal(50)
+    for _ in range(10):
+        assert_allclose(op.apply(x), dense @ x, rtol=1e-13, atol=1e-13)
+    assert len(calls) == 1 and calls[0][0] is op.data
+    for _ in range(10):
+        assert_allclose(op.apply_adjoint(x), dense.T @ x, rtol=1e-13, atol=1e-13)
+    assert len(calls) == 2
+
+    calls.clear()
+    sym = dense + dense.T
+    rows, cols = np.nonzero(sym)
+    op = bk.CsrOperator.from_coo(rows, cols, sym[rows, cols], sym.shape, symmetric=True)
+    for _ in range(10):
+        op.apply(x)
+        op.apply_adjoint(x)
+    assert len(calls) == 1 and calls[0][0] is op.data
 
 
 def _unit_rows(rng, m, n):

@@ -74,6 +74,36 @@ class TestNormEstimation:
         assert op._opnorm_cache.iterations_used == 0
 
 
+# (data, indices, indptr, shape) with one structural fault each
+MALFORMED_CSR = {
+    "negative-index": ([1.0, 2.0], [-1, 0], [0, 1, 2], (2, 3)),
+    "index-past-cols": ([1.0, 2.0], [0, 3], [0, 1, 2], (2, 3)),
+    "fewer-indices": ([1.0, 2.0], [0], [0, 1, 2], (2, 3)),
+    "more-indices": ([1.0], [0, 1], [0, 1, 1], (2, 3)),
+    "indptr-not-from-0": ([1.0, 2.0], [0, 1], [1, 1, 2], (2, 3)),
+    "indptr-short-of-nnz": ([1.0, 2.0], [0, 1], [0, 1, 1], (2, 3)),
+    "indptr-past-nnz": ([1.0, 2.0], [0, 1], [0, 1, 3], (2, 3)),
+    "indptr-decreasing": ([1.0, 2.0], [0, 1], [0, 2, 1, 2], (3, 3)),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_CSR)
+def test_malformed_csr_is_rejected_on_construction(fault):
+    data, indices, indptr, shape = MALFORMED_CSR[fault]
+    for symmetric in (False, True) if shape[0] == shape[1] else (False,):
+        with pytest.raises(bk.DimensionMismatchError):
+            bk.CsrOperator(data, indices, indptr, shape, symmetric=symmetric)
+
+
+@pytest.mark.parametrize(
+    "rows_idx, cols_idx",
+    [([0, -1], [0, 1]), ([0, 2], [0, 1]), ([0, 1], [-1, 0]), ([0, 1], [0, 3]), ([0], [0, 1])],
+)
+def test_malformed_coo_is_rejected(rows_idx, cols_idx):
+    with pytest.raises(bk.DimensionMismatchError):
+        bk.CsrOperator.from_coo(rows_idx, cols_idx, np.ones(len(cols_idx)), (2, 3))
+
+
 class TestCsrOperator:
     def test_from_coo_matches_dense(self):
         rng = np.random.default_rng(5)
