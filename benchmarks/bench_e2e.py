@@ -9,16 +9,19 @@ per-iteration certificate mode (eps below sqrt(u), where it recovers at every
 step; read from its warning, not from the spec). Per suite it also records the
 min and median of the whole grid's wall time. An environment block gives the
 python and numpy versions, the CPU count and model and the BLAS thread count.
-The entry also holds ``bench_kernels.py``'s CSR table at its default sizes:
-per shape, nnz and the best and median microseconds per call of the reduceat
-reference and of ``CsrOperator.apply``.
+The entry also holds two of ``bench_kernels.py``'s tables at their default
+sizes: the CSR table (per shape, nnz and the best and median microseconds per
+call of the reduceat reference and of ``CsrOperator.apply``) and the recovery
+table (per band size k, the best and median microseconds of one
+``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
+that call's step count).
 
 The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds
 the before and after of a change. About 40 s on one core::
 
-    python3 benchmarks/bench_e2e.py --out BENCH_9.json --label parent OTHER/src
-    python3 benchmarks/bench_e2e.py --out BENCH_9.json --label change
+    python3 benchmarks/bench_e2e.py --out BENCH_10.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_10.json --label change
 
 SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
 to time that one.
@@ -125,8 +128,12 @@ def main(argv):
             print(f"{suite}: median {med:.2f} s over {REPEATS} repeats", file=sys.stderr)
     import bench_kernels  # from this script's directory
 
-    entry["kernels"] = {"csr_matvec": bench_kernels.csr_rows(
-        bench_kernels.CSR_ROWS, bench_kernels.CSR_PER_ROW, bench_kernels.REPEATS, seed=0)}
+    entry["kernels"] = {
+        "csr_matvec": bench_kernels.csr_rows(
+            bench_kernels.CSR_ROWS, bench_kernels.CSR_PER_ROW, bench_kernels.REPEATS, seed=0),
+        "band_recovery": bench_kernels.band_rows(
+            bench_kernels.BAND_SIZES, bench_kernels.REPEATS, seed=0),
+    }
 
     entries = []
     if os.path.exists(args.out):

@@ -12,11 +12,18 @@ millisecond range where dispatch overhead matters. Four tables:
 * the CSR matvec as ``CsrOperator.apply`` runs it (its cached layout built
   by a warm-up call) against the ``np.add.reduceat`` matvec it replaced
   (kept here as the reference), on the shapes of ``csr_shapes``;
-* the two band solves, with their sizes.
+* recovery on the band views at the sizes recovery meets (``--band-sizes``,
+  k = 30, 100 and 300 by default): one ``BandMatrix.solve`` and one
+  ``solve_t`` as inverse iteration calls them, on a band that has already
+  solved once, and one whole ``inverse_iteration`` call with its step count.
+  Each band is ``LanczosState.ttilde(k)`` of the minres-worstcase problem
+  (small-outlier n = 2000, kappa = 1e10, sigma = 1e-3, b = its default rhs).
 
 Each pair in the first three tables is cross-checked for agreement before it
-is timed; ``tests/test_kernels.py`` checks the kernels of the fourth. The
-CSR pairs run interleaved and report best and median per call.
+is timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
+code of the fourth. The CSR pairs and the three recovery timings run
+interleaved and report best and median per call. The recovery table times
+only public entry points, so it runs unchanged against older checkouts.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
@@ -28,17 +35,16 @@ import timeit
 
 import numpy as np
 
-from berrkit._kernels import (
-    band_solve_upper,
-    band_solve_upper_t,
-    householder_chain,
-    householder_wy,
-)
+from berrkit._kernels import householder_chain, householder_wy
+from berrkit.factorize import LanczosState
 from berrkit.minberr import _dense_norm
 from berrkit.operators import CsrOperator
+from berrkit.problems import small_outlier
+from berrkit.smallband import inverse_iteration
 
 CSR_ROWS = 200_000
 CSR_PER_ROW = 8
+BAND_SIZES = (30, 100, 300)
 REPEATS = 5
 
 
@@ -105,12 +111,14 @@ def reduceat_matvec(data, indices, indptr, x):
     return out
 
 
-def band_inputs(k, rng):
-    diag = np.abs(rng.standard_normal(k)) + 1.0
-    sup1 = 0.3 * rng.standard_normal(k - 1)
-    sup2 = 0.3 * rng.standard_normal(k - 2)
-    rhs = rng.standard_normal(k)
-    return diag, sup1, sup2, rhs
+def recovery_bands(sizes):
+    """(k, Ttilde_k) for each k, from one Lanczos run on the minres-worstcase
+    problem."""
+    p = small_outlier(2000, 1e10, 1e-3)
+    state = LanczosState(p.op, p.b)
+    for _ in range(max(sizes)):
+        state.step()
+    return [(k, state.ttilde(k)) for k in sizes]
 
 
 def reflector_loop(vecs, x, adjoint):
@@ -211,13 +219,41 @@ def norm_table(sizes, repeats, rng):
               f"{t_svd / t_gk:>8.1f}x {steps:>6}")
 
 
-def kernel_table(cases, repeats):
-    header = f"{'kernel':<20} {'size':>20} {'time':>12}"
+def band_rows(sizes, repeats, seed):
+    """One dict per band size: the best and median microseconds per call of
+    BandMatrix.solve, BandMatrix.solve_t and inverse_iteration, and the
+    inverse-iteration step count."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for k, band in recovery_bands(sizes):
+        rhs = rng.standard_normal(k)
+        rhs /= np.linalg.norm(rhs)
+        band.solve(rhs)  # a recovery's first solve builds what the rest reuse
+        _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
+        timings = interleaved_seconds(
+            [lambda: band.solve(rhs),
+             lambda: band.solve_t(rhs),
+             lambda: inverse_iteration(band, 1e-6, seed=[seed, k])],
+            repeats,
+        )
+        row = {"k": k, "inverse_iteration_steps": steps}
+        for name, (best, med) in zip(("solve", "solve_t", "inverse_iteration"), timings):
+            row[f"{name}_us_best"] = round(best * 1e6, 1)
+            row[f"{name}_us_median"] = round(med * 1e6, 1)
+        table.append(row)
+    return table
+
+
+def band_table(sizes, repeats, seed):
+    header = (f"{'k':>5} {'solve best/med':>16} {'solve_t best/med':>18} "
+              f"{'inverse_iteration best/med':>28} {'steps':>6}")
     print(header)
     print("-" * len(header))
-    for fn, size, inputs in cases:
-        t = best_seconds(fn, inputs, repeats)
-        print(f"{fn.__name__:<20} {size:>20} {t * 1e6:>10.1f}us")
+    for row in band_rows(sizes, repeats, seed):
+        cells = [f"{row[f'{name}_us_best']:.1f}/{row[f'{name}_us_median']:.1f}us"
+                 for name in ("solve", "solve_t", "inverse_iteration")]
+        print(f"{row['k']:>5} {cells[0]:>16} {cells[1]:>18} {cells[2]:>28} "
+              f"{row['inverse_iteration_steps']:>6}")
 
 
 def main(argv=None):
@@ -226,7 +262,7 @@ def main(argv=None):
     parser.add_argument("--csr-per-row", type=int, default=CSR_PER_ROW)
     parser.add_argument("--wy-sizes", type=int, nargs="+", default=[500, 2000])
     parser.add_argument("--norm-sizes", type=int, nargs="+", default=[500, 1000, 2000])
-    parser.add_argument("--band-size", type=int, default=10_000)
+    parser.add_argument("--band-sizes", type=int, nargs="+", default=list(BAND_SIZES))
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -238,14 +274,7 @@ def main(argv=None):
     print()
     csr_table(args.csr_rows, args.csr_per_row, args.repeats, args.seed)
     print()
-    band_size = f"k = {args.band_size}"
-    kernel_table(
-        [
-            (band_solve_upper, band_size, band_inputs(args.band_size, rng)),
-            (band_solve_upper_t, band_size, band_inputs(args.band_size, rng)),
-        ],
-        args.repeats,
-    )
+    band_table(args.band_sizes, args.repeats, args.seed)
     return 0
 
 

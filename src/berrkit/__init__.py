@@ -43,6 +43,7 @@ from .errors import (
     RequiresSymmetricError,
     SingularBandError,
     UndefinedAtZeroError,
+    UnrepresentableNormError,
     ZeroOperatorError,
 )
 from .factorize import BandMatrix, BidiagState, LanczosState
@@ -112,6 +113,7 @@ __all__ = [
     "RequiresSymmetricError",
     "SingularBandError",
     "UndefinedAtZeroError",
+    "UnrepresentableNormError",
     "ZeroOperatorError",
     "BandMatrix",
     "BidiagState",

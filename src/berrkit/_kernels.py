@@ -1,11 +1,19 @@
 """Hot numeric kernels, in numpy. ``benchmarks/bench_kernels.py`` times them.
 
-All kernels take and return float64 arrays. Band arrays follow the upper
-triangular layout used by the factorization views: ``diag[i]`` is entry (i, i),
-``sup1[i]`` is (i, i+1) for i < k-1, ``sup2[i]`` is (i, i+2) for i < k-2.
-Callers are responsible for rejecting zero diagonals before solving. The band
-solves run the recurrence on Python floats in the operation order of the
-scalar reference loops in ``tests/test_kernels.py`` and match them bit for bit.
+The kernels take and return float64 arrays, except that the band solves
+take the band itself as Python float lists. A band is upper triangular, as in
+the factorization views: ``diag[i]`` is entry (i, i), ``sup1[i]`` is
+(i, i+1) for i < k-1 and ``sup2[i]`` is (i, i+2) for i < k-2. The solves
+want the superdiagonals padded with zeros to length k so that one zip walks
+all the rows: at the end (``sup1 + [0.0]``, ``sup2 + [0.0, 0.0]``) for
+``band_solve_upper``, in front (``[0.0] + sup1``, ``[0.0, 0.0] + sup2``) for
+``band_solve_upper_t``. A padding zero only ever multiplies the 0.0 that the
+recurrence starts from, so it subtracts an exact zero and changes no bit.
+``BandMatrix`` builds these lists once per instance, so a recovery's many
+solves convert only their right-hand sides. Callers are responsible for
+rejecting zero diagonals before solving. The recurrence runs on Python floats
+in the operation order of the scalar reference loops in
+``tests/test_kernels.py`` and matches them bit for bit.
 
 Householder chains use the blocked compact WY representation (Schreiber &
 Van Loan 1989, "A storage-efficient WY representation for products of
@@ -114,30 +122,24 @@ def householder_chain(vecs, tfactors, x, adjoint):
 
 
 def band_solve_upper(diag, sup1, sup2, rhs):
-    # x[i+1], x[i+2] ride in x1, x2; the zero padding of sup1 and sup2 makes
-    # the last two rows subtract exact zeros, which changes no bit
+    """x with U x = rhs for the upper band U (see above): ``diag`` and the
+    superdiagonals as Python float lists zero-padded at the end, ``rhs`` a
+    float64 array."""
     x = []
-    x1 = x2 = 0.0
-    for d, s1, s2, r in zip(
-        reversed(diag.tolist()),
-        reversed(sup1.tolist() + [0.0]),
-        reversed(sup2.tolist() + [0.0, 0.0]),
-        reversed(rhs.tolist()),
-    ):
+    x1 = x2 = 0.0  # x[i+1], x[i+2]
+    rows = zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs.tolist()))
+    for d, s1, s2, r in rows:
         x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
         x.append(x1)
     x.reverse()
-    return np.array(x)
+    return np.array(x, dtype=np.float64)
 
 
 def band_solve_upper_t(diag, sup1, sup2, rhs):
-    # as above, with x[i-1], x[i-2] in x1, x2 and the padding in front
+    """x with U^T x = rhs, the superdiagonals zero-padded in front."""
     x = []
-    x1 = x2 = 0.0
-    for d, s1, s2, r in zip(
-        diag.tolist(), [0.0] + sup1.tolist(), [0.0, 0.0] + sup2.tolist(), rhs.tolist()
-    ):
+    x1 = x2 = 0.0  # x[i-1], x[i-2]
+    for d, s1, s2, r in zip(diag, sup1, sup2, rhs.tolist()):
         x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
         x.append(x1)
-    return np.array(x)
-
+    return np.array(x, dtype=np.float64)

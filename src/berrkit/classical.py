@@ -2,11 +2,13 @@
 
 Every solver loop, the minimum-backward-error ones in ``minberr`` included,
 runs under one ``_Monitor``. The monitor checks the entry data (a finite,
-nonzero right-hand side of the right shape and a finite positive operator
-norm), owns the trace and its row schedule (every ``trace_every`` iterations
-and at the last one), the RECOMPUTE_EVERY residual refresh that caps
-recurrence drift, the single stopping decision of the classical solvers, and
-the operator rows are measured against. Every solver starts from x_0 = 0 and
+nonzero right-hand side of the right shape whose 2-norm is a normal float64,
+and a finite positive operator norm), hands the solvers b rescaled by a
+power of two when its entries are far from unit size, and owns the trace and
+its row schedule (every ``trace_every`` iterations and at the last one), the
+RECOMPUTE_EVERY residual refresh that caps recurrence drift, the single
+stopping decision of the classical solvers, and the operator rows are
+measured against. Every solver starts from x_0 = 0 and
 records its first row at iteration 1; a recorded row with a non-finite
 residual or iterate norm raises NonFiniteError. Identical config and seed
 give bitwise-identical numeric trace columns.
@@ -19,9 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteError, RequiresSymmetricError
+from .errors import NonFiniteError, RequiresSymmetricError, UnrepresentableNormError
 from .factorize import BidiagState
-from .operators import ShiftedOperator, norm2
+from .operators import _NORMAL_MIN, ShiftedOperator, norm2
 
 __all__ = [
     "Termination",
@@ -119,7 +121,25 @@ class SolveResult:
     certified_berr_bound: float = None
 
 
+# b is solved at its own scale while its largest entry lies in
+# [1/_RHS_SAFE, _RHS_SAFE], where no dot product of b leaves the normal range
+_RHS_SAFE = 2.0**100
+
+
+def _is_normal(t):
+    return _NORMAL_MIN <= t < math.inf
+
+
 def _check_rhs(op, b):
+    """The entry check on b; returns (b to solve with, unscale).
+
+    Backward error does not change when b is scaled, and scaling by a power
+    of two rounds no operation differently unless something underflows. So a
+    b whose largest entry lies outside [1/_RHS_SAFE, _RHS_SAFE] is solved as
+    b 2^-e with that entry in [1, 2), and unscale = 2^e maps the iterates
+    and norms back. A b whose 2-norm is no normal float64 raises
+    UnrepresentableNormError, since no trace row could store its residual.
+    """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({op.rows},)")
@@ -127,7 +147,16 @@ def _check_rhs(op, b):
         raise NonFiniteError("b holds NaN or infinite entries")
     if not np.any(b):
         raise ValueError("b must be nonzero")
-    return b
+    big = float(np.max(np.abs(b)))
+    if 1.0 / _RHS_SAFE <= big <= _RHS_SAFE:
+        return b, 1.0
+    e = math.frexp(big)[1] - 1
+    b = np.ldexp(b, -e)
+    unscale = math.ldexp(1.0, e)
+    norm_b = norm2(b) * unscale
+    if not _is_normal(norm_b):
+        raise UnrepresentableNormError(f"||b||_2 = {norm_b} is not a normal float64")
+    return b, unscale
 
 
 def _resolve_opnorm(op, opnorm):
@@ -151,7 +180,7 @@ class _Monitor:
 
     def __init__(self, op, b, config=None, opnorm=None, measure=None):
         self.cfg = config or SolverConfig()
-        self.b = _check_rhs(op, b)
+        self.b, self.unscale = _check_rhs(op, b)
         self.s = _resolve_opnorm(op, opnorm)
         self.norm_b = norm2(self.b)
         self.measured = measure is not None
@@ -180,6 +209,13 @@ class _Monitor:
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
             )
+        if self.unscale != 1.0:
+            rn, xn = rn * self.unscale, xn * self.unscale
+            if not (_is_normal(xn) and (rn == 0.0 or _is_normal(rn))):
+                raise UnrepresentableNormError(
+                    f"iteration {k}: at the scale of b, residual norm {rn} and "
+                    f"iterate norm {xn} leave the normal float64 range"
+                )
         self.trace.record(k, rn, xn, self.t0)
 
     def check(self, k, x, rn, breakdown=False):
@@ -203,10 +239,15 @@ class _Monitor:
             self.record(k, x, rn, xn)
         return stop
 
+    def unscaled(self, x):
+        """Iterate x at the scale of the b given (see _check_rhs)."""
+        return x if self.unscale == 1.0 else x * self.unscale
+
     def result(self, x, k, termination=None):
         """SolveResult after k iterations; no termination means the budget ran out."""
         return SolveResult(
-            x, self.trace, termination or Termination.MAX_ITERATIONS, self.trace.opnorm, k
+            self.unscaled(x), self.trace, termination or Termination.MAX_ITERATIONS,
+            self.trace.opnorm, k,
         )
 
 
@@ -387,7 +428,7 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         raise RequiresSymmetricError("regularized_solve expects symmetric PSD A")
     if inner not in ("cg", "minres"):
         raise ValueError(f"unknown inner solver {inner!r}")
-    b = _check_rhs(op, b)  # before ||A||_2 is estimated
+    _check_rhs(op, b)  # before ||A||_2 is estimated
     s = _resolve_opnorm(op, opnorm)
     ratio_sq = (math.log(k) / k) ** 2
     shift = 2.0 * ratio_sq * s

@@ -25,6 +25,11 @@ class NonFiniteError(BerrkitError, ValueError):
     """Input data, a recorded iterate or a Krylov band column holds NaN or infinity."""
 
 
+class UnrepresentableNormError(BerrkitError, ValueError):
+    """A norm the trace must store leaves the normal float64 range: ||b||_2
+    overflows or is subnormal, or an iterate's norm does at the scale of b."""
+
+
 class PostBreakdownError(BerrkitError, RuntimeError):
     """A factorization was stepped after it reported breakdown."""
 

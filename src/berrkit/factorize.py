@@ -44,7 +44,8 @@ class BandMatrix:
 
     ``diag`` has length k, ``sup1`` length k-1, ``sup2`` length k-2 (``sup2``
     is all zeros for bidiagonal views). Snapshot semantics: instances are
-    detached from the factorization state that produced them.
+    detached from the factorization state that produced them, and their
+    arrays are not changed afterwards (the solves keep a copy as floats).
     """
 
     def __init__(self, diag, sup1, sup2=None):
@@ -56,6 +57,10 @@ class BandMatrix:
         self.sup2 = np.asarray(sup2, dtype=np.float64)
         if self.sup1.shape[0] != max(k - 1, 0) or self.sup2.shape[0] != max(k - 2, 0):
             raise DimensionMismatchError("band arrays have inconsistent lengths")
+        # the solve form: diagonal per floor (None: holds a zero, unfloored),
+        # and the padded superdiagonals of each direction, built on first use
+        self._diags = {}
+        self._sups = None
 
     @property
     def k(self):
@@ -80,26 +85,44 @@ class BandMatrix:
             y[:-2] += self.sup2 * v[2:]
         return y
 
-    def _solve_diag(self, floor):
-        d = self.diag
+    def _build_diag(self, floor):
+        """The diagonal as Python floats, entries below ``floor`` in magnitude
+        raised to +-floor when it is positive; None when unfloored and holding
+        a zero. The first call also builds the padded superdiagonals."""
+        if self._sups is None:
+            sup1, sup2 = self.sup1.tolist(), self.sup2.tolist()
+            self._sups = (
+                (sup1 + [0.0], sup2 + [0.0, 0.0]),  # band_solve_upper
+                ([0.0] + sup1, [0.0, 0.0] + sup2),  # band_solve_upper_t
+            )
+        d = self.diag.tolist()
         if floor > 0.0:
-            small = np.abs(d) < floor
-            if np.any(small):
-                d = d.copy()
-                d[small] = np.where(d[small] < 0.0, -floor, floor)
-        elif np.any(d == 0.0):
+            return [(-floor if t < 0.0 else floor) if abs(t) < floor else t for t in d]
+        return None if 0.0 in d else d
+
+    def _solve_diag(self, floor):
+        """The diagonal for the solves at ``floor``, built once per floor."""
+        try:
+            d = self._diags[floor]
+        except KeyError:
+            d = self._diags[floor] = self._build_diag(floor)
+        if d is None:
             raise SingularBandError("zero diagonal entry in banded solve")
         return d
 
     def solve(self, rhs, floor=0.0):
-        """Back substitution for self @ x = rhs."""
+        """Back substitution for self @ x = rhs.
+
+        With ``floor`` > 0 the diagonal entries below it in magnitude are
+        raised to +-floor; otherwise a zero diagonal raises SingularBandError.
+        """
         d = self._solve_diag(floor)
-        return band_solve_upper(d, self.sup1, self.sup2, np.asarray(rhs, float))
+        return band_solve_upper(d, *self._sups[0], np.asarray(rhs, dtype=np.float64))
 
     def solve_t(self, rhs, floor=0.0):
-        """Forward substitution for self.T @ x = rhs."""
+        """Forward substitution for self.T @ x = rhs, as ``solve``."""
         d = self._solve_diag(floor)
-        return band_solve_upper_t(d, self.sup1, self.sup2, np.asarray(rhs, float))
+        return band_solve_upper_t(d, *self._sups[1], np.asarray(rhs, dtype=np.float64))
 
     def sigma_min_dense(self):
         """Smallest singular value via dense SVD (reference path for tests)."""

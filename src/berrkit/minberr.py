@@ -109,7 +109,7 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm, perturb_
     # the plain monitor checks b before ||A||_2 is estimated
     mon = _Monitor(op, b, cfg, opnorm)
     if perturb_eps:
-        mon = _Monitor(op, mon.b, cfg, (1.0 - perturb_eps) * mon.s, (op, mon.s))
+        mon = _Monitor(op, b, cfg, (1.0 - perturb_eps) * mon.s, (op, mon.s))
     return mon, trusted
 
 
@@ -193,7 +193,7 @@ def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
             break
 
     return MinberrResult(
-        x=x,
+        x=mon.unscaled(x),
         trace=mon.trace,
         termination=termination,
         opnorm_used=mon.trace.opnorm,

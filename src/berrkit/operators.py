@@ -6,6 +6,7 @@ which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
 when the exact value is known, e.g. for diagonal test problems).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,31 @@ def _as_vector(v, n, what="vector"):
     return v
 
 
+# smallest positive normal float64
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+
+
 def norm2(v):
-    """Euclidean norm (overflow-safe via the underlying BLAS nrm2)."""
-    return float(np.linalg.norm(v))
+    """Euclidean norm, safe from overflow and underflow.
+
+    numpy computes the norm as sqrt(v @ v), which overflows to inf once
+    ||v|| passes about 1.3e154 and loses digits, down to 0, below about
+    1.5e-154. That sum is kept whenever it lands in the normal range, so the
+    result there is numpy's to the bit; otherwise v is first divided by its
+    largest magnitude, the scaling Blue (1978, "A portable Fortran program to
+    find the Euclidean norm of a vector", ACM TOMS 4) uses to keep the squares
+    in range. NaN entries give NaN and infinite ones inf, as in numpy.
+    """
+    x = np.asarray(v, dtype=np.float64).ravel(order="K")
+    # vdot runs the same BLAS dot as numpy's norm without raising an overflow warning
+    sq = float(np.vdot(x, x))
+    if _NORMAL_MIN <= sq < math.inf:
+        return math.sqrt(sq)
+    big = float(np.max(np.abs(x))) if x.size else 0.0
+    if not 0.0 < big < math.inf:
+        return math.sqrt(sq)
+    y = x / big
+    return big * math.sqrt(float(np.vdot(y, y)))
 
 
 @dataclass(frozen=True)

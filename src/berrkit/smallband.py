@@ -119,27 +119,25 @@ class DqdsState:
 
 
 def _solve_normalized(solve, rhs):
-    """One triangular solve, retried with a floored diagonal on singularity or
-    overflow, returned as a unit vector (inverse iteration only needs
-    directions, and normalizing between stages keeps huge growth finite)."""
+    """``solve(rhs)`` scaled to a unit vector, or None when it gives none.
+
+    A solve that meets a zero diagonal, or whose result has a non-finite
+    entry or is zero, is retried with the diagonal floored at SOLVE_FLOOR;
+    None means the retry failed the same way. Inverse iteration needs only
+    directions, and normalizing after each solve stops the growth of the
+    iterate from compounding over the two solves of a step and over steps.
+    """
     try:
         w = solve(rhs, 0.0)
         nw = norm2(w)
     except SingularBandError:
-        nw = np.inf
-    if not np.isfinite(nw) or nw == 0.0:
+        nw = math.inf
+    if not 0.0 < nw < math.inf:
         w = solve(rhs, SOLVE_FLOOR)
         nw = norm2(w)
-        if not np.isfinite(nw) or nw == 0.0:
+        if not 0.0 < nw < math.inf:
             return None
     return w / nw
-
-
-def _inverse_power_step(band, v):
-    z = _solve_normalized(band.solve_t, v)
-    if z is None:
-        return None
-    return _solve_normalized(band.solve, z)
 
 
 def inverse_iteration_steps(k, delta):
@@ -171,10 +169,15 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(k)
     v /= norm2(v)
-    rq = float(band.matvec(v) @ band.matvec(v))
+    mv = band.matvec(v)
+    rq = float(mv @ mv)
+    solve, solve_t = band.solve, band.solve_t
     steps = 0
     for _ in range(max_steps):
-        w = _inverse_power_step(band, v)
+        # one inverse power step on band^T band
+        w = _solve_normalized(solve_t, v)
+        if w is not None:
+            w = _solve_normalized(solve, w)
         if w is None:
             # degenerate iterate; keep the current v
             break

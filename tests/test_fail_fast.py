@@ -1,4 +1,7 @@
-"""Non-finite data and bad operator norms fail fast and by name in every solver."""
+"""Non-finite data and bad operator norms fail fast and by name in every
+solver, and b at either end of the float range is solved at its own scale."""
+
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +59,9 @@ BAD_RHS = {
     "nan": (np.r_[np.ones(5), np.nan, np.ones(N - 6)], bk.NonFiniteError),
     "zero": (np.zeros(N), ValueError),
     "short": (np.ones(N - 1), ValueError),
+    # ||b||_2 is subnormal, or overflows, though every entry is finite
+    "tiny": (np.full(N, 1e-320), bk.UnrepresentableNormError),
+    "huge": (np.full(N, 1e308), bk.UnrepresentableNormError),
 }
 
 
@@ -109,3 +115,34 @@ def test_untraced_minberr_stops_at_the_first_non_finite_step(name, bad):
 def test_norm_estimate_of_non_finite_operator_raises():
     with pytest.raises(bk.NonFiniteError):
         bk.estimate_spectral_norm(bk.DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]])))
+
+
+# 2^532 is about 1.4e160 and 2^-565 about 1.5e-170: past either, b @ b leaves
+# the float range
+@pytest.mark.parametrize("shift", [532, -565])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_rhs_scaled_by_a_power_of_two_gives_the_same_run(name, shift):
+    b = np.linspace(1.0, 2.0, N)
+    unit = SOLVERS[name](diagonal(), b)
+    scaled = SOLVERS[name](diagonal(), np.ldexp(b, shift))
+    assert scaled.termination == unit.termination
+    assert scaled.iterations == unit.iterations
+    assert scaled.trace.berr == unit.trace.berr
+    assert scaled.trace.residual_norm == [math.ldexp(r, shift) for r in unit.trace.residual_norm]
+    assert scaled.trace.x_norm == [math.ldexp(r, shift) for r in unit.trace.x_norm]
+    assert scaled.x.tobytes() == np.ldexp(unit.x, shift).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("name", ["minberr_solve", "minberr_ne_solve", "cg"])
+def test_rhs_far_from_unit_size_reaches_tolerance(name, scale):
+    p = bk.ill_conditioned(200, 1e4)
+    b = scale * np.ones(200)
+    tol = 1e-2 if name == "minberr_ne_solve" else 1e-4
+    if name == "cg":
+        res = bk.cg(p.op, b, bk.SolverConfig(max_iterations=200, berr_tolerance=tol))
+    else:
+        res = getattr(bk, name)(p.op, b, eps=tol)
+    assert res.termination == bk.Termination.TOLERANCE_REACHED
+    assert res.trace.final_berr < tol
+    assert bk.backward_error(p.op, b, res.x).value < tol

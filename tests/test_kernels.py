@@ -1,8 +1,9 @@
 """The kernels against dense products and the reference loops written here.
 
-The band solves match the scalar reference loops bit for bit; the CSR matvec
-is checked against a dense product on Hypothesis-drawn and skewed inputs, and
-its length-bucketed layout against its stated bounds.
+The band solves, on the float lists they take, match the scalar reference
+loops bit for bit; the CSR matvec is checked against a dense product on
+Hypothesis-drawn and skewed inputs, and its length-bucketed layout against its
+stated bounds.
 """
 
 import numpy as np
@@ -264,6 +265,16 @@ class TestHouseholderChain:
         assert np.array_equal(u.vecs, vecs)
 
 
+def _upper_lists(diag, sup1, sup2):
+    """The band as band_solve_upper takes it: floats, zero padding at the end."""
+    return diag.tolist(), sup1.tolist() + [0.0], sup2.tolist() + [0.0, 0.0]
+
+
+def _transposed_lists(diag, sup1, sup2):
+    """As band_solve_upper_t takes it: the zero padding in front."""
+    return diag.tolist(), [0.0] + sup1.tolist(), [0.0, 0.0] + sup2.tolist()
+
+
 def _scalar_upper_solve(diag, sup1, sup2, rhs):
     k = diag.shape[0]
     x = np.empty(k)
@@ -307,7 +318,7 @@ class TestBandSolves:
         rng = np.random.default_rng(k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper(diag, sup1, sup2, rhs)
+        x = _kernels.band_solve_upper(*_upper_lists(diag, sup1, sup2), rhs)
         assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
@@ -315,7 +326,7 @@ class TestBandSolves:
         rng = np.random.default_rng(100 + k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper_t(diag, sup1, sup2, rhs)
+        x = _kernels.band_solve_upper_t(*_transposed_lists(diag, sup1, sup2), rhs)
         assert_allclose(x, np.linalg.solve(dense.T, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 30, 300])
@@ -324,10 +335,14 @@ class TestBandSolves:
         diag, sup1, sup2, _ = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
         rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
-        for solve, reference in [
-            (_kernels.band_solve_upper, _scalar_upper_solve),
-            (_kernels.band_solve_upper_t, _scalar_upper_t_solve),
+        for solve, lists, reference in [
+            (_kernels.band_solve_upper, _upper_lists, _scalar_upper_solve),
+            (_kernels.band_solve_upper_t, _transposed_lists, _scalar_upper_t_solve),
         ]:
-            x = solve(diag, sup1, sup2, rhs)
+            x = solve(*lists(diag, sup1, sup2), rhs)
             assert x.dtype == np.float64
             assert x.tobytes() == reference(diag, sup1, sup2, rhs).tobytes()
+            # BandMatrix hands the kernels the same lists
+            band = bk.BandMatrix(diag, sup1, sup2)
+            solved = band.solve(rhs) if solve is _kernels.band_solve_upper else band.solve_t(rhs)
+            assert solved.tobytes() == x.tobytes()

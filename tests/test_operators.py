@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
@@ -8,6 +12,27 @@ from berrkit.operators import norm2
 
 def test_vector_primitives():
     assert norm2(np.array([3.0, 4.0])) == 5.0
+    assert math.isnan(norm2([1.0, np.nan, 1e300]))
+    assert norm2([1.0, -np.inf]) == math.inf
+    assert norm2(np.full(4, 1.7e308)) == math.inf  # the norm itself overflows
+    assert norm2(np.zeros(3)) == norm2(np.zeros(0)) == 0.0
+    assert norm2([5e-324]) == 5e-324
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 400), st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0))
+def test_norm2_is_numpys_norm_while_the_squares_stay_normal(n, seed, log_scale):
+    strided = (np.random.default_rng(seed).standard_normal((n, 3)) * 10.0**log_scale)[:, 1]
+    assume(np.finfo(float).tiny <= strided @ strided < math.inf)
+    for x in (strided, strided.copy()):
+        assert norm2(x) == float(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("shift", [-1000, -700, -560, 520, 700, 1000])
+def test_norm2_past_the_square_root_of_the_float_range(shift):
+    # a power of two scales x exactly, so ||x 2^shift|| = ||x|| 2^shift
+    x = np.random.default_rng(1).standard_normal(300)
+    assert_allclose(norm2(np.ldexp(x, shift)), math.ldexp(norm2(x), shift), rtol=1e-15)
 
 
 class TestDenseOperator:

@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from berrkit.errors import SingularBandError
 from berrkit.factorize import BandMatrix
+from berrkit.operators import norm2
 from berrkit.smallband import (
+    RQ_STABILIZED_RTOL,
+    SOLVE_FLOOR,
     CholTestState,
     DqdsState,
     inverse_iteration,
@@ -226,3 +232,152 @@ class TestInverseIteration:
             v, _, _ = inverse_iteration(band, delta=0.2, seed=trial)
             cert = rayleigh_certificate(band, v)
             assert cert >= band.sigma_min_dense() * (1 - 1e-10)
+
+    def test_solve_growth_past_the_square_root_of_the_float_range(self):
+        # sigma_min is about 1e-180 and the solves reach entries near 1e180,
+        # whose squares overflow: the norm must still come out finite
+        band = BandMatrix(1e-9 * np.ones(20), np.ones(19))
+        v, rq, steps = inverse_iteration(band, 1e-6, seed=[0, 20])
+        assert steps >= 1
+        assert rayleigh_certificate(band, v) < 1e-40
+
+
+# The recovery path as it was before BandMatrix kept its solve form, frozen
+# here as the reference the live path must match bit for bit. It norms with
+# the live norm2, which matches numpy's norm to the bit wherever the sum of
+# squares stays in the normal range (tests/test_operators.py); beyond it the
+# frozen path's numpy norm overflowed to inf and gave up.
+
+
+def _frozen_band_solve_upper(diag, sup1, sup2, rhs):
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(
+        reversed(diag.tolist()),
+        reversed(sup1.tolist() + [0.0]),
+        reversed(sup2.tolist() + [0.0, 0.0]),
+        reversed(rhs.tolist()),
+    ):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    x.reverse()
+    return np.array(x)
+
+
+def _frozen_band_solve_upper_t(diag, sup1, sup2, rhs):
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(
+        diag.tolist(), [0.0] + sup1.tolist(), [0.0, 0.0] + sup2.tolist(), rhs.tolist()
+    ):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    return np.array(x)
+
+
+def _frozen_solver(band, kernel):
+    def solve(rhs, floor=0.0):
+        d = band.diag
+        if floor > 0.0:
+            small = np.abs(d) < floor
+            if np.any(small):
+                d = d.copy()
+                d[small] = np.where(d[small] < 0.0, -floor, floor)
+        elif np.any(d == 0.0):
+            raise SingularBandError("zero diagonal entry in banded solve")
+        return kernel(d, band.sup1, band.sup2, np.asarray(rhs, float))
+
+    return solve
+
+
+def _frozen_solve_normalized(solve, rhs):
+    try:
+        w = solve(rhs, 0.0)
+        nw = norm2(w)
+    except SingularBandError:
+        nw = np.inf
+    if not np.isfinite(nw) or nw == 0.0:
+        w = solve(rhs, SOLVE_FLOOR)
+        nw = norm2(w)
+        if not np.isfinite(nw) or nw == 0.0:
+            return None
+    return w / nw
+
+
+def _frozen_inverse_iteration(band, delta, seed):
+    solve = _frozen_solver(band, _frozen_band_solve_upper)
+    solve_t = _frozen_solver(band, _frozen_band_solve_upper_t)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(band.k)
+    v /= norm2(v)
+    rq = float(band.matvec(v) @ band.matvec(v))
+    steps = 0
+    for _ in range(inverse_iteration_steps(band.k, delta)):
+        z = _frozen_solve_normalized(solve_t, v)
+        w = None if z is None else _frozen_solve_normalized(solve, z)
+        if w is None:
+            break
+        v = w
+        steps += 1
+        mv = band.matvec(v)
+        rq_new = float(mv @ mv)
+        if abs(rq_new - rq) <= RQ_STABILIZED_RTOL * rq_new:
+            rq = rq_new
+            break
+        rq = rq_new
+    return v, rq, steps
+
+
+@st.composite
+def _bands(draw):
+    """Tridiagonal-band (Ttilde-shaped) or bidiagonal bands, k up to 300,
+    mixed signs and magnitudes, with no, some or only zero diagonal entries."""
+    k = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    diag = scale * rng.uniform(0.05, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    zeros = draw(st.sampled_from(["none", "none", "some", "some", "all"]))
+    if zeros == "some":
+        picked = rng.choice(k, size=int(rng.integers(1, min(k, 4) + 1)), replace=False)
+        diag[picked] = rng.choice([0.0, -0.0], picked.size)
+    elif zeros == "all":
+        diag[:] = 0.0
+    sup1 = scale * rng.standard_normal(k - 1)
+    if draw(st.booleans()):
+        return BandMatrix(diag, sup1, scale * rng.standard_normal(max(k - 2, 0)))
+    return BandMatrix(diag, sup1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_bands(), st.integers(0, 1000))
+def test_inverse_iteration_matches_frozen_path_bitwise(band, seed):
+    frozen_band = BandMatrix(band.diag, band.sup1, band.sup2)
+    v, rq, steps = inverse_iteration(band, 1e-6, seed=[seed, band.k])
+    v0, rq0, steps0 = _frozen_inverse_iteration(frozen_band, 1e-6, [seed, band.k])
+    assert steps == steps0
+    assert v.tobytes() == v0.tobytes()
+    assert np.float64(rq).tobytes() == np.float64(rq0).tobytes()
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+def test_band_builds_its_solve_lists_once_per_floor(zero_diagonal, monkeypatch):
+    built = []
+    build = BandMatrix._build_diag
+
+    def spy(self, floor):
+        built.append(floor)
+        return build(self, floor)
+
+    monkeypatch.setattr(BandMatrix, "_build_diag", spy)
+    rng = np.random.default_rng(6)
+    diag = np.abs(rng.standard_normal(40)) + 0.1
+    if zero_diagonal:
+        diag[7] = 0.0
+    band = BandMatrix(diag, rng.standard_normal(39), rng.standard_normal(38))
+    _, _, steps = inverse_iteration(band, 1e-6, seed=3, max_steps=12)
+    for rhs in rng.standard_normal((5, 40)):
+        band.solve_t(rhs, SOLVE_FLOOR)
+        band.solve(rhs, SOLVE_FLOOR)
+    # an unfloored solve with a zero diagonal raises every time, but decides so once
+    assert steps >= 1
+    assert sorted(built) == [0.0, SOLVE_FLOOR]
