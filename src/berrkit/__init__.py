@@ -17,7 +17,6 @@ from .berr import (
     composition_bound,
     forward_to_backward_bound,
 )
-from .chebbound import ChebEval, F_ell, G_of_x, approx_error, approx_error_sup, shifted_cheb
 from .classical import (
     SolveResult,
     SolveTrace,
@@ -85,12 +84,6 @@ __all__ = [
     "backward_error",
     "composition_bound",
     "forward_to_backward_bound",
-    "ChebEval",
-    "F_ell",
-    "G_of_x",
-    "approx_error",
-    "approx_error_sup",
-    "shifted_cheb",
     "SolveResult",
     "SolveTrace",
     "SolverConfig",

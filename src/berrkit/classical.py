@@ -1,17 +1,18 @@
 """Classical iterative solvers instrumented with backward-error traces.
 
 Every solver loop, the minimum-backward-error ones in ``minberr`` included,
-runs under one ``_Monitor``. The monitor checks the entry data (a finite,
-nonzero right-hand side of the right shape whose 2-norm is a normal float64,
-and a finite positive operator norm), hands the solvers b rescaled by a
-power of two when its entries are far from unit size, and owns the trace and
-its row schedule (every ``trace_every`` iterations and at the last one), the
-RECOMPUTE_EVERY residual refresh that caps recurrence drift, the single
-stopping decision of the classical solvers, and the operator rows are
-measured against. Every solver starts from x_0 = 0 and
-records its first row at iteration 1; a recorded row with a non-finite
-residual or iterate norm raises NonFiniteError. Identical config and seed
-give bitwise-identical numeric trace columns.
+runs under one ``_Monitor`` built on the problem's (A, b). The monitor checks
+the entry data (a finite, nonzero right-hand side of the right shape whose
+2-norm is a normal float64, and a finite positive ||A||_2), hands the solvers
+b rescaled by a power of two when its entries are far from unit size, and
+owns the trace and its row schedule (every ``trace_every`` iterations and at
+the last one), the RECOMPUTE_EVERY residual refresh that caps recurrence
+drift, and the single stopping decision of the classical solvers. Rows
+report backward error against A, also for a solver on a nearby operator.
+Every solver starts from x_0 = 0 and records its first row at iteration 1;
+a recorded row with a non-finite residual or iterate norm raises
+NonFiniteError. Identical config and seed give bitwise-identical numeric
+trace columns. LSQR runs its own two-vector Golub-Kahan recurrence.
 """
 
 import math
@@ -21,8 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteError, RequiresSymmetricError, UnrepresentableNormError
-from .factorize import BidiagState
+from .errors import (
+    NonFiniteError,
+    OrthogonalRhsError,
+    RequiresSymmetricError,
+    UnrepresentableNormError,
+)
+from .factorize import BREAKDOWN_TOL_FACTOR
 from .operators import _NORMAL_MIN, ShiftedOperator, norm2
 
 __all__ = [
@@ -172,21 +178,26 @@ def _resolve_opnorm(op, opnorm):
 class _Monitor:
     """Bookkeeping shared by every solver loop (see the module docstring).
 
-    ``s`` is the solver's own operator norm. ``measure``, if given, is an
-    (operator, opnorm) pair that rows are measured against instead (one extra
-    matvec per row); the stopping decision still uses the solver's own
-    residual and norm, and the result reports the measuring norm.
+    Built once per run on the problem's (A, b). ``s`` is ||A||_2 until a
+    solver on a nearby operator hands that operator's norm to ``solve_on``.
     """
 
-    def __init__(self, op, b, config=None, opnorm=None, measure=None):
+    def __init__(self, op, b, config=None, opnorm=None):
         self.cfg = config or SolverConfig()
+        self.op = op
         self.b, self.unscale = _check_rhs(op, b)
         self.s = _resolve_opnorm(op, opnorm)
         self.norm_b = norm2(self.b)
-        self.measured = measure is not None
-        self.measure_op, measure_s = measure if self.measured else (op, self.s)
-        self.trace = SolveTrace(opnorm=measure_s)
+        self.measured = False
+        self.trace = SolveTrace(opnorm=self.s)
         self.t0 = time.perf_counter_ns()
+
+    def solve_on(self, s):
+        """The solver runs on a nearby operator of norm s: s takes over the
+        stopping decision, and every row is measured against A (one matvec
+        a row) and reported at ||A||_2."""
+        self.s = s
+        self.measured = True
 
     def due(self, k):
         """Whether iteration k gets a trace row."""
@@ -199,12 +210,12 @@ class _Monitor:
 
     def record(self, k, x, rn=None, xn=None):
         """Append the row for iterate x. rn is the solver's own residual norm;
-        without one, or when measuring against another operator, the residual
-        is measured with one matvec."""
+        without one, or when the solver runs on a nearby operator, the
+        residual against A is measured with one matvec."""
         if xn is None:
             xn = norm2(x)
         if rn is None or self.measured:
-            rn = norm2(self.measure_op.apply(x) - self.b)
+            rn = norm2(self.op.apply(x) - self.b)
         if not (math.isfinite(rn) and math.isfinite(xn)):
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
@@ -243,11 +254,12 @@ class _Monitor:
         """Iterate x at the scale of the b given (see _check_rhs)."""
         return x if self.unscale == 1.0 else x * self.unscale
 
-    def result(self, x, k, termination=None):
-        """SolveResult after k iterations; no termination means the budget ran out."""
-        return SolveResult(
+    def result(self, x, k, termination=None, kind=SolveResult, **fields):
+        """The result (a SolveResult, or the subclass ``kind`` with its extra
+        ``fields``) after k iterations; no termination means the budget ran out."""
+        return kind(
             self.unscaled(x), self.trace, termination or Termination.MAX_ITERATIONS,
-            self.trace.opnorm, k,
+            self.trace.opnorm, k, **fields,
         )
 
 
@@ -382,32 +394,47 @@ def _minres(op, mon):
 
 
 def lsqr(op, b, config=None, opnorm=None):
-    """LSQR over the shared bidiagonalization (plain recurrence, no stored
-    bases). Traces berr with the recursive residual-norm estimate, refreshed
-    exactly every RECOMPUTE_EVERY iterations."""
+    """LSQR (Paige & Saunders 1982) on a two-vector Golub-Kahan recurrence,
+    with the operations of ``BidiagState.step`` in the same order. Traces berr
+    with the recursive residual-norm estimate, refreshed exactly every
+    RECOMPUTE_EVERY iterations."""
     mon = _Monitor(op, b, config, opnorm)
     b = mon.b
-    state = BidiagState(op, b, opnorm=mon.s, reorth="plain", store_basis=False)
+    breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s
+    u = b / mon.norm_b
+    z = op.apply_adjoint(u)
+    alpha = norm2(z)
+    if alpha <= breakdown_tol:
+        raise OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
+    q = z / alpha
     x = np.zeros(op.cols)
-    w = state.q_latest().copy()
-    phibar = state.norm_b
-    rhobar = state.alphas[0]
+    w = q
+    phibar = mon.norm_b
+    rhobar = alpha
     for k in range(1, mon.cfg.max_iterations + 1):
-        state.step()
-        beta_next = state.betas[k - 1]
-        alpha_next = state.alphas[k] if len(state.alphas) > k else 0.0
-        rho = max(math.hypot(rhobar, beta_next), np.finfo(float).tiny)
+        u = op.apply(q) - alpha * u
+        beta = norm2(u)
+        breakdown = beta <= breakdown_tol
+        if breakdown:
+            alpha = 0.0
+        else:
+            u = u / beta
+            z = op.apply_adjoint(u) - beta * q
+            alpha = norm2(z)
+            breakdown = alpha <= breakdown_tol
+        rho = max(math.hypot(rhobar, beta), np.finfo(float).tiny)
         c = rhobar / rho
-        sn = beta_next / rho
-        theta = sn * alpha_next
-        rhobar = -c * alpha_next
+        sn = beta / rho
+        theta = sn * alpha
+        rhobar = -c * alpha
         phi = c * phibar
         phibar = sn * phibar
         x = x + (phi / rho) * w
-        if not state.breakdown:
-            w = state.q_latest() - (theta / rho) * w
+        if not breakdown:
+            q = z / alpha
+            w = q - (theta / rho) * w
         rn = norm2(op.apply(x) - b) if mon.refresh(k) else phibar
-        stop = mon.check(k, x, rn, breakdown=state.breakdown)
+        stop = mon.check(k, x, rn, breakdown=breakdown)
         if stop is not None:
             break
     return mon.result(x, k, stop)
@@ -428,12 +455,6 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         raise RequiresSymmetricError("regularized_solve expects symmetric PSD A")
     if inner not in ("cg", "minres"):
         raise ValueError(f"unknown inner solver {inner!r}")
-    _check_rhs(op, b)  # before ||A||_2 is estimated
-    s = _resolve_opnorm(op, opnorm)
-    ratio_sq = (math.log(k) / k) ** 2
-    shift = 2.0 * ratio_sq * s
-    shifted = ShiftedOperator(op, shift)
-    shifted.set_opnorm(s + shift)  # exact for PSD A
     cfg = SolverConfig(
         step_constant=1.0,
         max_iterations=k,
@@ -441,7 +462,10 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         trace_every=trace_every,
         seed=seed,
     )
-    mon = _Monitor(shifted, b, cfg, measure=(op, s))
-    res = (_cg if inner == "cg" else _minres)(shifted, mon)
+    mon = _Monitor(op, b, cfg, opnorm)
+    ratio_sq = (math.log(k) / k) ** 2
+    shift = 2.0 * ratio_sq * mon.s
+    mon.solve_on(mon.s + shift)  # ||A + shift I||_2, exact for PSD A
+    res = (_cg if inner == "cg" else _minres)(ShiftedOperator(op, shift), mon)
     res.certified_berr_bound = 5.0 * ratio_sq
     return res

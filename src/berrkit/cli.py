@@ -460,15 +460,13 @@ def cmd_solve(args):
 
 
 def _suitesparse_grid(directory):
-    """minberr-ne and lsqr on each .mtx file of directory (else BERR_SUITESPARSE_DIR)."""
-    directory = directory or os.environ.get("BERR_SUITESPARSE_DIR", "")
-    if not directory or not os.path.isdir(directory):
-        print(
-            "suitesparse suite: set BERR_SUITESPARSE_DIR to a directory of "
-            ".mtx files; nothing to run",
-            file=sys.stderr,
-        )
+    """minberr-ne and lsqr on each .mtx file of directory (--suitesparse-dir)."""
+    if directory is None:
+        print("suitesparse suite: pass --suitesparse-dir, a directory of .mtx files; "
+              "nothing to run", file=sys.stderr)
         return []
+    if not os.path.isdir(directory):
+        raise SpecError(f"--suitesparse-dir {directory!r} is not a directory")
     grid = []
     for fname in sorted(os.listdir(directory)):
         if fname.endswith(".mtx"):
@@ -598,7 +596,7 @@ def build_parser():
     sp = sub.add_parser("bench", help="run a named suite of solves")
     sp.add_argument("suite", choices=list(SUITES))
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--suitesparse-dir", help="directory of .mtx files (else BERR_SUITESPARSE_DIR)")
+    sp.add_argument("--suitesparse-dir", help="directory of .mtx files for the suitesparse suite")
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("synth", help="write a synthetic instance as Matrix Market files")

@@ -257,26 +257,22 @@ class LanczosState:
 
 
 class BidiagState:
-    """Golub-Kahan bidiagonalization with the scaled Btilde view.
+    """Golub-Kahan bidiagonalization with stored bases and the scaled Btilde view.
 
     Raw coefficients: ``norm_b`` is beta_1 = ||b||, ``alphas[i]`` is
     alpha_{i+1} (so alpha_1 is computed at construction), ``betas[i]`` is
     beta_{i+2}. The Btilde view is upper bidiagonal with diagonal
     (beta_2, ..., beta_{k+1}) and superdiagonal (alpha_2, ..., alpha_k),
-    scaled by 1/opnorm.
-
-    ``store_basis=False`` keeps only the two live vectors (the plain LSQR
-    recurrence); recovery then becomes unavailable.
+    scaled by 1/opnorm. Both bases are stored, for recovery and for "full"
+    reorthogonalization; ``classical.lsqr`` runs the same recurrence on its
+    two live vectors.
     """
 
-    def __init__(self, op, b, opnorm=None, reorth="plain", store_basis=True):
+    def __init__(self, op, b, opnorm=None, reorth="plain"):
         _check_reorth(reorth)
-        if reorth == "full" and not store_basis:
-            raise ValueError("full reorthogonalization requires stored bases")
         b = np.asarray(b, dtype=np.float64)
         self.op = op
         self.reorth = reorth
-        self.store_basis = store_basis
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
         self.norm_b = norm2(b)
@@ -287,22 +283,14 @@ class BidiagState:
         alpha1 = norm2(z)
         if alpha1 <= self.breakdown_tol:
             raise OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
-        q = z / alpha1
-        if store_basis:
-            self._u = _GrowingColumns(op.rows)
-            self._qcols = _GrowingColumns(op.cols)
-            self._u.push(u)
-            self._qcols.push(q)
-        else:
-            self._last_u = u
-            self._last_q = q
+        self._u = _GrowingColumns(op.rows)
+        self._qcols = _GrowingColumns(op.cols)
+        self._u.push(u)
+        self._qcols.push(z / alpha1)
         self.alphas = [alpha1]
         self.betas = []
         self.k = 0
         self.breakdown = False
-
-    def _u_k(self):
-        return self._u.view()[:, -1] if self.store_basis else self._last_u
 
     def step(self):
         """One bidiagonalization step; returns the new scaled Btilde column.
@@ -314,8 +302,8 @@ class BidiagState:
         if self.breakdown:
             raise PostBreakdownError("bidiagonalization stepped after breakdown")
         k = self.k + 1
-        u_k = self._u_k()
-        q_k = self.q_latest()
+        u_k = self._u.view()[:, -1]
+        q_k = self._qcols.view()[:, -1]
         w = self.op.apply(q_k) - self.alphas[k - 1] * u_k
         if self.reorth == "full":
             w = _reorthogonalize(w, self._u.view())
@@ -336,28 +324,15 @@ class BidiagState:
         alpha_next = norm2(z)
         self.alphas.append(alpha_next)
         self.breakdown = alpha_next <= self.breakdown_tol
-        if self.store_basis:
-            self._u.push(u_next)
-            if not self.breakdown:
-                self._qcols.push(z / alpha_next)
-        else:
-            self._last_u = u_next
-            if not self.breakdown:
-                self._last_q = z / alpha_next
+        self._u.push(u_next)
+        if not self.breakdown:
+            self._qcols.push(z / alpha_next)
         return col
 
-    def q_latest(self):
-        """Most recent right vector q (available in both storage modes)."""
-        return self._qcols.view()[:, -1] if self.store_basis else self._last_q
-
     def basis_q(self, k=None):
-        if not self.store_basis:
-            raise ValueError("bases were not stored")
         return self._qcols.view(min(self.k, self._qcols.count) if k is None else k)
 
     def basis_u(self, k=None):
-        if not self.store_basis:
-            raise ValueError("bases were not stored")
         return self._u.view(min(self.k + 1, self._u.count) if k is None else k)
 
     def btilde(self, k=None):

@@ -106,10 +106,9 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm, perturb_
         berr_tolerance=eps,
         trace_every=k_max if trace_every is None else trace_every,
     )
-    # the plain monitor checks b before ||A||_2 is estimated
     mon = _Monitor(op, b, cfg, opnorm)
     if perturb_eps:
-        mon = _Monitor(op, b, cfg, (1.0 - perturb_eps) * mon.s, (op, mon.s))
+        mon.solve_on((1.0 - perturb_eps) * mon.s)
     return mon, trusted
 
 
@@ -192,15 +191,8 @@ def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
         if termination is not None:
             break
 
-    return MinberrResult(
-        x=mon.unscaled(x),
-        trace=mon.trace,
-        termination=termination,
-        opnorm_used=mon.trace.opnorm,
-        iterations=k,
-        sigma_min_certificate=cert,
-        certificates=certificates,
-    )
+    return mon.result(x, k, termination, MinberrResult,
+                      sigma_min_certificate=cert, certificates=certificates)
 
 
 def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
@@ -290,7 +282,7 @@ def _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed):
         g_norm, _ = _dense_norm(g, seed)
         # the monitor measures rows against A, so its trace norm is ||A||_2
         op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
-    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, store_basis=True)
+    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth)
     dqds = DqdsState(mon.cfg.berr_tolerance)
     return _minberr_loop(state, dqds.push, _recover_ne, mon, trusted, delta, seed)
 

@@ -42,3 +42,16 @@ def capture_row_iterates(monkeypatch):
 
     monkeypatch.setattr(_Monitor, "record", spy)
     return rows
+
+
+def capture_monitors(monkeypatch, module):
+    """List that fills with every _Monitor the solvers of module build."""
+    monitors = []
+
+    class Spy(module._Monitor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            monitors.append(self)
+
+    monkeypatch.setattr(module, "_Monitor", Spy)
+    return monitors

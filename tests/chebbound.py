@@ -14,6 +14,9 @@ whose supremum over (0, pi/2] is the gamma -> 0 limit 3 ell^2 / (ell^2 - 1).
 Maximizing F on a grid clustered near 0 therefore certifies the 3/(k^2 - 1)
 constant numerically, independently of any solver code.
 
+This is a test oracle: ``test_chebbound.py`` and the A04 acceptance check
+use it, and no solver path does.
+
 Everything here evaluates through the trigonometric form; the polynomial
 p(x) = (x - G(x)) / x^2 is never expanded in monomials, whose coefficients
 are hopeless for large ell. The only numerically delicate spot is the

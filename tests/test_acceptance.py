@@ -20,6 +20,7 @@ from berrkit.minberr import _recover_ne, _recover_psd
 from berrkit.smallband import CholTestState, DqdsState, inverse_iteration
 
 from _helpers import dense_op, measured_berr, random_general, random_psd
+from chebbound import ChebEval
 from conftest import acceptance_lines
 
 
@@ -94,7 +95,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
             worst = max(worst, abs(svd_min(state.ttilde(k)) ** 2 - lam) / lam)
         g = random_general(12, seed=[3, 50 + seed])
         gop = dense_op(g)
-        ne = BidiagState(gop, b, reorth="full", store_basis=True)
+        ne = BidiagState(gop, b, reorth="full")
         for k in range(1, 9):
             ne.step()
             lam = bk.dense_minberr_oracle(g, b, ne.basis_q(k), opnorm=gop.opnorm()).lambda_min
@@ -115,7 +116,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         g = random_general(12, seed=[34, t])
         op = dense_op(g)
         b = np.random.default_rng([34, t, 1]).standard_normal(12)
-        state = BidiagState(op, b, reorth="full", store_basis=True)
+        state = BidiagState(op, b, reorth="full")
         for _ in range(8):
             state.step()
         x, _ = _recover_ne(state, 8, 0.1, t)
@@ -135,7 +136,7 @@ def test_chebyshev_grid_attains_bound():
     worst_rel = 0.0
     overshoot = -np.inf
     for ell in range(2, 41, 2):
-        ev = bk.ChebEval(ell)
+        ev = ChebEval(ell)
         sup, bound = ev.sup(), ev.bound()
         worst_rel = max(worst_rel, abs(sup - bound) / bound)
         overshoot = max(overshoot, sup - bound)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import berrkit.chebbound as cb
+import chebbound as cb
 
 
 class TestShiftedCheb:

@@ -1,12 +1,20 @@
 """Classical iterative solvers and the regularized wrapper."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from berrkit import classical
+from berrkit.classical import RECOMPUTE_EVERY
+from berrkit.factorize import BREAKDOWN_TOL_FACTOR, BidiagState
+from berrkit.operators import norm2
 
-from _helpers import capture_row_iterates, dense_op, measured_berr, random_psd
+from _helpers import capture_monitors, capture_row_iterates, dense_op, measured_berr, random_psd
 
 
 def tight(max_iterations, **kw):
@@ -244,6 +252,178 @@ class TestLsqr:
         assert_allclose(p.op.apply(r.x), p.b, atol=1e-14)
 
 
+# lsqr as it ran on BidiagState's former two-vector storage mode, frozen here
+# as the reference the live two-vector recurrence must match bit for bit. The
+# frozen state drops only the scaled Btilde column that step() returned and
+# lsqr never read. Both run under the live _Monitor.
+
+
+class _FrozenTwoVectorBidiag:
+    def __init__(self, op, b, opnorm):
+        b = np.asarray(b, dtype=np.float64)
+        self.op = op
+        self.opnorm = float(opnorm)
+        self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
+        self.norm_b = norm2(b)
+        u = b / self.norm_b
+        z = op.apply_adjoint(u)
+        alpha1 = norm2(z)
+        if alpha1 <= self.breakdown_tol:
+            raise bk.OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
+        self._last_u = u
+        self._last_q = z / alpha1
+        self.alphas = [alpha1]
+        self.betas = []
+        self.k = 0
+        self.breakdown = False
+
+    def step(self):
+        k = self.k + 1
+        u_k, q_k = self._last_u, self._last_q
+        w = self.op.apply(q_k) - self.alphas[k - 1] * u_k
+        beta_next = norm2(w)
+        self.betas.append(beta_next)
+        self.k = k
+        if beta_next <= self.breakdown_tol:
+            self.breakdown = True
+            return
+        u_next = w / beta_next
+        z = self.op.apply_adjoint(u_next) - beta_next * q_k
+        alpha_next = norm2(z)
+        self.alphas.append(alpha_next)
+        self.breakdown = alpha_next <= self.breakdown_tol
+        self._last_u = u_next
+        if not self.breakdown:
+            self._last_q = z / alpha_next
+
+
+def _frozen_lsqr(op, b, config=None, opnorm=None):
+    mon = classical._Monitor(op, b, config, opnorm)
+    b = mon.b
+    state = _FrozenTwoVectorBidiag(op, b, mon.s)
+    x = np.zeros(op.cols)
+    w = state._last_q.copy()
+    phibar = state.norm_b
+    rhobar = state.alphas[0]
+    for k in range(1, mon.cfg.max_iterations + 1):
+        state.step()
+        beta_next = state.betas[k - 1]
+        alpha_next = state.alphas[k] if len(state.alphas) > k else 0.0
+        rho = max(math.hypot(rhobar, beta_next), np.finfo(float).tiny)
+        c = rhobar / rho
+        sn = beta_next / rho
+        theta = sn * alpha_next
+        rhobar = -c * alpha_next
+        phi = c * phibar
+        phibar = sn * phibar
+        x = x + (phi / rho) * w
+        if not state.breakdown:
+            w = state._last_q - (theta / rho) * w
+        rn = norm2(op.apply(x) - b) if mon.refresh(k) else phibar
+        stop = mon.check(k, x, rn, breakdown=state.breakdown)
+        if stop is not None:
+            break
+    return mon.result(x, k, stop)
+
+
+def _outcome(solver, op, b, config):
+    """Every deterministic output of a run (all but wall_nanos), as bytes,
+    or the type and message of the error it raised."""
+    try:
+        r = solver(op, b, config)
+    except bk.BerrkitError as exc:
+        return type(exc), str(exc)
+    t = r.trace
+    columns = (t.iterations, t.berr, t.residual_norm, t.x_norm)
+    return (r.x.tobytes(), r.termination, r.iterations, r.opnorm_used,
+            tuple(np.array(c).tobytes() for c in columns))
+
+
+def _assert_lsqr_matches_frozen(op, b, config):
+    live = _outcome(bk.lsqr, op, b, config)
+    assert live == _outcome(_frozen_lsqr, op, b, config)
+    return live
+
+
+@st.composite
+def _lsqr_problems(draw):
+    """Square and rectangular dense, two-sided disguised and CSR operators,
+    with b at unit scale or far from it."""
+    kind = draw(st.sampled_from(["square", "rectangular", "disguise2", "csr"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "disguise2":
+        p = bk.ill_conditioned(draw(st.integers(2, 60)), 10.0 ** rng.uniform(0.5, 8.0))
+        p = bk.disguise(p, two_sided=True, seed=int(rng.integers(1000)))
+        op, b = p.op, p.b
+    else:
+        m = draw(st.integers(1, 40))
+        n = draw(st.integers(1, 40)) if kind == "rectangular" else m
+        a = rng.standard_normal((m, n))
+        if kind == "csr":
+            a *= rng.random((m, n)) < 0.3
+            rows, cols = np.nonzero(a)
+            op = bk.CsrOperator.from_coo(rows, cols, a[rows, cols], (m, n))
+        else:
+            op = bk.DenseOperator(a, symmetric=False)
+        b = rng.standard_normal(m)
+    return op, b * draw(st.sampled_from([1.0, 2.0**-300, 2.0**300]))
+
+
+class TestLsqrMatchesFrozenPath:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_lsqr_problems(), st.sampled_from([1, 7]), st.integers(1, 80),
+           st.sampled_from([1e-15, 1e-8, 1e-3]))
+    def test_bitwise(self, problem, trace_every, max_iterations, tol):
+        op, b = problem
+        cfg = bk.SolverConfig(max_iterations=max_iterations, berr_tolerance=tol,
+                              trace_every=trace_every)
+        _assert_lsqr_matches_frozen(op, b, cfg)
+
+    # 6 x 5 of rank 3: the Krylov spaces close after three steps, on beta
+    # when b lies in the range of A and on alpha when it does not
+    RANK_DEFICIENT = np.diag([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])[:, :5]
+
+    @staticmethod
+    def _breaks_down_on(op, b):
+        """Which Golub-Kahan coefficient vanishes first: "beta" or "alpha"."""
+        state = BidiagState(op, b)
+        while not state.breakdown:
+            state.step()
+        return "beta" if len(state.alphas) == state.k else "alpha"
+
+    @pytest.mark.parametrize("trace_every", [1, 7])
+    @pytest.mark.parametrize("b, kind", [
+        ([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], "beta"),
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], "alpha"),
+    ])
+    def test_breakdown(self, b, kind, trace_every):
+        op = bk.DenseOperator(self.RANK_DEFICIENT)
+        b = np.array(b)
+        assert self._breaks_down_on(op, b) == kind
+        # a tolerance no residual meets: only the breakdown can end the run
+        cfg = tight(50, berr_tolerance=1e-300, trace_every=trace_every)
+        out = _assert_lsqr_matches_frozen(op, b, cfg)
+        assert out[1] in (bk.Termination.BREAKDOWN, bk.Termination.EXACT_SOLUTION)
+        assert out[2] == 3
+
+    @pytest.mark.parametrize("trace_every", [1, 8])
+    def test_run_past_the_residual_refresh(self, trace_every):
+        # both schedules record the row at RECOMPUTE_EVERY, which carries the
+        # refreshed residual norm
+        p = bk.disguise(bk.ill_conditioned(200, 1e6), two_sided=True, seed=4)
+        cfg = tight(RECOMPUTE_EVERY + 100, trace_every=trace_every)
+        out = _assert_lsqr_matches_frozen(p.op, p.b, cfg)
+        assert out[1] == bk.Termination.MAX_ITERATIONS
+        assert out[2] == RECOMPUTE_EVERY + 100
+        assert RECOMPUTE_EVERY in np.frombuffer(out[4][0], dtype=int)
+
+    def test_orthogonal_rhs_raises(self):
+        op = dense_op(np.array([[0.0, 0.0], [0.0, 1.0]]), 1.0)
+        b = np.array([1.0, 0.0])
+        out = _assert_lsqr_matches_frozen(op, b, tight(10))
+        assert out[0] is bk.OrthogonalRhsError
+
+
 class TestRegularized:
     def test_certified_bound_holds_for_both_inners(self):
         p = bk.ill_conditioned(200, 1e8)
@@ -268,6 +448,35 @@ class TestRegularized:
             assert [k for k, _ in rows] == r.trace.iterations == [3, 6, 9, 12, 15, 18, 20]
             for (_, x), berr in zip(rows, r.trace.berr):
                 assert_allclose(berr, measured_berr(p.op, p.b, x, opnorm=1.0), rtol=1e-10)
+
+    def test_one_monitor_on_a_with_the_shifted_norm(self, monkeypatch):
+        """The solver norm is exactly ||A|| + shift, handed to the run's one
+        monitor on A: opnorm() is never called on the shifted operator, and
+        every row is measured against A at ||A||."""
+
+        def no_opnorm(self):
+            raise AssertionError("opnorm() called on the shifted operator")
+
+        monkeypatch.setattr(bk.ShiftedOperator, "opnorm", no_opnorm)
+        monitors = capture_monitors(monkeypatch, classical)
+        rows = capture_row_iterates(monkeypatch)
+        a = 3.0 * random_psd(30, seed=41)
+        s = float(np.linalg.norm(a, 2))
+        op = dense_op(a, s)
+        b = np.random.default_rng(42).standard_normal(30)
+        k = 20
+        for inner in ("cg", "minres"):
+            monitors.clear()
+            rows.clear()
+            r = bk.regularized_solve(op, b, k, inner=inner, trace_every=3)
+            (mon,) = monitors
+            assert mon.s == s + 2.0 * (math.log(k) / k) ** 2 * s
+            assert r.opnorm_used == r.trace.opnorm == s
+            assert [j for j, _ in rows] == r.trace.iterations == [3, 6, 9, 12, 15, 18, 20]
+            for (_, x), rn, xn, berr in zip(rows, r.trace.residual_norm, r.trace.x_norm,
+                                            r.trace.berr):
+                assert rn == norm2(op.apply(x) - b)
+                assert berr == rn / (s * xn)
 
     def test_validation(self):
         p = bk.ill_conditioned(20, 10.0)

@@ -537,28 +537,37 @@ class TestBench:
         by_name = {e["name"]: e for e in manifest}
         assert by_name["minberr-ne-perturbed"]["certified_bound"] is not None
 
-    def test_suitesparse_without_directory_warns(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("BERR_SUITESPARSE_DIR", raising=False)
+    def test_suitesparse_without_directory_warns(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = run(["bench", "suitesparse", "--out", str(out)])
         assert code == 0
-        assert "BERR_SUITESPARSE_DIR" in capsys.readouterr().err
+        assert "--suitesparse-dir" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text()) == []
 
-    def test_suitesparse_with_directory(self, tmp_path, monkeypatch):
+    def test_suitesparse_with_directory(self, tmp_path):
         mats = tmp_path / "mats"
         mats.mkdir()
         mmio.write_coordinate(
             mats / "tiny.mtx", [0, 1, 2], [0, 1, 2], [2.0, 3.0, 4.0], (3, 3)
         )
-        monkeypatch.setenv("BERR_SUITESPARSE_DIR", str(mats))
         out = tmp_path / "bench"
-        code = run(["bench", "suitesparse", "--out", str(out)])
+        code = run(["bench", "suitesparse", "--suitesparse-dir", str(mats), "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert {e["name"] for e in manifest} == {"tiny-minberr-ne", "tiny-lsqr"}
         for entry in manifest:
             assert entry["termination"] in ("ToleranceReached", "ExactSolution")
+
+    @pytest.mark.parametrize("given", ["missing", "file"])
+    def test_suitesparse_dir_that_is_no_directory_exits_2(self, tmp_path, capsys, given):
+        path = tmp_path / "mats"
+        if given == "file":
+            path.write_text("not a directory\n")
+        out = tmp_path / "bench"
+        code = run(["bench", "suitesparse", "--suitesparse-dir", str(path), "--out", str(out)])
+        assert code == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_matrix_is_recorded_and_skipped(self, tmp_path):
         mats = tmp_path / "mats"

@@ -218,7 +218,7 @@ class TestBidiag:
         a = rng.standard_normal((25, 25))
         op = dense_op(a)
         b = rng.standard_normal(25)
-        st = BidiagState(op, b, reorth="full", store_basis=True)
+        st = BidiagState(op, b, reorth="full")
         k = 10
         for _ in range(k):
             st.step()
@@ -233,16 +233,6 @@ class TestBidiag:
             if j + 1 < k:
                 expect[j + 1, j] = st.betas[j]
         assert_allclose(compressed, expect, rtol=0, atol=1e-10 * op.opnorm())
-
-    def test_store_basis_false_blocks_basis_access(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((10, 10))
-        op = dense_op(a)
-        st = BidiagState(op, rng.standard_normal(10), store_basis=False)
-        st.step()
-        with pytest.raises(ValueError):
-            st.basis_q(1)
-        assert st.q_latest().shape == (10,)
 
     @pytest.mark.parametrize("accessor", ["basis_q", "basis_u"])
     def test_basis_beyond_stored_vectors_raises(self, accessor):

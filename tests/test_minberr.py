@@ -13,7 +13,7 @@ from berrkit.factorize import BidiagState, LanczosState
 from berrkit import minberr
 from berrkit.minberr import _dense_norm, _recover_ne
 
-from _helpers import capture_row_iterates, dense_op, measured_berr, random_psd
+from _helpers import capture_monitors, capture_row_iterates, dense_op, measured_berr, random_psd
 
 
 def sigma_min(band):
@@ -39,7 +39,7 @@ class TestCertificateIsSubspaceMinimum:
         a = rng.standard_normal((12, 12))
         b = rng.standard_normal(12)
         s = float(np.linalg.norm(a, 2))
-        state = BidiagState(dense_op(a), b, opnorm=s, reorth="full", store_basis=True)
+        state = BidiagState(dense_op(a), b, opnorm=s, reorth="full")
         for k in range(1, 9):
             state.step()
             ref = bk.dense_minberr_oracle(a, b, state.basis_q(k), opnorm=s)
@@ -381,35 +381,40 @@ class TestMinberrNePerturbed:
     def test_perturbation_norm_and_solver_norm(self, monkeypatch):
         """||E|| <= perturb_eps ||A|| (the premise of the composition bound),
         G is the seeded draw, and the solver runs on the proven lower bound
-        (1 - perturb_eps) ||A|| <= ||A + E|| without a power iteration."""
-        built, monitor_norms = [], []
-        make_op, make_mon = minberr.GaussianPerturbedOperator, minberr._Monitor
+        (1 - perturb_eps) ||A|| <= ||A + E|| without a power iteration. The
+        run's one monitor measures every row against A at ||A||."""
+        built = []
+        make_op = minberr.GaussianPerturbedOperator
 
         def spy_op(*args):
             built.append(make_op(*args))
             return built[-1]
 
-        def spy_mon(op, b, cfg, opnorm, *args, **kwargs):
-            monitor_norms.append(opnorm)
-            return make_mon(op, b, cfg, opnorm, *args, **kwargs)
-
         def no_power_iteration(op, *args, **kwargs):
             raise AssertionError(f"power iteration on {type(op).__name__}")
 
         monkeypatch.setattr(minberr, "GaussianPerturbedOperator", spy_op)
-        monkeypatch.setattr(minberr, "_Monitor", spy_mon)
         monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_power_iteration)
+        monitors = capture_monitors(monkeypatch, minberr)
+        rows = capture_row_iterates(monkeypatch)
         a = np.random.default_rng(5).standard_normal((40, 30))
         s = float(np.linalg.norm(a, 2))
         b = np.random.default_rng(6).standard_normal(40)
         pe = 1e-2
-        bk.minberr_ne_perturbed(dense_op(a, s), b, pe, eps=1e-3, k_max=20, seed=3)
-        (perturbed,), s_pert = built, monitor_norms[-1]
+        op = dense_op(a, s)
+        r = bk.minberr_ne_perturbed(op, b, pe, eps=1e-3, k_max=20, seed=3, trace_every=4)
+        (perturbed,), (mon,) = built, monitors
         g = np.random.default_rng([3, 1]).standard_normal((40, 30))
         assert np.array_equal(perturbed.g, g)
         assert np.linalg.norm(perturbed.coeff * g, 2) <= pe * s * (1 + 1e-13)
-        assert s_pert == (1 - pe) * s
-        assert s_pert <= np.linalg.norm(perturbed.to_dense(), 2)
+        assert mon.s == (1 - pe) * s
+        assert mon.s <= np.linalg.norm(perturbed.to_dense(), 2)
+        assert r.opnorm_used == r.trace.opnorm == s
+        assert [k for k, _ in rows] == r.trace.iterations and len(rows) >= 2
+        for (_, x), rn, xn, berr in zip(rows, r.trace.residual_norm, r.trace.x_norm,
+                                        r.trace.berr):
+            assert rn == bk.operators.norm2(op.apply(x) - b)
+            assert berr == rn / (s * xn)
 
     def test_matvecs_on_a_match_the_unperturbed_solve(self):
         """The set-up costs no matvec on A: the perturbed solve uses exactly
