@@ -8,14 +8,20 @@ checkouts that print the same lines produce bitwise-identical numbers.
 Usage (about 40 s on one core)::
 
     python3 benchmarks/det_digest.py [SRC_DIR] > digests.txt
+    python3 benchmarks/det_digest.py [SRC_DIR] --against OTHER_SRC
 
 SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
-to digest that one, then ``diff`` the two outputs.
+to digest that one. With ``--against`` both sources are digested, each in its
+own subprocess (one process cannot import two ``berrkit`` packages), the lines
+that differ are printed as ``-`` (OTHER_SRC) and ``+`` (SRC_DIR) pairs, and the
+exit status is 1 if any line differs.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -52,9 +58,39 @@ def digest(history_path, summary):
     return h.hexdigest()
 
 
+def against(src, other):
+    """Digest src and other in two concurrent subprocesses; print the lines
+    that differ and return 1 if any do, else 0."""
+    procs = [
+        subprocess.Popen([sys.executable, os.path.abspath(__file__), path],
+                         stdout=subprocess.PIPE, text=True)
+        for path in (other, src)
+    ]
+    outputs = [proc.communicate()[0].splitlines() for proc in procs]
+    for path, proc in zip((other, src), procs):
+        if proc.returncode != 0:
+            sys.exit(f"digesting {path} exited with status {proc.returncode}")
+    old, new = outputs
+    total = max(len(old), len(new))
+    old += ["(missing)"] * (total - len(old))
+    new += ["(missing)"] * (total - len(new))
+    differ = [(a, b) for a, b in zip(old, new) if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    print(f"{total - len(differ)} of {total} lines identical")
+    return 1 if differ else 0
+
+
 def main(argv):
     here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.abspath(argv[1] if len(argv) > 1 else os.path.join(here, "..", "src"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=os.path.join(here, "..", "src"))
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="digest OTHER_SRC too and report the lines that differ")
+    args = parser.parse_args(argv[1:])
+    src = os.path.abspath(args.src)
+    if args.against is not None:
+        return against(src, os.path.abspath(args.against))
     sys.path.insert(0, src)
     from berrkit import cli
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedAtZeroError
-from .operators import norm2
+from .operators import _check_norm, norm2
 
 __all__ = [
     "BerrValue",
@@ -36,18 +36,18 @@ class BerrValue:
     opnorm: float
 
 
-def backward_error(op, b, x, opnorm=None):
+def backward_error(op, b, x):
     """Evaluate berr(x) for the system op x = b.
 
     Parameters
     ----------
     op : LinearOperator
+        ||A||_2 is ``op.opnorm()``, pinned or estimated; a value that is not
+        finite and positive raises as ``set_opnorm`` would.
     b : ndarray
         Nonzero right-hand side.
     x : ndarray
         Candidate solution; must be nonzero (berr is undefined at 0).
-    opnorm : float, optional
-        Spectral norm of op; defaults to the operator's cached value.
 
     Returns
     -------
@@ -59,11 +59,7 @@ def backward_error(op, b, x, opnorm=None):
     x_norm = norm2(x)
     if x_norm == 0.0:
         raise UndefinedAtZeroError("backward error is undefined at x = 0")
-    if opnorm is None:
-        opnorm = op.opnorm()
-    opnorm = float(opnorm)
-    if opnorm <= 0.0:
-        raise ValueError("opnorm must be positive")
+    opnorm = _check_norm(op.opnorm())
     residual_norm = norm2(op.apply(x) - b)
     return BerrValue(residual_norm / (opnorm * x_norm), residual_norm, x_norm, opnorm)
 

@@ -3,16 +3,16 @@
 Every solver loop, the minimum-backward-error ones in ``minberr`` included,
 runs under one ``_Monitor`` built on the problem's (A, b). The monitor checks
 the entry data (a finite, nonzero right-hand side of the right shape whose
-2-norm is a normal float64, and a finite positive ||A||_2), hands the solvers
-b rescaled by a power of two when its entries are far from unit size, and
-owns the trace and its row schedule (every ``trace_every`` iterations and at
-the last one), the RECOMPUTE_EVERY residual refresh that caps recurrence
-drift, and the single stopping decision of the classical solvers. Rows
-report backward error against A, also for a solver on a nearby operator.
-Every solver starts from x_0 = 0 and records its first row at iteration 1;
-a recorded row with a non-finite residual or iterate norm raises
-NonFiniteError. Identical config and seed give bitwise-identical numeric
-trace columns. LSQR runs its own two-vector Golub-Kahan recurrence.
+2-norm is a normal float64, and a finite positive ``op.opnorm()``, the run's
+only source of ||A||_2), hands the solvers b rescaled by a power of two when
+its entries are far from unit size, and owns the trace and its row schedule
+(every ``trace_every`` iterations and at the last one), the RECOMPUTE_EVERY
+residual refresh that caps recurrence drift, and the single stopping decision
+of the classical solvers. Rows report backward error against A, also for a
+solver on a nearby operator. Every solver starts from x_0 = 0 and records its
+first row at iteration 1; a recorded row with a non-finite residual or iterate
+norm raises NonFiniteError. Identical config and seed give bitwise-identical
+numeric trace columns. LSQR runs its own two-vector Golub-Kahan recurrence.
 """
 
 import math
@@ -29,7 +29,7 @@ from .errors import (
     UnrepresentableNormError,
 )
 from .factorize import BREAKDOWN_TOL_FACTOR
-from .operators import _NORMAL_MIN, ShiftedOperator, norm2
+from .operators import _NORMAL_MIN, ShiftedOperator, _check_norm, norm2
 
 __all__ = [
     "Termination",
@@ -165,16 +165,6 @@ def _check_rhs(op, b):
     return b, unscale
 
 
-def _resolve_opnorm(op, opnorm):
-    """The given spectral norm of op, else its cached estimate; finite and > 0."""
-    s = float(op.opnorm() if opnorm is None else opnorm)
-    if not math.isfinite(s):
-        raise NonFiniteError(f"operator norm is {s}")
-    if s <= 0.0:
-        raise ValueError("operator norm must be positive")
-    return s
-
-
 class _Monitor:
     """Bookkeeping shared by every solver loop (see the module docstring).
 
@@ -182,11 +172,11 @@ class _Monitor:
     solver on a nearby operator hands that operator's norm to ``solve_on``.
     """
 
-    def __init__(self, op, b, config=None, opnorm=None):
+    def __init__(self, op, b, config=None):
         self.cfg = config or SolverConfig()
         self.op = op
         self.b, self.unscale = _check_rhs(op, b)
-        self.s = _resolve_opnorm(op, opnorm)
+        self.s = _check_norm(op.opnorm())
         self.norm_b = norm2(self.b)
         self.measured = False
         self.trace = SolveTrace(opnorm=self.s)
@@ -263,7 +253,7 @@ class _Monitor:
         )
 
 
-def richardson(op, b, config=None, opnorm=None):
+def richardson(op, b, config=None):
     """Richardson iteration x_{k+1} = x_k - eta (A x_k - b) on symmetric PSD A.
 
     With eta = 1/(C ||A||_2) the backward error after k iterations is at most
@@ -271,7 +261,7 @@ def richardson(op, b, config=None, opnorm=None):
     """
     if not op.symmetric:
         raise RequiresSymmetricError("richardson expects a symmetric PSD operator")
-    mon = _Monitor(op, b, config, opnorm)
+    mon = _Monitor(op, b, config)
     b = mon.b
     eta = 1.0 / (mon.cfg.step_constant * mon.s)
     x = np.zeros(op.cols)
@@ -285,10 +275,10 @@ def richardson(op, b, config=None, opnorm=None):
     return mon.result(x, k, stop)
 
 
-def richardson_ne(op, b, config=None, opnorm=None):
+def richardson_ne(op, b, config=None):
     """Richardson on the normal equations: x_{k+1} = x_k - eta A^T (A x_k - b),
     eta = 1/(C ||A||_2^2). Works for any (possibly rectangular) A."""
-    mon = _Monitor(op, b, config, opnorm)
+    mon = _Monitor(op, b, config)
     b = mon.b
     eta = 1.0 / (mon.cfg.step_constant * mon.s * mon.s)
     x = np.zeros(op.cols)
@@ -303,11 +293,11 @@ def richardson_ne(op, b, config=None, opnorm=None):
     return mon.result(x, k, stop)
 
 
-def cg(op, b, config=None, opnorm=None):
+def cg(op, b, config=None):
     """Conjugate gradients on symmetric PSD A, traced in backward error."""
     if not op.symmetric:
         raise RequiresSymmetricError("cg expects a symmetric PSD operator")
-    return _cg(op, _Monitor(op, b, config, opnorm))
+    return _cg(op, _Monitor(op, b, config))
 
 
 def _cg(op, mon):
@@ -333,7 +323,7 @@ def _cg(op, mon):
     return mon.result(x, k, stop)
 
 
-def minres(op, b, config=None, opnorm=None):
+def minres(op, b, config=None):
     """MINRES on symmetric A (Paige-Saunders recurrences, no preconditioner).
 
     The residual norm comes from the QR recurrence and is refreshed with an
@@ -341,7 +331,7 @@ def minres(op, b, config=None, opnorm=None):
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minres expects a symmetric operator")
-    return _minres(op, _Monitor(op, b, config, opnorm))
+    return _minres(op, _Monitor(op, b, config))
 
 
 def _minres(op, mon):
@@ -393,12 +383,12 @@ def _minres(op, mon):
     return mon.result(x, k, stop)
 
 
-def lsqr(op, b, config=None, opnorm=None):
+def lsqr(op, b, config=None):
     """LSQR (Paige & Saunders 1982) on a two-vector Golub-Kahan recurrence,
     with the operations of ``BidiagState.step`` in the same order. Traces berr
     with the recursive residual-norm estimate, refreshed exactly every
     RECOMPUTE_EVERY iterations."""
-    mon = _Monitor(op, b, config, opnorm)
+    mon = _Monitor(op, b, config)
     b = mon.b
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s
     u = b / mon.norm_b
@@ -440,7 +430,7 @@ def lsqr(op, b, config=None, opnorm=None):
     return mon.result(x, k, stop)
 
 
-def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
+def regularized_solve(op, b, k, inner="cg", trace_every=1, seed=0):
     """Solve (A + delta I) x = b with delta = 2 (ln k / k)^2 ||A||_2 for k
     inner CG or MINRES steps; the shift makes the inner system well enough
     conditioned that the returned x carries the certified backward-error bound
@@ -462,7 +452,7 @@ def regularized_solve(op, b, k, inner="cg", opnorm=None, trace_every=1, seed=0):
         trace_every=trace_every,
         seed=seed,
     )
-    mon = _Monitor(op, b, cfg, opnorm)
+    mon = _Monitor(op, b, cfg)
     ratio_sq = (math.log(k) / k) ** 2
     shift = 2.0 * ratio_sq * mon.s
     mon.solve_on(mon.s + shift)  # ||A + shift I||_2, exact for PSD A

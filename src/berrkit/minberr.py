@@ -75,7 +75,7 @@ class MinberrResult(SolveResult):
     certificates: list = field(default_factory=list)
 
 
-def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm, perturb_eps=0.0):
+def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0):
     """Check the run's arguments before any work, then return its monitor and
     whether the O(1) convergence test is trusted at eps. A perturbed run
     solves on (1 - perturb_eps) ||A||_2 and measures its rows against A."""
@@ -106,7 +106,7 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm, perturb_
         berr_tolerance=eps,
         trace_every=k_max if trace_every is None else trace_every,
     )
-    mon = _Monitor(op, b, cfg, opnorm)
+    mon = _Monitor(op, b, cfg)
     if perturb_eps:
         mon.solve_on((1.0 - perturb_eps) * mon.s)
     return mon, trusted
@@ -196,13 +196,14 @@ def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
 
 
 def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
-                  opnorm=None, seed=0, trace_every=None):
+                  seed=0, trace_every=None):
     """Minimum-backward-error Krylov solve for symmetric PSD A.
 
     Parameters
     ----------
     op : LinearOperator
-        Symmetric PSD operator.
+        Symmetric PSD operator. ||A||_2 is ``op.opnorm()``: pin a known value
+        with ``op.set_opnorm``, else it is estimated once by power iteration.
     b : ndarray
         Nonzero right-hand side.
     eps : float
@@ -217,8 +218,6 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
         Iteration cap; defaults to min(n, 20000).
     reorth : {"plain", "full"}
         Lanczos reorthogonalization policy.
-    opnorm : float, optional
-        Spectral norm of op (cached estimate used when omitted).
     seed : int
         Seeds the inverse-iteration starts (sub-seeded per iteration).
     trace_every : int, optional
@@ -231,25 +230,26 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minberr_solve expects a symmetric PSD operator")
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
     state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth)
     return _minberr_loop(state, CholTestState(eps).push_column, _recover_psd, mon,
                          trusted, delta, seed)
 
 
 def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
-                     opnorm=None, seed=0, trace_every=None):
+                     seed=0, trace_every=None):
     """Minimum-backward-error solve over the normal-equations Krylov space.
 
-    Same contract as minberr_solve but for general A (square or rectangular),
-    built on the Golub-Kahan bidiagonalization with the shifted dqds test.
+    Same contract as minberr_solve, ||A||_2 from ``op.opnorm()`` included,
+    but for general A (square or rectangular), built on the Golub-Kahan
+    bidiagonalization with the shifted dqds test.
     """
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
     return _minberr_ne(op, mon, trusted, 0.0, delta, reorth, seed)
 
 
 def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
-                         reorth="plain", opnorm=None, seed=0, trace_every=None):
+                         reorth="plain", seed=0, trace_every=None):
     """minberr_ne_solve against A + perturb_eps (||A||_2/||G||_2) G.
 
     G is a seeded dense Gaussian matrix, so the perturbed operator differs
@@ -259,17 +259,23 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     against the original A (and opnorm_used is ||A||_2), and the result
     carries the certified bound (1 + perturb_eps) berr_perturbed + perturb_eps.
 
-    ||G||_2 comes from a Golub-Kahan run on G to convergence at machine
-    precision (no full SVD). The solver's own norm is the lower bound
-    (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <= ||A + E||_2, which errs
-    on the safe side: a smaller norm inflates the certificate and therefore
-    the certified bound. Arguments are checked before G is drawn; at
-    perturb_eps = 0 no G is drawn and the run is minberr_ne_solve's.
+    ||A||_2 is ``op.opnorm()``. ||G||_2 comes from a Golub-Kahan run on G to
+    convergence at machine precision (no full SVD). The solver's own norm is
+    the lower bound (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <=
+    ||A + E||_2, which errs on the safe side: a smaller norm inflates the
+    certificate and therefore the certified bound. Arguments are checked
+    before G is drawn; at perturb_eps = 0 no G is drawn and the run is
+    minberr_ne_solve's. The certified bound never falls below perturb_eps,
+    so with perturb_eps >= eps no run can certify eps against A, and a
+    RuntimeWarning says so.
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, opnorm,
-                          perturb_eps)
+    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps)
+    if perturb_eps >= eps:
+        warnings.warn(f"perturb_eps = {perturb_eps:g} >= eps = {eps:g}: the certified bound "
+                      "(1 + perturb_eps) berr + perturb_eps cannot fall below eps",
+                      RuntimeWarning, stacklevel=2)
     res = _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed)
     res.certified_berr_bound = composition_bound(res.sigma_min_certificate, perturb_eps)
     return res

@@ -3,7 +3,8 @@
 Operators expose ``apply`` / ``apply_adjoint`` plus a cached 2-norm value.
 They are immutable after construction with one exception: the norm cache,
 which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
-when the exact value is known, e.g. for diagonal test problems).
+when the exact value is known, e.g. for diagonal test problems). Solvers and
+``backward_error`` read ||A||_2 only from here, through ``_check_norm``.
 """
 
 import math
@@ -41,6 +42,11 @@ def _as_vector(v, n, what="vector"):
 
 # smallest positive normal float64
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
+
+# estimate_spectral_norm's relative tolerance, step cap and start seed
+NORM_REL_TOL = 1e-3
+NORM_MAX_ITER = 300
+NORM_SEED = 0
 
 
 def norm2(v):
@@ -103,17 +109,19 @@ class LinearOperator:
         return self._apply_adjoint(v)
 
     def set_opnorm(self, value):
-        """Pin the cached spectral norm to a known exact value."""
-        value = float(value)
-        if value <= 0.0:
-            raise ValueError("operator norm must be positive")
-        self._opnorm_cache = NormEstimate(value, 0.0, 0)
+        """Pin the cached spectral norm to a known exact value.
+
+        The pin is recorded as exact (``ConjugatedOperator`` carries it over),
+        so pass ||A||_2 itself, not a bound. A NaN or infinite value raises
+        NonFiniteError and one <= 0 ValueError.
+        """
+        self._opnorm_cache = NormEstimate(_check_norm(value), 0.0, 0)
         return self
 
     def opnorm(self):
-        """Cached spectral-norm value; estimated on first use by power iteration
-        at the fixed defaults of estimate_spectral_norm (rel_tol 1e-3, at most
-        300 steps, seed 0)."""
+        """||A||_2 as every solver and ``backward_error`` use it: the pinned
+        value, else an estimate made on first use by ``estimate_spectral_norm``
+        and cached."""
         if self._opnorm_cache is None:
             self._opnorm_cache = estimate_spectral_norm(self)
         return self._opnorm_cache.value
@@ -133,39 +141,39 @@ class LinearOperator:
         return np.stack(cols, axis=1)
 
 
-def estimate_spectral_norm(op, rel_tol=1e-3, max_iter=300, seed=0):
+def _check_norm(s):
+    """s as a float if it can stand for ||A||_2: NonFiniteError for NaN or
+    infinity, ValueError for s <= 0."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise NonFiniteError(f"operator norm is {s}")
+    if s <= 0.0:
+        raise ValueError("operator norm must be positive")
+    return s
+
+
+def estimate_spectral_norm(op):
     """Power-iteration estimate of ||A||_2.
 
-    Iterates v <- A v for symmetric operators and v <- A^T A v otherwise. The
-    per-step estimate is a Rayleigh-type quotient, so it never exceeds the true
-    norm and is non-decreasing across iterations. Stops once the relative gain
-    stays below rel_tol/2 for three consecutive steps, or at max_iter.
-
-    Parameters
-    ----------
-    op : LinearOperator
-        Nonzero operator.
-    rel_tol : float
-        Requested relative accuracy; the returned value is >= (1 - rel_tol)
-        ||A||_2 with high probability over the Gaussian start.
-    max_iter : int
-        Hard cap on iterations.
-    seed : int
-        Seed for the Gaussian start vector.
+    Iterates v <- A v for symmetric operators and v <- A^T A v otherwise,
+    from a Gaussian start seeded with NORM_SEED. The per-step estimate is a
+    Rayleigh-type quotient, so it never exceeds the true norm and is
+    non-decreasing across iterations. Stops once the relative gain stays
+    below NORM_REL_TOL/2 for three consecutive steps, or after NORM_MAX_ITER
+    steps; the value is then >= (1 - NORM_REL_TOL) ||A||_2 with high
+    probability over the start. A zero operator raises ZeroOperatorError and
+    a non-finite product NonFiniteError.
 
     Returns
     -------
     NormEstimate
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError("rel_tol must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.cols)
+    v = np.random.default_rng(NORM_SEED).standard_normal(op.cols)
     v /= norm2(v)
     est = 0.0
     flat = 0
     used = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NORM_MAX_ITER + 1):
         used = it
         w = op.apply(v)
         nw = norm2(w)
@@ -183,7 +191,7 @@ def estimate_spectral_norm(op, rel_tol=1e-3, max_iter=300, seed=0):
             v = z / nz
         if not np.isfinite(new_est):
             raise NonFiniteError("power iteration produced a non-finite vector")
-        if new_est - est <= 0.5 * rel_tol * new_est:
+        if new_est - est <= 0.5 * NORM_REL_TOL * new_est:
             flat += 1
             if flat >= 3:
                 est = max(est, new_est)
@@ -191,7 +199,7 @@ def estimate_spectral_norm(op, rel_tol=1e-3, max_iter=300, seed=0):
         else:
             flat = 0
         est = max(est, new_est)
-    return NormEstimate(est, rel_tol, used)
+    return NormEstimate(est, NORM_REL_TOL, used)
 
 
 class DenseOperator(LinearOperator):
@@ -324,7 +332,8 @@ def _csr_transpose(data, indices, indptr, rows, cols):
 
 
 class DiagonalOperator(LinearOperator):
-    """diag(d); the exact norm max|d_i| is cached on construction."""
+    """diag(d); the exact norm max|d_i| is pinned on construction when it is
+    finite and positive (else the estimator runs, and raises by name)."""
 
     def __init__(self, d):
         d = np.asarray(d, dtype=np.float64)
@@ -333,7 +342,7 @@ class DiagonalOperator(LinearOperator):
         super().__init__(d.shape[0], d.shape[0], symmetric=True)
         self.d = d
         top = float(np.max(np.abs(d))) if d.size else 0.0
-        if top > 0.0:
+        if 0.0 < top < math.inf:
             self.set_opnorm(top)
 
     def _apply(self, v):

@@ -15,7 +15,7 @@ diagonal entries are written as 1 and 1/kappa directly rather than through
 the rounded log-spacing expression.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ProblemMeta:
     sigma_list: np.ndarray = None
     source: str = "synthetic"
     seed: int = None
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -144,19 +143,17 @@ def cyclic_shift(n):
     return ProblemInstance(op, b, meta)
 
 
-def disguise(p, two_sided=False, seed=0, num_reflectors=None):
+def disguise(p, two_sided=False, seed=0):
     """Hide structure behind orthogonal conjugation: A -> U A V^T, b -> U b.
 
-    U (and V when two_sided) is a product of seeded unit Householder
-    reflectors applied implicitly, num_reflectors of them (default n). Zero
-    reflectors give the exact identity. Singular values, and therefore every
-    backward-error trace, are unchanged.
+    U (and V when two_sided) is a product of n seeded unit Householder
+    reflectors applied implicitly, n the row count of A. Singular values, and
+    therefore every backward-error trace, are unchanged.
     """
     n = p.op.rows
-    m = num_reflectors if num_reflectors is not None else n
-    u = HouseholderChainOperator.random(n, m, [seed, 0])
+    u = HouseholderChainOperator.random(n, n, [seed, 0])
     v = (
-        HouseholderChainOperator.random(p.op.cols, m, [seed, 1])
+        HouseholderChainOperator.random(p.op.cols, n, [seed, 1])
         if two_sided
         else None
     )
@@ -199,8 +196,8 @@ def rhs_smallest_left_singular(p):
     return _smallest_left_vector(p.op)
 
 
-def read_matrix_market(path, b=None, name=None):
-    """Load a Matrix Market file as a sparse ProblemInstance.
+def read_matrix_market(path, b=None):
+    """Load a Matrix Market file as a sparse ProblemInstance named str(path).
 
     Symmetric storage is expanded and the operator marked symmetric. The
     default right-hand side is A (1,...,1)^T normalized, a consistent system;
@@ -222,7 +219,7 @@ def read_matrix_market(path, b=None, name=None):
                 f"b has shape {b.shape}, expected ({op.rows},)"
             )
     meta = ProblemMeta(
-        name=name if name is not None else str(path),
+        name=str(path),
         n=op.rows,
         source="file",
     )

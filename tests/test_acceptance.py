@@ -110,7 +110,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         for _ in range(8):
             state.step()
         x, _ = _recover_psd(state, 8, 0.1, t)
-        if measured_berr(op, b, x) <= 1.5 * svd_min(state.ttilde(8)):
+        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * svd_min(state.ttilde(8)):
             hits += 1
     for t in range(100):
         g = random_general(12, seed=[34, t])
@@ -120,7 +120,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         for _ in range(8):
             state.step()
         x, _ = _recover_ne(state, 8, 0.1, t)
-        if measured_berr(op, b, x) <= 1.5 * svd_min(state.btilde(8)):
+        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * svd_min(state.btilde(8)):
             hits += 1
 
     ok = worst <= 1e-10 and hits >= 180
@@ -179,7 +179,7 @@ def test_regularized_solver_certified_bound():
             r = bk.regularized_solve(p.op, p.b, k, inner=inner)
             bound = 5.0 * (math.log(k) / k) ** 2
             assert r.certified_berr_bound == bound
-            worst_ratio = max(worst_ratio, measured_berr(p.op, p.b, r.x, opnorm=1.0) / bound)
+            worst_ratio = max(worst_ratio, measured_berr(p.op, p.b, r.x, 1.0) / bound)
     ok = worst_ratio <= 1.0
     report("A06 regularized 5(ln k/k)^2", ok,
            f"cg and minres at k in (9, 50, 100), worst berr/bound {worst_ratio:.3f}")

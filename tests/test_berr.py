@@ -5,14 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from _helpers import NormOverride
 
 
 def test_value_identity():
     a = np.array([[2.0, 0.0], [0.0, 0.5]])
-    op = bk.DenseOperator(a, symmetric=True)
+    op = bk.DenseOperator(a, symmetric=True).set_opnorm(2.0)
     b = np.array([1.0, 1.0])
     x = np.array([0.4, 1.6])
-    res = bk.backward_error(op, b, x, opnorm=2.0)
+    res = bk.backward_error(op, b, x)
     assert res.opnorm == 2.0
     assert_allclose(res.residual_norm, np.linalg.norm(a @ x - b))
     assert_allclose(res.x_norm, np.linalg.norm(x))
@@ -38,9 +39,14 @@ def test_zero_rhs_rejected():
 
 
 def test_nonpositive_opnorm_rejected():
-    op = bk.DiagonalOperator(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        bk.backward_error(op, np.ones(2), np.ones(2), opnorm=0.0)
+    """An operator whose own opnorm() gives no usable norm is rejected before
+    any matvec, as the solvers reject it."""
+    for s, error in [(0.0, ValueError), (-1.0, ValueError),
+                     (np.nan, bk.NonFiniteError), (np.inf, bk.NonFiniteError)]:
+        op = NormOverride(bk.DiagonalOperator(np.array([1.0, 1.0])), s)
+        with pytest.raises(error, match="operator norm"):
+            bk.backward_error(op, np.ones(2), np.ones(2))
+        assert op.matvecs == 0
 
 
 def test_scale_invariance():
@@ -50,8 +56,8 @@ def test_scale_invariance():
     b = rng.standard_normal(5)
     x = rng.standard_normal(5)
     s = np.linalg.norm(a, 2)
-    v1 = bk.backward_error(bk.DenseOperator(a), b, x, opnorm=s).value
-    v2 = bk.backward_error(bk.DenseOperator(100.0 * a), 100.0 * b, x, opnorm=100.0 * s).value
+    v1 = bk.backward_error(bk.DenseOperator(a).set_opnorm(s), b, x).value
+    v2 = bk.backward_error(bk.DenseOperator(100.0 * a).set_opnorm(100.0 * s), 100.0 * b, x).value
     assert_allclose(v1, v2, rtol=1e-14)
 
 
@@ -67,7 +73,7 @@ def test_optimal_rank_one_perturbation():
     b = rng.standard_normal(6)
     x = rng.standard_normal(6)
     s = np.linalg.norm(a, 2)
-    val = bk.backward_error(bk.DenseOperator(a), b, x, opnorm=s).value
+    val = bk.backward_error(bk.DenseOperator(a).set_opnorm(s), b, x).value
     r = b - a @ x
     e = np.outer(r, x) / (x @ x)
     assert_allclose((a + e) @ x, b, rtol=1e-12, atol=1e-13)
@@ -97,9 +103,9 @@ class TestCompositionBound:
         at = a + eps * s * g / np.linalg.norm(g, 2)
         b = rng.standard_normal(8)
         x = rng.standard_normal(8)
-        berr_a = bk.backward_error(bk.DenseOperator(a), b, x, opnorm=s).value
+        berr_a = bk.backward_error(bk.DenseOperator(a).set_opnorm(s), b, x).value
         berr_at = bk.backward_error(
-            bk.DenseOperator(at), b, x, opnorm=np.linalg.norm(at, 2)
+            bk.DenseOperator(at).set_opnorm(np.linalg.norm(at, 2)), b, x
         ).value
         assert berr_a <= bk.composition_bound(berr_at, eps) * (1 + 1e-12)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import berrkit as bk
+from _helpers import NormOverride
 
 N = 30
 CFG = bk.SolverConfig(max_iterations=40, trace_every=7)
@@ -81,25 +82,55 @@ def test_bad_rhs_costs_no_norm_estimate(name, bad, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("opnorm", [np.nan, np.inf, 0.0, -1.0])
+def _norm_error(s):
+    return ValueError if math.isfinite(s) else bk.NonFiniteError
+
+
+BAD_NORMS = [np.nan, np.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("opnorm", BAD_NORMS + [-np.inf])
+def test_set_opnorm_rejects_a_bad_norm(opnorm):
+    op = bk.DenseOperator(np.eye(3))
+    with pytest.raises(ValueError, match="operator norm") as info:
+        op.set_opnorm(opnorm)
+    assert type(info.value) is _norm_error(opnorm)
+    assert op._opnorm_cache is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diagonal_with_a_non_finite_entry_pins_no_norm(bad):
+    op = diagonal(bad)
+    assert op._opnorm_cache is None
+    with pytest.raises(bk.NonFiniteError, match="power iteration"):
+        op.opnorm()
+
+
+@pytest.mark.parametrize("opnorm", BAD_NORMS)
 @pytest.mark.parametrize("name", SOLVERS)
 def test_bad_opnorm_is_rejected_on_entry(name, opnorm):
-    with pytest.raises(ValueError):
-        SOLVERS[name](diagonal(), np.ones(N), opnorm=opnorm)
+    # set_opnorm refuses these values, but an operator's own opnorm() is
+    # outside input: each solver checks what it returns before any matvec
+    op = NormOverride(diagonal(), opnorm)
+    with pytest.raises(ValueError, match="operator norm") as info:
+        SOLVERS[name](op, np.ones(N))
+    assert type(info.value) is _norm_error(opnorm)
+    assert op.matvecs == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", SOLVERS)
 def test_non_finite_iterate_raises_by_name(name, bad):
-    with pytest.raises(bk.NonFiniteError):
-        SOLVERS[name](diagonal(bad), np.ones(N), opnorm=1.0)
+    with pytest.raises(bk.NonFiniteError, match=r"iteration \d+:"):
+        SOLVERS[name](diagonal(bad).set_opnorm(1.0), np.ones(N))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_classical_solver_stops_at_the_first_recorded_row():
     with pytest.raises(bk.NonFiniteError, match="iteration 7:"):
-        bk.cg(diagonal(np.nan), np.ones(N), CFG, opnorm=1.0)
+        bk.cg(diagonal(np.nan).set_opnorm(1.0), np.ones(N), CFG)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -109,7 +140,7 @@ def test_untraced_minberr_stops_at_the_first_non_finite_step(name, bad):
     # untraced runs record only their final row, so without a per-step check
     # the run would spend all 40 steps first
     with pytest.raises(bk.NonFiniteError, match="iteration 1:"):
-        SOLVERS[name](diagonal(bad), np.ones(N), opnorm=1.0)
+        SOLVERS[name](diagonal(bad).set_opnorm(1.0), np.ones(N))
 
 
 def test_norm_estimate_of_non_finite_operator_raises():
