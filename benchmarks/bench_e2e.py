@@ -3,10 +3,8 @@
 Every run of each suite's grid executes as ``berrkit bench`` executes it
 (problem build, solve, history CSV), REPEATS times in one process, BLAS on one
 thread. Per run the entry records the min and the median ``wall_ns`` over the
-repeats, the deterministic outcome (matvecs, iterations, termination,
-``final_berr``, which must agree across repeats) and whether minberr ran in
-per-iteration certificate mode (eps below sqrt(u), where it recovers at every
-step; read from its warning, not from the spec). Per suite it also records the
+repeats and the deterministic outcome (matvecs, iterations, termination,
+``final_berr``, which must agree across repeats). Per suite it also records the
 min and median of the whole grid's wall time. An environment block gives the
 python and numpy versions, the CPU count and model and the BLAS thread count.
 The entry also holds two of ``bench_kernels.py``'s tables at their default
@@ -20,8 +18,8 @@ The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds
 the before and after of a change. About 40 s on one core::
 
-    python3 benchmarks/bench_e2e.py --out BENCH_10.json --label parent OTHER/src
-    python3 benchmarks/bench_e2e.py --out BENCH_10.json --label change
+    python3 benchmarks/bench_e2e.py --out BENCH_13.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_13.json --label change
 
 SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
 to time that one.
@@ -35,7 +33,6 @@ import statistics
 import sys
 import tempfile
 import time
-import warnings
 
 BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -68,20 +65,6 @@ def environment():
     }
 
 
-def time_run(cli, spec, history):
-    """(wall_ns, summary, per-iteration certificate mode) of one grid run."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        t0 = time.perf_counter_ns()
-        info = cli.run_one(spec, history=history)
-        wall = time.perf_counter_ns() - t0
-    cert_mode = any(
-        issubclass(w.category, RuntimeWarning) and "per-iteration" in str(w.message)
-        for w in caught
-    )
-    return wall, info, cert_mode
-
-
 def bench_suite(cli, suite, tmp):
     grid = cli._bench_grid(suite, None)
     walls = {name: [] for name, _ in grid}
@@ -90,11 +73,13 @@ def bench_suite(cli, suite, tmp):
     for _ in range(REPEATS):
         total = 0
         for name, spec in grid:
-            wall, info, cert_mode = time_run(cli, spec, os.path.join(tmp, f"{name}.csv"))
+            history = os.path.join(tmp, f"{name}.csv")
+            t0 = time.perf_counter_ns()
+            info = cli.run_one(spec, history=history)
+            wall = time.perf_counter_ns() - t0
             total += wall
             walls[name].append(wall)
             outcome = {key: info[key] for key in OUTCOME}
-            outcome["per_iteration_certificates"] = cert_mode
             if runs.setdefault(name, outcome) != outcome:
                 raise RuntimeError(f"{suite}/{name}: outcome differs across repeats")
         totals.append(total)

@@ -1,9 +1,10 @@
 """Print one sha256 per deterministic berrkit run, for bitwise regression gates.
 
 The runs are every run of the five offline ``berrkit bench`` suites plus one
-``berrkit solve`` per solver at ``--trace-every`` 1 and 7. Each digest covers
-every history CSV column except ``wall_nanos`` and every summary field, so two
-checkouts that print the same lines produce bitwise-identical numbers.
+``berrkit solve`` per solver, and one each for minberr and minberr-ne below
+sqrt(u), at ``--trace-every`` 1 and 7. Each digest covers every history CSV
+column except ``wall_nanos`` and every summary field, so two checkouts that
+print the same lines produce bitwise-identical numbers.
 
 Usage (about 40 s on one core)::
 
@@ -31,19 +32,26 @@ SUITES = ("psd-synthetic", "nonsym-synthetic", "minres-worstcase", "stagnation",
 SYMMETRIC = "ill-conditioned:n=400,kappa=1e8"
 GENERAL = "ill-conditioned:n=400,kappa=1e6+disguise2"
 
-# (solver, problem, extra flags); classical runs pass 1000 iterations so the
-# residual refresh is exercised, tol 1e-15 keeps them from stopping early
+# (label, solver, problem, extra flags); classical runs pass 1000 iterations
+# so the residual refresh is exercised, tol 1e-15 keeps them from stopping
+# early; the two tol 1e-9 runs certify below sqrt(u), where the O(1) test
+# gates at 2 sqrt(u) and every later step recovers
 SOLVER_RUNS = [
-    ("richardson", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
-    ("richardson-ne", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
-    ("cg", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
-    ("minres", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
-    ("lsqr", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
-    ("regularized-cg", SYMMETRIC, ["--max-iter", "1100"]),
-    ("regularized-minres", SYMMETRIC, ["--max-iter", "1100"]),
-    ("minberr", SYMMETRIC, ["--tol", "1e-6", "--max-iter", "150"]),
-    ("minberr-ne", GENERAL, ["--tol", "1e-6", "--max-iter", "150"]),
-    ("minberr-ne-perturbed", GENERAL, ["--tol", "1e-4", "--max-iter", "150"]),
+    ("richardson", "richardson", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("richardson-ne", "richardson-ne", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("cg", "cg", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("minres", "minres", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("lsqr", "lsqr", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("regularized-cg", "regularized-cg", SYMMETRIC, ["--max-iter", "1100"]),
+    ("regularized-minres", "regularized-minres", SYMMETRIC, ["--max-iter", "1100"]),
+    ("minberr", "minberr", SYMMETRIC, ["--tol", "1e-6", "--max-iter", "150"]),
+    ("minberr-ne", "minberr-ne", GENERAL, ["--tol", "1e-6", "--max-iter", "150"]),
+    ("minberr-ne-perturbed", "minberr-ne-perturbed", GENERAL,
+     ["--tol", "1e-4", "--max-iter", "150"]),
+    ("minberr-tol1e-9", "minberr", "small-outlier:n=400,kappa=1e8,sigma=1e-2",
+     ["--tol", "1e-9", "--max-iter", "150"]),
+    ("minberr-ne-tol1e-9", "minberr-ne", "ill-conditioned:n=400,kappa=10+disguise2",
+     ["--tol", "1e-9", "--max-iter", "150"]),
 ]
 
 
@@ -103,20 +111,20 @@ def main(argv):
                 manifest = json.load(fh)
             for run in manifest:
                 print(f"bench/{suite}/{run['name']} exit={code} {digest(run['history'], run)}")
-        for solver, problem, extra in SOLVER_RUNS:
+        for label, solver, problem, extra in SOLVER_RUNS:
             for every in ("1", "7"):
-                hist = os.path.join(tmp, f"{solver}-{every}.csv")
-                summ = os.path.join(tmp, f"{solver}-{every}.json")
+                hist = os.path.join(tmp, f"{label}-{every}.csv")
+                summ = os.path.join(tmp, f"{label}-{every}.json")
                 code = cli.main(
                     ["solve", "--problem", problem, "--solver", solver, "--rhs", "ones",
                      "--trace-every", every, "--history", hist, "--summary", summ, *extra]
                 )
                 if code != 0:
-                    print(f"solve/{solver}/every{every} exit={code}")
+                    print(f"solve/{label}/every{every} exit={code}")
                     continue
                 with open(summ, encoding="ascii") as fh:
                     summary = json.load(fh)
-                print(f"solve/{solver}/every{every} exit={code} {digest(hist, summary)}")
+                print(f"solve/{label}/every{every} exit={code} {digest(hist, summary)}")
     return 0
 
 

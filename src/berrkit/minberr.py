@@ -13,8 +13,10 @@ A. ``minberr_ne_perturbed`` runs it against a Gaussian perturbation of A and
 certifies backward error against the original A by the composition bound.
 
 The per-step convergence decision costs O(1) (incremental Cholesky for the
-tridiagonal case, shifted dqds for the bidiagonal case); recovery costs
-O(k ln(k/delta^2)) plus the O(nk) basis combination.
+tridiagonal case, shifted dqds for the bidiagonal case) at the shift eps, or
+2 sqrt(u) below sqrt(u); once it fires, every step recovers until a
+certificate is below eps. Recovery costs O(k ln(k/delta^2)) plus the O(nk)
+basis combination.
 """
 
 import math
@@ -77,8 +79,11 @@ class MinberrResult(SolveResult):
 
 def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0):
     """Check the run's arguments before any work, then return its monitor and
-    whether the O(1) convergence test is trusted at eps. A perturbed run
-    solves on (1 - perturb_eps) ||A||_2 and measures its rows against A."""
+    the O(1) test's shift: eps, or 2 sqrt(u) below sqrt(u), where rounding of
+    order u in the Cholesky pivots can fire a test at sqrt(u) a step late. No
+    certificate, being >= sigma_min, can drop below eps before the gate
+    fires, so the run stops where recovering at every step would. A perturbed
+    run solves on (1 - perturb_eps) ||A||_2 and measures its rows against A."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     if not (0.0 < delta < 1.0):
@@ -91,15 +96,6 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
         raise ValueError("k_max must be at least 1")
     if trace_every is not None and trace_every < 1:
         raise ValueError("trace_every must be at least 1")
-    trusted = eps >= math.sqrt(np.finfo(float).eps)
-    if not trusted:
-        warnings.warn(
-            "eps below sqrt(machine epsilon): the incremental convergence test "
-            "is unreliable at this scale; switching to per-iteration inverse-"
-            "iteration certificates",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     # untraced runs record only the final row
     cfg = SolverConfig(
         max_iterations=k_max,
@@ -109,7 +105,8 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
     mon = _Monitor(op, b, cfg)
     if perturb_eps:
         mon.solve_on((1.0 - perturb_eps) * mon.s)
-    return mon, trusted
+    sqrt_u = math.sqrt(np.finfo(float).eps)
+    return mon, eps if eps >= sqrt_u else 2.0 * sqrt_u
 
 
 def _smallest_pair(band, k, delta, seed, step_factor):
@@ -147,21 +144,19 @@ def _recover_ne(state, k, delta, seed, step_factor=1):
     return state.basis_q(k) @ (v / alpha), cert
 
 
-def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
+def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
     """Shared driver for the PSD and normal-equations variants: the
     certificate decides termination, the monitor records measured rows, and
     a non-finite band column stops the run at its step. While ``testing``,
-    only the O(1) test, breakdown, the cap and trace rows trigger a recovery;
-    once the test fires (or from the start when untrusted) every step does."""
+    only the O(1) test at ``shift``, breakdown, the cap and trace rows trigger
+    a recovery; once the test fires every step does."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
-    testing = trusted
+    testing = True
     x = cert = None
     termination = None
-    k = 0
-    while k < k_max:
-        k += 1
+    for k in range(1, k_max + 1):
         col = state.step()
         if not all(map(math.isfinite, col.tolist())):
             raise NonFiniteError(f"iteration {k}: band column {col.tolist()}")
@@ -174,9 +169,9 @@ def _minberr_loop(state, push_test, recover, mon, trusted, delta, seed):
             continue
         x, cert = recover(state, k, delta, seed)
         if check_now:
-            if cert >= eps and (signalled or state.breakdown):
-                # the test certified sigma_min < eps (or the subspace became
-                # invariant) but the recovered pair sits above tolerance:
+            if cert >= eps and (state.breakdown or (signalled and cert >= shift)):
+                # the test certified sigma_min < shift (or the subspace became
+                # invariant) but the recovered pair misses that promise:
                 # retry once with a quadrupled step budget
                 x, cert = recover(state, k, delta, seed, step_factor=4)
             if cert < eps:
@@ -230,10 +225,10 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minberr_solve expects a symmetric PSD operator")
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
+    mon, shift = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
     state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth)
-    return _minberr_loop(state, CholTestState(eps).push_column, _recover_psd, mon,
-                         trusted, delta, seed)
+    return _minberr_loop(state, CholTestState(shift).push_column, shift, _recover_psd,
+                         mon, delta, seed)
 
 
 def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
@@ -244,8 +239,8 @@ def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     but for general A (square or rectangular), built on the Golub-Kahan
     bidiagonalization with the shifted dqds test.
     """
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
-    return _minberr_ne(op, mon, trusted, 0.0, delta, reorth, seed)
+    mon, shift = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
+    return _minberr_ne(op, mon, shift, 0.0, delta, reorth, seed)
 
 
 def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
@@ -271,17 +266,17 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")
-    mon, trusted = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps)
+    mon, shift = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps)
     if perturb_eps >= eps:
         warnings.warn(f"perturb_eps = {perturb_eps:g} >= eps = {eps:g}: the certified bound "
                       "(1 + perturb_eps) berr + perturb_eps cannot fall below eps",
                       RuntimeWarning, stacklevel=2)
-    res = _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed)
+    res = _minberr_ne(op, mon, shift, perturb_eps, delta, reorth, seed)
     res.certified_berr_bound = composition_bound(res.sigma_min_certificate, perturb_eps)
     return res
 
 
-def _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed):
+def _minberr_ne(op, mon, shift, perturb_eps, delta, reorth, seed):
     """Golub-Kahan run on A, or on A + E with ||E||_2 = perturb_eps ||A||_2."""
     if perturb_eps:
         g = np.random.default_rng([seed, 1]).standard_normal((op.rows, op.cols))
@@ -289,8 +284,7 @@ def _minberr_ne(op, mon, trusted, perturb_eps, delta, reorth, seed):
         # the monitor measures rows against A, so its trace norm is ||A||_2
         op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
     state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth)
-    dqds = DqdsState(mon.cfg.berr_tolerance)
-    return _minberr_loop(state, dqds.push, _recover_ne, mon, trusted, delta, seed)
+    return _minberr_loop(state, DqdsState(shift).push, shift, _recover_ne, mon, delta, seed)
 
 
 def _dense_norm(g, seed):

@@ -152,6 +152,16 @@ def _check_norm(s):
     return s
 
 
+def _power_step_norm(w):
+    """norm2(w), checked before power iteration divides by it."""
+    nw = norm2(w)
+    if nw == 0.0:
+        raise ZeroOperatorError("power iteration produced a zero vector")
+    if not math.isfinite(nw):
+        raise NonFiniteError("power iteration produced a non-finite vector")
+    return nw
+
+
 def estimate_spectral_norm(op):
     """Power-iteration estimate of ||A||_2.
 
@@ -176,21 +186,15 @@ def estimate_spectral_norm(op):
     for it in range(1, NORM_MAX_ITER + 1):
         used = it
         w = op.apply(v)
-        nw = norm2(w)
-        if nw == 0.0:
-            raise ZeroOperatorError("power iteration produced a zero vector")
+        nw = _power_step_norm(w)
         if op.symmetric:
             new_est = nw
             v = w / nw
         else:
             z = op.apply_adjoint(w)
-            nz = norm2(z)
-            if nz == 0.0:
-                raise ZeroOperatorError("power iteration produced a zero vector")
+            nz = _power_step_norm(z)
             new_est = np.sqrt(nz)
             v = z / nz
-        if not np.isfinite(new_est):
-            raise NonFiniteError("power iteration produced a non-finite vector")
         if new_est - est <= 0.5 * NORM_REL_TOL * new_est:
             flat += 1
             if flat >= 3:

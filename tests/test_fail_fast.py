@@ -98,13 +98,22 @@ def test_set_opnorm_rejects_a_bad_norm(opnorm):
     assert op._opnorm_cache is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_diagonal_with_a_non_finite_entry_pins_no_norm(bad):
     op = diagonal(bad)
     assert op._opnorm_cache is None
     with pytest.raises(bk.NonFiniteError, match="power iteration"):
         op.opnorm()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_symmetric_non_finite_entry_raises_before_any_warning(bad):
+    a = np.diag(np.linspace(1.0, 0.01, N))
+    a[0, 3] = bad
+    with pytest.raises(bk.NonFiniteError, match="power iteration"):
+        bk.DenseOperator(a).opnorm()
 
 
 @pytest.mark.parametrize("opnorm", BAD_NORMS)

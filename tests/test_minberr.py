@@ -190,15 +190,6 @@ class TestMinberrSolve:
         with pytest.raises(ValueError):
             bk.minberr_solve(p.op, p.b, **kw)
 
-    def test_tiny_eps_warns_and_still_solves(self):
-        a = random_psd(30, seed=28, spread=0.5)
-        op = dense_op(a)
-        b = np.random.default_rng(29).standard_normal(30)
-        with pytest.warns(RuntimeWarning, match="machine epsilon"):
-            r = bk.minberr_solve(op, b, eps=1e-9)
-        assert r.termination == bk.Termination.TOLERANCE_REACHED
-        assert r.sigma_min_certificate < 1e-9
-
 
 ENTRIES = {
     "minberr": (bk.minberr_solve, ()),
@@ -215,14 +206,104 @@ def test_trace_every_below_one_is_rejected(name):
         solver(p.op, p.b, *extra, trace_every=0)
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-def test_sqrt_u_warning_points_at_the_caller(name):
-    solver, extra = ENTRIES[name]
-    p = bk.ill_conditioned(20, 10.0)
-    with pytest.warns(RuntimeWarning, match=r"sqrt\(machine epsilon\)") as record:
-        solver(p.op, p.b, *extra, eps=1e-9, k_max=5)
-    sqrt_u = [w.filename for w in record if "sqrt(machine epsilon)" in str(w.message)]
-    assert sqrt_u == [__file__]
+SQRT_U = math.sqrt(np.finfo(float).eps)
+
+
+def per_iteration_reference(state, recover, eps, k_max, seed=0, delta=1e-6):
+    """Recover at every step and stop at the first certificate below eps, at
+    breakdown or at the cap: the loop that the O(1) test gated below sqrt(u)
+    must reproduce bit for bit. Returns (termination, k, certificate, x)."""
+    for k in range(1, k_max + 1):
+        state.step()
+        x, cert = recover(state, k, delta, seed)
+        if cert >= eps and state.breakdown:
+            x, cert = recover(state, k, delta, seed, step_factor=4)
+        if cert < eps:
+            return bk.Termination.TOLERANCE_REACHED, k, cert, x
+        if state.breakdown:
+            return bk.Termination.BREAKDOWN, k, cert, x
+    return bk.Termination.MAX_ITERATIONS, k_max, cert, x
+
+
+def _assert_same_run(r, reference):
+    termination, k, cert, x = reference
+    assert (r.termination, r.iterations) == (termination, k)
+    assert r.sigma_min_certificate == cert
+    assert r.x.tobytes() == x.tobytes()
+
+
+class TestGateBelowSqrtU:
+    """Below sqrt(u) the O(1) test runs at the shift 2 sqrt(u): it fires before
+    any certificate can drop below eps, so the run stops where recovering at
+    every step would, with the same x, at a fraction of the recoveries."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(4, 60),
+        spread=st.floats(2.0, 14.0),
+        log_eps=st.floats(-13.0, math.log10(SQRT_U), exclude_max=True),
+        normal_equations=st.booleans(),
+        reorth=st.sampled_from(["plain", "full"]),
+        trace_every=st.sampled_from([None, 1, 5]),
+    )
+    def test_equals_per_iteration_reference(self, seed, n, spread, log_eps, normal_equations,
+                                            reorth, trace_every):
+        eps = 10.0 ** log_eps
+        assume(eps < SQRT_U)
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** -np.sort(rng.uniform(0.0, spread, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = rng.standard_normal(n)
+        if normal_equations:
+            p, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            op = dense_op((q * d) @ p.T)
+            solver, factorization, recover = bk.minberr_ne_solve, BidiagState, _recover_ne
+        else:
+            a = (q * d) @ q.T
+            op = dense_op(0.5 * (a + a.T))
+            solver, factorization, recover = bk.minberr_solve, LanczosState, minberr._recover_psd
+        r = solver(op, b, eps=eps, reorth=reorth, seed=seed, trace_every=trace_every)
+        state = factorization(op, b, opnorm=op.opnorm(), reorth=reorth)
+        _assert_same_run(r, per_iteration_reference(state, recover, eps, n, seed))
+
+    @pytest.mark.parametrize("eps", [1.48e-8, math.nextafter(SQRT_U, 0.0)])
+    def test_equals_per_iteration_reference_just_below_sqrt_u(self, eps):
+        # a test gated at sqrt(u) itself fires at k = 74, one step after the
+        # certificate drops below these eps
+        p = bk.small_outlier(500, 1e12, 1e-2)
+        r = bk.minberr_solve(p.op, p.b, eps=eps)
+        state = LanczosState(p.op, p.b, opnorm=p.op.opnorm())
+        _assert_same_run(r, per_iteration_reference(state, minberr._recover_psd, eps, 500))
+        assert r.iterations == 73
+
+    @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
+    def test_one_recovery_for_an_untraced_run_to_the_cap(self, name, monkeypatch):
+        # recovering at every step took 100 here
+        calls = []
+        inverse_iteration = minberr.inverse_iteration
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inverse_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(minberr, "inverse_iteration", counting)
+        solver, extra = ENTRIES[name]
+        p = bk.ill_conditioned(300, 1e10)
+        r = solver(p.op, np.ones(300), *extra, eps=1e-9, k_max=100)
+        assert r.termination == bk.Termination.MAX_ITERATIONS
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
+    def test_tiny_eps_solves_without_a_warning(self, name):
+        solver, extra = ENTRIES[name]
+        a = random_psd(30, seed=28, spread=0.5)
+        b = np.random.default_rng(29).standard_normal(30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solver(dense_op(a), b, *extra, eps=1e-9)
+        assert r.termination == bk.Termination.TOLERANCE_REACHED
+        assert r.sigma_min_certificate < 1e-9
 
 
 class TestPrefixRecovery:
@@ -339,10 +420,9 @@ class TestMinberrNePerturbed:
             r = bk.minberr_ne_perturbed(p.op, p.b, pe, eps=eps, k_max=5)
         assert r.certified_berr_bound >= eps
         assert [w.filename for w in record] == [__file__]
-        # perfbench and bench_e2e.py count warnings naming these as
+        # perfbench counts warnings naming sqrt(machine epsilon) as runs in
         # per-iteration certificate mode
-        for text in ("sqrt(machine epsilon)", "per-iteration"):
-            assert text not in str(record[0].message)
+        assert "sqrt(machine epsilon)" not in str(record[0].message)
 
     def test_certifiable_spec_does_not_warn(self):
         p = bk.ill_conditioned(20, 10.0)
