@@ -2,7 +2,8 @@
 
 The runs are every run of the five offline ``berrkit bench`` suites plus one
 ``berrkit solve`` per solver, and one each for minberr and minberr-ne below
-sqrt(u), at ``--trace-every`` 1 and 7. Each digest covers every history CSV
+sqrt(u) and one each whose Krylov space breaks down at the first step, at
+``--trace-every`` 1 and 7. Each digest covers every history CSV
 column except ``wall_nanos`` and every summary field, so two checkouts that
 print the same lines produce bitwise-identical numbers.
 
@@ -32,10 +33,13 @@ SUITES = ("psd-synthetic", "nonsym-synthetic", "minres-worstcase", "stagnation",
 SYMMETRIC = "ill-conditioned:n=400,kappa=1e8"
 GENERAL = "ill-conditioned:n=400,kappa=1e6+disguise2"
 
-# (label, solver, problem, extra flags); classical runs pass 1000 iterations
-# so the residual refresh is exercised, tol 1e-15 keeps them from stopping
-# early; the two tol 1e-9 runs certify below sqrt(u), where the O(1) test
-# gates at 2 sqrt(u) and every later step recovers
+# (label, solver, problem, extra flags); every run solves --rhs ones unless
+# its extra flags, which come last, name another. Classical runs pass 1000
+# iterations so the residual refresh is exercised, tol 1e-15 keeps them from
+# stopping early; the two tol 1e-9 runs certify below sqrt(u), where the O(1)
+# test gates at 2 sqrt(u) and every later step recovers; the two breakdown
+# runs stop at k = 1 on a band with a zero diagonal, whose recovery goes
+# through the floored band solve
 SOLVER_RUNS = [
     ("richardson", "richardson", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
     ("richardson-ne", "richardson-ne", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
@@ -52,6 +56,8 @@ SOLVER_RUNS = [
      ["--tol", "1e-9", "--max-iter", "150"]),
     ("minberr-ne-tol1e-9", "minberr-ne", "ill-conditioned:n=400,kappa=10+disguise2",
      ["--tol", "1e-9", "--max-iter", "150"]),
+    ("minberr-ne-breakdown", "minberr-ne", "cyclic-shift:n=64", []),
+    ("minberr-breakdown", "minberr", SYMMETRIC, ["--rhs", "smallest-left-singular"]),
 ]
 
 

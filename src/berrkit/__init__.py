@@ -11,12 +11,7 @@ wrapper with a certified bound, and the minimum-backward-error Krylov solvers
 that stop exactly when the subspace optimum crosses the tolerance.
 """
 
-from .berr import (
-    BerrValue,
-    backward_error,
-    composition_bound,
-    forward_to_backward_bound,
-)
+from .berr import BerrValue, backward_error, composition_bound
 from .classical import (
     SolveResult,
     SolveTrace,
@@ -33,14 +28,12 @@ from .errors import (
     BerrkitError,
     DegenerateAlphaError,
     DimensionMismatchError,
-    ExactSolutionInSubspaceError,
     MatrixMarketFormatError,
     NoFiniteMinimizerError,
     NonFiniteError,
     OrthogonalRhsError,
     PostBreakdownError,
     RequiresSymmetricError,
-    SingularBandError,
     UndefinedAtZeroError,
     UnrepresentableNormError,
     ZeroOperatorError,
@@ -48,7 +41,6 @@ from .errors import (
 from .factorize import BandMatrix, BidiagState, LanczosState
 from .minberr import (
     MinberrResult,
-    dense_minberr_oracle,
     minberr_ne_perturbed,
     minberr_ne_solve,
     minberr_solve,
@@ -83,7 +75,6 @@ __all__ = [
     "BerrValue",
     "backward_error",
     "composition_bound",
-    "forward_to_backward_bound",
     "SolveResult",
     "SolveTrace",
     "SolverConfig",
@@ -97,14 +88,12 @@ __all__ = [
     "BerrkitError",
     "DegenerateAlphaError",
     "DimensionMismatchError",
-    "ExactSolutionInSubspaceError",
     "MatrixMarketFormatError",
     "NoFiniteMinimizerError",
     "NonFiniteError",
     "OrthogonalRhsError",
     "PostBreakdownError",
     "RequiresSymmetricError",
-    "SingularBandError",
     "UndefinedAtZeroError",
     "UnrepresentableNormError",
     "ZeroOperatorError",
@@ -112,7 +101,6 @@ __all__ = [
     "BidiagState",
     "LanczosState",
     "MinberrResult",
-    "dense_minberr_oracle",
     "minberr_ne_perturbed",
     "minberr_ne_solve",
     "minberr_solve",

@@ -10,9 +10,10 @@ all the rows: at the end (``sup1 + [0.0]``, ``sup2 + [0.0, 0.0]``) for
 ``band_solve_upper_t``. A padding zero only ever multiplies the 0.0 that the
 recurrence starts from, so it subtracts an exact zero and changes no bit.
 ``BandMatrix`` builds these lists once per instance, so a recovery's many
-solves convert only their right-hand sides. Callers are responsible for
-rejecting zero diagonals before solving. The recurrence runs on Python floats
-in the operation order of the scalar reference loops in
+solves convert only their right-hand sides. The kernels divide by each
+diagonal entry as given; ``BandMatrix`` floors its diagonal list at
+``factorize.SOLVE_FLOOR``, so no zero pivot reaches them. The recurrence runs
+on Python floats in the operation order of the scalar reference loops in
 ``tests/test_kernels.py`` and matches them bit for bit.
 
 Householder chains use the blocked compact WY representation (Schreiber &

@@ -1,4 +1,4 @@
-"""Relative backward error: definition and the two bounds used for reporting.
+"""Relative backward error: its definition and the composition bound for reporting.
 
 For Ax = b and a candidate x != 0,
 
@@ -19,7 +19,6 @@ __all__ = [
     "BerrValue",
     "backward_error",
     "composition_bound",
-    "forward_to_backward_bound",
 ]
 
 
@@ -75,12 +74,3 @@ def composition_bound(berr_perturbed, eps):
         raise ValueError("backward error is nonnegative")
     return (1.0 + eps) * berr_perturbed + eps
 
-
-def forward_to_backward_bound(eps):
-    """Bound berr from a relative M-norm forward error eps: eps / (1 - eps).
-
-    Valid for eps in [0, 1); at eps = 0 the bound is 0.
-    """
-    if not (0.0 <= eps < 1.0):
-        raise ValueError("eps must be in [0, 1)")
-    return eps / (1.0 - eps)

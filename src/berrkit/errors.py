@@ -34,10 +34,6 @@ class PostBreakdownError(BerrkitError, RuntimeError):
     """A factorization was stepped after it reported breakdown."""
 
 
-class SingularBandError(BerrkitError, ValueError):
-    """Banded triangular solve hit a zero diagonal entry."""
-
-
 class DegenerateAlphaError(BerrkitError, RuntimeError):
     """Recovery scalar vanished; b lies in the null space of A."""
 
@@ -48,14 +44,6 @@ class NoFiniteMinimizerError(BerrkitError, RuntimeError):
 
 class OrthogonalRhsError(BerrkitError, ValueError):
     """Bidiagonalization cannot start because A^T b = 0."""
-
-
-class ExactSolutionInSubspaceError(BerrkitError, RuntimeError):
-    """The dense oracle found an exact solution; carries it in .x."""
-
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
 
 
 class MatrixMarketFormatError(BerrkitError, ValueError):

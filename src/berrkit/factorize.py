@@ -25,12 +25,13 @@ from .errors import (
     OrthogonalRhsError,
     PostBreakdownError,
     RequiresSymmetricError,
-    SingularBandError,
 )
 from .operators import norm2
 
-__all__ = ["BandMatrix", "LanczosState", "BidiagState", "BREAKDOWN_TOL_FACTOR"]
+__all__ = ["BandMatrix", "LanczosState", "BidiagState", "BREAKDOWN_TOL_FACTOR", "SOLVE_FLOOR"]
 
+# floor (in norm-scaled units) under the diagonal entries of the band solves
+SOLVE_FLOOR = 1e-30
 # breakdown threshold, as a multiple of ||A||_2
 BREAKDOWN_TOL_FACTOR = 1e-14
 
@@ -46,6 +47,14 @@ class BandMatrix:
     is all zeros for bidiagonal views). Snapshot semantics: instances are
     detached from the factorization state that produced them, and their
     arrays are not changed afterwards (the solves keep a copy as floats).
+
+    The solves run on the diagonal floored at SOLVE_FLOOR: an entry below it
+    in magnitude is solved as -SOLVE_FLOOR when negative and +SOLVE_FLOOR
+    otherwise, so a zero of either sign becomes +SOLVE_FLOOR. A zero pivot so
+    replaced by a tiny one is harmless to inverse iteration, the solves' one
+    use (Peters & Wilkinson 1979, "Inverse iteration, ill-conditioned
+    equations and Newton's method", SIAM Rev. 21): the solve then grows along
+    the null direction, which is the direction sought.
     """
 
     def __init__(self, diag, sup1, sup2=None):
@@ -57,24 +66,13 @@ class BandMatrix:
         self.sup2 = np.asarray(sup2, dtype=np.float64)
         if self.sup1.shape[0] != max(k - 1, 0) or self.sup2.shape[0] != max(k - 2, 0):
             raise DimensionMismatchError("band arrays have inconsistent lengths")
-        # the solve form: diagonal per floor (None: holds a zero, unfloored),
-        # and the padded superdiagonals of each direction, built on first use
-        self._diags = {}
-        self._sups = None
+        # the solve form, built on first use: the floored diagonal and the
+        # padded superdiagonals of each direction, as Python floats
+        self._form = None
 
     @property
     def k(self):
         return self.diag.shape[0]
-
-    def dense(self):
-        k = self.k
-        a = np.zeros((k, k))
-        a[np.arange(k), np.arange(k)] = self.diag
-        if k > 1:
-            a[np.arange(k - 1), np.arange(1, k)] = self.sup1
-        if k > 2:
-            a[np.arange(k - 2), np.arange(2, k)] = self.sup2
-        return a
 
     def matvec(self, v):
         k = self.k
@@ -85,48 +83,28 @@ class BandMatrix:
             y[:-2] += self.sup2 * v[2:]
         return y
 
-    def _build_diag(self, floor):
-        """The diagonal as Python floats, entries below ``floor`` in magnitude
-        raised to +-floor when it is positive; None when unfloored and holding
-        a zero. The first call also builds the padded superdiagonals."""
-        if self._sups is None:
-            sup1, sup2 = self.sup1.tolist(), self.sup2.tolist()
-            self._sups = (
-                (sup1 + [0.0], sup2 + [0.0, 0.0]),  # band_solve_upper
-                ([0.0] + sup1, [0.0, 0.0] + sup2),  # band_solve_upper_t
-            )
-        d = self.diag.tolist()
-        if floor > 0.0:
-            return [(-floor if t < 0.0 else floor) if abs(t) < floor else t for t in d]
-        return None if 0.0 in d else d
+    def _build_form(self):
+        """The solve form, built once per band."""
+        d, mag = self.diag, np.abs(self.diag)
+        if mag.min(initial=SOLVE_FLOOR) < SOLVE_FLOOR:
+            d = np.where(mag < SOLVE_FLOOR, np.where(d < 0.0, -SOLVE_FLOOR, SOLVE_FLOOR), d)
+        sup1, sup2 = self.sup1.tolist(), self.sup2.tolist()
+        self._form = (
+            d.tolist(),
+            (sup1 + [0.0], sup2 + [0.0, 0.0]),  # band_solve_upper
+            ([0.0] + sup1, [0.0, 0.0] + sup2),  # band_solve_upper_t
+        )
+        return self._form
 
-    def _solve_diag(self, floor):
-        """The diagonal for the solves at ``floor``, built once per floor."""
-        try:
-            d = self._diags[floor]
-        except KeyError:
-            d = self._diags[floor] = self._build_diag(floor)
-        if d is None:
-            raise SingularBandError("zero diagonal entry in banded solve")
-        return d
+    def solve(self, rhs):
+        """Back substitution for self @ x = rhs, on the floored diagonal."""
+        d, sups, _ = self._form or self._build_form()
+        return band_solve_upper(d, *sups, np.asarray(rhs, dtype=np.float64))
 
-    def solve(self, rhs, floor=0.0):
-        """Back substitution for self @ x = rhs.
-
-        With ``floor`` > 0 the diagonal entries below it in magnitude are
-        raised to +-floor; otherwise a zero diagonal raises SingularBandError.
-        """
-        d = self._solve_diag(floor)
-        return band_solve_upper(d, *self._sups[0], np.asarray(rhs, dtype=np.float64))
-
-    def solve_t(self, rhs, floor=0.0):
-        """Forward substitution for self.T @ x = rhs, as ``solve``."""
-        d = self._solve_diag(floor)
-        return band_solve_upper_t(d, *self._sups[1], np.asarray(rhs, dtype=np.float64))
-
-    def sigma_min_dense(self):
-        """Smallest singular value via dense SVD (reference path for tests)."""
-        return float(np.linalg.svd(self.dense(), compute_uv=False)[-1])
+    def solve_t(self, rhs):
+        """Forward substitution for self.T @ x = rhs, on the floored diagonal."""
+        d, _, sups = self._form or self._build_form()
+        return band_solve_upper_t(d, *sups, np.asarray(rhs, dtype=np.float64))
 
 
 class _GrowingColumns:

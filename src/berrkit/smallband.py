@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .errors import SingularBandError
 from .operators import norm2
 
 __all__ = [
@@ -29,12 +28,9 @@ __all__ = [
     "inverse_iteration",
     "inverse_iteration_steps",
     "rayleigh_certificate",
-    "SOLVE_FLOOR",
     "RQ_STABILIZED_RTOL",
 ]
 
-# diagonal floor (in norm-scaled units) for retrying solves on singular bands
-SOLVE_FLOOR = 1e-30
 # early-exit threshold for Rayleigh-quotient stabilization in inverse iteration
 RQ_STABILIZED_RTOL = 1e-14
 
@@ -119,24 +115,18 @@ class DqdsState:
 
 
 def _solve_normalized(solve, rhs):
-    """``solve(rhs)`` scaled to a unit vector, or None when it gives none.
+    """``solve(rhs)`` scaled to a unit vector, or None when its result has a
+    non-finite entry or is zero.
 
-    A solve that meets a zero diagonal, or whose result has a non-finite
-    entry or is zero, is retried with the diagonal floored at SOLVE_FLOOR;
-    None means the retry failed the same way. Inverse iteration needs only
-    directions, and normalizing after each solve stops the growth of the
-    iterate from compounding over the two solves of a step and over steps.
+    The band solves floor the diagonal at SOLVE_FLOOR, so a singular band
+    solves like any other. Inverse iteration needs only directions, and
+    normalizing after each solve stops the growth of the iterate from
+    compounding over the two solves of a step and over steps.
     """
-    try:
-        w = solve(rhs, 0.0)
-        nw = norm2(w)
-    except SingularBandError:
-        nw = math.inf
+    w = solve(rhs)
+    nw = norm2(w)
     if not 0.0 < nw < math.inf:
-        w = solve(rhs, SOLVE_FLOOR)
-        nw = norm2(w)
-        if not 0.0 < nw < math.inf:
-            return None
+        return None
     return w / nw
 
 
@@ -154,9 +144,10 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     the default budget of ceil(2.23 ln(k/delta^2)) steps, the returned unit
     vector v satisfies ||band v||^2 <= 1.5 sigma_min(band)^2 with probability
     at least 1 - delta; exits early once the Rayleigh quotient stabilizes to
-    RQ_STABILIZED_RTOL between steps. Singular bands are retried with the
-    diagonal floored at SOLVE_FLOOR, which lands the iteration on the null
-    direction immediately.
+    RQ_STABILIZED_RTOL between steps. The band solves floor the diagonal at
+    SOLVE_FLOOR, so on a band with a zero diagonal entry the first step lands
+    on the null direction. A solve whose result is zero or not finite ends
+    the iteration with the last unit iterate.
 
     Returns
     -------

@@ -37,6 +37,16 @@ class NormOverride(bk.CountingOperator):
         return self.s
 
 
+def forward_to_backward_bound(eps):
+    """Bound berr from a relative M-norm forward error eps: eps / (1 - eps).
+
+    Valid for eps in [0, 1); at eps = 0 the bound is 0.
+    """
+    if not (0.0 <= eps < 1.0):
+        raise ValueError("eps must be in [0, 1)")
+    return eps / (1.0 - eps)
+
+
 def measured_berr(op, b, x, s):
     """||A x - b|| / (s ||x||) in plain numpy at an explicit norm s, an oracle
     that shares no code with backward_error."""

@@ -22,6 +22,7 @@ from berrkit.smallband import CholTestState, DqdsState, inverse_iteration
 from _helpers import dense_op, measured_berr, random_general, random_psd
 from chebbound import ChebEval
 from conftest import acceptance_lines
+from dense_oracle import dense_minberr_oracle, sigma_min_dense
 
 
 def report(label, ok, detail):
@@ -34,10 +35,6 @@ def report(label, ok, detail):
 def tight(max_iterations, **kw):
     kw.setdefault("berr_tolerance", 1e-15)
     return bk.SolverConfig(max_iterations=max_iterations, **kw)
-
-
-def svd_min(band):
-    return float(np.linalg.svd(band.dense(), compute_uv=False)[-1])
 
 
 def test_richardson_backward_error_envelope():
@@ -72,7 +69,7 @@ def test_subspace_minimum_rate_bound():
         for k in range(1, 201):
             state.step()
             if k >= 2:
-                s = svd_min(state.ttilde(k))
+                s = sigma_min_dense(state.ttilde(k))
                 excess = max(excess, s - (3.0 / (k * k - 1) + 1e-10))
     ok = excess <= 0.0
     report("A02 certificate rate 3/(k^2-1)", ok,
@@ -91,15 +88,15 @@ def test_certificate_matches_dense_oracle_and_recovery():
         state = LanczosState(op, b, reorth="full")
         for k in range(1, 9):
             state.step()
-            lam = bk.dense_minberr_oracle(a, b, state.basis(k), opnorm=op.opnorm()).lambda_min
-            worst = max(worst, abs(svd_min(state.ttilde(k)) ** 2 - lam) / lam)
+            lam = dense_minberr_oracle(a, b, state.basis(k), opnorm=op.opnorm()).lambda_min
+            worst = max(worst, abs(sigma_min_dense(state.ttilde(k)) ** 2 - lam) / lam)
         g = random_general(12, seed=[3, 50 + seed])
         gop = dense_op(g)
         ne = BidiagState(gop, b, reorth="full")
         for k in range(1, 9):
             ne.step()
-            lam = bk.dense_minberr_oracle(g, b, ne.basis_q(k), opnorm=gop.opnorm()).lambda_min
-            worst = max(worst, abs(svd_min(ne.btilde(k)) ** 2 - lam) / lam)
+            lam = dense_minberr_oracle(g, b, ne.basis_q(k), opnorm=gop.opnorm()).lambda_min
+            worst = max(worst, abs(sigma_min_dense(ne.btilde(k)) ** 2 - lam) / lam)
 
     hits = 0
     for t in range(100):
@@ -110,7 +107,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         for _ in range(8):
             state.step()
         x, _ = _recover_psd(state, 8, 0.1, t)
-        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * svd_min(state.ttilde(8)):
+        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * sigma_min_dense(state.ttilde(8)):
             hits += 1
     for t in range(100):
         g = random_general(12, seed=[34, t])
@@ -120,7 +117,7 @@ def test_certificate_matches_dense_oracle_and_recovery():
         for _ in range(8):
             state.step()
         x, _ = _recover_ne(state, 8, 0.1, t)
-        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * svd_min(state.btilde(8)):
+        if measured_berr(op, b, x, op.opnorm()) <= 1.5 * sigma_min_dense(state.btilde(8)):
             hits += 1
 
     ok = worst <= 1e-10 and hits >= 180
@@ -226,7 +223,7 @@ def _band_trial(stream, t, bidiagonal):
     j = int(rng.integers(1, k + 1))
     block = _leading_block(diag, sup1, sup2, j)
     gap = 10.0 ** rng.uniform(-7.0, -2.0)
-    s = svd_min(block)
+    s = sigma_min_dense(block)
     eps = s * (1.0 + gap) if rng.integers(2) else s * (1.0 - gap)
     return diag, sup1, sup2, eps
 
@@ -246,7 +243,7 @@ def test_incremental_tests_match_dense_decisions():
         diag, sup1, sup2, eps = _band_trial(0, t, bidiagonal=False)
         signalled = _push_tridiag(CholTestState(eps), diag, sup1, sup2)
         for j in range(1, len(diag) + 1):
-            s = svd_min(_leading_block(diag, sup1, sup2, j))
+            s = sigma_min_dense(_leading_block(diag, sup1, sup2, j))
             if abs(s - eps) / eps <= 1e-8:
                 continue
             checked += 1
@@ -256,7 +253,7 @@ def test_incremental_tests_match_dense_decisions():
         diag, sup1, sup2, eps = _band_trial(1, t, bidiagonal=True)
         signalled = _push_bidiag(DqdsState(eps), diag, sup1)
         for j in range(1, len(diag) + 1):
-            s = svd_min(_leading_block(diag, sup1, None, j))
+            s = sigma_min_dense(_leading_block(diag, sup1, None, j))
             if abs(s - eps) / eps <= 1e-8:
                 continue
             checked += 1
@@ -281,7 +278,7 @@ def test_inverse_iteration_success_rate():
             band = BandMatrix(diag, sup1)
         else:
             band = BandMatrix(diag, sup1, rng.standard_normal(max(k - 2, 0)))
-        lam = svd_min(band) ** 2
+        lam = sigma_min_dense(band) ** 2
         _, rq, _ = inverse_iteration(band, 0.1, seed=[8, t, 1])
         if rq <= 1.5 * lam * (1.0 + 1e-12):
             wins += 1

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from _helpers import NormOverride
+from _helpers import NormOverride, forward_to_backward_bound
 
 
 def test_value_identity():
@@ -112,16 +112,16 @@ class TestCompositionBound:
 
 class TestForwardToBackward:
     def test_values(self):
-        assert bk.forward_to_backward_bound(0.0) == 0.0
-        assert bk.forward_to_backward_bound(0.5) == pytest.approx(1.0)
+        assert forward_to_backward_bound(0.0) == 0.0
+        assert forward_to_backward_bound(0.5) == pytest.approx(1.0)
 
     def test_monotone(self):
         grid = np.linspace(0.0, 0.99, 100)
-        vals = [bk.forward_to_backward_bound(e) for e in grid]
+        vals = [forward_to_backward_bound(e) for e in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            bk.forward_to_backward_bound(1.0)
+            forward_to_backward_bound(1.0)
         with pytest.raises(ValueError):
-            bk.forward_to_backward_bound(-0.01)
+            forward_to_backward_bound(-0.01)

@@ -14,7 +14,14 @@ from berrkit.classical import RECOMPUTE_EVERY
 from berrkit.factorize import BREAKDOWN_TOL_FACTOR, BidiagState
 from berrkit.operators import norm2
 
-from _helpers import capture_monitors, capture_row_iterates, dense_op, measured_berr, random_psd
+from _helpers import (
+    capture_monitors,
+    capture_row_iterates,
+    dense_op,
+    forward_to_backward_bound,
+    measured_berr,
+    random_psd,
+)
 
 
 def tight(max_iterations, **kw):
@@ -173,7 +180,7 @@ class TestCg:
             eps = a_norm(r.x - x_star) / a_norm(x_star)
             if eps >= 1.0:
                 continue
-            bound = bk.forward_to_backward_bound(eps)
+            bound = forward_to_backward_bound(eps)
             assert measured_berr(op, b, r.x, op.opnorm()) <= bound * (1 + 1e-8) + 1e-14
 
     def test_exact_after_n_iterations(self):

@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit.errors import SingularBandError
-from berrkit.factorize import BandMatrix
+from berrkit.factorize import SOLVE_FLOOR, BandMatrix
 from berrkit.operators import norm2
 from berrkit.smallband import (
     RQ_STABILIZED_RTOL,
-    SOLVE_FLOOR,
     CholTestState,
     DqdsState,
     inverse_iteration,
     inverse_iteration_steps,
     rayleigh_certificate,
 )
+
+from dense_oracle import sigma_min_dense
 
 
 def push_tridiag_columns(state, diag, sup1, sup2):
@@ -64,7 +64,7 @@ class TestCholState:
             state = CholTestState(eps)
             signalled = push_tridiag_columns(state, diag, sup1, sup2)
             for j in range(1, k + 1):
-                s = leading_block(diag, sup1, sup2, j).sigma_min_dense()
+                s = sigma_min_dense(leading_block(diag, sup1, sup2, j))
                 if abs(s - eps) / eps <= 1e-8:
                     continue
                 decided = signalled is not None and j >= signalled
@@ -97,7 +97,7 @@ class TestDqdsState:
             state = DqdsState(eps)
             signalled = push_bidiag_columns(state, diag, sup1)
             for j in range(1, k + 1):
-                s = leading_block(diag, sup1, None, j).sigma_min_dense()
+                s = sigma_min_dense(leading_block(diag, sup1, None, j))
                 if abs(s - eps) / eps <= 1e-8:
                     continue
                 decided = signalled is not None and j >= signalled
@@ -206,13 +206,13 @@ class TestInverseIteration:
                 rng.standard_normal(max(k - 2, 0)),
             )
             v, rq, _ = inverse_iteration(band, delta=0.1, seed=[4, trial])
-            lam = band.sigma_min_dense() ** 2
+            lam = sigma_min_dense(band) ** 2
             if rq <= 1.5 * lam * (1 + 1e-12):
                 hits += 1
         assert hits >= 50
 
     def test_exactly_singular_band(self):
-        # a zero diagonal entry puts sigma_min at 0; the floored retry must
+        # a zero diagonal entry puts sigma_min at 0; the floored solves must
         # land on the null direction and report an essentially zero quotient
         band = BandMatrix(np.array([1.0, 0.0, 2.0]), np.array([0.5, -0.3]), np.array([0.2]))
         v, rq, steps = inverse_iteration(band, delta=0.1, seed=2)
@@ -231,7 +231,7 @@ class TestInverseIteration:
             band = BandMatrix(np.abs(rng.standard_normal(k)) + 0.05, rng.standard_normal(k - 1))
             v, _, _ = inverse_iteration(band, delta=0.2, seed=trial)
             cert = rayleigh_certificate(band, v)
-            assert cert >= band.sigma_min_dense() * (1 - 1e-10)
+            assert cert >= sigma_min_dense(band) * (1 - 1e-10)
 
     def test_solve_growth_past_the_square_root_of_the_float_range(self):
         # sigma_min is about 1e-180 and the solves reach entries near 1e180,
@@ -243,10 +243,19 @@ class TestInverseIteration:
 
 
 # The recovery path as it was before BandMatrix kept its solve form, frozen
-# here as the reference the live path must match bit for bit. It norms with
-# the live norm2, which matches numpy's norm to the bit wherever the sum of
-# squares stays in the normal range (tests/test_operators.py); beyond it the
-# frozen path's numpy norm overflowed to inf and gave up.
+# here as the reference the live path must match bit for bit. It tries each
+# solve on the exact diagonal first and retries on the diagonal floored at
+# SOLVE_FLOOR when that meets a zero or gives a zero or non-finite result;
+# the live path solves once, floored. The two agree to the bit unless a
+# diagonal entry lies strictly between 0 and SOLVE_FLOOR in magnitude, which
+# the bands drawn below never hold. It norms with the live norm2, which
+# matches numpy's norm to the bit wherever the sum of squares stays in the
+# normal range (tests/test_operators.py); beyond it the frozen path's numpy
+# norm overflowed to inf and gave up.
+
+
+class _FrozenSingularBand(Exception):
+    """The frozen path's signal for a zero diagonal entry."""
 
 
 def _frozen_band_solve_upper(diag, sup1, sup2, rhs):
@@ -284,7 +293,7 @@ def _frozen_solver(band, kernel):
                 d = d.copy()
                 d[small] = np.where(d[small] < 0.0, -floor, floor)
         elif np.any(d == 0.0):
-            raise SingularBandError("zero diagonal entry in banded solve")
+            raise _FrozenSingularBand("zero diagonal entry in banded solve")
         return kernel(d, band.sup1, band.sup2, np.asarray(rhs, float))
 
     return solve
@@ -294,7 +303,7 @@ def _frozen_solve_normalized(solve, rhs):
     try:
         w = solve(rhs, 0.0)
         nw = norm2(w)
-    except SingularBandError:
+    except _FrozenSingularBand:
         nw = np.inf
     if not np.isfinite(nw) or nw == 0.0:
         w = solve(rhs, SOLVE_FLOOR)
@@ -360,15 +369,15 @@ def test_inverse_iteration_matches_frozen_path_bitwise(band, seed):
 
 
 @pytest.mark.parametrize("zero_diagonal", [False, True])
-def test_band_builds_its_solve_lists_once_per_floor(zero_diagonal, monkeypatch):
+def test_band_builds_its_solve_lists_once_per_band(zero_diagonal, monkeypatch):
     built = []
-    build = BandMatrix._build_diag
+    build = BandMatrix._build_form
 
-    def spy(self, floor):
-        built.append(floor)
-        return build(self, floor)
+    def spy(self):
+        built.append(self)
+        return build(self)
 
-    monkeypatch.setattr(BandMatrix, "_build_diag", spy)
+    monkeypatch.setattr(BandMatrix, "_build_form", spy)
     rng = np.random.default_rng(6)
     diag = np.abs(rng.standard_normal(40)) + 0.1
     if zero_diagonal:
@@ -376,8 +385,34 @@ def test_band_builds_its_solve_lists_once_per_floor(zero_diagonal, monkeypatch):
     band = BandMatrix(diag, rng.standard_normal(39), rng.standard_normal(38))
     _, _, steps = inverse_iteration(band, 1e-6, seed=3, max_steps=12)
     for rhs in rng.standard_normal((5, 40)):
-        band.solve_t(rhs, SOLVE_FLOOR)
-        band.solve(rhs, SOLVE_FLOOR)
-    # an unfloored solve with a zero diagonal raises every time, but decides so once
+        band.solve_t(rhs)
+        band.solve(rhs)
     assert steps >= 1
-    assert sorted(built) == [0.0, SOLVE_FLOOR]
+    assert built == [band]
+
+
+@pytest.mark.parametrize(
+    "entry, floored",
+    [
+        (1e-40, SOLVE_FLOOR),
+        (-1e-40, -SOLVE_FLOOR),
+        (5e-324, SOLVE_FLOOR),
+        (0.0, SOLVE_FLOOR),
+        (-0.0, SOLVE_FLOOR),
+    ],
+)
+def test_diagonal_below_the_floor_solves_as_the_floor(entry, floored):
+    # the one input whose bits the single floored path moved: an entry
+    # strictly between 0 and SOLVE_FLOOR in magnitude used to be solved
+    # unfloored unless that overflowed; zeros of either sign solve as
+    # +SOLVE_FLOOR, as before
+    rng = np.random.default_rng(7)
+    diag = rng.uniform(0.5, 2.0, 6)
+    sup1, sup2 = rng.standard_normal(5), rng.standard_normal(4)
+    diag[3] = entry
+    band = BandMatrix(diag.copy(), sup1, sup2)
+    diag[3] = floored
+    ref = BandMatrix(diag, sup1, sup2)
+    rhs = rng.standard_normal(6)
+    assert band.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
+    assert band.solve_t(rhs).tobytes() == ref.solve_t(rhs).tobytes()
