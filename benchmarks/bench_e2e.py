@@ -7,19 +7,21 @@ repeats and the deterministic outcome (matvecs, iterations, termination,
 ``final_berr``, which must agree across repeats). Per suite it also records the
 min and median of the whole grid's wall time. An environment block gives the
 python and numpy versions, the CPU count and model and the BLAS thread count.
-The entry also holds two of ``bench_kernels.py``'s tables at their default
+The entry also holds three of ``bench_kernels.py``'s tables at their default
 sizes: the CSR table (per shape, nnz and the best and median microseconds per
-call of the reduceat reference and of ``CsrOperator.apply``) and the recovery
+call of the reduceat reference and of ``CsrOperator.apply``), the recovery
 table (per band size k, the best and median microseconds of one
 ``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
-that call's step count).
+that call's step count) and the recovery sweep (per factorization, recovery
+at every k: steps per recovery, loop milliseconds, worst certificate over
+sigma_min).
 
 The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds
-the before and after of a change. About 40 s on one core::
+the before and after of a change. About a minute on one core::
 
-    python3 benchmarks/bench_e2e.py --out BENCH_13.json --label parent OTHER/src
-    python3 benchmarks/bench_e2e.py --out BENCH_13.json --label change
+    python3 benchmarks/bench_e2e.py --out BENCH_17.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_17.json --label change
 
 SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
 to time that one.
@@ -118,6 +120,7 @@ def main(argv):
             bench_kernels.CSR_ROWS, bench_kernels.CSR_PER_ROW, bench_kernels.REPEATS, seed=0),
         "band_recovery": bench_kernels.band_rows(
             bench_kernels.BAND_SIZES, bench_kernels.REPEATS, seed=0),
+        "recovery_sweep": bench_kernels.sweep_rows(bench_kernels.REPEATS, seed=0),
     }
 
     entries = []

@@ -1,7 +1,7 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Four tables:
+millisecond range where dispatch overhead matters. Five tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
@@ -14,16 +14,22 @@ millisecond range where dispatch overhead matters. Four tables:
   (kept here as the reference), on the shapes of ``csr_shapes``;
 * recovery on the band views at the sizes recovery meets (``--band-sizes``,
   k = 30, 100 and 300 by default): one ``BandMatrix.solve`` and one
-  ``solve_t`` as inverse iteration calls them, on a band that has already
-  solved once, and one whole ``inverse_iteration`` call with its step count.
+  ``solve_t`` as inverse iteration calls them (a unit right-hand side as a
+  list of Python floats), on a band that has already solved once, and one
+  whole ``inverse_iteration`` call with its step count.
   Each band is ``LanczosState.ttilde(k)`` of the minres-worstcase problem
-  (small-outlier n = 2000, kappa = 1e10, sigma = 1e-3, b = its default rhs).
+  (small-outlier n = 2000, kappa = 1e10, sigma = 1e-3, b = its default rhs);
+* recovery at every k of one factorization, as a traced run pays for it
+  (``SWEEPS``): the mean inverse-iteration steps per recovery, the time of
+  the whole loop (band view, ``inverse_iteration`` at delta = 1e-6) and the
+  worst certificate over the dense-SVD sigma_min.
 
 Each pair in the first three tables is cross-checked for agreement before it
 is timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
-code of the fourth. The CSR pairs and the three recovery timings run
+code of the last two. The CSR pairs and the three recovery timings run
 interleaved and report best and median per call. The recovery table times
-only public entry points, so it runs unchanged against older checkouts.
+only public entry points, so it runs unchanged against older checkouts; a
+checkout whose solves take arrays converts the list rhs on each call.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
@@ -36,16 +42,25 @@ import timeit
 import numpy as np
 
 from berrkit._kernels import householder_chain, householder_wy
-from berrkit.factorize import LanczosState
+from berrkit.factorize import BidiagState, LanczosState
 from berrkit.minberr import _dense_norm
 from berrkit.operators import CsrOperator
-from berrkit.problems import small_outlier
-from berrkit.smallband import inverse_iteration
+from berrkit.problems import ill_conditioned, small_outlier
+from berrkit.smallband import inverse_iteration, rayleigh_certificate
 
 CSR_ROWS = 200_000
 CSR_PER_ROW = 8
 BAND_SIZES = (30, 100, 300)
 REPEATS = 5
+# (name, problem, rhs, normal equations, last k) of each recovery sweep
+SWEEPS = [
+    ("PSD small-outlier:n=2000,kappa=1e10,sigma=1e-3",
+     lambda: small_outlier(2000, 1e10, 1e-3), "default", False, 200),
+    ("NE small-outlier:n=500,kappa=1e14,sigma=1e-3",
+     lambda: small_outlier(500, 1e14, 1e-3), "default", True, 120),
+    ("PSD ill-conditioned:n=2000,kappa=1e10",
+     lambda: ill_conditioned(2000, 1e10), "ones", False, 400),
+]
 
 
 def uniform_coo(rows, per_row, rng):
@@ -227,7 +242,7 @@ def band_rows(sizes, repeats, seed):
     table = []
     for k, band in recovery_bands(sizes):
         rhs = rng.standard_normal(k)
-        rhs /= np.linalg.norm(rhs)
+        rhs = (rhs / np.linalg.norm(rhs)).tolist()
         band.solve(rhs)  # a recovery's first solve builds what the rest reuse
         _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
         timings = interleaved_seconds(
@@ -256,6 +271,54 @@ def band_table(sizes, repeats, seed):
               f"{row['inverse_iteration_steps']:>6}")
 
 
+def sweep_rows(repeats, seed):
+    """One dict per SWEEPS entry: recovery at every k = 1..last of one
+    factorization, with the mean steps per recovery, the best and median
+    milliseconds of the whole loop and the worst certificate / sigma_min."""
+    table = []
+    for name, build, rhs, normal_equations, last in SWEEPS:
+        p = build()
+        b = np.ones(p.op.rows) if rhs == "ones" else p.b
+        state = BidiagState(p.op, b) if normal_equations else LanczosState(p.op, b)
+        view = state.btilde if normal_equations else state.ttilde
+        for _ in range(last):
+            state.step()
+
+        def recover_all():
+            return [inverse_iteration(view(k), 1e-6, seed=[seed, k])
+                    for k in range(1, last + 1)]
+
+        results = recover_all()
+        worst = 0.0
+        for k, (v, _, _) in enumerate(results, start=1):
+            band = view(k)
+            dense = np.diag(band.diag)
+            dense[np.arange(k - 1), np.arange(1, k)] = band.sup1
+            dense[np.arange(k - 2), np.arange(2, k)] = band.sup2
+            sigma_min = np.linalg.svd(dense, compute_uv=False)[-1]
+            worst = max(worst, rayleigh_certificate(band, v) / sigma_min)
+        ((best, med),) = interleaved_seconds([recover_all], repeats)
+        table.append({
+            "sweep": name, "last_k": last,
+            "steps_per_recovery": round(sum(r[2] for r in results) / last, 2),
+            "loop_ms_best": round(best * 1e3, 1),
+            "loop_ms_median": round(med * 1e3, 1),
+            "worst_cert_over_sigma_min": round(float(worst), 6),
+        })
+    return table
+
+
+def sweep_table(repeats, seed):
+    header = (f"{'recovery at every k':<48} {'k':>4} {'steps/rec':>9} "
+              f"{'loop best/med':>16} {'cert/sigma_min':>15}")
+    print(header)
+    print("-" * len(header))
+    for row in sweep_rows(repeats, seed):
+        loop = f"{row['loop_ms_best']:.0f}/{row['loop_ms_median']:.0f}ms"
+        print(f"{row['sweep']:<48} {row['last_k']:>4} {row['steps_per_recovery']:>9.2f} "
+              f"{loop:>16} {row['worst_cert_over_sigma_min']:>15.6f}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csr-rows", type=int, default=CSR_ROWS)
@@ -275,6 +338,8 @@ def main(argv=None):
     csr_table(args.csr_rows, args.csr_per_row, args.repeats, args.seed)
     print()
     band_table(args.band_sizes, args.repeats, args.seed)
+    print()
+    sweep_table(args.repeats, args.seed)
     return 0
 
 

@@ -5,7 +5,9 @@ The runs are every run of the five offline ``berrkit bench`` suites plus one
 sqrt(u) and one each whose Krylov space breaks down at the first step, at
 ``--trace-every`` 1 and 7. Each digest covers every history CSV
 column except ``wall_nanos`` and every summary field, so two checkouts that
-print the same lines produce bitwise-identical numbers.
+print the same lines produce bitwise-identical numbers. After the digest each
+line shows the run's outcome: termination, iterations (``k=``), final berr and
+the certified bound (``bound=``, None unless the solver certifies one).
 
 Usage (about 40 s on one core)::
 
@@ -16,7 +18,10 @@ SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
 to digest that one. With ``--against`` both sources are digested, each in its
 own subprocess (one process cannot import two ``berrkit`` packages), the lines
 that differ are printed as ``-`` (OTHER_SRC) and ``+`` (SRC_DIR) pairs, and the
-exit status is 1 if any line differs.
+exit status is 1 if any line differs. A last line counts the moved lines
+that kept termination and iterations and gives the largest relative move of
+final berr among them, so a change that moves bits on purpose shows whether
+it moved outcomes.
 """
 
 import argparse
@@ -72,6 +77,22 @@ def digest(history_path, summary):
     return h.hexdigest()
 
 
+def outcome(summary):
+    """Termination, iterations, final berr and certified bound of a run."""
+    return (f"{summary['termination']} k={summary['iterations']} "
+            f"berr={summary['final_berr']!r} bound={summary['certified_bound']!r}")
+
+
+def _outcome_fields(line):
+    """(termination, iterations, final berr) of a printed line, or None for
+    a line without an outcome."""
+    parts = line.split()
+    if len(parts) < 7:
+        return None
+    termination, k, berr = parts[3], parts[4], parts[5].removeprefix("berr=")
+    return termination, k, None if berr == "None" else float(berr)
+
+
 def against(src, other):
     """Digest src and other in two concurrent subprocesses; print the lines
     that differ and return 1 if any do, else 0."""
@@ -89,9 +110,18 @@ def against(src, other):
     old += ["(missing)"] * (total - len(old))
     new += ["(missing)"] * (total - len(new))
     differ = [(a, b) for a, b in zip(old, new) if a != b]
+    kept, worst = 0, 0.0
     for a, b in differ:
         print(f"- {a}\n+ {b}")
+        fa, fb = _outcome_fields(a), _outcome_fields(b)
+        if fa is not None and fb is not None and fa[:2] == fb[:2]:
+            kept += 1
+            if fa[2] and fb[2] is not None:
+                worst = max(worst, abs(fb[2] - fa[2]) / abs(fa[2]))
     print(f"{total - len(differ)} of {total} lines identical")
+    if differ:
+        print(f"{kept} of {len(differ)} moved lines kept termination and iterations; "
+              f"largest final berr move among them {worst:.2g} relative")
     return 1 if differ else 0
 
 
@@ -116,7 +146,8 @@ def main(argv):
             with open(os.path.join(out, "manifest.json"), encoding="ascii") as fh:
                 manifest = json.load(fh)
             for run in manifest:
-                print(f"bench/{suite}/{run['name']} exit={code} {digest(run['history'], run)}")
+                print(f"bench/{suite}/{run['name']} exit={code} "
+                      f"{digest(run['history'], run)} {outcome(run)}")
         for label, solver, problem, extra in SOLVER_RUNS:
             for every in ("1", "7"):
                 hist = os.path.join(tmp, f"{label}-{every}.csv")
@@ -130,7 +161,8 @@ def main(argv):
                     continue
                 with open(summ, encoding="ascii") as fh:
                     summary = json.load(fh)
-                print(f"solve/{label}/every{every} exit={code} {digest(hist, summary)}")
+                print(f"solve/{label}/every{every} exit={code} "
+                      f"{digest(hist, summary)} {outcome(summary)}")
     return 0
 
 

@@ -44,9 +44,9 @@ class BandMatrix:
     """Upper-triangular matrix with up to two superdiagonals.
 
     ``diag`` has length k, ``sup1`` length k-1, ``sup2`` length k-2 (``sup2``
-    is all zeros for bidiagonal views). Snapshot semantics: instances are
-    detached from the factorization state that produced them, and their
-    arrays are not changed afterwards (the solves keep a copy as floats).
+    is all zeros for bidiagonal views). A snapshot: the constructor copies
+    the arrays it is given and marks its copies read-only, so a later edit of
+    the caller's arrays reaches neither ``matvec`` nor the solves.
 
     The solves run on the diagonal floored at SOLVE_FLOOR: an entry below it
     in magnitude is solved as -SOLVE_FLOOR when negative and +SOLVE_FLOOR
@@ -58,12 +58,10 @@ class BandMatrix:
     """
 
     def __init__(self, diag, sup1, sup2=None):
-        self.diag = np.asarray(diag, dtype=np.float64)
-        self.sup1 = np.asarray(sup1, dtype=np.float64)
+        self.diag = _frozen_copy(diag)
+        self.sup1 = _frozen_copy(sup1)
         k = self.diag.shape[0]
-        if sup2 is None:
-            sup2 = np.zeros(max(k - 2, 0))
-        self.sup2 = np.asarray(sup2, dtype=np.float64)
+        self.sup2 = _frozen_copy(np.zeros(max(k - 2, 0)) if sup2 is None else sup2)
         if self.sup1.shape[0] != max(k - 1, 0) or self.sup2.shape[0] != max(k - 2, 0):
             raise DimensionMismatchError("band arrays have inconsistent lengths")
         # the solve form, built on first use: the floored diagonal and the
@@ -97,14 +95,22 @@ class BandMatrix:
         return self._form
 
     def solve(self, rhs):
-        """Back substitution for self @ x = rhs, on the floored diagonal."""
+        """Back substitution for self @ x = rhs, on the floored diagonal; rhs
+        and x are lists of Python floats."""
         d, sups, _ = self._form or self._build_form()
-        return band_solve_upper(d, *sups, np.asarray(rhs, dtype=np.float64))
+        return band_solve_upper(d, *sups, rhs)
 
     def solve_t(self, rhs):
-        """Forward substitution for self.T @ x = rhs, on the floored diagonal."""
+        """Forward substitution for self.T @ x = rhs, as ``solve``."""
         d, _, sups = self._form or self._build_form()
-        return band_solve_upper_t(d, *sups, np.asarray(rhs, dtype=np.float64))
+        return band_solve_upper_t(d, *sups, rhs)
+
+
+def _frozen_copy(values):
+    """A read-only float64 copy of values."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 class _GrowingColumns:

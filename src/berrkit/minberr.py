@@ -107,8 +107,11 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
 
 
 def _smallest_pair(band, k, delta, seed, step_factor):
+    """The recovered pair; a retry (step_factor > 1) starts from a fresh
+    seeded vector, so it does not repeat the first attempt step for step."""
     budget = step_factor * inverse_iteration_steps(k, delta)
-    v, _, _ = inverse_iteration(band, delta, seed=[seed, k], max_steps=budget)
+    start = [seed, k] if step_factor == 1 else [seed, k, 1]
+    v, _, _ = inverse_iteration(band, delta, seed=start, max_steps=budget)
     return v, rayleigh_certificate(band, v)
 
 

@@ -31,8 +31,9 @@ __all__ = [
     "RQ_STABILIZED_RTOL",
 ]
 
-# early-exit threshold for Rayleigh-quotient stabilization in inverse iteration
-RQ_STABILIZED_RTOL = 1e-14
+# inverse iteration stops once its estimate of ||band v||^2 moves by at most
+# this much (relative) between steps; inverse_iteration argues the value
+RQ_STABILIZED_RTOL = 1e-10
 
 
 class CholTestState:
@@ -115,19 +116,20 @@ class DqdsState:
 
 
 def _solve_normalized(solve, rhs):
-    """``solve(rhs)`` scaled to a unit vector, or None when its result has a
-    non-finite entry or is zero.
+    """``solve(rhs)`` scaled to a unit vector, with the norm it was scaled
+    by, or None when its result has a non-finite entry or is zero.
 
     The band solves floor the diagonal at SOLVE_FLOOR, so a singular band
     solves like any other. Inverse iteration needs only directions, and
     normalizing after each solve stops the growth of the iterate from
-    compounding over the two solves of a step and over steps.
+    compounding over the two solves of a step and over steps. ``math.hypot``
+    scales internally, so the norm is finite wherever the entries are.
     """
     w = solve(rhs)
-    nw = norm2(w)
+    nw = math.hypot(*w)
     if not 0.0 < nw < math.inf:
         return None
-    return w / nw
+    return [x / nw for x in w], nw
 
 
 def inverse_iteration_steps(k, delta):
@@ -143,44 +145,65 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     Runs inverse power steps on band^T band from a seeded Gaussian start. With
     the default budget of ceil(2.23 ln(k/delta^2)) steps, the returned unit
     vector v satisfies ||band v||^2 <= 1.5 sigma_min(band)^2 with probability
-    at least 1 - delta; exits early once the Rayleigh quotient stabilizes to
-    RQ_STABILIZED_RTOL between steps. The band solves floor the diagonal at
-    SOLVE_FLOOR, so on a band with a zero diagonal entry the first step lands
-    on the null direction. A solve whose result is zero or not finite ends
-    the iteration with the last unit iterate.
+    at least 1 - delta (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal.
+    Appl. 13). The band solves floor the diagonal at SOLVE_FLOOR, so on a
+    band with a zero diagonal entry the first step lands on the null
+    direction. A solve whose result is zero or not finite ends the iteration
+    with the last unit iterate.
+
+    The iterate stays a list of Python floats, the band solves' own type, and
+    becomes an array once, at the end. A step solves band^T y = v and
+    band z = y / ||y||, and takes v = z / ||z||; then band v = (y / ||y||) /
+    ||z||, so ||band v||^2 = 1 / ||z||^2 without a matvec. The iteration
+    stops early once that estimate moves by at most RQ_STABILIZED_RTOL
+    (relative) between steps. The value 1e-10 is a multiple of the rounding
+    noise in the estimate: ||z||^2 is a sum of k squares, with relative error
+    up to gamma_k = k u / (1 - k u) (Higham 2002, "Accuracy and Stability of
+    Numerical Algorithms", sec. 3.1), and each solve is exact only for a band
+    perturbed by gamma_3 entrywise (ibid., Thm. 8.5). At berrkit's default
+    k_max of 20000, k u is 2.2e-12, so 1e-10 stays 45 times above the noise at
+    every k a run reaches; the old 1e-14 sat below it once k passed about 90
+    and rarely fired on clustered spectra. What an early stop leaves: with
+    rho < 1 the ratio of the two smallest singular values, the excess
+    ||band v||^2 - sigma_min^2 shrinks by about rho^4 per step, so a step
+    that moved the estimate by at most 1e-10 leaves an excess of at most
+    about 1e-10 rho^4 / (1 - rho^4) relative. That passes the guarantee's
+    factor 1.5 only when 1 - rho^4 < 2e-10, where the two smallest singular
+    values agree to 1e-10 and either one serves. The stop rule decides only
+    when to stop, not what is certified: the returned ``rq`` is measured, by
+    one ``band.matvec`` of the returned v, and recovery certifies with
+    ``rayleigh_certificate``.
 
     Returns
     -------
-    (v, rq, steps) : unit vector, its Rayleigh quotient ||band v||^2, and the
-    number of steps taken.
+    (v, rq, steps) : unit vector, its measured Rayleigh quotient
+    ||band v||^2, and the number of steps taken.
     """
     k = band.k
     if max_steps is None:
         max_steps = inverse_iteration_steps(k, delta)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k)
-    v /= norm2(v)
-    mv = band.matvec(v)
-    rq = float(mv @ mv)
+    start = np.random.default_rng(seed).standard_normal(k).tolist()
+    norm = math.hypot(*start)
+    v = [x / norm for x in start]
     solve, solve_t = band.solve, band.solve_t
+    growth = 0.0  # ||z|| of the last step, so ||band v||^2 = 1 / growth^2
     steps = 0
     for _ in range(max_steps):
         # one inverse power step on band^T band
-        w = _solve_normalized(solve_t, v)
-        if w is not None:
-            w = _solve_normalized(solve, w)
-        if w is None:
+        y = _solve_normalized(solve_t, v)
+        z = None if y is None else _solve_normalized(solve, y[0])
+        if z is None:
             # degenerate iterate; keep the current v
             break
-        v = w
+        v, grown = z
         steps += 1
-        mv = band.matvec(v)
-        rq_new = float(mv @ mv)
-        if abs(rq_new - rq) <= RQ_STABILIZED_RTOL * rq_new:
-            rq = rq_new
+        # the estimate moved from 1 / growth^2 to 1 / grown^2
+        if abs(1.0 - (growth / grown) ** 2) <= RQ_STABILIZED_RTOL:
             break
-        rq = rq_new
-    return v, rq, steps
+        growth = grown
+    v = np.array(v)
+    mv = band.matvec(v)
+    return v, float(mv @ mv), steps
 
 
 def rayleigh_certificate(band, v):

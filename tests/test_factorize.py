@@ -52,6 +52,18 @@ class TestBandMatrix:
             assert np.all(np.isfinite(x))
             assert abs(x[1]) >= 1e29
 
+    def test_is_a_snapshot_of_the_arrays_it_was_given(self):
+        diag, sup1, sup2 = np.array([2.0, 1.5, 3.0]), np.array([0.3, -0.2]), np.array([0.1])
+        band = BandMatrix(diag, sup1, sup2)
+        ref = BandMatrix(diag.copy(), sup1.copy(), sup2.copy())
+        v, rhs = np.array([1.0, -2.0, 0.5]), [1.0, 2.0, -1.0]
+        diag[:], sup1[:], sup2[:] = 7.0, 5.0, 3.0
+        assert band.matvec(v).tobytes() == ref.matvec(v).tobytes()
+        assert band.solve(rhs) == ref.solve(rhs)
+        assert band.solve_t(rhs) == ref.solve_t(rhs)
+        with pytest.raises(ValueError):
+            band.diag[0] = 1.0
+
     def test_sigma_min_dense(self):
         # the dense reference against the eigenvalues of the Gram matrix
         d = band_dense(self._band())

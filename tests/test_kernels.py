@@ -318,7 +318,7 @@ class TestBandSolves:
         rng = np.random.default_rng(k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper(*_upper_lists(diag, sup1, sup2), rhs)
+        x = _kernels.band_solve_upper(*_upper_lists(diag, sup1, sup2), rhs.tolist())
         assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
@@ -326,7 +326,7 @@ class TestBandSolves:
         rng = np.random.default_rng(100 + k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper_t(*_transposed_lists(diag, sup1, sup2), rhs)
+        x = _kernels.band_solve_upper_t(*_transposed_lists(diag, sup1, sup2), rhs.tolist())
         assert_allclose(x, np.linalg.solve(dense.T, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 30, 300])
@@ -335,14 +335,14 @@ class TestBandSolves:
         diag, sup1, sup2, _ = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
         rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
-        for solve, lists, reference in [
-            (_kernels.band_solve_upper, _upper_lists, _scalar_upper_solve),
-            (_kernels.band_solve_upper_t, _transposed_lists, _scalar_upper_t_solve),
+        band = bk.BandMatrix(diag, sup1, sup2)
+        for solve, lists, reference, band_solve in [
+            (_kernels.band_solve_upper, _upper_lists, _scalar_upper_solve, band.solve),
+            (_kernels.band_solve_upper_t, _transposed_lists, _scalar_upper_t_solve,
+             band.solve_t),
         ]:
-            x = solve(*lists(diag, sup1, sup2), rhs)
-            assert x.dtype == np.float64
-            assert x.tobytes() == reference(diag, sup1, sup2, rhs).tobytes()
+            x = solve(*lists(diag, sup1, sup2), rhs.tolist())
+            assert type(x) is list and all(type(xi) is float for xi in x)
+            assert np.array(x).tobytes() == reference(diag, sup1, sup2, rhs).tobytes()
             # BandMatrix hands the kernels the same lists
-            band = bk.BandMatrix(diag, sup1, sup2)
-            solved = band.solve(rhs) if solve is _kernels.band_solve_upper else band.solve_t(rhs)
-            assert solved.tobytes() == x.tobytes()
+            assert np.array(band_solve(rhs.tolist())).tobytes() == np.array(x).tobytes()

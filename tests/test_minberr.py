@@ -292,6 +292,30 @@ class TestGateBelowSqrtU:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
+    def test_retry_starts_from_a_fresh_vector(self, name, monkeypatch):
+        # first attempts return their start vector, so the step at which the
+        # test fires must retry; a retry from the same seed would only rerun
+        # the first attempt's steps
+        calls = []
+        inverse_iteration = minberr.inverse_iteration
+
+        def spy(band, delta, seed, max_steps=None):
+            first = max_steps == minberr.inverse_iteration_steps(band.k, delta)
+            calls.append((band.k, seed, first))
+            return inverse_iteration(band, delta, seed, max_steps=0 if first else max_steps)
+
+        monkeypatch.setattr(minberr, "inverse_iteration", spy)
+        solver, extra = ENTRIES[name]
+        p = bk.ill_conditioned(100, 1e4)
+        solver(p.op, np.ones(100), *extra, eps=1e-2, k_max=60, seed=5)
+        retries = [i for i, (_, _, first) in enumerate(calls) if not first]
+        assert len(retries) == 1
+        (k, first_seed, _), (retry_k, retry_seed, _) = calls[retries[0] - 1 : retries[0] + 1]
+        assert retry_k == k
+        assert retry_seed != first_seed
+        assert (first_seed, retry_seed) == ([5, k], [5, k, 1])
+
+    @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
     def test_tiny_eps_solves_without_a_warning(self, name):
         solver, extra = ENTRIES[name]
         a = random_psd(30, seed=28, spread=0.5)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -13,7 +14,6 @@ import berrkit as bk
 from berrkit.factorize import SOLVE_FLOOR, BandMatrix
 from berrkit.operators import norm2
 from berrkit.smallband import (
-    RQ_STABILIZED_RTOL,
     CholTestState,
     DqdsState,
     inverse_iteration,
@@ -21,7 +21,7 @@ from berrkit.smallband import (
     rayleigh_certificate,
 )
 
-from dense_oracle import sigma_min_dense
+from dense_oracle import band_dense, sigma_min_dense
 
 
 def push_tridiag_columns(state, diag, sup1, sup2):
@@ -242,16 +242,18 @@ class TestInverseIteration:
         assert rayleigh_certificate(band, v) < 1e-40
 
 
-# The recovery path as it was before BandMatrix kept its solve form, frozen
-# here as the reference the live path must match bit for bit. It tries each
-# solve on the exact diagonal first and retries on the diagonal floored at
-# SOLVE_FLOOR when that meets a zero or gives a zero or non-finite result;
-# the live path solves once, floored. The two agree to the bit unless a
-# diagonal entry lies strictly between 0 and SOLVE_FLOOR in magnitude, which
-# the bands drawn below never hold. It norms with the live norm2, which
-# matches numpy's norm to the bit wherever the sum of squares stays in the
-# normal range (tests/test_operators.py); beyond it the frozen path's numpy
-# norm overflowed to inf and gave up.
+# The recovery path as it was before inverse iteration stopped at the noise
+# floor, frozen here as the reference whose certificates the live path must
+# keep: an array iterate, a matvec per step to measure ||band v||^2, and an
+# early exit once that moved by at most 1e-14 (relative). It also predates
+# BandMatrix keeping its solve form: it tries each solve on the exact
+# diagonal first and retries on the diagonal floored at SOLVE_FLOOR when that
+# meets a zero or gives a zero or non-finite result. It norms with the live
+# norm2, which matches numpy's norm to the bit wherever the sum of squares
+# stays in the normal range (tests/test_operators.py); beyond it the frozen
+# path's numpy norm overflowed to inf and gave up.
+
+_FROZEN_RQ_STABILIZED_RTOL = 1e-14
 
 
 class _FrozenSingularBand(Exception):
@@ -330,7 +332,7 @@ def _frozen_inverse_iteration(band, delta, seed):
         steps += 1
         mv = band.matvec(v)
         rq_new = float(mv @ mv)
-        if abs(rq_new - rq) <= RQ_STABILIZED_RTOL * rq_new:
+        if abs(rq_new - rq) <= _FROZEN_RQ_STABILIZED_RTOL * rq_new:
             rq = rq_new
             break
         rq = rq_new
@@ -357,15 +359,53 @@ def _bands(draw):
     return BandMatrix(diag, sup1)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(_bands(), st.integers(0, 1000))
-def test_inverse_iteration_matches_frozen_path_bitwise(band, seed):
-    frozen_band = BandMatrix(band.diag, band.sup1, band.sup2)
+@st.composite
+def _clustered_bands(draw):
+    """Bands, k up to 60, whose singular values are a cluster of relative
+    width 1e-6 above one smaller singular value: the spectra on which the
+    early exit has the least to go on. A bidiagonal band is the Cholesky
+    factor of a symmetric tridiagonal T with the squared spectrum; a
+    tridiagonal-band one is the R of T = QR with the spectrum itself. T comes
+    from the dense Hessenberg (here tridiagonal) form of Q diag Q^T."""
+    k = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = 1.0 + 10.0 ** rng.uniform(-4.0, 1.0)
+    sigma = 10.0 ** rng.uniform(-3.0, 3.0) * np.concatenate(
+        [[1.0], gap * (1.0 + 1e-6 * rng.uniform(0.0, 1.0, k - 1))])
+    bidiagonal = draw(st.booleans())
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    t = scipy.linalg.hessenberg((q * (sigma**2 if bidiagonal else sigma)) @ q.T)
+    t = np.triu(np.tril(t, 1), -1)
+    t = (t + t.T) / 2.0
+    if bidiagonal:
+        r = np.linalg.cholesky(t).T
+        return BandMatrix(np.diag(r), np.diag(r, 1))
+    r = np.linalg.qr(t)[1]
+    return BandMatrix(np.diag(r), np.diag(r, 1), np.diag(r, 2))
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(st.one_of(_bands(), _clustered_bands()), st.integers(0, 1000))
+def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
     v, rq, steps = inverse_iteration(band, 1e-6, seed=[seed, band.k])
-    v0, rq0, steps0 = _frozen_inverse_iteration(frozen_band, 1e-6, [seed, band.k])
-    assert steps == steps0
-    assert v.tobytes() == v0.tobytes()
-    assert np.float64(rq).tobytes() == np.float64(rq0).tobytes()
+    v0, _, _ = _frozen_inverse_iteration(band, 1e-6, [seed, band.k])
+    svd = np.linalg.svd(band_dense(band), compute_uv=False)
+    sigma = float(svd[-1])
+    # the dense SVD knows sigma_min only to k u ||band|| (Weyl), which is all
+    # it says of a band holding a zero pivot
+    noise = band.k * np.finfo(float).eps * svd[0]
+    cert, cert0 = rayleigh_certificate(band, v), rayleigh_certificate(band, v0)
+    if cert0 <= math.sqrt(1.5) * sigma:
+        assert cert <= math.sqrt(1.5) * sigma
+        if sigma > noise:
+            # the clustered bands' gaps keep rho^4 below 1 - 4e-4, where the
+            # early stop leaves an excess of at most about 2.5e-7 in
+            # ||band v||^2 (see inverse_iteration)
+            assert cert <= cert0 * (1.0 + 1e-6)
+    assert cert >= (sigma - noise) * (1.0 - 1e-10)
+    assert steps <= inverse_iteration_steps(band.k, 1e-6)
+    mv = band.matvec(v)
+    assert np.float64(rq).tobytes() == np.float64(mv @ mv).tobytes()
 
 
 @pytest.mark.parametrize("zero_diagonal", [False, True])
@@ -413,6 +453,6 @@ def test_diagonal_below_the_floor_solves_as_the_floor(entry, floored):
     band = BandMatrix(diag.copy(), sup1, sup2)
     diag[3] = floored
     ref = BandMatrix(diag, sup1, sup2)
-    rhs = rng.standard_normal(6)
-    assert band.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
-    assert band.solve_t(rhs).tobytes() == ref.solve_t(rhs).tobytes()
+    rhs = rng.standard_normal(6).tolist()
+    for solve, ref_solve in [(band.solve, ref.solve), (band.solve_t, ref.solve_t)]:
+        assert np.array(solve(rhs)).tobytes() == np.array(ref_solve(rhs)).tobytes()
