@@ -7,8 +7,9 @@ repeats and the deterministic outcome (matvecs, iterations, termination,
 ``final_berr``, which must agree across repeats). Per suite it also records the
 min and median of the whole grid's wall time. An environment block gives the
 python and numpy versions, the CPU count and model and the BLAS thread count.
-The entry also holds three of ``bench_kernels.py``'s tables at their default
-sizes: the CSR table (per shape, nnz and the best and median microseconds per
+The entry also holds four of ``bench_kernels.py``'s tables at their default
+sizes: the opnorm table (per operator, the matvecs, steps, best milliseconds
+and relative error of one ``estimate_spectral_norm`` call), the CSR table (per shape, nnz and the best and median microseconds per
 call of the reduceat reference and of ``CsrOperator.apply``), the recovery
 table (per band size k, the best and median microseconds of one
 ``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
@@ -20,8 +21,8 @@ The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds
 the before and after of a change. About a minute on one core::
 
-    python3 benchmarks/bench_e2e.py --out BENCH_17.json --label parent OTHER/src
-    python3 benchmarks/bench_e2e.py --out BENCH_17.json --label change
+    python3 benchmarks/bench_e2e.py --out BENCH_19.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_19.json --label change
 
 SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
 to time that one.
@@ -116,6 +117,7 @@ def main(argv):
     import bench_kernels  # from this script's directory
 
     entry["kernels"] = {
+        "opnorm": bench_kernels.opnorm_rows(bench_kernels.REPEATS),
         "csr_matvec": bench_kernels.csr_rows(
             bench_kernels.CSR_ROWS, bench_kernels.CSR_PER_ROW, bench_kernels.REPEATS, seed=0),
         "band_recovery": bench_kernels.band_rows(

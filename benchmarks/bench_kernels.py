@@ -1,14 +1,19 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Five tables:
+millisecond range where dispatch overhead matters. Six tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
   entry, with the one-off WY factor build reported separately;
 * ||G||_2 of an n x n Gaussian G, as the minberr-ne-perturbed set-up needs
-  it: LAPACK's full SVD against the Golub-Kahan run that replaced it, with
-  its step count, for each ``--norm-sizes`` entry;
+  it: LAPACK's full SVD against berrkit's Golub-Kahan norm estimator run
+  until three steps add at most 4u, with its step count, for each
+  ``--norm-sizes`` entry;
+* ``estimate_spectral_norm`` on the operators whose norm perfbench leaves
+  unpinned (``opnorm_cases``): matvecs, steps, time and the relative error
+  against the exact norm (known in closed form, or from a dense SVD, or from
+  a fully reorthogonalized Golub-Kahan reference run of REFERENCE_STEPS);
 * the CSR matvec as ``CsrOperator.apply`` runs it (its cached layout built
   by a warm-up call) against the ``np.add.reduceat`` matvec it replaced
   (kept here as the reference), on the shapes of ``csr_shapes``;
@@ -24,12 +29,13 @@ millisecond range where dispatch overhead matters. Five tables:
   the whole loop (band view, ``inverse_iteration`` at delta = 1e-6) and the
   worst certificate over the dense-SVD sigma_min.
 
-Each pair in the first three tables is cross-checked for agreement before it
-is timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
-code of the last two. The CSR pairs and the three recovery timings run
-interleaved and report best and median per call. The recovery table times
-only public entry points, so it runs unchanged against older checkouts; a
-checkout whose solves take arrays converts the list rhs on each call.
+Each pair in the Householder, ||G||_2 and CSR tables is cross-checked for
+agreement before it is timed; ``tests/test_kernels.py`` and
+``tests/test_smallband.py`` check the code of the recovery tables. The CSR
+pairs and the three recovery timings run interleaved and report best and
+median per call. The opnorm and recovery tables time only public entry
+points, so they run unchanged against older checkouts; a checkout whose
+solves take arrays converts the list rhs on each call.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
@@ -43,10 +49,15 @@ import numpy as np
 
 from berrkit._kernels import householder_chain, householder_wy
 from berrkit.factorize import BidiagState, LanczosState
-from berrkit.minberr import _dense_norm
-from berrkit.operators import CsrOperator
-from berrkit.problems import ill_conditioned, small_outlier
-from berrkit.smallband import inverse_iteration, rayleigh_certificate
+from berrkit.operators import (
+    CountingOperator,
+    CsrOperator,
+    DenseOperator,
+    estimate_spectral_norm,
+    norm2,
+)
+from berrkit.problems import disguise, ill_conditioned, small_outlier
+from berrkit.smallband import inverse_iteration
 
 CSR_ROWS = 200_000
 CSR_PER_ROW = 8
@@ -61,6 +72,8 @@ SWEEPS = [
     ("PSD ill-conditioned:n=2000,kappa=1e10",
      lambda: ill_conditioned(2000, 1e10), "ones", False, 400),
 ]
+# Golub-Kahan steps of the fully reorthogonalized reference norm
+REFERENCE_STEPS = 150
 
 
 def uniform_coo(rows, per_row, rng):
@@ -112,6 +125,68 @@ def csr_shapes(rows, per_row, rng):
         ("Laplacian 120 x 120", CsrOperator.from_coo(*lap, (14_400, 14_400), symmetric=True)),
         (f"arrow {n}", CsrOperator.from_coo(*arrow_coo(n, rng), (n, n))),
     ]
+
+
+def opnorm_cases():
+    """(name, operator with its norm unpinned, exact ||A||_2 or None) for the
+    opnorm table: the Laplacians of perfbench's traced-cli and certify
+    workloads, certify's random CSR matrix at perfbench seeds 1 and 2, and a
+    dense two-sided disguise of ill_conditioned(400, 1e6)."""
+    cases = []
+    for workload, g in (("traced-cli", 50), ("certify", 120)):
+        lap = CsrOperator.from_coo(*laplacian_coo(g), (g * g, g * g), symmetric=True)
+        cases.append((f"{workload} Laplacian {g} x {g}", lap,
+                      4.0 + 4.0 * np.cos(np.pi / (g + 1))))
+    n = 10_000
+    for seed in (1, 2):
+        r, c, v = certify_random_coo(n, np.random.default_rng([seed, 10]))
+        cases.append((f"certify random {n}, seed {seed}", CsrOperator.from_coo(r, c, v, (n, n)),
+                      None))
+    dense = disguise(ill_conditioned(400, 1e6), two_sided=True, seed=0).op.to_dense()
+    cases.append(("dense disguise2 ill-conditioned 400, 1e6", DenseOperator(dense),
+                  float(np.linalg.norm(dense, 2))))
+    return cases
+
+
+def reference_norm(op):
+    """||A||_2 as the top singular value of the lower bidiagonal of a fully
+    reorthogonalized Golub-Kahan run of REFERENCE_STEPS steps."""
+    state = BidiagState(op, np.random.default_rng(7).standard_normal(op.rows), opnorm=1.0,
+                        reorth="full")
+    for _ in range(REFERENCE_STEPS):
+        state.step()
+    k = REFERENCE_STEPS
+    bk = np.zeros((k + 1, k))
+    bk[np.arange(k), np.arange(k)] = state.alphas[:k]
+    bk[np.arange(1, k + 1), np.arange(k)] = state.betas[:k]
+    return float(np.linalg.norm(bk, 2))
+
+
+def opnorm_rows(repeats):
+    """One dict per ``opnorm_cases`` entry: the matvecs and steps of one
+    estimate_spectral_norm call, its best milliseconds and its relative
+    error against the exact norm."""
+    table = []
+    for name, op, exact in opnorm_cases():
+        exact = reference_norm(op) if exact is None else exact
+        counted = CountingOperator(op)
+        est = estimate_spectral_norm(counted)
+        table.append({
+            "operator": name, "matvecs": counted.matvecs, "steps": est.iterations_used,
+            "ms_best": round(best_seconds(estimate_spectral_norm, (op,), repeats) * 1e3, 2),
+            "rel_error": float(f"{abs(est.value - exact) / exact:.3g}"),
+        })
+    return table
+
+
+def opnorm_table(repeats):
+    header = (f"{'estimate_spectral_norm':<42} {'matvecs':>8} {'steps':>6} "
+              f"{'best':>10} {'rel. error':>11}")
+    print(header)
+    print("-" * len(header))
+    for row in opnorm_rows(repeats):
+        print(f"{row['operator']:<42} {row['matvecs']:>8} {row['steps']:>6} "
+              f"{row['ms_best']:>8.2f}ms {row['rel_error']:>11.2e}")
 
 
 def reduceat_matvec(data, indices, indptr, x):
@@ -220,16 +295,22 @@ def householder_table(sizes, repeats, rng):
 
 
 def norm_table(sizes, repeats, rng):
+    # private names, imported here so that bench_e2e.py, which does not run
+    # this table, can still import this module against older checkouts
+    from berrkit.minberr import _G_NORM_GROW_TOL
+    from berrkit.operators import _golub_kahan_norm
+
     header = f"{'n':<8} {'LAPACK SVD':>12} {'Golub-Kahan':>12} {'speedup':>9} {'steps':>6}"
     print(header)
     print("-" * len(header))
     for n in sizes:
         g = rng.standard_normal((n, n))
+        op = DenseOperator(g, symmetric=False)
         want = np.linalg.norm(g, 2)
-        got, steps = _dense_norm(g, 0)
+        got, steps = _golub_kahan_norm(op, _G_NORM_GROW_TOL)
         assert abs(got - want) <= 1e-13 * want
         t_svd = best_seconds(np.linalg.norm, (g, 2), repeats)
-        t_gk = best_seconds(_dense_norm, (g, 0), repeats)
+        t_gk = best_seconds(_golub_kahan_norm, (op, _G_NORM_GROW_TOL), repeats)
         print(f"{n:<8} {t_svd * 1e3:>10.1f}ms {t_gk * 1e3:>10.1f}ms "
               f"{t_svd / t_gk:>8.1f}x {steps:>6}")
 
@@ -296,7 +377,8 @@ def sweep_rows(repeats, seed):
             dense[np.arange(k - 1), np.arange(1, k)] = band.sup1
             dense[np.arange(k - 2), np.arange(2, k)] = band.sup2
             sigma_min = np.linalg.svd(dense, compute_uv=False)[-1]
-            worst = max(worst, rayleigh_certificate(band, v) / sigma_min)
+            cert = norm2(band.matvec(v)) / norm2(v)  # the certificate recovery reports
+            worst = max(worst, cert / sigma_min)
         ((best, med),) = interleaved_seconds([recover_all], repeats)
         table.append({
             "sweep": name, "last_k": last,
@@ -334,6 +416,8 @@ def main(argv=None):
     householder_table(args.wy_sizes, args.repeats, rng)
     print()
     norm_table(args.norm_sizes, args.repeats, rng)
+    print()
+    opnorm_table(args.repeats)
     print()
     csr_table(args.csr_rows, args.csr_per_row, args.repeats, args.seed)
     print()

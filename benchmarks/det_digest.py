@@ -3,13 +3,16 @@
 The runs are every run of the five offline ``berrkit bench`` suites plus one
 ``berrkit solve`` per solver, and one each for minberr and minberr-ne below
 sqrt(u) and one each whose Krylov space breaks down at the first step, at
-``--trace-every`` 1 and 7. Each digest covers every history CSV
+``--trace-every`` 1 and 7. Last come runs on ``.mtx`` files that ``berrkit
+synth`` writes (``MTX_FILES``), whose norm is estimated rather than pinned:
+the ``suitesparse`` suite over all of them, and minberr on the symmetric one
+at ``--trace-every`` 1 and 7. Each digest covers every history CSV
 column except ``wall_nanos`` and every summary field, so two checkouts that
 print the same lines produce bitwise-identical numbers. After the digest each
 line shows the run's outcome: termination, iterations (``k=``), final berr and
 the certified bound (``bound=``, None unless the solver certifies one).
 
-Usage (about 40 s on one core)::
+Usage (about 50 s on one core)::
 
     python3 benchmarks/det_digest.py [SRC_DIR] > digests.txt
     python3 benchmarks/det_digest.py [SRC_DIR] --against OTHER_SRC
@@ -65,15 +68,23 @@ SOLVER_RUNS = [
     ("minberr-breakdown", "minberr", SYMMETRIC, ["--rhs", "smallest-left-singular"]),
 ]
 
+# (file stem, synthetic problem) of each .mtx file; read back, a file's
+# operator carries no pinned norm, so these runs exercise the norm estimate
+MTX_FILES = [("symmetric", SYMMETRIC), ("nonsymmetric", "cyclic-shift:n=64")]
+MTX_SOLVER_RUNS = [
+    ("mtx-minberr", "minberr", "symmetric", ["--tol", "1e-6", "--max-iter", "150"]),
+]
 
-def digest(history_path, summary):
-    """sha256 over the CSV without wall_nanos plus the canonical summary."""
+
+def digest(history_path, summary, tmp):
+    """sha256 over the CSV without wall_nanos plus the canonical summary, in
+    which a path under the temporary directory tmp appears relative to it."""
     h = hashlib.sha256()
     with open(history_path, encoding="ascii") as fh:
         for line in fh:
             h.update(line.rstrip("\n").rsplit(",", 1)[0].encode() + b"\n")
     summary = {k: v for k, v in summary.items() if k != "history"}
-    h.update(json.dumps(summary, sort_keys=True).encode())
+    h.update(json.dumps(summary, sort_keys=True).replace(tmp + os.sep, "").encode())
     return h.hexdigest()
 
 
@@ -125,6 +136,35 @@ def against(src, other):
     return 1 if differ else 0
 
 
+def bench_lines(cli, tmp, suite, extra=()):
+    """Print one line per run of ``berrkit bench suite``."""
+    out = os.path.join(tmp, suite)
+    code = cli.main(["bench", suite, "--out", out, *extra])
+    with open(os.path.join(out, "manifest.json"), encoding="ascii") as fh:
+        manifest = json.load(fh)
+    for run in manifest:
+        print(f"bench/{suite}/{run['name']} exit={code} "
+              f"{digest(run['history'], run, tmp)} {outcome(run)}")
+
+
+def solve_lines(cli, tmp, label, solver, problem, extra):
+    """Print one line per ``berrkit solve`` run, at --trace-every 1 and 7."""
+    for every in ("1", "7"):
+        hist = os.path.join(tmp, f"{label}-{every}.csv")
+        summ = os.path.join(tmp, f"{label}-{every}.json")
+        code = cli.main(
+            ["solve", "--problem", problem, "--solver", solver, "--rhs", "ones",
+             "--trace-every", every, "--history", hist, "--summary", summ, *extra]
+        )
+        if code != 0:
+            print(f"solve/{label}/every{every} exit={code}")
+            continue
+        with open(summ, encoding="ascii") as fh:
+            summary = json.load(fh)
+        print(f"solve/{label}/every{every} exit={code} "
+              f"{digest(hist, summary, tmp)} {outcome(summary)}")
+
+
 def main(argv):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -141,28 +181,20 @@ def main(argv):
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
         for suite in SUITES:
-            out = os.path.join(tmp, suite)
-            code = cli.main(["bench", suite, "--out", out])
-            with open(os.path.join(out, "manifest.json"), encoding="ascii") as fh:
-                manifest = json.load(fh)
-            for run in manifest:
-                print(f"bench/{suite}/{run['name']} exit={code} "
-                      f"{digest(run['history'], run)} {outcome(run)}")
-        for label, solver, problem, extra in SOLVER_RUNS:
-            for every in ("1", "7"):
-                hist = os.path.join(tmp, f"{label}-{every}.csv")
-                summ = os.path.join(tmp, f"{label}-{every}.json")
-                code = cli.main(
-                    ["solve", "--problem", problem, "--solver", solver, "--rhs", "ones",
-                     "--trace-every", every, "--history", hist, "--summary", summ, *extra]
-                )
-                if code != 0:
-                    print(f"solve/{label}/every{every} exit={code}")
-                    continue
-                with open(summ, encoding="ascii") as fh:
-                    summary = json.load(fh)
-                print(f"solve/{label}/every{every} exit={code} "
-                      f"{digest(hist, summary)} {outcome(summary)}")
+            bench_lines(cli, tmp, suite)
+        for run in SOLVER_RUNS:
+            solve_lines(cli, tmp, *run)
+        # synth writes each right-hand side beside its matrix; only the
+        # matrices go to the directory the suitesparse suite reads
+        mtx_dir = os.path.join(tmp, "mtx")
+        os.mkdir(mtx_dir)
+        for stem, problem in MTX_FILES:
+            written = os.path.join(tmp, f"{stem}.mtx")
+            cli.main(["synth", "--problem", problem, "--out", written])
+            os.replace(written, os.path.join(mtx_dir, f"{stem}.mtx"))
+        bench_lines(cli, tmp, "suitesparse", ["--suitesparse-dir", mtx_dir])
+        for label, solver, stem, extra in MTX_SOLVER_RUNS:
+            solve_lines(cli, tmp, label, solver, os.path.join(mtx_dir, f"{stem}.mtx"), extra)
     return 0
 
 

@@ -38,7 +38,6 @@ from .errors import (
     UnrepresentableNormError,
     ZeroOperatorError,
 )
-from .factorize import BandMatrix, BidiagState, LanczosState
 from .minberr import (
     MinberrResult,
     minberr_ne_perturbed,
@@ -97,9 +96,6 @@ __all__ = [
     "UndefinedAtZeroError",
     "UnrepresentableNormError",
     "ZeroOperatorError",
-    "BandMatrix",
-    "BidiagState",
-    "LanczosState",
     "MinberrResult",
     "minberr_ne_perturbed",
     "minberr_ne_solve",

@@ -199,9 +199,10 @@ class _Monitor:
         return k % RECOMPUTE_EVERY == 0
 
     def record(self, k, x, rn=None, xn=None):
-        """Append the row for iterate x. rn is the solver's own residual norm;
-        without one, or when the solver runs on a nearby operator, the
-        residual against A is measured with one matvec."""
+        """Append the row for iterate x; returns its residual norm at the scale
+        of ``self.b``. rn is the solver's own residual norm; without one, or
+        when the solver runs on a nearby operator, the residual against A is
+        measured with one matvec."""
         if xn is None:
             xn = norm2(x)
         if rn is None or self.measured:
@@ -210,6 +211,7 @@ class _Monitor:
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
             )
+        scaled_rn = rn
         if self.unscale != 1.0:
             rn, xn = rn * self.unscale, xn * self.unscale
             if not (_is_normal(xn) and (rn == 0.0 or _is_normal(rn))):
@@ -218,6 +220,13 @@ class _Monitor:
                     f"iterate norm {xn} leave the normal float64 range"
                 )
         self.trace.record(k, rn, xn, self.t0)
+        return scaled_rn
+
+    def exact(self, rn, breakdown):
+        """Whether residual norm rn, at the scale of ``self.b``, marks an
+        exact solution: rn is 0, or the Krylov space broke down with
+        rn <= 1e-15 ||b||. Every solver labels ExactSolution by this rule."""
+        return rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b)
 
     def check(self, k, x, rn, breakdown=False):
         """Stopping decision at iteration k, recording a row when one is due.
@@ -232,7 +241,7 @@ class _Monitor:
             rn = norm2(rn)
         xn = norm2(x)
         stop = Termination.BREAKDOWN if breakdown else None
-        if rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b):
+        if self.exact(rn, breakdown):
             stop = Termination.EXACT_SOLUTION
         elif xn > 0.0 and rn < self.cfg.berr_tolerance * self.s * xn:
             stop = Termination.TOLERANCE_REACHED

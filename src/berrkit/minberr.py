@@ -39,14 +39,8 @@ from .errors import (
     RequiresSymmetricError,
 )
 from .factorize import BidiagState, LanczosState, _check_reorth
-from .operators import DenseOperator, GaussianPerturbedOperator, norm2
-from .smallband import (
-    CholTestState,
-    DqdsState,
-    inverse_iteration,
-    inverse_iteration_steps,
-    rayleigh_certificate,
-)
+from .operators import DenseOperator, GaussianPerturbedOperator, _golub_kahan_norm
+from .smallband import CholTestState, DqdsState, inverse_iteration, inverse_iteration_steps
 
 __all__ = [
     "MinberrResult",
@@ -58,6 +52,8 @@ __all__ = [
 
 # dimensionless threshold for a vanishing recovery scalar (scaled units)
 DEGENERATE_ALPHA_TOL = 1e-14
+# ||G||_2 is estimated until three steps add at most 4u, u the unit roundoff
+_G_NORM_GROW_TOL = 2.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -111,8 +107,8 @@ def _smallest_pair(band, k, delta, seed, step_factor):
     seeded vector, so it does not repeat the first attempt step for step."""
     budget = step_factor * inverse_iteration_steps(k, delta)
     start = [seed, k] if step_factor == 1 else [seed, k, 1]
-    v, _, _ = inverse_iteration(band, delta, seed=start, max_steps=budget)
-    return v, rayleigh_certificate(band, v)
+    v, cert, _ = inverse_iteration(band, delta, seed=start, max_steps=budget)
+    return v, cert
 
 
 def _recover_psd(state, k, delta, seed, step_factor=1):
@@ -181,7 +177,8 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
             elif k == k_max:
                 termination = Termination.MAX_ITERATIONS
         if record_now or termination is not None:
-            mon.record(k, x)
+            if mon.exact(mon.record(k, x), state.breakdown):
+                termination = Termination.EXACT_SOLUTION
             certificates.append(cert)
         if termination is not None:
             break
@@ -198,7 +195,8 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     ----------
     op : LinearOperator
         Symmetric PSD operator. ||A||_2 is ``op.opnorm()``: pin a known value
-        with ``op.set_opnorm``, else it is estimated once by power iteration.
+        with ``op.set_opnorm``, else it is estimated once from below by
+        ``estimate_spectral_norm``.
     b : ndarray
         Nonzero right-hand side.
     eps : float
@@ -254,11 +252,12 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     against the original A (and opnorm_used is ||A||_2), and the result
     carries the certified bound (1 + perturb_eps) berr_perturbed + perturb_eps.
 
-    ||A||_2 is ``op.opnorm()``. ||G||_2 comes from a Golub-Kahan run on G to
-    convergence at machine precision (no full SVD). The solver's own norm is
-    the lower bound (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <=
-    ||A + E||_2, which errs on the safe side: a smaller norm inflates the
-    certificate and therefore the certified bound. Arguments are checked
+    ||A||_2 is ``op.opnorm()``. ||G||_2 comes from the Golub-Kahan estimator
+    behind ``estimate_spectral_norm``, run until three steps add at most 4u
+    (within 1e-13 of a full SVD). The solver's own norm is the lower bound
+    (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <= ||A + E||_2, which errs
+    on the safe side: a smaller norm inflates the certificate and therefore
+    the certified bound. Arguments are checked
     before G is drawn; at perturb_eps = 0 no G is drawn and the run is
     minberr_ne_solve's. The certified bound never falls below perturb_eps,
     so with perturb_eps >= eps no run can certify eps against A, and a
@@ -280,35 +279,9 @@ def _minberr_ne(op, mon, shift, perturb_eps, delta, reorth, seed):
     """Golub-Kahan run on A, or on A + E with ||E||_2 = perturb_eps ||A||_2."""
     if perturb_eps:
         g = np.random.default_rng([seed, 1]).standard_normal((op.rows, op.cols))
-        g_norm, _ = _dense_norm(g, seed)
+        g_norm, _ = _golub_kahan_norm(DenseOperator(g, symmetric=False), _G_NORM_GROW_TOL)
         # the monitor measures rows against A, so its trace norm is ||A||_2
         op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
     state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth)
     return _minberr_loop(state, DqdsState(shift).push, shift, _recover_ne, mon, delta, seed)
 
-
-def _dense_norm(g, seed):
-    """||G||_2 of a dense matrix by Golub-Kahan bidiagonalization, and the
-    number of steps taken.
-
-    The top singular value of the (k+1) x k lower bidiagonal B_k is a lower
-    bound on ||G||_2 that grows with k (Golub & Kahan 1965). Full
-    reorthogonalization keeps it honest to the last bits; the run stops once
-    it has grown by at most 4u (relative) over three steps, or at breakdown,
-    which comes by step min(m, n), where B_k carries every singular value.
-    """
-    start = np.random.default_rng([seed, 2]).standard_normal(g.shape[0])
-    state = BidiagState(DenseOperator(g, symmetric=False), start,
-                        opnorm=float(np.linalg.norm(g)), reorth="full")
-    grow_tol = 2.0 * np.finfo(float).eps  # 4u, u the unit roundoff
-    tops = []
-    for k in range(1, min(g.shape) + 1):
-        state.step()
-        idx = np.arange(k)
-        bk = np.zeros((k + 1, k))
-        bk[idx, idx] = state.alphas[:k]
-        bk[idx + 1, idx] = state.betas
-        tops.append(float(np.linalg.norm(bk, 2)))
-        if state.breakdown or (k > 3 and tops[-1] - tops[-4] <= grow_tol * tops[-1]):
-            break
-    return tops[-1], k

@@ -5,6 +5,8 @@ They are immutable after construction with one exception: the norm cache,
 which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
 when the exact value is known, e.g. for diagonal test problems). Solvers and
 ``backward_error`` read ||A||_2 only from here, through ``_check_norm``.
+The one norm estimator, ``_golub_kahan_norm``, fills that cache and norms the
+Gaussian perturbation of ``minberr_ne_perturbed``.
 """
 
 import math
@@ -43,7 +45,8 @@ def _as_vector(v, n, what="vector"):
 # smallest positive normal float64
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
-# estimate_spectral_norm's relative tolerance, step cap and start seed
+# estimate_spectral_norm's stop tolerance, and the norm estimate's step cap
+# and start seed
 NORM_REL_TOL = 1e-3
 NORM_MAX_ITER = 300
 NORM_SEED = 0
@@ -74,7 +77,8 @@ def norm2(v):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Result of power iteration: value <= ||A||_2, with the tolerance asked for."""
+    """Result of ``estimate_spectral_norm``: value <= ||A||_2, the tolerance of
+    its stop rule and its step count (0 for a pinned norm)."""
 
     value: float
     relative_tolerance: float
@@ -152,58 +156,72 @@ def _check_norm(s):
     return s
 
 
-def _power_step_norm(w):
-    """norm2(w), checked before power iteration divides by it."""
+def _finite_norm(w, k):
+    """norm2(w), checked before step k of the norm estimate divides by it."""
     nw = norm2(w)
-    if nw == 0.0:
-        raise ZeroOperatorError("power iteration produced a zero vector")
     if not math.isfinite(nw):
-        raise NonFiniteError("power iteration produced a non-finite vector")
+        raise NonFiniteError(f"norm estimate, step {k}: a product with A is not finite")
     return nw
 
 
-def estimate_spectral_norm(op):
-    """Power-iteration estimate of ||A||_2.
+def _golub_kahan_norm(op, grow_tol):
+    """Lower bound on ||A||_2 by Golub-Kahan bidiagonalization, and the number
+    of steps taken.
 
-    Iterates v <- A v for symmetric operators and v <- A^T A v otherwise,
-    from a Gaussian start seeded with NORM_SEED. The per-step estimate is a
-    Rayleigh-type quotient, so it never exceeds the true norm and is
-    non-decreasing across iterations. Stops once the relative gain stays
-    below NORM_REL_TOL/2 for three consecutive steps, or after NORM_MAX_ITER
-    steps; the value is then >= (1 - NORM_REL_TOL) ||A||_2 with high
-    probability over the start. A zero operator raises ZeroOperatorError and
-    a non-finite product NonFiniteError.
+    Runs A v_k = alpha_k u_k + beta_{k-1} u_{k-1} and A^T u_k = alpha_k v_k +
+    beta_k v_{k+1} (Golub & Kahan 1965) on two live vectors from a Gaussian
+    start seeded with NORM_SEED. After step k the value is the top singular
+    value of the k x (k+1) upper bidiagonal [B_k | beta_k e_k], which is
+    U_k^T A V_{k+1}: a lower bound on ||A||_2, up to rounding, that cannot
+    shrink as k grows. The Krylov space holds the power iterate, so the value
+    converges faster than power iteration from the same start (Kuczynski &
+    Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13).
+
+    The run stops once the value has grown by at most grow_tol (relative)
+    over three steps, at a breakdown (alpha or beta exactly 0), or after
+    min(m, n, NORM_MAX_ITER) steps for an m x n A; in exact arithmetic the
+    value is ||A||_2 by step min(m, n). A zero first product raises
+    ZeroOperatorError and a non-finite product NonFiniteError.
+    """
+    v = np.random.default_rng(NORM_SEED).standard_normal(op.cols)
+    v /= norm2(v)
+    u = np.zeros(op.rows)
+    max_steps = min(op.rows, op.cols, NORM_MAX_ITER)
+    band = np.zeros((max_steps, max_steps + 1))  # [B_k | beta_k e_k], row by row
+    tops = []
+    beta = 0.0
+    for k in range(1, max_steps + 1):
+        p = op.apply(v) - beta * u
+        alpha = _finite_norm(p, k)
+        if alpha == 0.0:
+            if k == 1:
+                raise ZeroOperatorError("norm estimate: A v = 0 for a random v")
+            break
+        u = p / alpha
+        r = op.apply_adjoint(u) - alpha * v
+        beta = _finite_norm(r, k)
+        band[k - 1, k - 1 : k + 1] = alpha, beta
+        tops.append(float(np.linalg.svd(band[:k, : k + 1], compute_uv=False)[0]))
+        if beta == 0.0 or (k > 3 and tops[-1] - tops[-4] <= grow_tol * tops[-1]):
+            break
+        v = r / beta
+    return tops[-1], len(tops)
+
+
+def estimate_spectral_norm(op):
+    """Estimate of ||A||_2 from below: ``_golub_kahan_norm`` at grow_tol =
+    NORM_REL_TOL, errors included. The stop rule bounds the progress still
+    being made, not the distance to ||A||_2; ``benchmarks/bench_kernels.py``'s
+    opnorm table measured 1.7e-3 (relative) below it on 2-D Laplacians,
+    3.3e-4 on random sparse matrices and 4e-6 on a dense disguised diagonal,
+    in 12 to 21 steps.
 
     Returns
     -------
     NormEstimate
     """
-    v = np.random.default_rng(NORM_SEED).standard_normal(op.cols)
-    v /= norm2(v)
-    est = 0.0
-    flat = 0
-    used = 0
-    for it in range(1, NORM_MAX_ITER + 1):
-        used = it
-        w = op.apply(v)
-        nw = _power_step_norm(w)
-        if op.symmetric:
-            new_est = nw
-            v = w / nw
-        else:
-            z = op.apply_adjoint(w)
-            nz = _power_step_norm(z)
-            new_est = np.sqrt(nz)
-            v = z / nz
-        if new_est - est <= 0.5 * NORM_REL_TOL * new_est:
-            flat += 1
-            if flat >= 3:
-                est = max(est, new_est)
-                break
-        else:
-            flat = 0
-        est = max(est, new_est)
-    return NormEstimate(est, NORM_REL_TOL, used)
+    value, steps = _golub_kahan_norm(op, NORM_REL_TOL)
+    return NormEstimate(value, NORM_REL_TOL, steps)
 
 
 class DenseOperator(LinearOperator):

@@ -27,7 +27,6 @@ __all__ = [
     "DqdsState",
     "inverse_iteration",
     "inverse_iteration_steps",
-    "rayleigh_certificate",
     "RQ_STABILIZED_RTOL",
 ]
 
@@ -170,14 +169,14 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     about 1e-10 rho^4 / (1 - rho^4) relative. That passes the guarantee's
     factor 1.5 only when 1 - rho^4 < 2e-10, where the two smallest singular
     values agree to 1e-10 and either one serves. The stop rule decides only
-    when to stop, not what is certified: the returned ``rq`` is measured, by
-    one ``band.matvec`` of the returned v, and recovery certifies with
-    ``rayleigh_certificate``.
+    when to stop, not what is certified: the returned certificate is
+    measured, by one ``band.matvec`` of the returned v.
 
     Returns
     -------
-    (v, rq, steps) : unit vector, its measured Rayleigh quotient
-    ||band v||^2, and the number of steps taken.
+    (v, cert, steps) : unit vector, its certificate ||band v||_2 / ||v||_2
+    (which equals the backward error of the x recovered from v), and the
+    number of steps taken.
     """
     k = band.k
     if max_steps is None:
@@ -202,10 +201,4 @@ def inverse_iteration(band, delta, seed, max_steps=None):
             break
         growth = grown
     v = np.array(v)
-    mv = band.matvec(v)
-    return v, float(mv @ mv), steps
-
-
-def rayleigh_certificate(band, v):
-    """||band v||_2 / ||v||_2; equals the backward error of the recovered x."""
-    return norm2(band.matvec(v)) / norm2(v)
+    return v, norm2(band.matvec(v)) / norm2(v), steps

@@ -278,9 +278,8 @@ def test_inverse_iteration_success_rate():
             band = BandMatrix(diag, sup1)
         else:
             band = BandMatrix(diag, sup1, rng.standard_normal(max(k - 2, 0)))
-        lam = sigma_min_dense(band) ** 2
-        _, rq, _ = inverse_iteration(band, 0.1, seed=[8, t, 1])
-        if rq <= 1.5 * lam * (1.0 + 1e-12):
+        _, cert, _ = inverse_iteration(band, 0.1, seed=[8, t, 1])
+        if cert <= math.sqrt(1.5) * sigma_min_dense(band) * (1.0 + 1e-12):
             wins += 1
     ok = wins >= 450
     report("A08 inverse iteration 1-delta rate", ok, f"{wins}/500 trials within 1.5x")

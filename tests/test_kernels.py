@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit import _kernels
+from berrkit import _kernels, factorize
 
 
 def _dense_to_csr(dense):
@@ -335,7 +335,7 @@ class TestBandSolves:
         diag, sup1, sup2, _ = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
         rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
-        band = bk.BandMatrix(diag, sup1, sup2)
+        band = factorize.BandMatrix(diag, sup1, sup2)
         for solve, lists, reference, band_solve in [
             (_kernels.band_solve_upper, _upper_lists, _scalar_upper_solve, band.solve),
             (_kernels.band_solve_upper_t, _transposed_lists, _scalar_upper_t_solve,

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit.factorize import BidiagState, LanczosState
+from berrkit.factorize import BandMatrix, BidiagState, LanczosState
 from berrkit import minberr
-from berrkit.minberr import _dense_norm, _recover_ne
+from berrkit.minberr import _G_NORM_GROW_TOL, _recover_ne
+from berrkit.operators import _golub_kahan_norm, norm2
 
 from _helpers import capture_monitors, capture_row_iterates, dense_op, measured_berr, random_psd
 from dense_oracle import ExactSolutionInSubspaceError, dense_minberr_oracle, sigma_min_dense
@@ -206,15 +207,19 @@ def test_trace_every_below_one_is_rejected(name):
 SQRT_U = math.sqrt(np.finfo(float).eps)
 
 
-def per_iteration_reference(state, recover, eps, k_max, seed=0, delta=1e-6):
+def per_iteration_reference(state, recover, eps, k_max, b, seed=0, delta=1e-6):
     """Recover at every step and stop at the first certificate below eps, at
     breakdown or at the cap: the loop that the O(1) test gated below sqrt(u)
-    must reproduce bit for bit. Returns (termination, k, certificate, x)."""
+    must reproduce bit for bit. A breakdown whose measured residual is at
+    most 1e-15 ||b|| is an exact solution. Returns (termination, k,
+    certificate, x)."""
     for k in range(1, k_max + 1):
         state.step()
         x, cert = recover(state, k, delta, seed)
         if cert >= eps and state.breakdown:
             x, cert = recover(state, k, delta, seed, step_factor=4)
+        if state.breakdown and norm2(state.op.apply(x) - b) <= 1e-15 * norm2(b):
+            return bk.Termination.EXACT_SOLUTION, k, cert, x
         if cert < eps:
             return bk.Termination.TOLERANCE_REACHED, k, cert, x
         if state.breakdown:
@@ -262,7 +267,7 @@ class TestGateBelowSqrtU:
             solver, factorization, recover = bk.minberr_solve, LanczosState, minberr._recover_psd
         r = solver(op, b, eps=eps, reorth=reorth, seed=seed, trace_every=trace_every)
         state = factorization(op, b, opnorm=op.opnorm(), reorth=reorth)
-        _assert_same_run(r, per_iteration_reference(state, recover, eps, n, seed))
+        _assert_same_run(r, per_iteration_reference(state, recover, eps, n, b, seed))
 
     @pytest.mark.parametrize("eps", [1.48e-8, math.nextafter(SQRT_U, 0.0)])
     def test_equals_per_iteration_reference_just_below_sqrt_u(self, eps):
@@ -271,7 +276,8 @@ class TestGateBelowSqrtU:
         p = bk.small_outlier(500, 1e12, 1e-2)
         r = bk.minberr_solve(p.op, p.b, eps=eps)
         state = LanczosState(p.op, p.b, opnorm=p.op.opnorm())
-        _assert_same_run(r, per_iteration_reference(state, minberr._recover_psd, eps, 500))
+        _assert_same_run(r, per_iteration_reference(state, minberr._recover_psd, eps, 500,
+                                                    p.b))
         assert r.iterations == 73
 
     @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
@@ -388,11 +394,45 @@ def test_disguise_invariance_across_seeds(seed, two_sided, normal_equations, n, 
     assert float(np.max(diff)) <= 1e-6
 
 
+def _exact_input(problem):
+    """(A, b) whose Krylov space breaks down at an exact solution at k = 1."""
+    if problem == "cyclic-shift":
+        # A^T b = b and A b = b: the normal-equations space holds x = b
+        return bk.cyclic_shift(64).op, np.ones(64)
+    # b is the left singular vector of sigma_min, so x = b / sigma_min
+    p = bk.ill_conditioned(400, 1e8)
+    return p.op, bk.rhs_smallest_left_singular(p)
+
+
+EXACT_SOLVERS = {
+    "cg": bk.cg,
+    "minres": bk.minres,
+    "lsqr": bk.lsqr,
+    "minberr": bk.minberr_solve,
+    "minberr-ne": bk.minberr_ne_solve,
+}
+
+
+@pytest.mark.parametrize("problem, solver", [
+    *(("smallest-singular-rhs", solver) for solver in EXACT_SOLVERS),
+    # cg, minres and minberr need a symmetric operator
+    ("cyclic-shift", "lsqr"),
+    ("cyclic-shift", "minberr-ne"),
+])
+def test_exact_solution_gets_one_label_from_every_solver(problem, solver):
+    """A Krylov space that breaks down at an exact solution ends ExactSolution,
+    by the monitor's one rule, whichever solver built it."""
+    op, b = _exact_input(problem)
+    r = EXACT_SOLVERS[solver](op, b)
+    assert (r.termination, r.iterations) == (bk.Termination.EXACT_SOLUTION, 1)
+    assert r.trace.final_berr <= 1e-15
+
+
 class TestMinberrNeSolve:
     def test_exact_solution_through_orthogonal_operator(self):
         p = bk.cyclic_shift(8)
         r = bk.minberr_ne_solve(p.op, p.b, eps=1e-6)
-        assert r.termination == bk.Termination.TOLERANCE_REACHED
+        assert r.termination == bk.Termination.EXACT_SOLUTION
         assert r.iterations == 1
         assert r.sigma_min_certificate == 0.0
         assert_allclose(p.op.apply(r.x), p.b, atol=1e-14)
@@ -403,7 +443,8 @@ class TestMinberrNeSolve:
         op = dense_op(a)
         b = rng.standard_normal(10)
         r = bk.minberr_ne_solve(op, b, eps=1e-7, reorth="full")
-        assert r.termination == bk.Termination.TOLERANCE_REACHED
+        # the space is exhausted at k = 10, where x solves the system
+        assert (r.termination, r.iterations) == (bk.Termination.EXACT_SOLUTION, 10)
         assert measured_berr(op, b, r.x, op.opnorm()) <= 1e-7
 
     def test_rectangular_breakdown_keeps_certificate_honest(self):
@@ -495,7 +536,7 @@ class TestMinberrNePerturbed:
             raise AssertionError("the dense perturbation was set up")
 
         monkeypatch.setattr(minberr, "GaussianPerturbedOperator", refuse)
-        monkeypatch.setattr(minberr, "_dense_norm", refuse)
+        monkeypatch.setattr(minberr, "_golub_kahan_norm", refuse)
         p = bk.ill_conditioned(10, 10.0)
         with pytest.raises(ValueError):
             bk.minberr_ne_perturbed(p.op, p.b, 1e-2, **bad)
@@ -503,8 +544,9 @@ class TestMinberrNePerturbed:
     def test_perturbation_norm_and_solver_norm(self, monkeypatch):
         """||E|| <= perturb_eps ||A|| (the premise of the composition bound),
         G is the seeded draw, and the solver runs on the proven lower bound
-        (1 - perturb_eps) ||A|| <= ||A + E|| without a power iteration. The
-        run's one monitor measures every row against A at ||A||."""
+        (1 - perturb_eps) ||A|| <= ||A + E|| without estimating a norm of A
+        or A + E. The run's one monitor measures every row against A at
+        ||A||."""
         built = []
         make_op = minberr.GaussianPerturbedOperator
 
@@ -512,11 +554,11 @@ class TestMinberrNePerturbed:
             built.append(make_op(*args))
             return built[-1]
 
-        def no_power_iteration(op, *args, **kwargs):
-            raise AssertionError(f"power iteration on {type(op).__name__}")
+        def no_norm_estimate(op, *args, **kwargs):
+            raise AssertionError(f"norm estimate of {type(op).__name__}")
 
         monkeypatch.setattr(minberr, "GaussianPerturbedOperator", spy_op)
-        monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_power_iteration)
+        monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_norm_estimate)
         monitors = capture_monitors(monkeypatch, minberr)
         rows = capture_row_iterates(monkeypatch)
         a = np.random.default_rng(5).standard_normal((40, 30))
@@ -552,8 +594,14 @@ class TestMinberrNePerturbed:
         assert counts["perturbed"] == counts["plain"] == 1 + 2 * 60 + 60
 
 
+def _g_norm(g):
+    """||G||_2 as minberr_ne_perturbed estimates it, and the step count."""
+    return _golub_kahan_norm(bk.DenseOperator(g, symmetric=False), _G_NORM_GROW_TOL)
+
+
 class TestDenseNorm:
-    """The Golub-Kahan ||G||_2 that scales the Gaussian perturbation."""
+    """The Golub-Kahan ||G||_2 that scales the Gaussian perturbation: the
+    shared norm estimator run until three steps add at most 4u."""
 
     @pytest.mark.parametrize("shape", [
         (1, 1), (1, 4), (4, 1), (2, 2), (5, 5), (50, 50), (200, 300), (300, 200),
@@ -561,22 +609,24 @@ class TestDenseNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_svd(self, shape, seed):
         g = np.random.default_rng([seed, 1]).standard_normal(shape)
-        norm, steps = _dense_norm(g, seed)
+        norm, steps = _g_norm(g)
         assert 1 <= steps <= min(shape)
         assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_svd_at_n_1000(self, seed):
         g = np.random.default_rng([seed, 1]).standard_normal((1000, 1000))
-        norm, steps = _dense_norm(g, seed)
-        assert steps < 200
+        norm, steps = _g_norm(g)
+        assert steps < 100
         assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
 
-    def test_rank_one_breaks_down_at_step_one(self):
+    def test_rank_one_is_exact_from_step_one(self):
+        # the first step's value is ||A^T u_1||, which is ||G|| for rank one;
+        # later steps add only rounding, so the growth rule stops at step 4
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal(30), rng.standard_normal(20)
-        norm, steps = _dense_norm(np.outer(x, y), 0)
-        assert steps == 1
+        norm, steps = _g_norm(np.outer(x, y))
+        assert steps <= 4
         assert_allclose(norm, np.linalg.norm(x) * np.linalg.norm(y), rtol=1e-15)
 
 
@@ -592,7 +642,7 @@ class TestNoFiniteMinimizer:
             norm_b = 1.0
 
             def btilde(self, k=None):
-                return bk.BandMatrix([0.9, 1e-16], [0.0])
+                return BandMatrix([0.9, 1e-16], [0.0])
 
         with pytest.raises(bk.NoFiniteMinimizerError):
             _recover_ne(StubState(), 2, 0.1, 0)

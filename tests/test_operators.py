@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit.operators import norm2
+from berrkit.operators import _golub_kahan_norm, norm2
 
 
 def test_vector_primitives():
@@ -98,6 +98,38 @@ class TestNormEstimation:
         assert op.opnorm() == 1.0
         assert op._opnorm_cache.relative_tolerance == 0.0
         assert op._opnorm_cache.iterations_used == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 60),
+    extra_rows=st.integers(0, 5),
+    log_kappa=st.floats(0.0, 14.0),
+    cluster=st.integers(1, 6),
+    log_width=st.floats(-14.0, -1.0),
+    symmetric=st.booleans(),
+    grow_tol=st.sampled_from([bk.operators.NORM_REL_TOL, 2.0 * np.finfo(float).eps]),
+)
+def test_golub_kahan_norm_never_exceeds_the_norm(seed, n, extra_rows, log_kappa, cluster,
+                                                 log_width, symmetric, grow_tol):
+    """The estimate is a lower bound up to rounding, on dense A with a
+    log-uniform spectrum down to 1/kappa and its top `cluster` singular
+    values within a relative width 10^log_width; symmetric A is indefinite."""
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** -rng.uniform(0.0, log_kappa, n)
+    top = min(cluster, n)
+    d[:top] = 1.0 - 10.0**log_width * rng.uniform(0.0, 1.0, top)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if symmetric:
+        a = (q * (d * rng.choice([-1.0, 1.0], n))) @ q.T
+        a = 0.5 * (a + a.T)
+    else:
+        p, _ = np.linalg.qr(rng.standard_normal((n + extra_rows, n)))
+        a = (p * d) @ q.T
+    value, steps = _golub_kahan_norm(bk.DenseOperator(a, symmetric=symmetric), grow_tol)
+    assert 1 <= steps <= min(a.shape)
+    assert value <= np.linalg.norm(a, 2) * (1.0 + 1e-13)
 
 
 # (data, indices, indptr, shape) with one structural fault each

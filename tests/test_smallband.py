@@ -18,10 +18,14 @@ from berrkit.smallband import (
     DqdsState,
     inverse_iteration,
     inverse_iteration_steps,
-    rayleigh_certificate,
 )
 
 from dense_oracle import band_dense, sigma_min_dense
+
+
+def rayleigh_certificate(band, v):
+    """||band v||_2 / ||v||_2, measured afresh (the reference for recovery's certificate)."""
+    return norm2(band.matvec(v)) / norm2(v)
 
 
 def push_tridiag_columns(state, diag, sup1, sup2):
@@ -183,16 +187,16 @@ class TestInverseIteration:
 
     def test_diagonal_band_is_exact(self):
         band = BandMatrix(np.array([2.0, 0.25, 1.0]), np.zeros(2), np.zeros(1))
-        v, rq, steps = inverse_iteration(band, delta=0.1, seed=0)
-        # the quotient stabilizes to machine level well before the stray
+        v, cert, steps = inverse_iteration(band, delta=0.1, seed=0)
+        # the certificate stabilizes to machine level well before the stray
         # components of v fully decay, hence the looser tolerance on v
         assert_allclose(abs(v), [0.0, 1.0, 0.0], atol=1e-6)
-        assert_allclose(rq, 0.0625, rtol=1e-12)
+        assert_allclose(cert, 0.25, rtol=1e-12)
 
     def test_respects_step_budget(self):
         rng = np.random.default_rng(3)
         band = BandMatrix(np.abs(rng.standard_normal(12)) + 0.1, rng.standard_normal(11))
-        v, rq, steps = inverse_iteration(band, delta=0.5, seed=1, max_steps=2)
+        _, _, steps = inverse_iteration(band, delta=0.5, seed=1, max_steps=2)
         assert steps <= 2
 
     def test_probabilistic_guarantee_smoke(self):
@@ -205,41 +209,42 @@ class TestInverseIteration:
                 rng.standard_normal(k - 1),
                 rng.standard_normal(max(k - 2, 0)),
             )
-            v, rq, _ = inverse_iteration(band, delta=0.1, seed=[4, trial])
-            lam = sigma_min_dense(band) ** 2
-            if rq <= 1.5 * lam * (1 + 1e-12):
+            _, cert, _ = inverse_iteration(band, delta=0.1, seed=[4, trial])
+            if cert <= math.sqrt(1.5) * sigma_min_dense(band) * (1 + 1e-12):
                 hits += 1
         assert hits >= 50
 
     def test_exactly_singular_band(self):
         # a zero diagonal entry puts sigma_min at 0; the floored solves must
-        # land on the null direction and report an essentially zero quotient
+        # land on the null direction and report an essentially zero certificate
         band = BandMatrix(np.array([1.0, 0.0, 2.0]), np.array([0.5, -0.3]), np.array([0.2]))
-        v, rq, steps = inverse_iteration(band, delta=0.1, seed=2)
-        assert rq <= 1e-25
+        v, cert, _ = inverse_iteration(band, delta=0.1, seed=2)
+        assert cert <= 3e-13
         assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
 
     def test_rayleigh_certificate_value(self):
         band = BandMatrix(np.array([3.0, 1.0]), np.array([0.0]))
         assert_allclose(rayleigh_certificate(band, np.array([0.0, 2.0])), 1.0)
         assert_allclose(rayleigh_certificate(band, np.array([1.0, 0.0])), 3.0)
+        v, cert, _ = inverse_iteration(band, delta=0.1, seed=0)
+        assert cert == rayleigh_certificate(band, v)
+        assert_allclose(cert, 1.0, rtol=1e-12)
 
     def test_certificate_upper_bounds_sigma_min(self):
         rng = np.random.default_rng(5)
         for trial in range(40):
             k = int(rng.integers(2, 15))
             band = BandMatrix(np.abs(rng.standard_normal(k)) + 0.05, rng.standard_normal(k - 1))
-            v, _, _ = inverse_iteration(band, delta=0.2, seed=trial)
-            cert = rayleigh_certificate(band, v)
+            _, cert, _ = inverse_iteration(band, delta=0.2, seed=trial)
             assert cert >= sigma_min_dense(band) * (1 - 1e-10)
 
     def test_solve_growth_past_the_square_root_of_the_float_range(self):
         # sigma_min is about 1e-180 and the solves reach entries near 1e180,
         # whose squares overflow: the norm must still come out finite
         band = BandMatrix(1e-9 * np.ones(20), np.ones(19))
-        v, rq, steps = inverse_iteration(band, 1e-6, seed=[0, 20])
+        _, cert, steps = inverse_iteration(band, 1e-6, seed=[0, 20])
         assert steps >= 1
-        assert rayleigh_certificate(band, v) < 1e-40
+        assert cert < 1e-40
 
 
 # The recovery path as it was before inverse iteration stopped at the noise
@@ -387,14 +392,14 @@ def _clustered_bands(draw):
 @settings(max_examples=160, deadline=None, derandomize=True)
 @given(st.one_of(_bands(), _clustered_bands()), st.integers(0, 1000))
 def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
-    v, rq, steps = inverse_iteration(band, 1e-6, seed=[seed, band.k])
+    v, cert, steps = inverse_iteration(band, 1e-6, seed=[seed, band.k])
     v0, _, _ = _frozen_inverse_iteration(band, 1e-6, [seed, band.k])
     svd = np.linalg.svd(band_dense(band), compute_uv=False)
     sigma = float(svd[-1])
     # the dense SVD knows sigma_min only to k u ||band|| (Weyl), which is all
     # it says of a band holding a zero pivot
     noise = band.k * np.finfo(float).eps * svd[0]
-    cert, cert0 = rayleigh_certificate(band, v), rayleigh_certificate(band, v0)
+    cert0 = rayleigh_certificate(band, v0)
     if cert0 <= math.sqrt(1.5) * sigma:
         assert cert <= math.sqrt(1.5) * sigma
         if sigma > noise:
@@ -404,8 +409,7 @@ def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
             assert cert <= cert0 * (1.0 + 1e-6)
     assert cert >= (sigma - noise) * (1.0 - 1e-10)
     assert steps <= inverse_iteration_steps(band.k, 1e-6)
-    mv = band.matvec(v)
-    assert np.float64(rq).tobytes() == np.float64(mv @ mv).tobytes()
+    assert np.float64(cert).tobytes() == np.float64(rayleigh_certificate(band, v)).tobytes()
 
 
 @pytest.mark.parametrize("zero_diagonal", [False, True])
