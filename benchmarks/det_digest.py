@@ -1,9 +1,10 @@
 """Print one sha256 per deterministic berrkit run, for bitwise regression gates.
 
 The runs are every run of the five offline ``berrkit bench`` suites plus one
-``berrkit solve`` per solver, and one each for minberr and minberr-ne below
-sqrt(u) and one each whose Krylov space breaks down at the first step, at
-``--trace-every`` 1 and 7. Last come runs on ``.mtx`` files that ``berrkit
+``berrkit solve`` per solver, one each for minberr and minberr-ne below
+sqrt(u), one each whose Krylov space breaks down at the first step, and three
+under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
+``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last come runs on ``.mtx`` files that ``berrkit
 synth`` writes (``MTX_FILES``), whose norm is estimated rather than pinned:
 the ``suitesparse`` suite over all of them, and minberr on the symmetric one
 at ``--trace-every`` 1 and 7. Each digest covers every history CSV
@@ -47,7 +48,9 @@ GENERAL = "ill-conditioned:n=400,kappa=1e6+disguise2"
 # stopping early; the two tol 1e-9 runs certify below sqrt(u), where the O(1)
 # test gates at 2 sqrt(u) and every later step recovers; the two breakdown
 # runs stop at k = 1 on a band with a zero diagonal, whose recovery goes
-# through the floored band solve
+# through the floored band solve; the three full-reorthogonalization runs
+# cover the other branch of both factorization steps, and the first two
+# certify (k = 152 and 126)
 SOLVER_RUNS = [
     ("richardson", "richardson", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
     ("richardson-ne", "richardson-ne", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
@@ -66,6 +69,12 @@ SOLVER_RUNS = [
      ["--tol", "1e-9", "--max-iter", "150"]),
     ("minberr-ne-breakdown", "minberr-ne", "cyclic-shift:n=64", []),
     ("minberr-breakdown", "minberr", SYMMETRIC, ["--rhs", "smallest-left-singular"]),
+    ("minberr-full", "minberr", SYMMETRIC,
+     ["--tol", "1e-6", "--max-iter", "200", "--reorth", "full"]),
+    ("minberr-ne-full", "minberr-ne", GENERAL,
+     ["--tol", "1e-3", "--max-iter", "150", "--reorth", "full"]),
+    ("minberr-ne-stagnation-full", "minberr-ne", "small-outlier:n=500,kappa=1e14,sigma=1e-3",
+     ["--tol", "1e-4", "--max-iter", "120", "--reorth", "full"]),
 ]
 
 # (file stem, synthetic problem) of each .mtx file; read back, a file's

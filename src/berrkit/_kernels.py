@@ -1,19 +1,21 @@
 """Hot numeric kernels, in numpy. ``benchmarks/bench_kernels.py`` times them.
 
 The kernels take and return float64 arrays, except the band solves, which
-take the band and the right-hand side as lists of Python floats and return
-one. A band is upper triangular, as in the factorization views: ``diag[i]``
-is entry (i, i), ``sup1[i]`` is (i, i+1) for i < k-1 and ``sup2[i]`` is
-(i, i+2) for i < k-2. The solves want the superdiagonals padded with zeros
-to length k so that one zip walks all the rows: at the end (``sup1 +
-[0.0]``, ``sup2 + [0.0, 0.0]``) for ``band_solve_upper``, in front (``[0.0]
-+ sup1``, ``[0.0, 0.0] + sup2``) for ``band_solve_upper_t``. A padding zero
-only ever multiplies the 0.0 that the recurrence starts from, so it
-subtracts an exact zero and changes no bit. ``BandMatrix`` builds these
-lists once per instance, and inverse iteration keeps its iterate as a list,
-so the solves of a recovery convert nothing between numpy and Python. The
-kernels divide by each diagonal entry as given; ``BandMatrix`` floors its
-diagonal list at ``factorize.SOLVE_FLOOR``, so no zero pivot reaches them.
+take the band and the right-hand side as sequences (lists or tuples) of
+Python floats and return a list. A band is upper triangular, as in the
+factorization views: ``diag[i]`` is entry (i, i), ``sup1[i]`` is (i, i+1)
+for i < k-1 and ``sup2[i]`` is (i, i+2) for i < k-2. The solves want the
+superdiagonals padded with zeros to length k so that one zip walks all the
+rows: at the end (``sup1 + (0.0,)``, ``sup2 + (0.0, 0.0)``) for
+``band_solve_upper``, in front (``(0.0,) + sup1``, ``(0.0, 0.0) + sup2``) for
+``band_solve_upper_t``. A padding zero only ever multiplies the 0.0 that the
+recurrence starts from, so it subtracts an exact zero and changes no bit.
+``BandMatrix`` builds these sequences in its constructor from the Python
+floats the factorization views hand it, and inverse iteration keeps its
+iterate as a list, so the solves of a recovery convert nothing between numpy
+and Python. The kernels divide by each diagonal entry as given;
+``BandMatrix`` floors its diagonal at ``factorize.SOLVE_FLOOR``, so no zero
+pivot reaches them.
 The recurrence runs on Python floats in the operation order of the scalar
 reference loops in ``tests/test_kernels.py`` and matches them bit for bit.
 
@@ -125,7 +127,8 @@ def householder_chain(vecs, tfactors, x, adjoint):
 
 def band_solve_upper(diag, sup1, sup2, rhs):
     """x with U x = rhs for the upper band U (see above): the superdiagonals
-    zero-padded at the end; every argument and x are Python float lists."""
+    zero-padded at the end; the arguments are sequences of Python floats and
+    x is a list."""
     x = []
     x1 = x2 = 0.0  # x[i+1], x[i+2]
     for d, s1, s2, r in zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs)):
@@ -136,7 +139,7 @@ def band_solve_upper(diag, sup1, sup2, rhs):
 
 
 def band_solve_upper_t(diag, sup1, sup2, rhs):
-    """x with U^T x = rhs, the superdiagonals zero-padded in front; lists as
+    """x with U^T x = rhs, the superdiagonals zero-padded in front; types as
     for band_solve_upper."""
     x = []
     x1 = x2 = 0.0  # x[i-1], x[i-2]

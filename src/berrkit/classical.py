@@ -7,8 +7,9 @@ the entry data (a finite, nonzero right-hand side of the right shape whose
 only source of ||A||_2), hands the solvers b rescaled by a power of two when
 its entries are far from unit size, and owns the trace and its row schedule
 (every ``trace_every`` iterations and at the last one), the RECOMPUTE_EVERY
-residual refresh that caps recurrence drift, and the single stopping decision
-of the classical solvers. Rows report backward error against A, also for a
+exact residual (cg and the two Richardson loops restart their residual
+recurrence from it; minres and lsqr only report it), and the single stopping
+decision of the classical solvers. Rows report backward error against A, also for a
 solver on a nearby operator. Every solver starts from x_0 = 0 and records its
 first row at iteration 1; a recorded row with a non-finite residual or iterate
 norm raises NonFiniteError. Identical config and seed give bitwise-identical
@@ -45,7 +46,9 @@ __all__ = [
     "RECOMPUTE_EVERY",
 ]
 
-# residual refresh period (iterations) for drift control
+# every RECOMPUTE_EVERY iterations the residual is measured exactly: cg and the
+# Richardson loops restart their residual recurrence from it, while minres and
+# lsqr use it only for that iteration's stopping test and row
 RECOMPUTE_EVERY = 1000
 
 
@@ -335,8 +338,11 @@ def _cg(op, mon):
 def minres(op, b, config=None):
     """MINRES on symmetric A (Paige-Saunders recurrences, no preconditioner).
 
-    The residual norm comes from the QR recurrence and is refreshed with an
-    exact matvec every RECOMPUTE_EVERY iterations.
+    The residual norm comes from the QR recurrence. Every RECOMPUTE_EVERY
+    iterations an exact matvec measures it instead, for that iteration's
+    stopping test and row only: the recurrence never sees it, so it does not
+    bound the recurrence's drift, and when no row is due there the monitor
+    drops it.
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minres expects a symmetric operator")
@@ -395,8 +401,9 @@ def _minres(op, mon):
 def lsqr(op, b, config=None):
     """LSQR (Paige & Saunders 1982) on a two-vector Golub-Kahan recurrence,
     with the operations of ``BidiagState.step`` in the same order. Traces berr
-    with the recursive residual-norm estimate, refreshed exactly every
-    RECOMPUTE_EVERY iterations."""
+    with the recursive residual-norm estimate; every RECOMPUTE_EVERY
+    iterations an exact matvec replaces it for that iteration only, as in
+    ``minres``."""
     mon = _Monitor(op, b, config)
     b = mon.b
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s

@@ -14,7 +14,10 @@ divide them by the operator norm when they are built:
 
 Scaling the coefficients by 1/||A||_2 is what makes sigma_min comparable to a
 backward-error tolerance directly; the recovery scalars downstream are computed
-from the raw coefficients and are invariant under this scaling.
+from the raw coefficients and are invariant under this scaling. The band
+problem stays in Python floats from the step column through the O(1) tests
+to the band solves; only ``BandMatrix.matvec``, which measures the
+certificate, and the Krylov bases are numpy.
 """
 
 import numpy as np
@@ -44,9 +47,10 @@ class BandMatrix:
     """Upper-triangular matrix with up to two superdiagonals.
 
     ``diag`` has length k, ``sup1`` length k-1, ``sup2`` length k-2 (``sup2``
-    is all zeros for bidiagonal views). A snapshot: the constructor copies
-    the arrays it is given and marks its copies read-only, so a later edit of
-    the caller's arrays reaches neither ``matvec`` nor the solves.
+    is all zeros for bidiagonal views). The three are kept as tuples, an
+    array's entries as Python floats, so a band is a snapshot: a later edit
+    of the caller's lists or arrays reaches neither ``matvec`` nor the
+    solves.
 
     The solves run on the diagonal floored at SOLVE_FLOOR: an entry below it
     in magnitude is solved as -SOLVE_FLOOR when negative and +SOLVE_FLOOR
@@ -54,63 +58,50 @@ class BandMatrix:
     replaced by a tiny one is harmless to inverse iteration, the solves' one
     use (Peters & Wilkinson 1979, "Inverse iteration, ill-conditioned
     equations and Newton's method", SIAM Rev. 21): the solve then grows along
-    the null direction, which is the direction sought.
+    the null direction, which is the direction sought. The constructor builds
+    what the solves take once: that diagonal and each direction's
+    zero-padded superdiagonals (see ``_kernels``).
     """
 
     def __init__(self, diag, sup1, sup2=None):
-        self.diag = _frozen_copy(diag)
-        self.sup1 = _frozen_copy(sup1)
-        k = self.diag.shape[0]
-        self.sup2 = _frozen_copy(np.zeros(max(k - 2, 0)) if sup2 is None else sup2)
-        if self.sup1.shape[0] != max(k - 1, 0) or self.sup2.shape[0] != max(k - 2, 0):
+        self.diag, self.sup1 = _floats(diag), _floats(sup1)
+        k = len(self.diag)
+        self.sup2 = (0.0,) * max(k - 2, 0) if sup2 is None else _floats(sup2)
+        if len(self.sup1) != max(k - 1, 0) or len(self.sup2) != max(k - 2, 0):
             raise DimensionMismatchError("band arrays have inconsistent lengths")
-        # the solve form, built on first use: the floored diagonal and the
-        # padded superdiagonals of each direction, as Python floats
-        self._form = None
+        floored = self.diag
+        if min(floored, default=SOLVE_FLOOR) < SOLVE_FLOOR:
+            floored = [(-SOLVE_FLOOR if d < 0.0 else SOLVE_FLOOR) if abs(d) < SOLVE_FLOOR else d
+                       for d in floored]
+        self._upper = (floored, self.sup1 + (0.0,), self.sup2 + (0.0, 0.0))
+        self._upper_t = (floored, (0.0,) + self.sup1, (0.0, 0.0) + self.sup2)
 
     @property
     def k(self):
-        return self.diag.shape[0]
+        return len(self.diag)
 
     def matvec(self, v):
         k = self.k
-        y = self.diag * v
+        y = np.multiply(self.diag, v)
         if k > 1:
-            y[:-1] += self.sup1 * v[1:]
+            y[:-1] += np.multiply(self.sup1, v[1:])
         if k > 2:
-            y[:-2] += self.sup2 * v[2:]
+            y[:-2] += np.multiply(self.sup2, v[2:])
         return y
-
-    def _build_form(self):
-        """The solve form, built once per band."""
-        d, mag = self.diag, np.abs(self.diag)
-        if mag.min(initial=SOLVE_FLOOR) < SOLVE_FLOOR:
-            d = np.where(mag < SOLVE_FLOOR, np.where(d < 0.0, -SOLVE_FLOOR, SOLVE_FLOOR), d)
-        sup1, sup2 = self.sup1.tolist(), self.sup2.tolist()
-        self._form = (
-            d.tolist(),
-            (sup1 + [0.0], sup2 + [0.0, 0.0]),  # band_solve_upper
-            ([0.0] + sup1, [0.0, 0.0] + sup2),  # band_solve_upper_t
-        )
-        return self._form
 
     def solve(self, rhs):
         """Back substitution for self @ x = rhs, on the floored diagonal; rhs
         and x are lists of Python floats."""
-        d, sups, _ = self._form or self._build_form()
-        return band_solve_upper(d, *sups, rhs)
+        return band_solve_upper(*self._upper, rhs)
 
     def solve_t(self, rhs):
         """Forward substitution for self.T @ x = rhs, as ``solve``."""
-        d, _, sups = self._form or self._build_form()
-        return band_solve_upper_t(d, *sups, rhs)
+        return band_solve_upper_t(*self._upper_t, rhs)
 
 
-def _frozen_copy(values):
-    """A read-only float64 copy of values."""
-    out = np.array(values, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+def _floats(values):
+    """values as a tuple; an array's entries become Python floats."""
+    return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
 
 
 class _GrowingColumns:
@@ -196,9 +187,9 @@ class LanczosState:
     def step(self):
         """One Lanczos step; returns the new scaled Ttilde column.
 
-        The column is padded to three entries ``(row k-3, row k-2, row k-1)``
-        in 0-based rows, i.e. ``(beta_k, alpha_k, beta_{k+1})`` scaled, with
-        zeros where the matrix has no entry yet.
+        The column is a tuple of three Python floats ``(row k-3, row k-2,
+        row k-1)`` in 0-based rows, i.e. ``(beta_k, alpha_k, beta_{k+1})``
+        scaled, with 0.0 where the matrix has no entry yet.
         """
         if self.breakdown:
             raise PostBreakdownError("Lanczos stepped after breakdown")
@@ -218,13 +209,9 @@ class LanczosState:
         if not self.breakdown:
             self._q.push(w / beta_next)
         self.k = k
-        col = np.zeros(3)
-        col[2] = beta_next / self.opnorm
-        if k >= 2:
-            col[1] = alpha_k / self.opnorm
-        if k >= 3:
-            col[0] = self.betas[k - 2] / self.opnorm
-        return col
+        s = self.opnorm
+        return (self.betas[k - 2] / s if k >= 3 else 0.0, alpha_k / s if k >= 2 else 0.0,
+                beta_next / s)
 
     def basis(self, k=None):
         """First k Lanczos vectors as columns (default: all completed steps)."""
@@ -232,12 +219,7 @@ class LanczosState:
 
     def ttilde(self, k=None):
         """Scaled Ttilde_k as a BandMatrix (default: current k)."""
-        k = self.k if k is None else k
-        if not (1 <= k <= self.k):
-            raise ValueError(f"no Ttilde_{k} after {self.k} steps")
-        nb = np.asarray(self.betas[:k]) / self.opnorm
-        na = np.asarray(self.alphas[1:k]) / self.opnorm
-        return BandMatrix(nb, na, nb[1 : k - 1])
+        return _scaled_band(self, k, tridiagonal=True)
 
 
 class BidiagState:
@@ -279,9 +261,9 @@ class BidiagState:
     def step(self):
         """One bidiagonalization step; returns the new scaled Btilde column.
 
-        Padded to two entries ``(alpha_k, beta_{k+1})`` scaled, zero where the
-        matrix has no superdiagonal entry yet. After the step, ``alphas`` also
-        holds alpha_{k+1} unless the step broke down.
+        A tuple of two Python floats ``(alpha_k, beta_{k+1})`` scaled, 0.0
+        where the matrix has no superdiagonal entry yet. After the step,
+        ``alphas`` also holds alpha_{k+1} unless the step broke down.
         """
         if self.breakdown:
             raise PostBreakdownError("bidiagonalization stepped after breakdown")
@@ -294,10 +276,8 @@ class BidiagState:
         beta_next = norm2(w)
         self.betas.append(beta_next)
         self.k = k
-        col = np.zeros(2)
-        col[1] = beta_next / self.opnorm
-        if k >= 2:
-            col[0] = self.alphas[k - 1] / self.opnorm
+        s = self.opnorm
+        col = (self.alphas[k - 1] / s if k >= 2 else 0.0, beta_next / s)
         if beta_next <= self.breakdown_tol:
             self.breakdown = True
             return col
@@ -321,9 +301,17 @@ class BidiagState:
 
     def btilde(self, k=None):
         """Scaled Btilde_k as a BandMatrix (default: current k)."""
-        k = self.k if k is None else k
-        if not (1 <= k <= self.k):
-            raise ValueError(f"no Btilde_{k} after {self.k} steps")
-        nb = np.asarray(self.betas[:k]) / self.opnorm
-        na = np.asarray(self.alphas[1:k]) / self.opnorm
-        return BandMatrix(nb, na)
+        return _scaled_band(self, k, tridiagonal=False)
+
+
+def _scaled_band(state, k, tridiagonal):
+    """Ttilde_k (tridiagonal) or Btilde_k, the raw coefficients divided by
+    opnorm: diagonal (beta_2, ..., beta_{k+1}), superdiagonal (alpha_2, ...,
+    alpha_k) and, for Ttilde, second superdiagonal (beta_3, ..., beta_k)."""
+    k = state.k if k is None else k
+    if not (1 <= k <= state.k):
+        raise ValueError(f"no {'Ttilde' if tridiagonal else 'Btilde'}_{k} after {state.k} steps")
+    s = state.opnorm
+    diag = [beta / s for beta in state.betas[:k]]
+    sup1 = [alpha / s for alpha in state.alphas[1:k]]
+    return BandMatrix(diag, sup1, diag[1 : k - 1] if tridiagonal else None)

@@ -50,7 +50,7 @@ __all__ = [
     "DEGENERATE_ALPHA_TOL",
 ]
 
-# dimensionless threshold for a vanishing recovery scalar (scaled units)
+# a recovery scalar below this multiple of ||A||_2 has vanished
 DEGENERATE_ALPHA_TOL = 1e-14
 # ||G||_2 is estimated until three steps add at most 4u, u the unit roundoff
 _G_NORM_GROW_TOL = 2.0 * np.finfo(float).eps
@@ -114,30 +114,26 @@ def _smallest_pair(band, k, delta, seed, step_factor):
 def _recover_psd(state, k, delta, seed, step_factor=1):
     """x and certificate from Ttilde_k and the first k Lanczos vectors only."""
     v, cert = _smallest_pair(state.ttilde(k), k, delta, seed, step_factor)
-    scaled_alpha = state.alphas[0] / state.opnorm * v[0]
+    first = state.alphas[0] * v[0]
     if k >= 2:
-        scaled_alpha += state.betas[0] / state.opnorm * v[1]
-    if abs(scaled_alpha) < DEGENERATE_ALPHA_TOL:
+        first += state.betas[0] * v[1]
+    if abs(first) < DEGENERATE_ALPHA_TOL * state.opnorm:
         raise DegenerateAlphaError(
             "recovery scalar vanished: b lies (numerically) in the null space of A"
         )
-    alpha = state.alphas[0] * v[0]
-    if k >= 2:
-        alpha += state.betas[0] * v[1]
-    alpha /= state.norm_b
-    return state.basis(k) @ (v / alpha), cert
+    return state.basis(k) @ (v / (first / state.norm_b)), cert
 
 
 def _recover_ne(state, k, delta, seed, step_factor=1):
     """As _recover_psd, from Btilde_k and the first k right vectors."""
     v, cert = _smallest_pair(state.btilde(k), k, delta, seed, step_factor)
-    if abs(state.alphas[0] / state.opnorm * v[0]) < DEGENERATE_ALPHA_TOL:
+    first = state.alphas[0] * v[0]
+    if abs(first) < DEGENERATE_ALPHA_TOL * state.opnorm:
         raise NoFiniteMinimizerError(
             "the backward-error infimum over this subspace is approached only "
             "in the limit of unbounded iterates"
         )
-    alpha = state.alphas[0] * v[0] / state.norm_b
-    return state.basis_q(k) @ (v / alpha), cert
+    return state.basis_q(k) @ (v / (first / state.norm_b)), cert
 
 
 def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
@@ -154,8 +150,8 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
     termination = None
     for k in range(1, k_max + 1):
         col = state.step()
-        if not all(map(math.isfinite, col.tolist())):
-            raise NonFiniteError(f"iteration {k}: band column {col.tolist()}")
+        if not all(map(math.isfinite, col)):
+            raise NonFiniteError(f"iteration {k}: band column {col}")
         signalled = testing and push_test(col)
         if signalled:
             testing = False

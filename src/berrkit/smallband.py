@@ -38,10 +38,11 @@ RQ_STABILIZED_RTOL = 1e-10
 class CholTestState:
     """Incremental Cholesky test for sigma_min(Ttilde_k) < eps.
 
-    Feed ``push_column`` the scaled Ttilde column as a padded 3-vector
-    ``(entry at row k-3, entry at row k-2, entry at row k-1)`` in 0-based rows
-    (zeros where the band has no entry). Returns True once converged; the
-    state then rejects further columns.
+    Feed ``push_column`` the scaled Ttilde column as a tuple of three Python
+    floats ``(entry at row k-3, entry at row k-2, entry at row k-1)`` in
+    0-based rows (0.0 where the band has no entry), as ``LanczosState.step``
+    returns it. Returns True once converged; the state then rejects further
+    columns.
     """
 
     def __init__(self, eps):
@@ -49,10 +50,8 @@ class CholTestState:
             raise ValueError("eps must be nonnegative")
         self.eps = float(eps)
         self._shift = self.eps * self.eps
-        self._col_prev = np.zeros(3)
-        self._col_prev2 = np.zeros(3)
-        self._r_prev = np.zeros(3)
-        self._r_prev2 = np.zeros(3)
+        self._col_prev = self._col_prev2 = (0.0, 0.0, 0.0)
+        self._r_prev = self._r_prev2 = (0.0, 0.0, 0.0)
         self.k = 0
         self.converged = False
         self.last_pivot_squared = None
@@ -60,12 +59,12 @@ class CholTestState:
     def push_column(self, col):
         if self.converged:
             raise RuntimeError("convergence test already signalled")
-        col = np.asarray(col, dtype=np.float64)
+        c0, c1, c2 = col
         self.k += 1
         k = self.k
-        g_kk = float(col @ col)
-        g_km1 = float(self._col_prev[1] * col[0] + self._col_prev[2] * col[1])
-        g_km2 = float(self._col_prev2[2] * col[0])
+        g_kk = c0 * c0 + c1 * c1 + c2 * c2
+        g_km1 = self._col_prev[1] * c0 + self._col_prev[2] * c1
+        g_km2 = self._col_prev2[2] * c0
         r0 = g_km2 / self._r_prev2[2] if k >= 3 else 0.0
         r1 = (g_km1 - self._r_prev[1] * r0) / self._r_prev[2] if k >= 2 else 0.0
         pivot_sq = g_kk - self._shift - r0 * r0 - r1 * r1
@@ -73,18 +72,17 @@ class CholTestState:
         if pivot_sq <= 0.0:
             self.converged = True
             return True
-        self._col_prev2 = self._col_prev
-        self._col_prev = col
-        self._r_prev2 = self._r_prev
-        self._r_prev = np.array([r0, r1, math.sqrt(pivot_sq)])
+        self._col_prev2, self._col_prev = self._col_prev, col
+        self._r_prev2, self._r_prev = self._r_prev, (r0, r1, math.sqrt(pivot_sq))
         return False
 
 
 class DqdsState:
     """Shifted dqds test for sigma_min(Btilde_k) < eps.
 
-    Feed ``push`` the scaled Btilde column ``(alpha_k, beta_{k+1})`` (the
-    first column's alpha entry is ignored); p_k = beta_{k+1}^2 is the squared
+    Feed ``push`` the scaled Btilde column as a tuple of two Python floats
+    ``(alpha_k, beta_{k+1})``, as ``BidiagState.step`` returns it (the first
+    column's alpha entry is ignored); p_k = beta_{k+1}^2 is the squared
     diagonal entry and e_{k-1} = alpha_k^2 the squared superdiagonal entry.
     Returns True once the carry goes nonpositive; the state then rejects
     further columns.
@@ -102,12 +100,13 @@ class DqdsState:
     def push(self, col):
         if self.converged:
             raise RuntimeError("convergence test already signalled")
-        p_k = float(col[1] * col[1])
+        alpha, beta = col
+        p_k = beta * beta
         self.k += 1
         if self.k == 1:
             self.d = p_k - self._shift
         else:
-            p_hat = self.d + float(col[0] * col[0])
+            p_hat = self.d + alpha * alpha
             self.d = self.d * (p_k / p_hat) - self._shift
         if self.d <= 0.0:
             self.converged = True

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 import berrkit as bk
 from berrkit import factorize
-from berrkit.factorize import BandMatrix, BidiagState, LanczosState
+from berrkit._kernels import band_solve_upper, band_solve_upper_t
+from berrkit.factorize import SOLVE_FLOOR, BandMatrix, BidiagState, LanczosState
 
-from _helpers import dense_op, random_psd
+from _helpers import dense_op, random_general, random_psd
 from dense_oracle import band_dense, sigma_min_dense
 
 
@@ -61,8 +62,33 @@ class TestBandMatrix:
         assert band.matvec(v).tobytes() == ref.matvec(v).tobytes()
         assert band.solve(rhs) == ref.solve(rhs)
         assert band.solve_t(rhs) == ref.solve_t(rhs)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             band.diag[0] = 1.0
+
+    @pytest.mark.parametrize("tridiagonal", [False, True])
+    @pytest.mark.parametrize("given", [np.array, np.ndarray.tolist, lambda a: tuple(a.tolist())],
+                             ids=["array", "list", "tuple"])
+    def test_matches_the_array_form_below_the_floor(self, given, tridiagonal):
+        # diagonal entries below SOLVE_FLOOR of both signs and zeros of both
+        # signs, given as an array, a list or a tuple: the band keeps Python
+        # floats, and its matvec and solves match the array form bit for bit
+        rng = np.random.default_rng(11)
+        k = 9
+        diag = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        diag[[1, 3, 5, 7, 8]] = [1e-40, -1e-40, 0.0, -0.0, -5e-324]
+        sup1 = rng.standard_normal(k - 1)
+        sup1[2] = -0.0
+        sup2 = rng.standard_normal(k - 2) if tridiagonal else np.zeros(k - 2)
+        band = BandMatrix(given(diag), given(sup1), given(sup2) if tridiagonal else None)
+        ref = _ArrayBand(diag, sup1, sup2)
+        for values in (band.diag, band.sup1, band.sup2):
+            assert type(values) is tuple and all(type(x) is float for x in values)
+        for v in rng.standard_normal((3, k)):
+            assert band.matvec(v).tobytes() == ref.matvec(v).tobytes()
+            rhs = v.tolist()
+            for solve, kernel, lists in [(band.solve, band_solve_upper, ref.upper),
+                                         (band.solve_t, band_solve_upper_t, ref.upper_t)]:
+                assert np.array(solve(rhs)).tobytes() == np.array(kernel(*lists, rhs)).tobytes()
 
     def test_sigma_min_dense(self):
         # the dense reference against the eigenvalues of the Gram matrix
@@ -73,6 +99,54 @@ class TestBandMatrix:
     def test_bidiagonal_form(self):
         band = BandMatrix(np.array([1.0, 2.0]), np.array([0.5]))
         assert_allclose(band_dense(band), [[1.0, 0.5], [0.0, 2.0]])
+
+
+class _ArrayBand:
+    """BandMatrix's earlier array form: float64 copies, the numpy matvec, and
+    solve lists built from the diagonal floored by np.where."""
+
+    def __init__(self, diag, sup1, sup2):
+        self.diag, self.sup1, self.sup2 = (np.array(a, dtype=np.float64)
+                                           for a in (diag, sup1, sup2))
+        d, mag = self.diag, np.abs(self.diag)
+        if mag.min(initial=SOLVE_FLOOR) < SOLVE_FLOOR:
+            d = np.where(mag < SOLVE_FLOOR, np.where(d < 0.0, -SOLVE_FLOOR, SOLVE_FLOOR), d)
+        s1, s2 = self.sup1.tolist(), self.sup2.tolist()
+        self.upper = (d.tolist(), s1 + [0.0], s2 + [0.0, 0.0])
+        self.upper_t = (d.tolist(), [0.0] + s1, [0.0, 0.0] + s2)
+
+    def matvec(self, v):
+        k = self.diag.shape[0]
+        y = self.diag * v
+        if k > 1:
+            y[:-1] += self.sup1 * v[1:]
+        if k > 2:
+            y[:-2] += self.sup2 * v[2:]
+        return y
+
+
+@pytest.mark.parametrize("reorth", ["plain", "full"])
+@pytest.mark.parametrize("disguised", [False, True])
+@pytest.mark.parametrize("bidiagonal", [False, True])
+def test_step_returns_the_last_band_column_as_floats(bidiagonal, disguised, reorth):
+    # the column each step hands the O(1) test is the last column of the band
+    # view recovery solves on, to the bit, as a tuple of Python floats
+    rng = np.random.default_rng(12)
+    if disguised:
+        p = bk.disguise(bk.small_outlier(40, 1e6, 1e-3), two_sided=bidiagonal, seed=2)
+        op, b = p.op, p.b
+    else:
+        op = dense_op(random_general(40, 13) if bidiagonal else random_psd(40, 14))
+        b = rng.standard_normal(40)
+    st = (BidiagState if bidiagonal else LanczosState)(op, b, reorth=reorth)
+    for k in range(1, 26):
+        col = st.step()
+        band = st.btilde() if bidiagonal else st.ttilde()
+        last = [band.sup1[k - 2] if k >= 2 else 0.0, band.diag[k - 1]]
+        if not bidiagonal:
+            last.insert(0, band.sup2[k - 3] if k >= 3 else 0.0)
+        assert type(col) is tuple and all(type(x) is float for x in col)
+        assert [x.hex() for x in col] == [x.hex() for x in last]
 
 
 class TestLanczos:
@@ -265,7 +339,7 @@ class TestBidiag:
         na = np.array(st.alphas) / st.opnorm
         assert_allclose(band.diag, nb[:5])
         assert_allclose(band.sup1, na[1:5])
-        assert not band.sup2.any()
+        assert not any(band.sup2)
 
 
 class TestBasisStore:

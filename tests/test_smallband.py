@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from berrkit import factorize
 from berrkit.factorize import SOLVE_FLOOR, BandMatrix
 from berrkit.operators import norm2
 from berrkit.smallband import (
@@ -293,7 +294,7 @@ def _frozen_band_solve_upper_t(diag, sup1, sup2, rhs):
 
 def _frozen_solver(band, kernel):
     def solve(rhs, floor=0.0):
-        d = band.diag
+        d = np.asarray(band.diag)
         if floor > 0.0:
             small = np.abs(d) < floor
             if np.any(small):
@@ -301,7 +302,7 @@ def _frozen_solver(band, kernel):
                 d[small] = np.where(d[small] < 0.0, -floor, floor)
         elif np.any(d == 0.0):
             raise _FrozenSingularBand("zero diagonal entry in banded solve")
-        return kernel(d, band.sup1, band.sup2, np.asarray(rhs, float))
+        return kernel(d, np.asarray(band.sup1), np.asarray(band.sup2), np.asarray(rhs, float))
 
     return solve
 
@@ -414,14 +415,14 @@ def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
 
 @pytest.mark.parametrize("zero_diagonal", [False, True])
 def test_band_builds_its_solve_lists_once_per_band(zero_diagonal, monkeypatch):
-    built = []
-    build = BandMatrix._build_form
+    # every solve of a band hands the kernels what its constructor built
+    received = {"band_solve_upper": [], "band_solve_upper_t": []}
+    for name, calls in received.items():
+        def spy(diag, sup1, sup2, rhs, kernel=getattr(factorize, name), calls=calls):
+            calls.append((diag, sup1, sup2))
+            return kernel(diag, sup1, sup2, rhs)
 
-    def spy(self):
-        built.append(self)
-        return build(self)
-
-    monkeypatch.setattr(BandMatrix, "_build_form", spy)
+        monkeypatch.setattr(factorize, name, spy)
     rng = np.random.default_rng(6)
     diag = np.abs(rng.standard_normal(40)) + 0.1
     if zero_diagonal:
@@ -432,7 +433,13 @@ def test_band_builds_its_solve_lists_once_per_band(zero_diagonal, monkeypatch):
         band.solve_t(rhs)
         band.solve(rhs)
     assert steps >= 1
-    assert built == [band]
+    for calls in received.values():
+        assert len(calls) == steps + 5
+        assert all(got is first for call in calls for got, first in zip(call, calls[0]))
+    # one floored diagonal serves both directions
+    floored = received["band_solve_upper"][0][0]
+    assert floored is received["band_solve_upper_t"][0][0]
+    assert floored[7] == (SOLVE_FLOOR if zero_diagonal else diag[7])
 
 
 @pytest.mark.parametrize(
