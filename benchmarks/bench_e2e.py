@@ -7,7 +7,7 @@ repeats and the deterministic outcome (matvecs, iterations, termination,
 ``final_berr``, which must agree across repeats). Per suite it also records the
 min and median of the whole grid's wall time. An environment block gives the
 python and numpy versions, the CPU count and model and the BLAS thread count.
-The entry also holds four of ``bench_kernels.py``'s tables at their default
+The entry also holds five of ``bench_kernels.py``'s tables at their default
 sizes: the opnorm table (per operator, the matvecs, steps, best milliseconds
 and relative error of one ``estimate_spectral_norm`` call), the CSR table (per shape, nnz and the best and median microseconds per
 call of the reduceat reference and of ``CsrOperator.apply``), the recovery
@@ -15,7 +15,9 @@ table (per band size k, the best and median microseconds of one
 ``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
 that call's step count) and the recovery sweep (per factorization, recovery
 at every k: steps per recovery, loop milliseconds, worst certificate over
-sigma_min).
+sigma_min) and the Matrix Market table (per file, its entries and the best
+and median milliseconds of one ``mmio.read_matrix_market`` and one
+``problems.read_matrix_market`` call).
 
 The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds
@@ -123,6 +125,7 @@ def main(argv):
         "band_recovery": bench_kernels.band_rows(
             bench_kernels.BAND_SIZES, bench_kernels.REPEATS, seed=0),
         "recovery_sweep": bench_kernels.sweep_rows(bench_kernels.REPEATS, seed=0),
+        "mtx_read": bench_kernels.mtx_rows(bench_kernels.REPEATS, seed=0),
     }
 
     entries = []

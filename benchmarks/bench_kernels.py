@@ -1,7 +1,7 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Six tables:
+millisecond range where dispatch overhead matters. Seven tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
@@ -27,26 +27,34 @@ millisecond range where dispatch overhead matters. Six tables:
 * recovery at every k of one factorization, as a traced run pays for it
   (``SWEEPS``): the mean inverse-iteration steps per recovery, the time of
   the whole loop (band view, ``inverse_iteration`` at delta = 1e-6) and the
-  worst certificate over the dense-SVD sigma_min.
+  worst certificate over the dense-SVD sigma_min;
+* Matrix Market reads (``mtx_files``): ``mmio.read_matrix_market`` and
+  ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
+  9 entries a row) and the 120 x 120 Laplacian, both written by
+  ``mmio.write_coordinate``.
 
 Each pair in the Householder, ||G||_2 and CSR tables is cross-checked for
 agreement before it is timed; ``tests/test_kernels.py`` and
 ``tests/test_smallband.py`` check the code of the recovery tables. The CSR
-pairs and the three recovery timings run interleaved and report best and
-median per call. The opnorm and recovery tables time only public entry
-points, so they run unchanged against older checkouts; a checkout whose
-solves take arrays converts the list rhs on each call.
+pairs, the three recovery timings and the two Matrix Market reads run
+interleaved and report best and median per call. The opnorm, recovery and
+Matrix Market tables time only public entry points, so they run unchanged
+against older checkouts; a checkout whose solves take arrays converts the
+list rhs on each call.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
 """
 
 import argparse
+import os
 import statistics
+import tempfile
 import timeit
 
 import numpy as np
 
+from berrkit import mmio
 from berrkit._kernels import householder_chain, householder_wy
 from berrkit.factorize import BidiagState, LanczosState
 from berrkit.operators import (
@@ -56,7 +64,7 @@ from berrkit.operators import (
     estimate_spectral_norm,
     norm2,
 )
-from berrkit.problems import disguise, ill_conditioned, small_outlier
+from berrkit.problems import disguise, ill_conditioned, read_matrix_market, small_outlier
 from berrkit.smallband import inverse_iteration
 
 CSR_ROWS = 200_000
@@ -401,6 +409,55 @@ def sweep_table(repeats, seed):
               f"{loop:>16} {row['worst_cert_over_sigma_min']:>15.6f}")
 
 
+def mtx_files(workdir, seed):
+    """(name, path, rows) of each Matrix Market table file, written by
+    ``mmio.write_coordinate``: certify's random matrix (n = 10000, 9 entries
+    a row, seed ``[seed, 10]``) and the 120 x 120 Laplacian in symmetric
+    storage (its lower triangle, as certify writes it)."""
+    n, g = 10_000, 120
+    r, c, v = certify_random_coo(n, np.random.default_rng([seed, 10]))
+    rnd = os.path.join(workdir, "random.mtx")
+    mmio.write_coordinate(rnd, r, c, v, (n, n))
+    r, c, v = laplacian_coo(g)
+    lower = r >= c
+    lap = os.path.join(workdir, "laplacian.mtx")
+    mmio.write_coordinate(lap, r[lower], c[lower], v[lower], (g * g, g * g), symmetric=True)
+    return [(f"certify random {n}", rnd, n), (f"Laplacian {g} x {g}", lap, g * g)]
+
+
+def mtx_rows(repeats, seed):
+    """One dict per ``mtx_files`` file: its entries, and the best and median
+    milliseconds per call of ``mmio.read_matrix_market`` and of
+    ``problems.read_matrix_market`` (which adds the CSR build; b is given, so
+    no default right-hand side is computed)."""
+    table = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, path, rows in mtx_files(workdir, seed):
+            b = np.ones(rows)
+            timings = interleaved_seconds(
+                [lambda: mmio.read_matrix_market(path),
+                 lambda: read_matrix_market(path, b=b)],
+                repeats,
+            )
+            row = {"file": name, "entries": int(mmio.read_matrix_market(path).values.size)}
+            for label, (best, med) in zip(("mmio_read", "problems_read"), timings):
+                row[f"{label}_ms_best"] = round(best * 1e3, 1)
+                row[f"{label}_ms_median"] = round(med * 1e3, 1)
+            table.append(row)
+    return table
+
+
+def mtx_table(repeats, seed):
+    header = (f"{'Matrix Market file':<24} {'entries':>8} {'mmio read best/med':>20} "
+              f"{'problems read best/med':>24}")
+    print(header)
+    print("-" * len(header))
+    for row in mtx_rows(repeats, seed):
+        cells = [f"{row[f'{label}_ms_best']:.1f}/{row[f'{label}_ms_median']:.1f}ms"
+                 for label in ("mmio_read", "problems_read")]
+        print(f"{row['file']:<24} {row['entries']:>8} {cells[0]:>20} {cells[1]:>24}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csr-rows", type=int, default=CSR_ROWS)
@@ -424,6 +481,8 @@ def main(argv=None):
     band_table(args.band_sizes, args.repeats, args.seed)
     print()
     sweep_table(args.repeats, args.seed)
+    print()
+    mtx_table(args.repeats, args.seed)
     return 0
 
 

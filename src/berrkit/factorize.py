@@ -16,8 +16,8 @@ Scaling the coefficients by 1/||A||_2 is what makes sigma_min comparable to a
 backward-error tolerance directly; the recovery scalars downstream are computed
 from the raw coefficients and are invariant under this scaling. The band
 problem stays in Python floats from the step column through the O(1) tests
-to the band solves; only ``BandMatrix.matvec``, which measures the
-certificate, and the Krylov bases are numpy.
+and the band solves to ``BandMatrix.matvec``, which measures the
+certificate and returns the one array; the Krylov bases are numpy.
 """
 
 import numpy as np
@@ -81,13 +81,20 @@ class BandMatrix:
         return len(self.diag)
 
     def matvec(self, v):
-        k = self.k
-        y = np.multiply(self.diag, v)
+        """self @ v as a float64 array, for v a list of Python floats or an
+        array. Row i is (diag_i v_i + sup1_i v_{i+1}) + sup2_i v_{i+2} on
+        Python floats, in that order; the last two rows carry only the terms
+        they have, so a signed zero there stays signed."""
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        diag, sup1, k = self.diag, self.sup1, self.k
+        y = [d * x + s1 * x1 + s2 * x2
+             for d, s1, s2, x, x1, x2 in zip(diag, sup1, self.sup2, v, v[1:], v[2:])]
         if k > 1:
-            y[:-1] += np.multiply(self.sup1, v[1:])
-        if k > 2:
-            y[:-2] += np.multiply(self.sup2, v[2:])
-        return y
+            y.append(diag[k - 2] * v[k - 2] + sup1[k - 2] * v[k - 1])
+        if k > 0:
+            y.append(diag[k - 1] * v[k - 1])
+        return np.array(y)
 
     def solve(self, rhs):
         """Back substitution for self @ x = rhs, on the floored diagonal; rhs

@@ -270,7 +270,9 @@ class CsrOperator(LinearOperator):
 
     @classmethod
     def from_coo(cls, rows_idx, cols_idx, values, shape, symmetric=False):
-        """Build from triplets; duplicate entries are summed."""
+        """Build from triplets; duplicate entries are summed, in the order
+        given. The triplets are sorted by the int64 key row * cols + col, so
+        rows * cols may not exceed 2**63."""
         rows, cols = shape
         rows_idx = np.asarray(rows_idx, dtype=np.int64)
         cols_idx = np.asarray(cols_idx, dtype=np.int64)
@@ -280,8 +282,14 @@ class CsrOperator(LinearOperator):
                 f"triplets need three 1-D arrays of one length, got shapes "
                 f"{rows_idx.shape}, {cols_idx.shape} and {values.shape}"
             )
+        if rows * cols > 2**63:
+            raise DimensionMismatchError(
+                f"shape {rows} x {cols} has more entries than an int64 key can order"
+            )
         _check_index_range(rows_idx, rows, "row")
-        order = np.lexsort((cols_idx, rows_idx))
+        # one stable sort: row-major order, duplicates kept in input order
+        # (a column out of range is refused by the constructor)
+        order = np.argsort(rows_idx * cols + cols_idx, kind="stable")
         r, c, v = rows_idx[order], cols_idx[order], values[order]
         if r.size:
             keep = np.ones(r.size, dtype=bool)

@@ -199,5 +199,6 @@ def inverse_iteration(band, delta, seed, max_steps=None):
         if abs(1.0 - (growth / grown) ** 2) <= RQ_STABILIZED_RTOL:
             break
         growth = grown
+    measured = band.matvec(v)
     v = np.array(v)
-    return v, norm2(band.matvec(v)) / norm2(v), steps
+    return v, norm2(measured) / norm2(v), steps

@@ -71,24 +71,32 @@ class TestBandMatrix:
     def test_matches_the_array_form_below_the_floor(self, given, tridiagonal):
         # diagonal entries below SOLVE_FLOOR of both signs and zeros of both
         # signs, given as an array, a list or a tuple: the band keeps Python
-        # floats, and its matvec and solves match the array form bit for bit
+        # floats, and its matvec (of an array or a list) and solves match the
+        # array form bit for bit; on the last k of nine rows, so the edge
+        # rows meet each size, and a v ending in zeros makes both edge rows
+        # of the product -0.0
         rng = np.random.default_rng(11)
-        k = 9
-        diag = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        diag = rng.uniform(0.5, 2.0, 9) * rng.choice([-1.0, 1.0], 9)
         diag[[1, 3, 5, 7, 8]] = [1e-40, -1e-40, 0.0, -0.0, -5e-324]
-        sup1 = rng.standard_normal(k - 1)
-        sup1[2] = -0.0
-        sup2 = rng.standard_normal(k - 2) if tridiagonal else np.zeros(k - 2)
-        band = BandMatrix(given(diag), given(sup1), given(sup2) if tridiagonal else None)
-        ref = _ArrayBand(diag, sup1, sup2)
-        for values in (band.diag, band.sup1, band.sup2):
-            assert type(values) is tuple and all(type(x) is float for x in values)
-        for v in rng.standard_normal((3, k)):
-            assert band.matvec(v).tobytes() == ref.matvec(v).tobytes()
-            rhs = v.tolist()
-            for solve, kernel, lists in [(band.solve, band_solve_upper, ref.upper),
-                                         (band.solve_t, band_solve_upper_t, ref.upper_t)]:
-                assert np.array(solve(rhs)).tobytes() == np.array(kernel(*lists, rhs)).tobytes()
+        sup1 = rng.standard_normal(8)
+        sup1[[2, 7]] = [-0.0, -1.0]
+        sup2 = rng.standard_normal(7) if tridiagonal else np.zeros(7)
+        for k in (1, 2, 3, 9):
+            d, s1, s2 = diag[9 - k:], sup1[9 - k:], sup2[9 - k:]
+            band = BandMatrix(given(d), given(s1), given(s2) if tridiagonal else None)
+            ref = _ArrayBand(d, s1, s2)
+            for values in (band.diag, band.sup1, band.sup2):
+                assert type(values) is tuple and all(type(x) is float for x in values)
+            vs = rng.standard_normal((4, k))
+            vs[3, -2:] = 0.0
+            for v in vs:
+                y = ref.matvec(v)
+                assert band.matvec(v).tobytes() == band.matvec(v.tolist()).tobytes() == y.tobytes()
+                rhs = v.tolist()
+                for solve, kernel, lists in [(band.solve, band_solve_upper, ref.upper),
+                                             (band.solve_t, band_solve_upper_t, ref.upper_t)]:
+                    assert np.array(solve(rhs)).tobytes() == np.array(kernel(*lists, rhs)).tobytes()
+            assert np.signbit(y[-2:]).all()
 
     def test_sigma_min_dense(self):
         # the dense reference against the eigenvalues of the Gram matrix

@@ -1,15 +1,19 @@
-"""Matrix Market reader/writer: round trips, format coverage, error reporting."""
+"""Matrix Market reader/writer: round trips, format coverage, error reporting,
+and agreement with the line-by-line reference reader."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from berrkit import mmio
 from berrkit.errors import MatrixMarketFormatError
+
+from mmio_reference import read_matrix_market_by_line
 
 
 def write_text(path, text):
@@ -114,6 +118,30 @@ class TestFormatAcceptance:
             "%%MATRIXMARKET MATRIX COORDINATE REAL GENERAL\n1 1 1\n1 1 2.0\n",
         )
         assert mmio.read_matrix_market(path).values[0] == 2.0
+
+    def test_integer_beyond_int64_reads_as_the_nearest_float(self, tmp_path):
+        big = 2**70 + 1
+        path = write_text(
+            tmp_path / "big.mtx",
+            "%%MatrixMarket matrix coordinate integer general\n"
+            f"2 2 2\n1 1 {big}\n2 2 {-big}\n",
+        )
+        assert mmio.read_matrix_market(path).values.tolist() == [float(big), float(-big)]
+
+    @pytest.mark.parametrize("field, entry", [
+        ("real", "1 1 1_0.5"), ("real", "1_0 1 1.0"), ("integer", "1 1 1_0"),
+    ])
+    def test_digit_separators_are_refused(self, tmp_path, field, entry):
+        # Python's int and float take "1_0" as 10; the bulk parser reads only
+        # plain digits, so the one narrowing of the line-by-line reference
+        path = write_text(
+            tmp_path / "sep.mtx",
+            f"%%MatrixMarket matrix coordinate {field} general\n20 20 1\n{entry}\n",
+        )
+        assert read_matrix_market_by_line(path).values.size == 1
+        with pytest.raises(MatrixMarketFormatError) as info:
+            mmio.read_matrix_market(path)
+        assert info.value.line == 3
 
     def test_symmetric_array_stores_lower_triangle(self, tmp_path):
         path = write_text(
@@ -282,6 +310,27 @@ class TestErrorReporting:
             mmio.read_matrix_market(path)
         assert info.value.line == 4
 
+    @pytest.mark.parametrize("faults, line, fragment", [
+        ({700: "7 7 abc"}, 704, "bad real value"),
+        ({700: "7 7 abc", 400: "5000 7 1.0"}, 404, "row index 5000 outside"),
+        ({700: "7 7 abc", 400: "7 7 1.0 % note"}, 404, "needs 'row col value'"),
+        ({999: "7 9 1.0"}, 1003, "lower triangle"),
+    ])
+    def test_first_fault_among_many_lines_is_named(self, tmp_path, faults, line, fragment):
+        # a bad entry is found by bisecting the body; an index fault before
+        # it, which only the parsed arrays show, is named first (entry p is
+        # on line p + 4)
+        entries = [f"{i % 50 + 1} {i % 50 + 1} {i}.5" for i in range(1000)]
+        for pos, text in faults.items():
+            entries[pos] = text
+        self.check(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real symmetric\n% note\n50 50 1000\n"
+            + "".join(f"{text}\n" for text in entries),
+            line,
+            fragment,
+        )
+
     def test_line_number_prefix_in_message(self, tmp_path):
         path = write_text(
             tmp_path / "bad.mtx",
@@ -361,6 +410,39 @@ def test_any_bytes_parse_or_raise_with_a_line_number(tmp_path, raw):
         assert data.rows.shape == data.cols.shape == data.values.shape
         assert np.all((0 <= data.rows) & (data.rows < nrows))
         assert np.all((0 <= data.cols) & (data.cols < ncols))
+
+
+def _uses_digit_separators(raw):
+    """The one input the bulk reader refuses and the line-by-line reference
+    accepts: a number with digit separators ("1_0", which Python's int and
+    float read as 10). Each accepted separator stands between two digits."""
+    return re.search(rb"\d_\d", raw) is not None
+
+
+def _outcome(read, path):
+    """A read as comparable bytes: the line of the error raised, or every
+    field of the result."""
+    try:
+        data = read(path)
+    except MatrixMarketFormatError as exc:
+        return exc.line
+    return (data.shape, data.symmetric, data.layout, data.rows.dtype, data.cols.dtype,
+            data.values.dtype, data.rows.tobytes(), data.cols.tobytes(), data.values.tobytes())
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=_matrix_market_bytes())
+def test_bulk_parse_agrees_with_the_line_by_line_reference(tmp_path, raw):
+    # both read the same arrays, or both raise at the same line
+    assume(not _uses_digit_separators(raw))
+    path = tmp_path / "fuzz.mtx"
+    path.write_bytes(raw)
+    assert _outcome(mmio.read_matrix_market, path) == _outcome(read_matrix_market_by_line, path)
 
 
 class TestScipyCrossCheck:

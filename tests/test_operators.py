@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit.operators import _golub_kahan_norm, norm2
+from berrkit.operators import _csr_transpose, _golub_kahan_norm, norm2
 
 
 def test_vector_primitives():
@@ -160,6 +160,67 @@ def test_malformed_csr_is_rejected_on_construction(fault):
 def test_malformed_coo_is_rejected(rows_idx, cols_idx):
     with pytest.raises(bk.DimensionMismatchError):
         bk.CsrOperator.from_coo(rows_idx, cols_idx, np.ones(len(cols_idx)), (2, 3))
+
+
+def test_from_coo_refuses_a_shape_beyond_its_sort_key():
+    with pytest.raises(bk.DimensionMismatchError, match="int64 key"):
+        bk.CsrOperator.from_coo([0], [0], [1.0], (3, 2**62))
+
+
+def _lexsort_csr(rows_idx, cols_idx, values, rows):
+    """from_coo's earlier build, the reference: the triplets ordered by
+    np.lexsort on (cols, rows), duplicates summed in that order."""
+    order = np.lexsort((cols_idx, rows_idx))
+    r, c, v = rows_idx[order], cols_idx[order], values[order]
+    if r.size:
+        keep = np.ones(r.size, dtype=bool)
+        keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        group = np.cumsum(keep) - 1
+        data = np.zeros(int(group[-1]) + 1)
+        np.add.at(data, group, v)
+        r, c = r[keep], c[keep]
+    else:
+        data = v
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.add.at(indptr, r + 1, 1)
+    return data, c, np.cumsum(indptr)
+
+
+@st.composite
+def _triplets(draw):
+    """(rows, cols, values, shape, symmetric): up to 40 triplets on at most
+    8 x 8, so duplicates and empty rows are common, with values whose sum
+    depends on its order; a symmetric draw mirrors its lower triangle."""
+    symmetric = draw(st.booleans())
+    nrows = draw(st.integers(1, 8))
+    ncols = nrows if symmetric else draw(st.integers(1, 8))
+    n = draw(st.integers(0, 40))
+    r = np.array(draw(st.lists(st.integers(0, nrows - 1), min_size=n, max_size=n)), np.int64)
+    c = np.array(draw(st.lists(st.integers(0, ncols - 1), min_size=n, max_size=n)), np.int64)
+    v = np.array(draw(st.lists(st.sampled_from([1.0, -1.0, 1e16, -1e16, 3.0 / 7.0, -0.0]),
+                               min_size=n, max_size=n)), np.float64)
+    if symmetric:
+        r, c = np.maximum(r, c), np.minimum(r, c)
+        off = r != c
+        r, c, v = (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
+                   np.concatenate([v, v[off]]))
+    return r, c, v, (nrows, ncols), symmetric
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_triplets())
+def test_from_coo_builds_the_lexsort_arrays(triplets):
+    # sorting by the key row * cols + col is the lexsort permutation, so
+    # every CSR array, and the transpose's, is the same to the byte
+    r, c, v, shape, symmetric = triplets
+    op = bk.CsrOperator.from_coo(r, c, v, shape, symmetric=symmetric)
+    expected = _lexsort_csr(r, c, v, shape[0])
+    built = (op.data, op.indices, op.indptr)
+    if not symmetric:
+        expected += _csr_transpose(*expected, *shape)
+        built += (op._tdata, op._tindices, op._tindptr)
+    for ours, theirs in zip(built, expected, strict=True):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 class TestCsrOperator:
