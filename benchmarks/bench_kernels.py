@@ -1,7 +1,7 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Seven tables:
+millisecond range where dispatch overhead matters. Eight tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
@@ -31,14 +31,20 @@ millisecond range where dispatch overhead matters. Seven tables:
 * Matrix Market reads (``mtx_files``): ``mmio.read_matrix_market`` and
   ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
   9 entries a row) and the 120 x 120 Laplacian, both written by
-  ``mmio.write_coordinate``.
+  ``mmio.write_coordinate``;
+* Krylov basis memory (``KRYLOV_SOLVES``): the tracemalloc peak and the wall
+  time of one untraced ``minberr_solve`` and of ``minberr_ne_solve`` under
+  each reorthogonalization policy, on ``ill_conditioned(20000, 1e8)`` with
+  b = ones, eps = 1e-12 and k_max = KRYLOV_K_MAX, so each run takes all
+  KRYLOV_K_MAX steps. The time is the best of three runs; the peak comes
+  from one more run under tracemalloc, whose x must equal theirs to the byte.
 
 Each pair in the Householder, ||G||_2 and CSR tables is cross-checked for
 agreement before it is timed; ``tests/test_kernels.py`` and
 ``tests/test_smallband.py`` check the code of the recovery tables. The CSR
 pairs, the three recovery timings and the two Matrix Market reads run
 interleaved and report best and median per call. The opnorm, recovery and
-Matrix Market tables time only public entry points, so they run unchanged
+Matrix Market and Krylov basis memory tables time only public entry points, so they run unchanged
 against older checkouts; a checkout whose solves take arrays converts the
 list rhs on each call.
 
@@ -47,14 +53,17 @@ list rhs on each call.
 """
 
 import argparse
+import math
 import os
 import statistics
 import tempfile
+import time
 import timeit
+import tracemalloc
 
 import numpy as np
 
-from berrkit import mmio
+from berrkit import minberr_ne_solve, minberr_solve, mmio
 from berrkit._kernels import householder_chain, householder_wy
 from berrkit.factorize import BidiagState, LanczosState
 from berrkit.operators import (
@@ -82,6 +91,11 @@ SWEEPS = [
 ]
 # Golub-Kahan steps of the fully reorthogonalized reference norm
 REFERENCE_STEPS = 150
+# (solver, reorth) of each Krylov basis memory row, and their shared step
+# count: full reorthogonalization makes step k cost O(n k)
+KRYLOV_SOLVES = [(minberr_solve, "plain"), (minberr_ne_solve, "plain"),
+                 (minberr_ne_solve, "full")]
+KRYLOV_K_MAX = 300
 
 
 def uniform_coo(rows, per_row, rng):
@@ -458,6 +472,42 @@ def mtx_table(repeats, seed):
         print(f"{row['file']:<24} {row['entries']:>8} {cells[0]:>20} {cells[1]:>24}")
 
 
+def krylov_memory_rows():
+    """One dict per ``KRYLOV_SOLVES`` entry: iterations, the tracemalloc peak
+    in MiB and the best wall seconds of three runs."""
+    p = ill_conditioned(20_000, 1e8)
+    b = np.ones(p.op.rows)
+    table = []
+    for solve, reorth in KRYLOV_SOLVES:
+        def run():
+            return solve(p.op, b, eps=1e-12, k_max=KRYLOV_K_MAX, reorth=reorth)
+
+        wall = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            timed = run()
+            wall = min(wall, time.perf_counter() - t0)
+        tracemalloc.start()
+        try:
+            traced = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced.x.tobytes() == timed.x.tobytes()
+        table.append({"solver": solve.__name__, "reorth": reorth, "k": timed.iterations,
+                      "peak_mib": round(peak / 2**20, 1), "wall_s": round(wall, 2)})
+    return table
+
+
+def krylov_memory_table():
+    header = f"{'Krylov basis memory':<24} {'reorth':>7} {'k':>5} {'peak':>11} {'wall':>8}"
+    print(header)
+    print("-" * len(header))
+    for row in krylov_memory_rows():
+        print(f"{row['solver']:<24} {row['reorth']:>7} {row['k']:>5} "
+              f"{row['peak_mib']:>7.1f}MiB {row['wall_s']:>7.2f}s")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csr-rows", type=int, default=CSR_ROWS)
@@ -483,6 +533,8 @@ def main(argv=None):
     sweep_table(args.repeats, args.seed)
     print()
     mtx_table(args.repeats, args.seed)
+    print()
+    krylov_memory_table()
     return 0
 
 

@@ -13,7 +13,7 @@ decision of the classical solvers. Rows report backward error against A, also fo
 solver on a nearby operator. Every solver starts from x_0 = 0 and records its
 first row at iteration 1; a recorded row with a non-finite residual or iterate
 norm raises NonFiniteError. Identical config and seed give bitwise-identical
-numeric trace columns. LSQR runs its own two-vector Golub-Kahan recurrence.
+numeric trace columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
 """
 
 import math
@@ -23,14 +23,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    NonFiniteError,
-    OrthogonalRhsError,
-    RequiresSymmetricError,
-    UnrepresentableNormError,
-)
+from .errors import NonFiniteError, RequiresSymmetricError, UnrepresentableNormError
 from .factorize import BREAKDOWN_TOL_FACTOR
-from .operators import _NORMAL_MIN, ShiftedOperator, _check_norm, norm2
+from .operators import (
+    _NORMAL_MIN,
+    ShiftedOperator,
+    _check_norm,
+    _golub_kahan_start,
+    _golub_kahan_step,
+    norm2,
+)
 
 __all__ = [
     "Termination",
@@ -399,35 +401,22 @@ def _minres(op, mon):
 
 
 def lsqr(op, b, config=None):
-    """LSQR (Paige & Saunders 1982) on a two-vector Golub-Kahan recurrence,
-    with the operations of ``BidiagState.step`` in the same order. Traces berr
+    """LSQR (Paige & Saunders 1982) on the Golub-Kahan step of ``BidiagState``,
+    whose breakdown, a non-finite beta included, forces a row. Traces berr
     with the recursive residual-norm estimate; every RECOMPUTE_EVERY
     iterations an exact matvec replaces it for that iteration only, as in
     ``minres``."""
     mon = _Monitor(op, b, config)
     b = mon.b
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s
-    u = b / mon.norm_b
-    z = op.apply_adjoint(u)
-    alpha = norm2(z)
-    if alpha <= breakdown_tol:
-        raise OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
-    q = z / alpha
+    _, u, alpha, q = _golub_kahan_start(op, b, breakdown_tol)
     x = np.zeros(op.cols)
     w = q
     phibar = mon.norm_b
     rhobar = alpha
     for k in range(1, mon.cfg.max_iterations + 1):
-        u = op.apply(q) - alpha * u
-        beta = norm2(u)
-        breakdown = beta <= breakdown_tol
-        if breakdown:
-            alpha = 0.0
-        else:
-            u = u / beta
-            z = op.apply_adjoint(u) - beta * q
-            alpha = norm2(z)
-            breakdown = alpha <= breakdown_tol
+        beta, u, alpha, q_next = _golub_kahan_step(op, u, q, alpha, breakdown_tol)
+        breakdown = q_next is None
         rho = max(math.hypot(rhobar, beta), np.finfo(float).tiny)
         c = rhobar / rho
         sn = beta / rho
@@ -437,7 +426,7 @@ def lsqr(op, b, config=None):
         phibar = sn * phibar
         x = x + (phi / rho) * w
         if not breakdown:
-            q = z / alpha
+            q = q_next
             w = q - (theta / rho) * w
         rn = norm2(op.apply(x) - b) if mon.refresh(k) else phibar
         stop = mon.check(k, x, rn, breakdown=breakdown)

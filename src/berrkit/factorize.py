@@ -23,13 +23,8 @@ certificate and returns the one array; the Krylov bases are numpy.
 import numpy as np
 
 from ._kernels import band_solve_upper, band_solve_upper_t
-from .errors import (
-    DimensionMismatchError,
-    OrthogonalRhsError,
-    PostBreakdownError,
-    RequiresSymmetricError,
-)
-from .operators import norm2
+from .errors import DimensionMismatchError, PostBreakdownError, RequiresSymmetricError
+from .operators import _golub_kahan_start, _golub_kahan_step, _reorthogonalize, norm2
 
 __all__ = ["BandMatrix", "LanczosState", "BidiagState", "BREAKDOWN_TOL_FACTOR", "SOLVE_FLOOR"]
 
@@ -145,13 +140,6 @@ def _check_reorth(reorth):
         raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
 
 
-def _reorthogonalize(w, basis):
-    """Two classical Gram-Schmidt sweeps of w against the stored columns."""
-    for _ in range(2):
-        w = w - basis @ (basis.T @ w)
-    return w
-
-
 class LanczosState:
     """Symmetric Lanczos with stored basis and the scaled Ttilde view.
 
@@ -230,36 +218,32 @@ class LanczosState:
 
 
 class BidiagState:
-    """Golub-Kahan bidiagonalization with stored bases and the scaled Btilde view.
+    """Golub-Kahan bidiagonalization with the right basis and the scaled Btilde view.
 
     Raw coefficients: ``norm_b`` is beta_1 = ||b||, ``alphas[i]`` is
     alpha_{i+1} (so alpha_1 is computed at construction), ``betas[i]`` is
     beta_{i+2}. The Btilde view is upper bidiagonal with diagonal
     (beta_2, ..., beta_{k+1}) and superdiagonal (alpha_2, ..., alpha_k),
-    scaled by 1/opnorm. Both bases are stored, for recovery and for "full"
-    reorthogonalization; ``classical.lsqr`` runs the same recurrence on its
-    two live vectors.
+    scaled by 1/opnorm. Each step is ``operators._golub_kahan_step``, the one
+    ``classical.lsqr`` and the norm estimate run too. The right basis is
+    stored for recovery; the left one only under "full" reorthogonalization,
+    which reads it, while "plain" keeps the last left vector alone.
     """
 
     def __init__(self, op, b, opnorm=None, reorth="plain"):
         _check_reorth(reorth)
-        b = np.asarray(b, dtype=np.float64)
         self.op = op
         self.reorth = reorth
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
-        self.norm_b = norm2(b)
-        if self.norm_b == 0.0:
-            raise ValueError("b must be nonzero")
-        u = b / self.norm_b
-        z = op.apply_adjoint(u)
-        alpha1 = norm2(z)
-        if alpha1 <= self.breakdown_tol:
-            raise OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
-        self._u = _GrowingColumns(op.rows)
+        self.norm_b, self._u, alpha1, q1 = _golub_kahan_start(
+            op, np.asarray(b, dtype=np.float64), self.breakdown_tol)
         self._qcols = _GrowingColumns(op.cols)
-        self._u.push(u)
-        self._qcols.push(z / alpha1)
+        self._qcols.push(q1)
+        self._ucols = None
+        if reorth == "full":
+            self._ucols = _GrowingColumns(op.rows)
+            self._ucols.push(self._u)
         self.alphas = [alpha1]
         self.betas = []
         self.k = 0
@@ -270,41 +254,31 @@ class BidiagState:
 
         A tuple of two Python floats ``(alpha_k, beta_{k+1})`` scaled, 0.0
         where the matrix has no superdiagonal entry yet. After the step,
-        ``alphas`` also holds alpha_{k+1} unless the step broke down.
+        ``alphas`` also holds alpha_{k+1} unless the step broke down, which
+        a non-finite beta_{k+1}, carried by the column, also counts as.
         """
         if self.breakdown:
             raise PostBreakdownError("bidiagonalization stepped after breakdown")
         k = self.k + 1
-        u_k = self._u.view()[:, -1]
-        q_k = self._qcols.view()[:, -1]
-        w = self.op.apply(q_k) - self.alphas[k - 1] * u_k
-        if self.reorth == "full":
-            w = _reorthogonalize(w, self._u.view())
-        beta_next = norm2(w)
-        self.betas.append(beta_next)
+        bases = None if self._ucols is None else (self._ucols.view(), self._qcols.view())
+        beta, u, alpha, q = _golub_kahan_step(
+            self.op, self._u, self._qcols.view()[:, -1], self.alphas[-1], self.breakdown_tol, bases)
+        self.betas.append(beta)
         self.k = k
         s = self.opnorm
-        col = (self.alphas[k - 1] / s if k >= 2 else 0.0, beta_next / s)
-        if beta_next <= self.breakdown_tol:
-            self.breakdown = True
-            return col
-        u_next = w / beta_next
-        z = self.op.apply_adjoint(u_next) - beta_next * q_k
-        if self.reorth == "full":
-            z = _reorthogonalize(z, self._qcols.view())
-        alpha_next = norm2(z)
-        self.alphas.append(alpha_next)
-        self.breakdown = alpha_next <= self.breakdown_tol
-        self._u.push(u_next)
-        if not self.breakdown:
-            self._qcols.push(z / alpha_next)
+        col = (self.alphas[k - 1] / s if k >= 2 else 0.0, beta / s)
+        self.breakdown = q is None
+        if u is not None:
+            self._u = u
+            if self._ucols is not None:
+                self._ucols.push(u)
+            self.alphas.append(alpha)
+        if q is not None:
+            self._qcols.push(q)
         return col
 
     def basis_q(self, k=None):
         return self._qcols.view(min(self.k, self._qcols.count) if k is None else k)
-
-    def basis_u(self, k=None):
-        return self._u.view(min(self.k + 1, self._u.count) if k is None else k)
 
     def btilde(self, k=None):
         """Scaled Btilde_k as a BandMatrix (default: current k)."""

@@ -13,6 +13,7 @@ double exactly, so write-then-read is an identity on the stored entries.
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -271,14 +272,16 @@ def write_coordinate(path, rows, cols, values, shape, symmetric=False):
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    if not rows.shape == cols.shape == values.shape:
+        raise ValueError("rows, cols and values must have one shape")
     if symmetric and np.any(cols > rows):
         raise ValueError("symmetric output requires lower-triangle triplets")
     symmetry = "symmetric" if symmetric else "general"
+    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), values.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
         fh.write(f"{shape[0]} {shape[1]} {values.shape[0]}\n")
-        for i, j, v in zip(rows, cols, values):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        fh.write("%d %d %.17g\n" * values.size % tuple(chain.from_iterable(entries)))
 
 
 def write_array(path, a):
@@ -291,6 +294,4 @@ def write_array(path, a):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for j in range(a.shape[1]):
-            for i in range(a.shape[0]):
-                fh.write(f"{a[i, j]:.17g}\n")
+        fh.write("%.17g\n" * a.size % tuple(a.ravel(order="F").tolist()))

@@ -6,7 +6,8 @@ which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
 when the exact value is known, e.g. for diagonal test problems). Solvers and
 ``backward_error`` read ||A||_2 only from here, through ``_check_norm``.
 The one norm estimator, ``_golub_kahan_norm``, fills that cache and norms the
-Gaussian perturbation of ``minberr_ne_perturbed``.
+Gaussian perturbation of ``minberr_ne_perturbed``; its step, ``_golub_kahan_step``,
+is the one ``BidiagState`` and ``lsqr`` run.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, NonFiniteError, ZeroOperatorError
+from .errors import DimensionMismatchError, NonFiniteError, OrthogonalRhsError, ZeroOperatorError
 
 __all__ = [
     "NormEstimate",
@@ -156,12 +157,44 @@ def _check_norm(s):
     return s
 
 
-def _finite_norm(w, k):
-    """norm2(w), checked before step k of the norm estimate divides by it."""
-    nw = norm2(w)
-    if not math.isfinite(nw):
-        raise NonFiniteError(f"norm estimate, step {k}: a product with A is not finite")
-    return nw
+def _reorthogonalize(w, basis):
+    """Two classical Gram-Schmidt sweeps of w against the stored columns."""
+    for _ in range(2):
+        w = w - basis @ (basis.T @ w)
+    return w
+
+
+def _golub_kahan_start(op, b, tol):
+    """(||b||, u_1, alpha_1, q_1) with u_1 = b / ||b|| and alpha_1 q_1 = A^T u_1;
+    ValueError for b = 0, OrthogonalRhsError for alpha_1 <= tol."""
+    norm_b = norm2(b)
+    if norm_b == 0.0:
+        raise ValueError("b must be nonzero")
+    u = b / norm_b
+    z = op.apply_adjoint(u)
+    alpha = norm2(z)
+    if alpha <= tol:
+        raise OrthogonalRhsError("A^T b = 0: the left Krylov space is empty")
+    return norm_b, u, alpha, z / alpha
+
+
+def _golub_kahan_step(op, u, q, alpha, tol, bases=None):
+    """One Golub-Kahan step: beta u' = A q - alpha u, alpha' q' = A^T u' - beta q,
+    each new vector reorthogonalized against its side of bases = (left, right)
+    when given. Returns (beta, u', alpha', q'): (beta, None, 0.0, None) unless
+    tol < beta < inf, and q' is None when alpha' <= tol."""
+    w = op.apply(q) - alpha * u
+    if bases is not None:
+        w = _reorthogonalize(w, bases[0])
+    beta = norm2(w)
+    if not tol < beta < math.inf:
+        return beta, None, 0.0, None
+    u = w / beta
+    z = op.apply_adjoint(u) - beta * q
+    if bases is not None:
+        z = _reorthogonalize(z, bases[1])
+    alpha = norm2(z)
+    return beta, u, alpha, None if alpha <= tol else z / alpha
 
 
 def _golub_kahan_norm(op, grow_tol):
@@ -169,13 +202,13 @@ def _golub_kahan_norm(op, grow_tol):
     of steps taken.
 
     Runs A v_k = alpha_k u_k + beta_{k-1} u_{k-1} and A^T u_k = alpha_k v_k +
-    beta_k v_{k+1} (Golub & Kahan 1965) on two live vectors from a Gaussian
-    start seeded with NORM_SEED. After step k the value is the top singular
-    value of the k x (k+1) upper bidiagonal [B_k | beta_k e_k], which is
-    U_k^T A V_{k+1}: a lower bound on ||A||_2, up to rounding, that cannot
-    shrink as k grows. The Krylov space holds the power iterate, so the value
-    converges faster than power iteration from the same start (Kuczynski &
-    Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13).
+    beta_k v_{k+1} (Golub & Kahan 1965) by ``_golub_kahan_step`` at tol 0,
+    from u_0 = 0 and a Gaussian v_1 seeded with NORM_SEED. After step k the
+    value is the top singular value of the k x (k+1) upper bidiagonal
+    [B_k | beta_k e_k], which is U_k^T A V_{k+1}: a lower bound on ||A||_2, up
+    to rounding, that cannot shrink as k grows. The Krylov space holds the
+    power iterate, so the value converges faster than power iteration from
+    the same start (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13).
 
     The run stops once the value has grown by at most grow_tol (relative)
     over three steps, at a breakdown (alpha or beta exactly 0), or after
@@ -191,20 +224,18 @@ def _golub_kahan_norm(op, grow_tol):
     tops = []
     beta = 0.0
     for k in range(1, max_steps + 1):
-        p = op.apply(v) - beta * u
-        alpha = _finite_norm(p, k)
+        # the step's (beta, alpha') are this bidiagonal's (alpha_k, beta_k)
+        alpha, u, beta, v = _golub_kahan_step(op, u, v, beta, 0.0)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NonFiniteError(f"norm estimate, step {k}: a product with A is not finite")
         if alpha == 0.0:
             if k == 1:
                 raise ZeroOperatorError("norm estimate: A v = 0 for a random v")
             break
-        u = p / alpha
-        r = op.apply_adjoint(u) - alpha * v
-        beta = _finite_norm(r, k)
         band[k - 1, k - 1 : k + 1] = alpha, beta
         tops.append(float(np.linalg.svd(band[:k, : k + 1], compute_uv=False)[0]))
         if beta == 0.0 or (k > 3 and tops[-1] - tops[-4] <= grow_tol * tops[-1]):
             break
-        v = r / beta
     return tops[-1], len(tops)
 
 

@@ -1,6 +1,7 @@
 """Small matrix factories shared across the test modules."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 import berrkit as bk
 
@@ -79,3 +80,27 @@ def capture_monitors(monkeypatch, module):
 
     monkeypatch.setattr(module, "_Monitor", Spy)
     return monitors
+
+
+@st.composite
+def golub_kahan_problems(draw):
+    """Square and rectangular dense, two-sided disguised and CSR operators,
+    with b at unit scale or far from it."""
+    kind = draw(st.sampled_from(["square", "rectangular", "disguise2", "csr"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "disguise2":
+        p = bk.ill_conditioned(draw(st.integers(2, 60)), 10.0 ** rng.uniform(0.5, 8.0))
+        p = bk.disguise(p, two_sided=True, seed=int(rng.integers(1000)))
+        op, b = p.op, p.b
+    else:
+        m = draw(st.integers(1, 40))
+        n = draw(st.integers(1, 40)) if kind == "rectangular" else m
+        a = rng.standard_normal((m, n))
+        if kind == "csr":
+            a *= rng.random((m, n)) < 0.3
+            rows, cols = np.nonzero(a)
+            op = bk.CsrOperator.from_coo(rows, cols, a[rows, cols], (m, n))
+        else:
+            op = bk.DenseOperator(a, symmetric=False)
+        b = rng.standard_normal(m)
+    return op, b * draw(st.sampled_from([1.0, 2.0**-300, 2.0**300]))

@@ -1,10 +1,13 @@
-"""The line-by-line Matrix Market reader that ``berrkit.mmio`` replaced,
-frozen as the reference its bulk parse is tested against.
+"""The line-by-line Matrix Market reader and writers that ``berrkit.mmio``
+replaced, frozen as the references its bulk parse and bulk writes are tested
+against.
 
-It splits each entry line into tokens and converts them with Python's
-``int`` and ``float``, one line at a time, checking each line in full before
-the next. ``read_matrix_market_by_line`` returns the same ``MatrixMarketData``
-and raises the same ``MatrixMarketFormatError`` as ``berrkit.mmio``.
+The reader splits each entry line into tokens and converts them with
+Python's ``int`` and ``float``, one line at a time, checking each line in
+full before the next. ``read_matrix_market_by_line`` returns the same
+``MatrixMarketData`` and raises the same ``MatrixMarketFormatError`` as
+``berrkit.mmio``. The writers format and write one entry line per numpy
+scalar; ``berrkit.mmio``'s must write the same bytes.
 """
 
 import numpy as np
@@ -154,3 +157,27 @@ def read_matrix_market_by_line(path):
         cols, rows = np.divmod(np.arange(count), nrows)
     rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
     return MatrixMarketData((nrows, ncols), rows, cols, vals, symmetric, "array")
+
+
+def write_coordinate_by_line(path, rows, cols, values, shape, symmetric=False):
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    symmetry = "symmetric" if symmetric else "general"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
+        fh.write(f"{shape[0]} {shape[1]} {values.shape[0]}\n")
+        for i, j, v in zip(rows, cols, values):
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+
+
+def write_array_by_line(path, a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        for j in range(a.shape[1]):
+            for i in range(a.shape[0]):
+                fh.write(f"{a[i, j]:.17g}\n")

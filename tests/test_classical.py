@@ -19,6 +19,7 @@ from _helpers import (
     capture_row_iterates,
     dense_op,
     forward_to_backward_bound,
+    golub_kahan_problems as _lsqr_problems,
     measured_berr,
     random_psd,
 )
@@ -350,30 +351,6 @@ def _assert_lsqr_matches_frozen(op, b, config):
     live = _outcome(bk.lsqr, op, b, config)
     assert live == _outcome(_frozen_lsqr, op, b, config)
     return live
-
-
-@st.composite
-def _lsqr_problems(draw):
-    """Square and rectangular dense, two-sided disguised and CSR operators,
-    with b at unit scale or far from it."""
-    kind = draw(st.sampled_from(["square", "rectangular", "disguise2", "csr"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "disguise2":
-        p = bk.ill_conditioned(draw(st.integers(2, 60)), 10.0 ** rng.uniform(0.5, 8.0))
-        p = bk.disguise(p, two_sided=True, seed=int(rng.integers(1000)))
-        op, b = p.op, p.b
-    else:
-        m = draw(st.integers(1, 40))
-        n = draw(st.integers(1, 40)) if kind == "rectangular" else m
-        a = rng.standard_normal((m, n))
-        if kind == "csr":
-            a *= rng.random((m, n)) < 0.3
-            rows, cols = np.nonzero(a)
-            op = bk.CsrOperator.from_coo(rows, cols, a[rows, cols], (m, n))
-        else:
-            op = bk.DenseOperator(a, symmetric=False)
-        b = rng.standard_normal(m)
-    return op, b * draw(st.sampled_from([1.0, 2.0**-300, 2.0**300]))
 
 
 class TestLsqrMatchesFrozenPath:

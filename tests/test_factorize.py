@@ -1,7 +1,11 @@
 """Band views, Lanczos, and Golub-Kahan bidiagonalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
@@ -9,8 +13,9 @@ from berrkit import factorize
 from berrkit._kernels import band_solve_upper, band_solve_upper_t
 from berrkit.factorize import SOLVE_FLOOR, BandMatrix, BidiagState, LanczosState
 
-from _helpers import dense_op, random_general, random_psd
+from _helpers import dense_op, golub_kahan_problems, random_general, random_psd
 from dense_oracle import band_dense, sigma_min_dense
+from golub_kahan_reference import BidiagReference
 
 
 class TestBandMatrix:
@@ -304,7 +309,8 @@ class TestBidiag:
         assert_allclose(st.betas, [0.7, 0.4, 0.9], rtol=1e-13, atol=1e-14)
 
     def test_factorization_relation(self):
-        """Both bases stay orthonormal and compress A to the raw bidiagonal."""
+        """Under "full" both stored bases stay orthonormal and compress A to
+        the raw bidiagonal."""
         rng = np.random.default_rng(6)
         a = rng.standard_normal((25, 25))
         op = dense_op(a)
@@ -314,7 +320,7 @@ class TestBidiag:
         for _ in range(k):
             st.step()
         q = st.basis_q(k)
-        u = st.basis_u(k)
+        u = st._ucols.view(k)
         assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
         assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
         compressed = u.T @ a @ q
@@ -325,15 +331,14 @@ class TestBidiag:
                 expect[j + 1, j] = st.betas[j]
         assert_allclose(compressed, expect, rtol=0, atol=1e-10 * op.opnorm())
 
-    @pytest.mark.parametrize("accessor", ["basis_q", "basis_u"])
-    def test_basis_beyond_stored_vectors_raises(self, accessor):
+    def test_basis_beyond_stored_vectors_raises(self):
         rng = np.random.default_rng(10)
         st = BidiagState(dense_op(rng.standard_normal((50, 50))), rng.standard_normal(50))
         for _ in range(3):
             st.step()
-        assert getattr(st, accessor)(4).shape == (50, 4)
+        assert st.basis_q(4).shape == (50, 4)
         with pytest.raises(ValueError, match="asked for 10 basis vectors, 4 stored"):
-            getattr(st, accessor)(10)
+            st.basis_q(10)
 
     def test_btilde_band_layout(self):
         rng = np.random.default_rng(8)
@@ -388,11 +393,78 @@ class TestBasisStore:
                 self._check(st.basis(k), st._q, pushed, k)
 
     def test_bidiag_bases(self, monkeypatch):
+        # the left basis is stored only for "full" reorthogonalization
         pushed = self._record_pushes(monkeypatch)
         rng = np.random.default_rng(12)
-        st = BidiagState(dense_op(rng.standard_normal((160, 130))), rng.standard_normal(160))
+        a, b = rng.standard_normal((160, 130)), rng.standard_normal(160)
+        states = {reorth: BidiagState(dense_op(a), b, reorth=reorth)
+                  for reorth in ("plain", "full")}
         for k in range(1, max(self.CHECKPOINTS) + 1):
-            st.step()
+            for state in states.values():
+                state.step()
             if k in self.CHECKPOINTS:
-                self._check(st.basis_q(k), st._qcols, pushed, k)
-                self._check(st.basis_u(k), st._u, pushed, k)
+                for state in states.values():
+                    self._check(state.basis_q(k), state._qcols, pushed, k)
+                full = states["full"]
+                self._check(full._ucols.view(k), full._ucols, pushed, k)
+        assert states["plain"]._ucols is None
+
+    def test_plain_bidiag_peak_is_the_right_basis(self):
+        # a left basis as long as the right one would take the peak past
+        # twice the right basis buffer; the buffer's last doubling alone
+        # reaches 1.5 times it
+        n = 20_000
+        op = bk.DiagonalOperator(np.linspace(1.0, 2.0, n))
+        tracemalloc.start()
+        try:
+            state = BidiagState(op, np.ones(n))
+            for _ in range(40):
+                state.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not state.breakdown
+        assert peak < 2 * state._qcols._buf.nbytes
+
+
+def _bidiag_outcome(state_type, op, b, reorth, steps):
+    """Every output of up to `steps` steps of a bidiagonalization as bytes
+    (the stored left basis under "full" included), or the error it raised."""
+    try:
+        state = state_type(op, b, reorth=reorth)
+    except bk.BerrkitError as exc:
+        return type(exc), str(exc)
+    cols = []
+    while state.k < steps and not state.breakdown:
+        cols.append(state.step())
+    left = None
+    if reorth == "full":
+        left = (state._ucols if state_type is BidiagState else state._u).view().tobytes()
+    return (np.array(state.alphas).tobytes(), np.array(state.betas).tobytes(),
+            np.array(cols).tobytes(), state.breakdown, state._qcols.view().tobytes(), left)
+
+
+class TestBidiagMatchesFrozenReference:
+    """BidiagState against its earlier code, which stored both bases under
+    either policy (``golub_kahan_reference``), to the byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(golub_kahan_problems(), st.sampled_from(["plain", "full"]), st.integers(1, 60))
+    def test_bitwise(self, problem, reorth, steps):
+        op, b = problem
+        live = _bidiag_outcome(BidiagState, op, b, reorth, steps)
+        assert live == _bidiag_outcome(BidiagReference, op, b, reorth, steps)
+
+    # 6 x 5 of rank 3: the Krylov spaces close after three steps, on beta
+    # when b lies in the range of A and on alpha when it does not
+    RANK_DEFICIENT = np.diag([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])[:, :5]
+
+    @pytest.mark.parametrize("reorth", ["plain", "full"])
+    @pytest.mark.parametrize("b, alphas", [([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 3),
+                                           ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 4)])
+    def test_breakdown(self, b, alphas, reorth):
+        op = bk.DenseOperator(self.RANK_DEFICIENT)
+        live = _bidiag_outcome(BidiagState, op, np.array(b), reorth, 50)
+        assert live == _bidiag_outcome(BidiagReference, op, np.array(b), reorth, 50)
+        # three steps each, ending on beta_4 (3 alphas) or alpha_4 (4 alphas)
+        assert len(live[1]) == 3 * 8 and len(live[0]) == alphas * 8 and live[3]

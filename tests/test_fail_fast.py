@@ -152,6 +152,15 @@ def test_untraced_minberr_stops_at_the_first_non_finite_step(name, bad):
         SOLVERS[name](diagonal(bad).set_opnorm(1.0), np.ones(N))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lsqr_stops_at_the_first_non_finite_step(bad):
+    # a beta that is not finite ends the recurrence as a breakdown, whose
+    # forced row raises before trace_every = 7 asks for one
+    with pytest.raises(bk.NonFiniteError, match="iteration 1:"):
+        SOLVERS["lsqr"](diagonal(bad).set_opnorm(1.0), np.ones(N))
+
+
 def test_norm_estimate_of_non_finite_operator_raises():
     with pytest.raises(bk.NonFiniteError):
         bk.estimate_spectral_norm(bk.DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]])))

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from berrkit import mmio
 from berrkit.errors import MatrixMarketFormatError
 
-from mmio_reference import read_matrix_market_by_line
+from mmio_reference import read_matrix_market_by_line, write_array_by_line, write_coordinate_by_line
 
 
 def write_text(path, text):
@@ -72,6 +72,31 @@ class TestRoundTrips:
             mmio.write_coordinate(
                 tmp_path / "bad.mtx", [0], [1], [1.0], (2, 2), symmetric=True
             )
+
+
+# signed zeros, subnormals, the ends of the float range and integer-valued
+# floats, whose .17g forms differ most from the shortest repr
+WRITER_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e22, 0.1, -np.pi]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.sampled_from(WRITER_VALUES), st.floats()), max_size=40),
+       st.booleans())
+def test_writers_match_frozen_loops(tmp_path, values, symmetric):
+    def same_bytes(write, reference, *args):
+        write(tmp_path / "bulk.mtx", *args)
+        reference(tmp_path / "loop.mtx", *args)
+        assert (tmp_path / "bulk.mtx").read_bytes() == (tmp_path / "loop.mtx").read_bytes()
+
+    v = np.array(values)
+    rows = np.arange(v.size)
+    n = max(v.size, 1)
+    same_bytes(mmio.write_coordinate, write_coordinate_by_line, rows, rows // 2, v, (n, n),
+               symmetric)
+    same_bytes(mmio.write_array, write_array_by_line, v)
+    same_bytes(mmio.write_array, write_array_by_line, v[: v.size // 2 * 2].reshape(-1, 2))
 
 
 class TestFormatAcceptance:

@@ -9,6 +9,9 @@ from numpy.testing import assert_allclose
 import berrkit as bk
 from berrkit.operators import _csr_transpose, _golub_kahan_norm, norm2
 
+from _helpers import golub_kahan_problems
+from golub_kahan_reference import golub_kahan_norm
+
 
 def test_vector_primitives():
     assert norm2(np.array([3.0, 4.0])) == 5.0
@@ -130,6 +133,34 @@ def test_golub_kahan_norm_never_exceeds_the_norm(seed, n, extra_rows, log_kappa,
     value, steps = _golub_kahan_norm(bk.DenseOperator(a, symmetric=symmetric), grow_tol)
     assert 1 <= steps <= min(a.shape)
     assert value <= np.linalg.norm(a, 2) * (1.0 + 1e-13)
+
+
+def _norm_outcome(estimate, op, grow_tol):
+    try:
+        return estimate(op, grow_tol)
+    except bk.BerrkitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(golub_kahan_problems(),
+       st.sampled_from([bk.operators.NORM_REL_TOL, 2.0 * np.finfo(float).eps]),
+       st.sampled_from([None, "zero", np.nan, np.inf]))
+def test_golub_kahan_norm_matches_frozen_reference(problem, grow_tol, fault):
+    """The same (value, steps) as the earlier two-vector estimator
+    (``golub_kahan_reference``), or the same error, also on a zero A and on
+    an A with one NaN or infinite entry, with no RuntimeWarning first."""
+    op, _ = problem
+    if fault is not None:
+        a = op.to_dense()
+        if fault == "zero":
+            a[:] = 0.0
+        else:
+            a.flat[a.size // 2] = fault
+        op = bk.DenseOperator(a, symmetric=False)
+    live = _norm_outcome(_golub_kahan_norm, op, grow_tol)
+    assert live == _norm_outcome(golub_kahan_norm, op, grow_tol)
 
 
 # (data, indices, indptr, shape) with one structural fault each
