@@ -1,19 +1,23 @@
 """Print one sha256 per deterministic berrkit run, for bitwise regression gates.
 
 The runs are every run of the five offline ``berrkit bench`` suites plus one
-``berrkit solve`` per solver, one each for minberr and minberr-ne below
-sqrt(u), one each whose Krylov space breaks down at the first step, and three
-under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
-``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last come runs on ``.mtx`` files that ``berrkit
-synth`` writes (``MTX_FILES``), whose norm is estimated rather than pinned:
-the ``suitesparse`` suite over all of them, and minberr on the symmetric one
-at ``--trace-every`` 1 and 7. Each digest covers every history CSV
-column except ``wall_nanos`` and every summary field, so two checkouts that
-print the same lines produce bitwise-identical numbers. After the digest each
-line shows the run's outcome: termination, iterations (``k=``), final berr and
-the certified bound (``bound=``, None unless the solver certifies one).
+``berrkit solve`` per solver, a richardson run that stops at a tolerance at
+k = 97 (no multiple of 7), one each for minberr and minberr-ne below sqrt(u),
+minberr at eps 1.5e-8 (between sqrt(u) and 2 sqrt(u), where the O(1) test is
+gated), minberr at eps 3e-16 (where certificates below eps meet measured rows
+above it), one each whose Krylov space breaks down at the first step, and
+three under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
+``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last
+come runs on ``.mtx`` files that ``berrkit synth`` writes (``MTX_FILES``),
+whose norm is estimated rather than pinned: the ``suitesparse`` suite over
+all of them, and minberr on the symmetric one at ``--trace-every`` 1 and 7.
+Each digest covers every history CSV column except ``wall_nanos`` and every
+summary field, so two checkouts that print the same lines produce
+bitwise-identical numbers. After the digest each line shows the run's
+outcome: termination, iterations (``k=``), final berr and the certified bound
+(``bound=``, None unless the solver certifies one).
 
-Usage (about 50 s on one core)::
+Usage (about 10 s on one core of a 2-core Xeon)::
 
     python3 benchmarks/det_digest.py [SRC_DIR] > digests.txt
     python3 benchmarks/det_digest.py [SRC_DIR] --against OTHER_SRC
@@ -45,14 +49,18 @@ GENERAL = "ill-conditioned:n=400,kappa=1e6+disguise2"
 # (label, solver, problem, extra flags); every run solves --rhs ones unless
 # its extra flags, which come last, name another. Classical runs pass 1000
 # iterations so the residual refresh is exercised, tol 1e-15 keeps them from
-# stopping early; the two tol 1e-9 runs certify below sqrt(u), where the O(1)
-# test gates at 2 sqrt(u) and every later step recovers; the two breakdown
+# stopping early, while the tol 1e-2 richardson run stops between two rows
+# at --trace-every 7; the two tol 1e-9 runs certify below sqrt(u), where the
+# O(1) test gates at 2 sqrt(u) and every later step recovers, as it does for
+# the tol 1.5e-8 run; the tol 3e-16 run goes on past certificates below eps
+# until its measured row is below eps too; the two breakdown
 # runs stop at k = 1 on a band with a zero diagonal, whose recovery goes
 # through the floored band solve; the three full-reorthogonalization runs
 # cover the other branch of both factorization steps, and the first two
 # certify (k = 152 and 126)
 SOLVER_RUNS = [
     ("richardson", "richardson", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
+    ("richardson-tol1e-2", "richardson", SYMMETRIC, ["--tol", "1e-2"]),
     ("richardson-ne", "richardson-ne", GENERAL, ["--tol", "1e-15", "--max-iter", "1100"]),
     ("cg", "cg", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
     ("minres", "minres", SYMMETRIC, ["--tol", "1e-15", "--max-iter", "1100"]),
@@ -67,6 +75,10 @@ SOLVER_RUNS = [
      ["--tol", "1e-9", "--max-iter", "150"]),
     ("minberr-ne-tol1e-9", "minberr-ne", "ill-conditioned:n=400,kappa=10+disguise2",
      ["--tol", "1e-9", "--max-iter", "150"]),
+    ("minberr-tol1.5e-8", "minberr", "small-outlier:n=2000,kappa=1e10,sigma=1e-3",
+     ["--rhs", "default", "--tol", "1.5e-8"]),
+    ("minberr-tol3e-16", "minberr", "ill-conditioned:n=300,kappa=1e4+disguise",
+     ["--rhs", "default", "--tol", "3e-16", "--max-iter", "1500"]),
     ("minberr-ne-breakdown", "minberr-ne", "cyclic-shift:n=64", []),
     ("minberr-breakdown", "minberr", SYMMETRIC, ["--rhs", "smallest-left-singular"]),
     ("minberr-full", "minberr", SYMMETRIC,

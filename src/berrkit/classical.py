@@ -1,19 +1,19 @@
 """Classical iterative solvers instrumented with backward-error traces.
 
 Every solver loop, the minimum-backward-error ones in ``minberr`` included,
-runs under one ``_Monitor`` built on the problem's (A, b). The monitor checks
-the entry data (a finite, nonzero right-hand side of the right shape whose
-2-norm is a normal float64, and a finite positive ``op.opnorm()``, the run's
-only source of ||A||_2), hands the solvers b rescaled by a power of two when
-its entries are far from unit size, and owns the trace and its row schedule
-(every ``trace_every`` iterations and at the last one), the RECOMPUTE_EVERY
-exact residual (cg and the two Richardson loops restart their residual
-recurrence from it; minres and lsqr only report it), and the single stopping
-decision of the classical solvers. Rows report backward error against A, also for a
-solver on a nearby operator. Every solver starts from x_0 = 0 and records its
-first row at iteration 1; a recorded row with a non-finite residual or iterate
-norm raises NonFiniteError. Identical config and seed give bitwise-identical
-numeric trace columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
+runs under one ``_Monitor`` built on the problem's (A, b). It checks the entry
+data (a finite, nonzero b of the right shape whose 2-norm is a normal float64,
+and a finite positive ``op.opnorm()``, the run's only source of ||A||_2),
+rescales b by a power of two when its entries are far from unit size, and
+owns the trace and its rows (every ``trace_every`` iterations and the last),
+the RECOMPUTE_EVERY exact residual (cg and the Richardson loops restart their
+recurrence from it; minres and lsqr decide on it at that iteration only) and
+the classical stopping decision, taken at every iteration: the row schedule
+never moves a stop. Rows report backward error against A, also for a solver
+on a nearby operator. Every solver starts from x_0 = 0; a non-finite residual
+or iterate norm raises NonFiniteError at its iteration, row or not. Identical
+config and seed give bitwise-identical numeric trace columns. LSQR runs
+``operators._golub_kahan_step`` on two vectors.
 """
 
 import math
@@ -203,20 +203,24 @@ class _Monitor:
         """Whether iteration k recomputes the residual from scratch."""
         return k % RECOMPUTE_EVERY == 0
 
-    def record(self, k, x, rn=None, xn=None):
-        """Append the row for iterate x; returns its residual norm at the scale
-        of ``self.b``. rn is the solver's own residual norm; without one, or
-        when the solver runs on a nearby operator, the residual against A is
-        measured with one matvec."""
+    def measure(self, k, x, rn=None, xn=None):
+        """Residual and iterate norms of iterate x at iteration k, at the scale
+        of ``self.b``. rn is the solver's own residual norm; without one the
+        residual against A is measured with one matvec. A norm that is not
+        finite raises NonFiniteError."""
         if xn is None:
             xn = norm2(x)
-        if rn is None or self.measured:
+        if rn is None:
             rn = norm2(self.op.apply(x) - self.b)
         if not (math.isfinite(rn) and math.isfinite(xn)):
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
             )
-        scaled_rn = rn
+        return rn, xn
+
+    def record(self, k, x, rn=None, xn=None):
+        """Append the row for iterate x, its norms as ``measure`` gives them."""
+        rn, xn = self.measure(k, x, rn, xn)
         if self.unscale != 1.0:
             rn, xn = rn * self.unscale, xn * self.unscale
             if not (_is_normal(xn) and (rn == 0.0 or _is_normal(rn))):
@@ -225,7 +229,6 @@ class _Monitor:
                     f"iterate norm {xn} leave the normal float64 range"
                 )
         self.trace.record(k, rn, xn, self.t0)
-        return scaled_rn
 
     def exact(self, rn, breakdown):
         """Whether residual norm rn, at the scale of ``self.b``, marks an
@@ -234,24 +237,20 @@ class _Monitor:
         return rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b)
 
     def check(self, k, x, rn, breakdown=False):
-        """Stopping decision at iteration k, recording a row when one is due.
-
-        rn is the solver's own residual norm, or its residual vector (normed
-        only when a row is due). A breakdown forces a row and ends the run.
-        Returns the Termination, or None to go on.
+        """Stopping decision at iteration k on the solver's own residual norm
+        rn, taken at every iteration; a breakdown ends the run. The row is
+        recorded when one is due or the run stops (x = 0 gets none), so the
+        row schedule never changes the decision. Returns the Termination, or
+        None to go on.
         """
-        if not (breakdown or self.due(k)):
-            return None
-        if isinstance(rn, np.ndarray):
-            rn = norm2(rn)
-        xn = norm2(x)
+        rn, xn = self.measure(k, x, rn)
         stop = Termination.BREAKDOWN if breakdown else None
         if self.exact(rn, breakdown):
             stop = Termination.EXACT_SOLUTION
         elif xn > 0.0 and rn < self.cfg.berr_tolerance * self.s * xn:
             stop = Termination.TOLERANCE_REACHED
-        if xn != 0.0:
-            self.record(k, x, rn, xn)
+        if xn != 0.0 and (stop is not None or self.due(k)):
+            self.record(k, x, None if self.measured else rn, xn)
         return stop
 
     def unscaled(self, x):
@@ -283,7 +282,7 @@ def richardson(op, b, config=None):
     for k in range(1, mon.cfg.max_iterations + 1):
         x = x - eta * r
         r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(r)
-        stop = mon.check(k, x, r)
+        stop = mon.check(k, x, norm2(r))
         if stop is not None:
             break
     return mon.result(x, k, stop)
@@ -301,7 +300,7 @@ def richardson_ne(op, b, config=None):
         g = op.apply_adjoint(r)
         x = x - eta * g
         r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(g)
-        stop = mon.check(k, x, r)
+        stop = mon.check(k, x, norm2(r))
         if stop is not None:
             break
     return mon.result(x, k, stop)
@@ -324,6 +323,9 @@ def _cg(op, mon):
         ap = op.apply(p)
         pap = float(p @ ap)
         if pap <= 0.0:
+            # x_{k-1} ends the run: its row, unless it was due (0 is, x_0 = 0 gets none)
+            if not mon.due(k - 1):
+                mon.record(k - 1, x, None if mon.measured else math.sqrt(rs))
             return mon.result(x, k - 1, Termination.BREAKDOWN)
         gamma = rs / pap
         x = x + gamma * p
@@ -343,8 +345,7 @@ def minres(op, b, config=None):
     The residual norm comes from the QR recurrence. Every RECOMPUTE_EVERY
     iterations an exact matvec measures it instead, for that iteration's
     stopping test and row only: the recurrence never sees it, so it does not
-    bound the recurrence's drift, and when no row is due there the monitor
-    drops it.
+    bound the recurrence's drift.
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minres expects a symmetric operator")
@@ -402,10 +403,10 @@ def _minres(op, mon):
 
 def lsqr(op, b, config=None):
     """LSQR (Paige & Saunders 1982) on the Golub-Kahan step of ``BidiagState``,
-    whose breakdown, a non-finite beta included, forces a row. Traces berr
-    with the recursive residual-norm estimate; every RECOMPUTE_EVERY
-    iterations an exact matvec replaces it for that iteration only, as in
-    ``minres``."""
+    whose breakdown ends the run with a row; a non-finite beta raises
+    NonFiniteError at its step. Decides on the recursive residual-norm
+    estimate; every RECOMPUTE_EVERY iterations an exact matvec replaces it
+    for that iteration's decision and row, as in ``minres``."""
     mon = _Monitor(op, b, config)
     b = mon.b
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s

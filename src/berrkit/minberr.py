@@ -13,10 +13,10 @@ A. ``minberr_ne_perturbed`` runs it against a Gaussian perturbation of A and
 certifies backward error against the original A by the composition bound.
 
 The per-step convergence decision costs O(1) (incremental Cholesky for the
-tridiagonal case, shifted dqds for the bidiagonal case) at the shift eps, or
-2 sqrt(u) below sqrt(u); once it fires, every step recovers until a
-certificate is below eps. Recovery costs O(k ln(k/delta^2)) plus the O(nk)
-basis combination.
+tridiagonal case, shifted dqds for the bidiagonal case) at the shift
+max(eps, 2 sqrt(u)); once it fires, every step recovers until a certificate
+is below eps and, on A itself, the row measured at that step is too.
+Recovery costs O(k ln(k/delta^2)) plus the O(nk) basis combination.
 """
 
 import math
@@ -72,8 +72,8 @@ class MinberrResult(SolveResult):
 
 def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0):
     """Check the run's arguments before any work, then return its monitor and
-    the O(1) test's shift: eps, or 2 sqrt(u) below sqrt(u), where rounding of
-    order u in the Cholesky pivots can fire a test at sqrt(u) a step late. No
+    the O(1) test's shift max(eps, 2 sqrt(u)): below 2 sqrt(u) rounding of
+    order u in the Cholesky pivots can fire a test at eps a step late. No
     certificate, being >= sigma_min, can drop below eps before the gate
     fires, so the run stops where recovering at every step would. A perturbed
     run solves on (1 - perturb_eps) ||A||_2 and measures its rows against A."""
@@ -98,8 +98,7 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
     mon = _Monitor(op, b, cfg)
     if perturb_eps:
         mon.solve_on((1.0 - perturb_eps) * mon.s)
-    sqrt_u = math.sqrt(np.finfo(float).eps)
-    return mon, eps if eps >= sqrt_u else 2.0 * sqrt_u
+    return mon, max(eps, 2.0 * math.sqrt(np.finfo(float).eps))
 
 
 def _smallest_pair(band, k, delta, seed, step_factor):
@@ -137,11 +136,12 @@ def _recover_ne(state, k, delta, seed, step_factor=1):
 
 
 def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
-    """Shared driver for the PSD and normal-equations variants: the
-    certificate decides termination, the monitor records measured rows, and
-    a non-finite band column stops the run at its step. While ``testing``,
-    only the O(1) test at ``shift``, breakdown, the cap and trace rows trigger
-    a recovery; once the test fires every step does."""
+    """Shared driver for the PSD and normal-equations variants: a certificate
+    below eps ends the run once the measured row on A confirms it (on A + E
+    the composition bound carries it), and a non-finite band column stops
+    the run at its step. While ``testing``, only the O(1) test at ``shift``,
+    breakdown, the cap and trace rows trigger a recovery; once the test fires
+    every step does. The row schedule moves no decision."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
@@ -155,26 +155,29 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
         signalled = testing and push_test(col)
         if signalled:
             testing = False
-        check_now = not testing or state.breakdown or k == k_max
-        record_now = mon.due(k)
-        if not (check_now or record_now):
+        if testing and not (state.breakdown or k == k_max or mon.due(k)):
             continue
         x, cert = recover(state, k, delta, seed)
-        if check_now:
-            if cert >= eps and (state.breakdown or (signalled and cert >= shift)):
-                # the test certified sigma_min < shift (or the subspace became
-                # invariant) but the recovered pair misses that promise:
-                # retry once with a quadrupled step budget
-                x, cert = recover(state, k, delta, seed, step_factor=4)
-            if cert < eps:
+        if cert >= eps and (state.breakdown or (signalled and cert >= shift)):
+            # the test certified sigma_min < shift (or the subspace became
+            # invariant) but the recovered pair misses that promise:
+            # retry once with a quadrupled step budget
+            x, cert = recover(state, k, delta, seed, step_factor=4)
+        decide = (not testing and cert < eps) or state.breakdown or k == k_max
+        if not (decide or mon.due(k)):
+            continue
+        rn, xn = mon.measure(k, x)
+        if decide:
+            if mon.exact(rn, state.breakdown):
+                termination = Termination.EXACT_SOLUTION
+            elif cert < eps and (mon.measured or rn / (mon.s * xn) < eps):
                 termination = Termination.TOLERANCE_REACHED
             elif state.breakdown:
                 termination = Termination.BREAKDOWN
             elif k == k_max:
                 termination = Termination.MAX_ITERATIONS
-        if record_now or termination is not None:
-            if mon.exact(mon.record(k, x), state.breakdown):
-                termination = Termination.EXACT_SOLUTION
+        if termination is not None or mon.due(k):
+            mon.record(k, x, rn, xn)
             certificates.append(cert)
         if termination is not None:
             break
@@ -198,7 +201,7 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     eps : float
         Backward-error tolerance in (0, 1). After k iterations the subspace
         minimum obeys berr <= 3/(k^2 - 1), so termination needs at most about
-        sqrt(3/eps) iterations.
+        sqrt(3/eps) iterations, and ToleranceReached a measured berr < eps.
     delta : float
         Inverse-iteration failure probability; the recovered iterate exceeds
         the subspace minimum by at most a factor sqrt(1.5) with probability
@@ -212,6 +215,7 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     trace_every : int, optional
         Record a trace row every trace_every iterations and at the last; each
         row costs a recovery plus one measuring matvec. None: the last only.
+        The schedule moves no stop and no x.
 
     Returns
     -------

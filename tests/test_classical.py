@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -472,6 +472,29 @@ class TestRegularized:
             bk.regularized_solve(bk.cyclic_shift(9).op, bk.cyclic_shift(9).b, 9)
 
 
+def _config(tol, k_max, every):
+    return bk.SolverConfig(max_iterations=k_max, berr_tolerance=tol, trace_every=every)
+
+
+# (symmetric A, run(op, b, tol, k_max, trace_every)) for every solver
+SCHEDULED = {
+    "richardson": (True, lambda op, b, tol, k, t: bk.richardson(op, b, _config(tol, k, t))),
+    "richardson-ne": (False,
+                      lambda op, b, tol, k, t: bk.richardson_ne(op, b, _config(tol, k, t))),
+    "cg": (True, lambda op, b, tol, k, t: bk.cg(op, b, _config(tol, k, t))),
+    "minres": (True, lambda op, b, tol, k, t: bk.minres(op, b, _config(tol, k, t))),
+    "lsqr": (False, lambda op, b, tol, k, t: bk.lsqr(op, b, _config(tol, k, t))),
+    "regularized-cg": (True, lambda op, b, tol, k, t: bk.regularized_solve(
+        op, b, k, inner="cg", trace_every=t)),
+    "regularized-minres": (True, lambda op, b, tol, k, t: bk.regularized_solve(
+        op, b, k, inner="minres", trace_every=t)),
+    "minberr": (True, lambda op, b, tol, k, t: bk.minberr_solve(
+        op, b, eps=tol, k_max=min(k, op.cols), trace_every=t)),
+    "minberr-ne": (False, lambda op, b, tol, k, t: bk.minberr_ne_solve(
+        op, b, eps=tol, k_max=min(k, op.cols), trace_every=t)),
+}
+
+
 class TestTraceConsistency:
     @pytest.mark.parametrize("solver", ["richardson", "cg", "minres"])
     def test_final_trace_row_matches_returned_x(self, solver):
@@ -485,6 +508,55 @@ class TestTraceConsistency:
         p = bk.ill_conditioned(60, 1e4)
         r = bk.richardson(p.op, p.b, tight(100, trace_every=10))
         assert np.all(np.array(r.trace.iterations) % 10 == 0)
+
+    def test_row_schedule_does_not_move_the_stop(self):
+        # the decision used to run only on recorded rows: at trace_every 7
+        # this run stopped at k = 98, the first multiple of 7 past 97
+        p = bk.ill_conditioned(400, 1e8)
+        one, seven = (bk.richardson(p.op, np.ones(400), bk.SolverConfig(berr_tolerance=1e-2,
+                                                                         trace_every=t))
+                      for t in (1, 7))
+        assert one.iterations == seven.iterations == 97
+        assert seven.x.tobytes() == one.x.tobytes()
+        assert seven.trace.iterations[-2:] == [91, 97]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        solver=st.sampled_from(sorted(SCHEDULED)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        spread=st.floats(0.0, 8.0),
+        log_tol=st.floats(-12.0, -1.0),
+        k_max=st.integers(9, 150),
+        every=st.integers(2, 9),
+    )
+    # p^T A p <= 0 at k = 20 ends this run at x_19, which is not a row at 2
+    @example(solver="regularized-cg", seed=5, n=2, spread=2.494140625, log_tol=-1.0,
+             k_max=20, every=2)
+    def test_trace_every_only_picks_rows(self, solver, seed, n, spread, log_tol, k_max,
+                                         every):
+        """A run at trace_every t stops where the run at 1 stops, with the same
+        x, and its rows are that run's rows at every multiple of t and the
+        last."""
+        symmetric, run = SCHEDULED[solver]
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** -np.sort(rng.uniform(0.0, spread, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if symmetric:
+            a = (q * d) @ q.T
+            a = 0.5 * (a + a.T)
+        else:
+            a = (q * d) @ np.linalg.qr(rng.standard_normal((n, n)))[0].T
+        op = dense_op(a)
+        b = rng.standard_normal(n)
+        tol = 10.0 ** log_tol
+        one, some = (run(op, b, tol, k_max, t) for t in (1, every))
+        assert (some.termination, some.iterations) == (one.termination, one.iterations)
+        assert some.x.tobytes() == one.x.tobytes()
+        rows = {row[0]: row[1:4] for row in one.trace.rows()}
+        assert all(rows[row[0]] == row[1:4] for row in some.trace.rows())
+        assert set(range(every, some.iterations + 1, every)) <= set(some.trace.iterations)
+        assert some.trace.iterations[-1] == some.iterations
 
     def test_wall_nanos_nondecreasing(self):
         p = bk.ill_conditioned(60, 1e4)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -208,23 +208,38 @@ SQRT_U = math.sqrt(np.finfo(float).eps)
 
 
 def per_iteration_reference(state, recover, eps, k_max, b, seed=0, delta=1e-6):
-    """Recover at every step and stop at the first certificate below eps, at
-    breakdown or at the cap: the loop that the O(1) test gated below sqrt(u)
-    must reproduce bit for bit. A breakdown whose measured residual is at
-    most 1e-15 ||b|| is an exact solution. Returns (termination, k,
-    certificate, x)."""
+    """Recover at every step and stop at the first certificate below eps whose
+    measured backward error is below eps too, at breakdown or at the cap: the
+    loop that the O(1) test gated below 2 sqrt(u) must reproduce bit for bit.
+    A breakdown whose measured residual is at most 1e-15 ||b|| is an exact
+    solution. Returns (termination, k, certificate, x)."""
     for k in range(1, k_max + 1):
         state.step()
         x, cert = recover(state, k, delta, seed)
         if cert >= eps and state.breakdown:
             x, cert = recover(state, k, delta, seed, step_factor=4)
-        if state.breakdown and norm2(state.op.apply(x) - b) <= 1e-15 * norm2(b):
+        rn = norm2(state.op.apply(x) - b)
+        if state.breakdown and rn <= 1e-15 * norm2(b):
             return bk.Termination.EXACT_SOLUTION, k, cert, x
-        if cert < eps:
+        if cert < eps and rn / (state.opnorm * norm2(x)) < eps:
             return bk.Termination.TOLERANCE_REACHED, k, cert, x
         if state.breakdown:
             return bk.Termination.BREAKDOWN, k, cert, x
     return bk.Termination.MAX_ITERATIONS, k_max, cert, x
+
+
+def _disguised_spectrum(seed, n, spread, normal_equations):
+    """(op, b): singular values 10^-uniform(0, spread) behind random orthogonal
+    factors, Q D Q^T (symmetric PSD) or Q D P^T, and a Gaussian b."""
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** -np.sort(rng.uniform(0.0, spread, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    if normal_equations:
+        p, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return dense_op((q * d) @ p.T), b
+    a = (q * d) @ q.T
+    return dense_op(0.5 * (a + a.T)), b
 
 
 def _assert_same_run(r, reference):
@@ -235,16 +250,17 @@ def _assert_same_run(r, reference):
 
 
 class TestGateBelowSqrtU:
-    """Below sqrt(u) the O(1) test runs at the shift 2 sqrt(u): it fires before
-    any certificate can drop below eps, so the run stops where recovering at
-    every step would, with the same x, at a fraction of the recoveries."""
+    """Below 2 sqrt(u) the O(1) test runs at the shift 2 sqrt(u): it fires
+    before any certificate can drop below eps, so the run stops where
+    recovering at every step would, with the same x, at a fraction of the
+    recoveries."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(4, 60),
         spread=st.floats(2.0, 14.0),
-        log_eps=st.floats(-13.0, math.log10(SQRT_U), exclude_max=True),
+        log_eps=st.floats(-13.0, math.log10(2.0 * SQRT_U), exclude_max=True),
         normal_equations=st.booleans(),
         reorth=st.sampled_from(["plain", "full"]),
         trace_every=st.sampled_from([None, 1, 5]),
@@ -252,18 +268,11 @@ class TestGateBelowSqrtU:
     def test_equals_per_iteration_reference(self, seed, n, spread, log_eps, normal_equations,
                                             reorth, trace_every):
         eps = 10.0 ** log_eps
-        assume(eps < SQRT_U)
-        rng = np.random.default_rng(seed)
-        d = 10.0 ** -np.sort(rng.uniform(0.0, spread, n))
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        b = rng.standard_normal(n)
+        assume(eps < 2.0 * SQRT_U)
+        op, b = _disguised_spectrum(seed, n, spread, normal_equations)
         if normal_equations:
-            p, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            op = dense_op((q * d) @ p.T)
             solver, factorization, recover = bk.minberr_ne_solve, BidiagState, _recover_ne
         else:
-            a = (q * d) @ q.T
-            op = dense_op(0.5 * (a + a.T))
             solver, factorization, recover = bk.minberr_solve, LanczosState, minberr._recover_psd
         r = solver(op, b, eps=eps, reorth=reorth, seed=seed, trace_every=trace_every)
         state = factorization(op, b, opnorm=op.opnorm(), reorth=reorth)
@@ -279,6 +288,18 @@ class TestGateBelowSqrtU:
         _assert_same_run(r, per_iteration_reference(state, minberr._recover_psd, eps, 500,
                                                     p.b))
         assert r.iterations == 73
+
+    @pytest.mark.parametrize("eps, k", [(1.5e-8, 194), (1.7e-8, 192), (1.8e-8, 191),
+                                        (2.5e-8, 186), (2.7e-8, 185)])
+    def test_equals_per_iteration_reference_between_sqrt_u_and_twice_it(self, eps, k):
+        # a test at eps itself, as run between sqrt(u) and 2 sqrt(u) before,
+        # fired one step after the certificate crossed eps on these runs
+        p = bk.small_outlier(2000, 1e10, 1e-3)
+        r = bk.minberr_solve(p.op, p.b, eps=eps)
+        state = LanczosState(p.op, p.b, opnorm=p.op.opnorm())
+        _assert_same_run(r, per_iteration_reference(state, minberr._recover_psd, eps, 2000,
+                                                    p.b))
+        assert r.iterations == k
 
     @pytest.mark.parametrize("name", ["minberr", "minberr-ne"])
     def test_one_recovery_for_an_untraced_run_to_the_cap(self, name, monkeypatch):
@@ -331,6 +352,56 @@ class TestGateBelowSqrtU:
             r = solver(dense_op(a), b, *extra, eps=1e-9)
         assert r.termination == bk.Termination.TOLERANCE_REACHED
         assert r.sigma_min_certificate < 1e-9
+
+
+class TestMeasuredClaim:
+    """On A itself a certificate below eps ends the run only when the row
+    measured at that step is below eps too."""
+
+    @pytest.mark.parametrize("problem, eps, outcome", [
+        ("disguised", 1e-15, ("ToleranceReached", 681)),
+        ("disguised", 5e-16, ("ToleranceReached", 704)),
+        ("disguised", 3e-16, ("ToleranceReached", 732)),
+        ("disguised", 2e-16, ("MaxIterations", 1500)),
+        ("outlier", 2e-16, ("ToleranceReached", 474)),
+    ])
+    def test_no_claim_above_the_measured_row(self, problem, eps, outcome):
+        # the certificate alone ended these runs at k = 679, 702, 717, 732
+        # and 473, at a measured berr of 1.03e-15, 5.73e-16, 4.61e-16,
+        # 2.92e-16 and 2.01e-16
+        if problem == "disguised":
+            p = bk.disguise(bk.ill_conditioned(300, 1e4), False, 2)
+        else:
+            p = bk.small_outlier(2000, 1e10, 1e-3)
+        r = bk.minberr_solve(p.op, p.b, eps=eps, k_max=1500)
+        assert (r.termination.value, r.iterations) == outcome
+        measured = bk.backward_error(p.op, p.b, r.x).value
+        assert r.trace.final_berr == measured
+        if r.termination == bk.Termination.TOLERANCE_REACHED:
+            assert measured < eps
+        else:
+            assert r.sigma_min_certificate < eps <= measured
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 60),
+        spread=st.floats(0.0, 14.0),
+        log_eps=st.floats(math.log10(2e-16), -2.0),
+        normal_equations=st.booleans(),
+        reorth=st.sampled_from(["plain", "full"]),
+    )
+    # the certificate alone claimed this run
+    @example(seed=0, n=47, spread=1.0, log_eps=-15.6875, normal_equations=False,
+             reorth="plain")
+    def test_every_claim_is_measured_below_eps(self, seed, n, spread, log_eps,
+                                               normal_equations, reorth):
+        eps = 10.0 ** log_eps
+        op, b = _disguised_spectrum(seed, n, spread, normal_equations)
+        solver = bk.minberr_ne_solve if normal_equations else bk.minberr_solve
+        r = solver(op, b, eps=eps, reorth=reorth, seed=seed)
+        if r.termination == bk.Termination.TOLERANCE_REACHED:
+            assert bk.backward_error(op, b, r.x).value < eps
 
 
 class TestPrefixRecovery:
