@@ -5,7 +5,10 @@ The runs are every run of the five offline ``berrkit bench`` suites plus one
 k = 97 (no multiple of 7), one each for minberr and minberr-ne below sqrt(u),
 minberr at eps 1.5e-8 (between sqrt(u) and 2 sqrt(u), where the O(1) test is
 gated), minberr at eps 3e-16 (where certificates below eps meet measured rows
-above it), one each whose Krylov space breaks down at the first step, and
+above it), minres at tol 3e-15 on a disguised ``ill-conditioned`` problem
+(where the residual recurrence claims at k = 885 a tolerance that the
+measured berr, 3.43e-15, misses; the run goes on to its first measured row
+below tol), one each whose Krylov space breaks down at the first step, and
 three under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
 ``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last
 come runs on ``.mtx`` files that ``berrkit synth`` writes (``MTX_FILES``),
@@ -48,12 +51,14 @@ GENERAL = "ill-conditioned:n=400,kappa=1e6+disguise2"
 
 # (label, solver, problem, extra flags); every run solves --rhs ones unless
 # its extra flags, which come last, name another. Classical runs pass 1000
-# iterations so the residual refresh is exercised, tol 1e-15 keeps them from
+# iterations so the residual refresh of cg and the Richardson loops is
+# exercised, tol 1e-15 keeps them from
 # stopping early, while the tol 1e-2 richardson run stops between two rows
 # at --trace-every 7; the two tol 1e-9 runs certify below sqrt(u), where the
 # O(1) test gates at 2 sqrt(u) and every later step recovers, as it does for
 # the tol 1.5e-8 run; the tol 3e-16 run goes on past certificates below eps
-# until its measured row is below eps too; the two breakdown
+# until its measured row is below eps too, as the minres tol 3e-15 run goes
+# on past recurrence norms below tol; the two breakdown
 # runs stop at k = 1 on a band with a zero diagonal, whose recovery goes
 # through the floored band solve; the three full-reorthogonalization runs
 # cover the other branch of both factorization steps, and the first two
@@ -79,6 +84,8 @@ SOLVER_RUNS = [
      ["--rhs", "default", "--tol", "1.5e-8"]),
     ("minberr-tol3e-16", "minberr", "ill-conditioned:n=300,kappa=1e4+disguise",
      ["--rhs", "default", "--tol", "3e-16", "--max-iter", "1500"]),
+    ("minres-tol3e-15", "minres", "ill-conditioned:n=300,kappa=1e4+disguise",
+     ["--tol", "3e-15", "--max-iter", "3000"]),
     ("minberr-ne-breakdown", "minberr-ne", "cyclic-shift:n=64", []),
     ("minberr-breakdown", "minberr", SYMMETRIC, ["--rhs", "smallest-left-singular"]),
     ("minberr-full", "minberr", SYMMETRIC,

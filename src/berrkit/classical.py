@@ -5,15 +5,17 @@ runs under one ``_Monitor`` built on the problem's (A, b). It checks the entry
 data (a finite, nonzero b of the right shape whose 2-norm is a normal float64,
 and a finite positive ``op.opnorm()``, the run's only source of ||A||_2),
 rescales b by a power of two when its entries are far from unit size, and
-owns the trace and its rows (every ``trace_every`` iterations and the last),
-the RECOMPUTE_EVERY exact residual (cg and the Richardson loops restart their
-recurrence from it; minres and lsqr decide on it at that iteration only) and
-the classical stopping decision, taken at every iteration: the row schedule
-never moves a stop. Rows report backward error against A, also for a solver
-on a nearby operator. Every solver starts from x_0 = 0; a non-finite residual
-or iterate norm raises NonFiniteError at its iteration, row or not. Identical
-config and seed give bitwise-identical numeric trace columns. LSQR runs
-``operators._golub_kahan_step`` on two vectors.
+owns the trace and its rows (every ``trace_every`` iterations and the last)
+and the one stopping rule of all seven solvers, decided at every iteration,
+so the row schedule never moves a stop: on A itself a solver's claim of
+convergence (its residual recurrence, or MINBERR's certificate) stops the run
+only if the row measured at that step confirms it. That costs one matvec per
+claim, and at every step while a claim keeps failing. Rows report backward
+error against A, also for a solver on a nearby operator. RECOMPUTE_EVERY
+serves only cg and the Richardson loops. Every solver starts from x_0 = 0; a
+non-finite residual or iterate norm raises NonFiniteError at its iteration,
+row or not. Identical config and seed give bitwise-identical numeric trace
+columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
 """
 
 import math
@@ -48,9 +50,8 @@ __all__ = [
     "RECOMPUTE_EVERY",
 ]
 
-# every RECOMPUTE_EVERY iterations the residual is measured exactly: cg and the
-# Richardson loops restart their residual recurrence from it, while minres and
-# lsqr use it only for that iteration's stopping test and row
+# every RECOMPUTE_EVERY iterations cg and the Richardson loops restart their
+# residual recurrence from the exact residual
 RECOMPUTE_EVERY = 1000
 
 
@@ -236,34 +237,48 @@ class _Monitor:
         rn <= 1e-15 ||b||. Every solver labels ExactSolution by this rule."""
         return rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b)
 
-    def check(self, k, x, rn, breakdown=False):
-        """Stopping decision at iteration k on the solver's own residual norm
-        rn, taken at every iteration; a breakdown ends the run. The row is
-        recorded when one is due or the run stops (x = 0 gets none), so the
-        row schedule never changes the decision. Returns the Termination, or
-        None to go on.
+    def check(self, k, x, rn=None, breakdown=False, claim=False):
+        """The stopping decision at iteration k. A solver claims convergence
+        by its own residual norm rn (exact, or rn < tol s ||x||) or, passing
+        no rn, by ``claim``. On A itself a claim stands only if the row
+        measured here (one matvec) is exact or has berr below tol; that row
+        is the stopping row. On a nearby operator (``solve_on``) the claim
+        stands. A claim, a breakdown and the cap decide; without rn only a
+        deciding or due step is measured. The row is recorded when one is due
+        or the run stops (x = 0 gets none). Returns the Termination, or None.
         """
-        rn, xn = self.measure(k, x, rn)
-        stop = Termination.BREAKDOWN if breakdown else None
-        if self.exact(rn, breakdown):
-            stop = Termination.EXACT_SOLUTION
-        elif xn > 0.0 and rn < self.cfg.berr_tolerance * self.s * xn:
-            stop = Termination.TOLERANCE_REACHED
+        tol = self.cfg.berr_tolerance
+        cap = k == self.cfg.max_iterations
+        if rn is not None:
+            rn, xn = self.measure(k, x, rn)
+            claim = self.exact(rn, breakdown) or (xn > 0.0 and rn < tol * self.s * xn)
+        elif not (claim or breakdown or cap or self.due(k)):
+            return None
+        on_a = rn is None or (claim and not self.measured)
+        if on_a:
+            rn, xn = self.measure(k, x)
+        stop = None
+        if claim or breakdown or cap:
+            if self.exact(rn, breakdown):
+                stop = Termination.EXACT_SOLUTION
+            elif claim and (self.measured or rn / (self.s * xn) < tol):
+                stop = Termination.TOLERANCE_REACHED
+            elif breakdown:
+                stop = Termination.BREAKDOWN
+            elif cap:
+                stop = Termination.MAX_ITERATIONS
         if xn != 0.0 and (stop is not None or self.due(k)):
-            self.record(k, x, None if self.measured else rn, xn)
+            self.record(k, x, rn if on_a or not self.measured else None, xn)
         return stop
 
     def unscaled(self, x):
         """Iterate x at the scale of the b given (see _check_rhs)."""
         return x if self.unscale == 1.0 else x * self.unscale
 
-    def result(self, x, k, termination=None, kind=SolveResult, **fields):
+    def result(self, x, k, termination, kind=SolveResult, **fields):
         """The result (a SolveResult, or the subclass ``kind`` with its extra
-        ``fields``) after k iterations; no termination means the budget ran out."""
-        return kind(
-            self.unscaled(x), self.trace, termination or Termination.MAX_ITERATIONS,
-            self.trace.opnorm, k, **fields,
-        )
+        ``fields``) after k iterations."""
+        return kind(self.unscaled(x), self.trace, termination, self.trace.opnorm, k, **fields)
 
 
 def richardson(op, b, config=None):
@@ -342,10 +357,8 @@ def _cg(op, mon):
 def minres(op, b, config=None):
     """MINRES on symmetric A (Paige-Saunders recurrences, no preconditioner).
 
-    The residual norm comes from the QR recurrence. Every RECOMPUTE_EVERY
-    iterations an exact matvec measures it instead, for that iteration's
-    stopping test and row only: the recurrence never sees it, so it does not
-    bound the recurrence's drift.
+    The residual norm comes from the QR recurrence, which claims convergence;
+    the row measured at the claim decides it.
     """
     if not op.symmetric:
         raise RequiresSymmetricError("minres expects a symmetric operator")
@@ -394,8 +407,7 @@ def _minres(op, mon):
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
-        rn = norm2(b - op.apply(x)) if mon.refresh(k) else phibar
-        stop = mon.check(k, x, rn, breakdown=beta == 0.0)
+        stop = mon.check(k, x, phibar, breakdown=beta == 0.0)
         if stop is not None:
             break
     return mon.result(x, k, stop)
@@ -404,9 +416,8 @@ def _minres(op, mon):
 def lsqr(op, b, config=None):
     """LSQR (Paige & Saunders 1982) on the Golub-Kahan step of ``BidiagState``,
     whose breakdown ends the run with a row; a non-finite beta raises
-    NonFiniteError at its step. Decides on the recursive residual-norm
-    estimate; every RECOMPUTE_EVERY iterations an exact matvec replaces it
-    for that iteration's decision and row, as in ``minres``."""
+    NonFiniteError at its step. The recursive residual-norm estimate claims
+    convergence, as in ``minres``."""
     mon = _Monitor(op, b, config)
     b = mon.b
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s
@@ -429,8 +440,7 @@ def lsqr(op, b, config=None):
         if not breakdown:
             q = q_next
             w = q - (theta / rho) * w
-        rn = norm2(op.apply(x) - b) if mon.refresh(k) else phibar
-        stop = mon.check(k, x, rn, breakdown=breakdown)
+        stop = mon.check(k, x, phibar, breakdown=breakdown)
         if stop is not None:
             break
     return mon.result(x, k, stop)

@@ -14,9 +14,12 @@ certifies backward error against the original A by the composition bound.
 
 The per-step convergence decision costs O(1) (incremental Cholesky for the
 tridiagonal case, shifted dqds for the bidiagonal case) at the shift
-max(eps, 2 sqrt(u)); once it fires, every step recovers until a certificate
-is below eps and, on A itself, the row measured at that step is too.
-Recovery costs O(k ln(k/delta^2)) plus the O(nk) basis combination.
+max(eps, 2 sqrt(u)); once it fires, every step recovers. A certificate below
+eps is the run's claim, which ``classical._Monitor.check`` decides by the rule
+all seven solvers share: on A itself the run stops only once the row measured
+at that step (one matvec) is below eps too, so a claim that keeps failing
+measures at every step. Recovery costs O(k ln(k/delta^2)) plus the O(nk)
+basis combination.
 """
 
 import math
@@ -26,12 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .berr import composition_bound
-from .classical import (
-    SolverConfig,
-    SolveResult,
-    Termination,
-    _Monitor,
-)
+from .classical import SolverConfig, SolveResult, _Monitor
 from .errors import (
     DegenerateAlphaError,
     NoFiniteMinimizerError,
@@ -137,17 +135,16 @@ def _recover_ne(state, k, delta, seed, step_factor=1):
 
 def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
     """Shared driver for the PSD and normal-equations variants: a certificate
-    below eps ends the run once the measured row on A confirms it (on A + E
-    the composition bound carries it), and a non-finite band column stops
-    the run at its step. While ``testing``, only the O(1) test at ``shift``,
-    breakdown, the cap and trace rows trigger a recovery; once the test fires
-    every step does. The row schedule moves no decision."""
+    below eps is the claim ``_Monitor.check`` confirms or lets stand, and a
+    non-finite band column stops the run at its step. While ``testing``,
+    only the O(1) test at ``shift``, breakdown, the cap and trace rows
+    trigger a recovery; once the test fires every step does. A recovery made
+    for a trace row alone claims nothing, so the row schedule moves no
+    decision."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
     testing = True
-    x = cert = None
-    termination = None
     for k in range(1, k_max + 1):
         col = state.step()
         if not all(map(math.isfinite, col)):
@@ -155,7 +152,8 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
         signalled = testing and push_test(col)
         if signalled:
             testing = False
-        if testing and not (state.breakdown or k == k_max or mon.due(k)):
+        rows_only = testing and not (state.breakdown or k == k_max)
+        if rows_only and not mon.due(k):
             continue
         x, cert = recover(state, k, delta, seed)
         if cert >= eps and (state.breakdown or (signalled and cert >= shift)):
@@ -163,26 +161,12 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
             # invariant) but the recovered pair misses that promise:
             # retry once with a quadrupled step budget
             x, cert = recover(state, k, delta, seed, step_factor=4)
-        decide = (not testing and cert < eps) or state.breakdown or k == k_max
-        if not (decide or mon.due(k)):
-            continue
-        rn, xn = mon.measure(k, x)
-        if decide:
-            if mon.exact(rn, state.breakdown):
-                termination = Termination.EXACT_SOLUTION
-            elif cert < eps and (mon.measured or rn / (mon.s * xn) < eps):
-                termination = Termination.TOLERANCE_REACHED
-            elif state.breakdown:
-                termination = Termination.BREAKDOWN
-            elif k == k_max:
-                termination = Termination.MAX_ITERATIONS
-        if termination is not None or mon.due(k):
-            mon.record(k, x, rn, xn)
+        stop = mon.check(k, x, breakdown=state.breakdown, claim=cert < eps and not rows_only)
+        if stop is not None or mon.due(k):
             certificates.append(cert)
-        if termination is not None:
+        if stop is not None:
             break
-
-    return mon.result(x, k, termination, MinberrResult,
+    return mon.result(x, k, stop, MinberrResult,
                       sigma_min_certificate=cert, certificates=certificates)
 
 

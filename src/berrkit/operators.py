@@ -380,9 +380,13 @@ def _check_csr(data, indices, indptr, rows, cols):
 
 
 def _csr_transpose(data, indices, indptr, rows, cols):
+    # the unique int64 key column * nnz + position sorts as a stable sort by
+    # column would, so cols * nnz may not exceed 2**63
     nnz = data.shape[0]
+    if cols * nnz > 2**63:
+        raise DimensionMismatchError(f"{cols} columns x {nnz} entries overflow an int64 key")
     row_of = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
+    order = np.argsort(indices * nnz + np.arange(nnz, dtype=np.int64))
     tindices = row_of[order]
     tdata = data[order]
     tindptr = np.zeros(cols + 1, dtype=np.int64)

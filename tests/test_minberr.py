@@ -354,9 +354,21 @@ class TestGateBelowSqrtU:
         assert r.sigma_min_certificate < 1e-9
 
 
+# name: (solver, whether it runs on a general A rather than a symmetric PSD one)
+CLAIMING_SOLVERS = {
+    "richardson": (bk.richardson, False),
+    "richardson-ne": (bk.richardson_ne, True),
+    "cg": (bk.cg, False),
+    "minres": (bk.minres, False),
+    "lsqr": (bk.lsqr, True),
+    "minberr": (bk.minberr_solve, False),
+    "minberr-ne": (bk.minberr_ne_solve, True),
+}
+
+
 class TestMeasuredClaim:
-    """On A itself a certificate below eps ends the run only when the row
-    measured at that step is below eps too."""
+    """On A itself a claim, a certificate or a residual recurrence below eps,
+    ends the run only when the row measured at that step is below eps too."""
 
     @pytest.mark.parametrize("problem, eps, outcome", [
         ("disguised", 1e-15, ("ToleranceReached", 681)),
@@ -382,26 +394,42 @@ class TestMeasuredClaim:
         else:
             assert r.sigma_min_certificate < eps <= measured
 
+    @pytest.mark.parametrize("seed, k", [(0, 892), (1, 879), (2, 885)])
+    def test_no_claim_above_the_measured_row_for_minres(self, seed, k):
+        # the MINRES residual recurrence alone ended these runs at k = 887,
+        # 873 and 878, at a measured berr of 1.04, 1.09 and 1.12 x tol
+        p = bk.disguise(bk.ill_conditioned(300, 1e4), False, seed)
+        b = np.random.default_rng(seed).standard_normal(300)
+        cfg = bk.SolverConfig(max_iterations=3000, berr_tolerance=3e-15)
+        r = bk.minres(p.op, b, cfg)
+        assert (r.termination, r.iterations) == (bk.Termination.TOLERANCE_REACHED, k)
+        assert r.trace.final_berr == bk.backward_error(p.op, b, r.x).value < 3e-15
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(2, 60),
         spread=st.floats(0.0, 14.0),
         log_eps=st.floats(math.log10(2e-16), -2.0),
-        normal_equations=st.booleans(),
+        solver=st.sampled_from(sorted(CLAIMING_SOLVERS)),
         reorth=st.sampled_from(["plain", "full"]),
     )
-    # the certificate alone claimed this run
-    @example(seed=0, n=47, spread=1.0, log_eps=-15.6875, normal_equations=False,
-             reorth="plain")
-    def test_every_claim_is_measured_below_eps(self, seed, n, spread, log_eps,
-                                               normal_equations, reorth):
+    # the certificate alone claimed the first run, the residual recurrence
+    # the second (at a measured berr of 1.006 x eps)
+    @example(seed=0, n=47, spread=1.0, log_eps=-15.6875, solver="minberr", reorth="plain")
+    @example(seed=244, n=57, spread=0.0, log_eps=-15.6953125, solver="minres", reorth="plain")
+    def test_every_claim_is_measured_below_eps(self, seed, n, spread, log_eps, solver,
+                                               reorth):
         eps = 10.0 ** log_eps
+        solve, normal_equations = CLAIMING_SOLVERS[solver]
         op, b = _disguised_spectrum(seed, n, spread, normal_equations)
-        solver = bk.minberr_ne_solve if normal_equations else bk.minberr_solve
-        r = solver(op, b, eps=eps, reorth=reorth, seed=seed)
+        if solver.startswith("minberr"):
+            r = solve(op, b, eps=eps, reorth=reorth, seed=seed)
+        else:
+            r = solve(op, b, bk.SolverConfig(max_iterations=500, berr_tolerance=eps))
         if r.termination == bk.Termination.TOLERANCE_REACHED:
-            assert bk.backward_error(op, b, r.x).value < eps
+            measured = bk.backward_error(op, b, r.x).value
+            assert r.trace.final_berr == measured < eps
 
 
 class TestPrefixRecovery:

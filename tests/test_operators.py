@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit.operators import _csr_transpose, _golub_kahan_norm, norm2
+from berrkit.operators import _golub_kahan_norm, norm2
 
 from _helpers import golub_kahan_problems
 from golub_kahan_reference import golub_kahan_norm
@@ -198,6 +198,21 @@ def test_from_coo_refuses_a_shape_beyond_its_sort_key():
         bk.CsrOperator.from_coo([0], [0], [1.0], (3, 2**62))
 
 
+def test_transpose_refuses_more_entries_than_its_sort_key():
+    with pytest.raises(bk.DimensionMismatchError, match="int64 key"):
+        bk.CsrOperator(np.ones(2), [0, 1], [0, 1, 2], (2, 2**62 + 1))
+
+
+def _stable_transpose(data, indices, indptr, rows, cols):
+    """The transpose's earlier build, the reference: the entries ordered by a
+    stable argsort of their columns."""
+    row_of = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    tindptr = np.zeros(cols + 1, dtype=np.int64)
+    np.add.at(tindptr, indices + 1, 1)
+    return data[order], row_of[order], np.cumsum(tindptr)
+
+
 def _lexsort_csr(rows_idx, cols_idx, values, rows):
     """from_coo's earlier build, the reference: the triplets ordered by
     np.lexsort on (cols, rows), duplicates summed in that order."""
@@ -248,7 +263,7 @@ def test_from_coo_builds_the_lexsort_arrays(triplets):
     expected = _lexsort_csr(r, c, v, shape[0])
     built = (op.data, op.indices, op.indptr)
     if not symmetric:
-        expected += _csr_transpose(*expected, *shape)
+        expected += _stable_transpose(*expected, *shape)
         built += (op._tdata, op._tindices, op._tindptr)
     for ours, theirs in zip(built, expected, strict=True):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
