@@ -18,7 +18,8 @@ at every k: steps per recovery, loop milliseconds, worst certificate over
 sigma_min) and the Matrix Market table (per file, its entries and the best
 and median milliseconds of one ``mmio.read_matrix_market`` and one
 ``problems.read_matrix_market`` call) and the Krylov basis memory table (per
-solve, its iterations, tracemalloc peak and best wall time).
+solve, its n, iterations, tracemalloc and resident peaks, k n 8 bytes and
+best wall time).
 
 The entry is stored under ``--label`` in the trajectory file ``--out``: an
 entry with the same label is replaced, any other is kept, so one file holds

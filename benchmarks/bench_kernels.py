@@ -32,30 +32,39 @@ millisecond range where dispatch overhead matters. Eight tables:
   ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
   9 entries a row) and the 120 x 120 Laplacian, both written by
   ``mmio.write_coordinate``;
-* Krylov basis memory (``KRYLOV_SOLVES``): the tracemalloc peak and the wall
-  time of one untraced ``minberr_solve`` and of ``minberr_ne_solve`` under
-  each reorthogonalization policy, on ``ill_conditioned(20000, 1e8)`` with
-  b = ones, eps = 1e-12 and k_max = KRYLOV_K_MAX, so each run takes all
-  KRYLOV_K_MAX steps. The time is the best of three runs; the peak comes
-  from one more run under tracemalloc, whose x must equal theirs to the byte.
+* Krylov basis memory (``KRYLOV_SOLVES``): two peaks and the wall time of
+  one untraced ``minberr_solve`` and of ``minberr_ne_solve`` under each
+  reorthogonalization policy, on ``ill_conditioned(20000, 1e8)`` with
+  b = ones, eps = 1e-12 and k_max = 300, so each run takes all 300 steps,
+  and of ``minberr_solve`` on ``ill_conditioned(100000, 1e8)`` at eps = 1e-6
+  with the default k_max. The time is the best of three runs. The
+  tracemalloc peak comes from one more run, whose x must equal theirs to the
+  byte; it counts a reserved store in full, written or not. The resident
+  peak is the rise of the resident high-water mark (Linux ``VmHWM``) over
+  one run in a fresh subprocess, from its mark just before the solve; it
+  counts only the pages written, and is shown beside k n 8 bytes, one stored
+  n-vector per step (the n = 100000 row should stay within 10% of it).
 
 Each pair in the Householder, ||G||_2 and CSR tables is cross-checked for
 agreement before it is timed; ``tests/test_kernels.py`` and
 ``tests/test_smallband.py`` check the code of the recovery tables. The CSR
 pairs, the three recovery timings and the two Matrix Market reads run
 interleaved and report best and median per call. The opnorm, recovery and
-Matrix Market and Krylov basis memory tables time only public entry points, so they run unchanged
-against older checkouts; a checkout whose solves take arrays converts the
-list rhs on each call.
+Matrix Market and Krylov basis memory tables time only public entry points,
+so they run unchanged against older checkouts; a checkout whose solves take
+arrays converts the list rhs on each call.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
 """
 
 import argparse
+import json
 import math
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import timeit
@@ -63,7 +72,8 @@ import tracemalloc
 
 import numpy as np
 
-from berrkit import minberr_ne_solve, minberr_solve, mmio
+import berrkit
+from berrkit import mmio
 from berrkit._kernels import householder_chain, householder_wy
 from berrkit.factorize import BidiagState, LanczosState
 from berrkit.operators import (
@@ -91,11 +101,33 @@ SWEEPS = [
 ]
 # Golub-Kahan steps of the fully reorthogonalized reference norm
 REFERENCE_STEPS = 150
-# (solver, reorth) of each Krylov basis memory row, and their shared step
-# count: full reorthogonalization makes step k cost O(n k)
-KRYLOV_SOLVES = [(minberr_solve, "plain"), (minberr_ne_solve, "plain"),
-                 (minberr_ne_solve, "full")]
-KRYLOV_K_MAX = 300
+# (solver, reorth, n, eps, k_max) of each Krylov basis memory row, solved on
+# ill_conditioned(n, 1e8) with b = ones; full reorthogonalization makes step
+# k cost O(n k), and k_max None is the solver's default
+KRYLOV_SOLVES = [("minberr_solve", "plain", 20_000, 1e-12, 300),
+                 ("minberr_ne_solve", "plain", 20_000, 1e-12, 300),
+                 ("minberr_ne_solve", "full", 20_000, 1e-12, 300),
+                 ("minberr_solve", "plain", 100_000, 1e-6, None)]
+# one Krylov basis memory row in a fresh interpreter: prints its iterations
+# and the rise of its resident high-water mark (KiB) over the solve. That is
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
+# would start at the high-water mark of the process that spawned it
+RESIDENT_PROBE = """
+import json, sys
+import numpy as np
+import berrkit
+
+def high_water_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+solver, reorth, n, eps, k_max = json.loads(sys.argv[1])
+p = berrkit.ill_conditioned(n, 1e8)
+b = np.ones(n)
+base = high_water_kib()
+r = getattr(berrkit, solver)(p.op, b, eps=eps, k_max=k_max, reorth=reorth)
+print(json.dumps([r.iterations, high_water_kib() - base]))
+"""
 
 
 def uniform_coo(rows, per_row, rng):
@@ -472,15 +504,29 @@ def mtx_table(repeats, seed):
         print(f"{row['file']:<24} {row['entries']:>8} {cells[0]:>20} {cells[1]:>24}")
 
 
+def resident_peak(row):
+    """(iterations, resident peak in bytes) of one ``KRYLOV_SOLVES`` row,
+    solved in a fresh interpreter that imports the berrkit imported here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berrkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", RESIDENT_PROBE, json.dumps(row)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    k, kib = json.loads(out)
+    return k, kib * 1024
+
+
 def krylov_memory_rows():
-    """One dict per ``KRYLOV_SOLVES`` entry: iterations, the tracemalloc peak
-    in MiB and the best wall seconds of three runs."""
-    p = ill_conditioned(20_000, 1e8)
-    b = np.ones(p.op.rows)
+    """One dict per ``KRYLOV_SOLVES`` entry: iterations, the tracemalloc and
+    resident peaks and k n 8 bytes in MiB, and the best wall seconds of three
+    runs."""
     table = []
-    for solve, reorth in KRYLOV_SOLVES:
+    for row in KRYLOV_SOLVES:
+        solver, reorth, n, eps, k_max = row
+        p = ill_conditioned(n, 1e8)
+        b = np.ones(n)
+
         def run():
-            return solve(p.op, b, eps=1e-12, k_max=KRYLOV_K_MAX, reorth=reorth)
+            return getattr(berrkit, solver)(p.op, b, eps=eps, k_max=k_max, reorth=reorth)
 
         wall = math.inf
         for _ in range(3):
@@ -494,18 +540,25 @@ def krylov_memory_rows():
         finally:
             tracemalloc.stop()
         assert traced.x.tobytes() == timed.x.tobytes()
-        table.append({"solver": solve.__name__, "reorth": reorth, "k": timed.iterations,
-                      "peak_mib": round(peak / 2**20, 1), "wall_s": round(wall, 2)})
+        k, resident = resident_peak(row)
+        assert k == timed.iterations
+        table.append({"solver": solver, "reorth": reorth, "n": n, "k": k,
+                      "peak_mib": round(peak / 2**20, 1),
+                      "resident_mib": round(resident / 2**20, 1),
+                      "knb_mib": round(k * n * 8 / 2**20, 1), "wall_s": round(wall, 2)})
     return table
 
 
 def krylov_memory_table():
-    header = f"{'Krylov basis memory':<24} {'reorth':>7} {'k':>5} {'peak':>11} {'wall':>8}"
+    header = (f"{'Krylov basis memory':<18} {'reorth':>6} {'n':>7} {'k':>5} {'tracemalloc':>12} "
+              f"{'resident':>10} {'k n 8':>10} {'res./kn8':>8} {'wall':>7}")
     print(header)
     print("-" * len(header))
     for row in krylov_memory_rows():
-        print(f"{row['solver']:<24} {row['reorth']:>7} {row['k']:>5} "
-              f"{row['peak_mib']:>7.1f}MiB {row['wall_s']:>7.2f}s")
+        print(f"{row['solver']:<18} {row['reorth']:>6} {row['n']:>7} {row['k']:>5} "
+              f"{row['peak_mib']:>9.1f}MiB {row['resident_mib']:>7.1f}MiB "
+              f"{row['knb_mib']:>7.1f}MiB {row['resident_mib'] / row['knb_mib']:>8.2f} "
+              f"{row['wall_s']:>6.2f}s")
 
 
 def main(argv=None):

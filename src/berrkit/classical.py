@@ -10,12 +10,15 @@ and the one stopping rule of all seven solvers, decided at every iteration,
 so the row schedule never moves a stop: on A itself a solver's claim of
 convergence (its residual recurrence, or MINBERR's certificate) stops the run
 only if the row measured at that step confirms it. That costs one matvec per
-claim, and at every step while a claim keeps failing. Rows report backward
-error against A, also for a solver on a nearby operator. RECOMPUTE_EVERY
-serves only cg and the Richardson loops. Every solver starts from x_0 = 0; a
-non-finite residual or iterate norm raises NonFiniteError at its iteration,
-row or not. Identical config and seed give bitwise-identical numeric trace
-columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
+claim, and at every step while a claim keeps failing. Every stopping row is
+measured, so ``final_berr`` is the backward error of the returned x: a run
+that ends at a breakdown or the cap without a claim pays one matvec for it.
+Rows report backward error against A, also for a solver on a nearby
+operator. RECOMPUTE_EVERY serves only cg and the Richardson loops. Every
+solver starts from x_0 = 0; a non-finite residual or iterate norm raises
+NonFiniteError at its iteration, row or not. Identical config and seed give
+bitwise-identical numeric trace columns. LSQR runs
+``operators._golub_kahan_step`` on two vectors.
 """
 
 import math
@@ -219,8 +222,9 @@ class _Monitor:
             )
         return rn, xn
 
-    def record(self, k, x, rn=None, xn=None):
-        """Append the row for iterate x, its norms as ``measure`` gives them."""
+    def record(self, k, x, rn=None, xn=None, replace=False):
+        """Append the row for iterate x, its norms as ``measure`` gives them;
+        with ``replace`` it takes the place of the last row."""
         rn, xn = self.measure(k, x, rn, xn)
         if self.unscale != 1.0:
             rn, xn = rn * self.unscale, xn * self.unscale
@@ -229,6 +233,11 @@ class _Monitor:
                     f"iteration {k}: at the scale of b, residual norm {rn} and "
                     f"iterate norm {xn} leave the normal float64 range"
                 )
+        if replace:
+            trace = self.trace
+            for column in (trace.iterations, trace.berr, trace.residual_norm, trace.x_norm,
+                           trace.wall_nanos):
+                del column[-1]
         self.trace.record(k, rn, xn, self.t0)
 
     def exact(self, rn, breakdown):
@@ -245,7 +254,10 @@ class _Monitor:
         is the stopping row. On a nearby operator (``solve_on``) the claim
         stands. A claim, a breakdown and the cap decide; without rn only a
         deciding or due step is measured. The row is recorded when one is due
-        or the run stops (x = 0 gets none). Returns the Termination, or None.
+        or the run stops (x = 0 gets none); the stopping row is always
+        measured, so a run that ends at a breakdown or the cap without a claim
+        measures its last row too, after the decision. Returns the
+        Termination, or None.
         """
         tol = self.cfg.berr_tolerance
         cap = k == self.cfg.max_iterations
@@ -267,6 +279,9 @@ class _Monitor:
                 stop = Termination.BREAKDOWN
             elif cap:
                 stop = Termination.MAX_ITERATIONS
+        if stop is not None and not (on_a or self.measured):
+            rn, xn = self.measure(k, x)
+            on_a = True
         if xn != 0.0 and (stop is not None or self.due(k)):
             self.record(k, x, rn if on_a or not self.measured else None, xn)
         return stop
@@ -338,9 +353,10 @@ def _cg(op, mon):
         ap = op.apply(p)
         pap = float(p @ ap)
         if pap <= 0.0:
-            # x_{k-1} ends the run: its row, unless it was due (0 is, x_0 = 0 gets none)
-            if not mon.due(k - 1):
-                mon.record(k - 1, x, None if mon.measured else math.sqrt(rs))
+            # x_{k-1} ends the run on a measured row, in place of the one its
+            # step recorded if it was due (x_0 = 0 gets none)
+            if k > 1:
+                mon.record(k - 1, x, replace=mon.trace.iterations[-1:] == [k - 1])
             return mon.result(x, k - 1, Termination.BREAKDOWN)
         gamma = rs / pap
         x = x + gamma * p

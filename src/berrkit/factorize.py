@@ -17,8 +17,12 @@ backward-error tolerance directly; the recovery scalars downstream are computed
 from the raw coefficients and are invariant under this scaling. The band
 problem stays in Python floats from the step column through the O(1) tests
 and the band solves to ``BandMatrix.matvec``, which measures the
-certificate and returns the one array; the Krylov bases are numpy.
+certificate and returns the one array; the Krylov bases are numpy column
+stores, reserved once for a run whose step cap is given (``k_max``, which
+the MINBERR solvers pass) and grown by doubling otherwise.
 """
+
+import os
 
 import numpy as np
 
@@ -112,6 +116,8 @@ class _GrowingColumns:
     The buffer is Fortran-ordered, so each stored vector is one contiguous
     column: the per-step reads and writes touch n consecutive floats instead
     of one cache line per entry, and ``view(k)`` is an F-contiguous slice.
+    ``capacity`` columns are reserved at once; a store that fills them
+    doubles, holding the old and the new buffer during the copy.
     """
 
     def __init__(self, n, capacity=16):
@@ -133,6 +139,30 @@ class _GrowingColumns:
         elif not (0 <= k <= self.count):
             raise ValueError(f"asked for {k} basis vectors, {self.count} stored")
         return self._buf[:, :k]
+
+
+def _reserved_stores(lengths, k_max):
+    """One ``_GrowingColumns`` per vector length in ``lengths``, for a run of
+    at most k_max steps (None: unknown), which stores k_max + 1 vectors.
+
+    A known run reserves its k_max + 1 columns in each store at once, so no
+    store ever copies itself. Linux commits a page only when it is first
+    written, so resident memory is the columns written, not the reservation;
+    tracemalloc, which counts allocations, sees the whole reservation. The
+    stores together reserve at most half the physical memory: the default
+    k_max reaches 20000 columns, far more than a large n can back, and an
+    allocation beyond RAM plus swap is refused. A store that fills its
+    reservation grows by doubling, as one of an unknown run does from 16
+    columns. A reservation that the process's own limits refuse falls back
+    to that."""
+    if k_max is not None:
+        half_ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+        columns = max(1, min(k_max + 1, half_ram // (8 * max(1, sum(lengths)))))
+        try:
+            return [_GrowingColumns(n, columns) for n in lengths]
+        except MemoryError:
+            pass
+    return [_GrowingColumns(n) for n in lengths]
 
 
 def _check_reorth(reorth):
@@ -158,9 +188,13 @@ class LanczosState:
     reorth : {"plain", "full"}
         "plain" is the two-term recurrence; "full" re-projects each new vector
         against every stored basis column (two sweeps).
+    k_max : int, optional
+        The run's step cap, if known: the basis store is then reserved for
+        k_max + 1 vectors at once (see ``_reserved_stores``). Any number of
+        steps may still be taken; the results do not depend on it.
     """
 
-    def __init__(self, op, b, opnorm=None, reorth="plain"):
+    def __init__(self, op, b, opnorm=None, reorth="plain", k_max=None):
         if not op.symmetric:
             raise RequiresSymmetricError("Lanczos needs a symmetric operator")
         _check_reorth(reorth)
@@ -172,7 +206,7 @@ class LanczosState:
         self.reorth = reorth
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
-        self._q = _GrowingColumns(op.rows)
+        [self._q] = _reserved_stores([op.rows], k_max)
         self._q.push(b / self.norm_b)
         self.alphas = []
         self.betas = []
@@ -227,10 +261,11 @@ class BidiagState:
     scaled by 1/opnorm. Each step is ``operators._golub_kahan_step``, the one
     ``classical.lsqr`` and the norm estimate run too. The right basis is
     stored for recovery; the left one only under "full" reorthogonalization,
-    which reads it, while "plain" keeps the last left vector alone.
+    which reads it, while "plain" keeps the last left vector alone. ``k_max``
+    reserves the stores as in ``LanczosState``.
     """
 
-    def __init__(self, op, b, opnorm=None, reorth="plain"):
+    def __init__(self, op, b, opnorm=None, reorth="plain", k_max=None):
         _check_reorth(reorth)
         self.op = op
         self.reorth = reorth
@@ -238,11 +273,12 @@ class BidiagState:
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
         self.norm_b, self._u, alpha1, q1 = _golub_kahan_start(
             op, np.asarray(b, dtype=np.float64), self.breakdown_tol)
-        self._qcols = _GrowingColumns(op.cols)
+        stores = _reserved_stores([op.cols, op.rows] if reorth == "full" else [op.cols], k_max)
+        self._qcols = stores[0]
         self._qcols.push(q1)
         self._ucols = None
         if reorth == "full":
-            self._ucols = _GrowingColumns(op.rows)
+            self._ucols = stores[1]
             self._ucols.push(self._u)
         self.alphas = [alpha1]
         self.betas = []

@@ -208,7 +208,7 @@ def minberr_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
     if not op.symmetric:
         raise RequiresSymmetricError("minberr_solve expects a symmetric PSD operator")
     mon, shift = _setup(op, b, eps, delta, seed, reorth, k_max, trace_every)
-    state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth)
+    state = LanczosState(op, mon.b, opnorm=mon.s, reorth=reorth, k_max=mon.cfg.max_iterations)
     return _minberr_loop(state, CholTestState(shift).push_column, shift, _recover_psd,
                          mon, delta, seed)
 
@@ -266,6 +266,6 @@ def _minberr_ne(op, mon, shift, perturb_eps, delta, reorth, seed):
         g_norm, _ = _golub_kahan_norm(DenseOperator(g, symmetric=False), _G_NORM_GROW_TOL)
         # the monitor measures rows against A, so its trace norm is ||A||_2
         op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
-    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth)
+    state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, k_max=mon.cfg.max_iterations)
     return _minberr_loop(state, DqdsState(shift).push, shift, _recover_ne, mon, delta, seed)
 

@@ -104,3 +104,32 @@ def golub_kahan_problems(draw):
             op = bk.DenseOperator(a, symmetric=False)
         b = rng.standard_normal(m)
     return op, b * draw(st.sampled_from([1.0, 2.0**-300, 2.0**300]))
+
+
+@st.composite
+def lanczos_problems(draw):
+    """Symmetric dense, diagonal (with repeated entries, so some runs break
+    down early), one-sided disguised and CSR operators, with b at unit scale
+    or far from it."""
+    kind = draw(st.sampled_from(["dense", "diagonal", "disguise", "csr"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    if kind == "disguise":
+        p = bk.disguise(bk.ill_conditioned(max(n, 2), 10.0 ** rng.uniform(0.5, 8.0)),
+                        seed=int(rng.integers(1000)))
+        op, b = p.op, p.b
+    elif kind == "diagonal":
+        op = bk.DiagonalOperator(rng.integers(1, 4, n) * rng.uniform(0.5, 2.0))
+        b = rng.standard_normal(n)
+    else:
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        if kind == "csr":
+            a *= np.triu(rng.random((n, n)) < 0.3)
+            a = a + np.triu(a, 1).T
+            rows, cols = np.nonzero(a)
+            op = bk.CsrOperator.from_coo(rows, cols, a[rows, cols], (n, n), symmetric=True)
+        else:
+            op = bk.DenseOperator(a, symmetric=True)
+        b = rng.standard_normal(n)
+    return op, b * draw(st.sampled_from([1.0, 2.0**-300, 2.0**300]))

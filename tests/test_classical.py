@@ -503,6 +503,34 @@ class TestTraceConsistency:
         assert last[0] == r.iterations
         assert_allclose(last[1], measured_berr(p.op, p.b, r.x, 1.0), rtol=1e-8)
 
+    @pytest.mark.parametrize("solver", ["richardson", "richardson-ne", "cg", "minres", "lsqr"])
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_last_row_of_a_run_without_a_claim_is_measured(self, solver, every):
+        # its residual recurrence gave minres a final berr of
+        # 2.1338545364040329e-07 here, against a measured 2.1338545365177065e-07
+        symmetric, run = SCHEDULED[solver]
+        p = bk.ill_conditioned(400, 1e8 if symmetric else 1e6)
+        if not symmetric:
+            p = bk.disguise(p, two_sided=True, seed=0)
+        b = np.ones(400)
+        r = run(p.op, b, 1e-15, 1100, every)
+        assert (r.termination, r.iterations) == (bk.Termination.MAX_ITERATIONS, 1100)
+        assert r.trace.iterations[-1] == 1100
+        assert r.trace.final_berr == bk.backward_error(p.op, b, r.x).value
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_cg_breakdown_row_is_measured(self, every):
+        # p^T A p <= 0 at k = 7 ends the run at x_6, whose row (due at
+        # trace_every 1, so recorded from the recurrence first) read
+        # 0.033251843718704426 from the recurrence, 0.03325184371870442 measured
+        rng = np.random.default_rng(2)
+        op = bk.DiagonalOperator(np.append(rng.uniform(1.0, 10.0, 29), -rng.uniform(1e-3, 0.1)))
+        b = rng.standard_normal(30)
+        r = bk.cg(op, b, tight(200, trace_every=every))
+        assert (r.termination, r.iterations) == (bk.Termination.BREAKDOWN, 6)
+        assert r.trace.iterations[-2:] == ([5, 6] if every == 1 else [4, 6])
+        assert r.trace.final_berr == bk.backward_error(op, b, r.x).value
+
     def test_trace_every_thins_rows(self):
         p = bk.ill_conditioned(60, 1e4)
         r = bk.richardson(p.op, p.b, tight(100, trace_every=10))

@@ -1,5 +1,6 @@
 """Band views, Lanczos, and Golub-Kahan bidiagonalization."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,13 @@ from berrkit import factorize
 from berrkit._kernels import band_solve_upper, band_solve_upper_t
 from berrkit.factorize import SOLVE_FLOOR, BandMatrix, BidiagState, LanczosState
 
-from _helpers import dense_op, golub_kahan_problems, random_general, random_psd
+from _helpers import (
+    dense_op,
+    golub_kahan_problems,
+    lanczos_problems,
+    random_general,
+    random_psd,
+)
 from dense_oracle import band_dense, sigma_min_dense
 from golub_kahan_reference import BidiagReference
 
@@ -425,6 +432,110 @@ class TestBasisStore:
             tracemalloc.stop()
         assert not state.breakdown
         assert peak < 2 * state._qcols._buf.nbytes
+
+
+def _stores(state):
+    """The basis stores a state keeps, in a fixed order."""
+    stores = [state._q] if isinstance(state, LanczosState) else [state._qcols, state._ucols]
+    return [store for store in stores if store is not None]
+
+
+def _state_outcome(state_type, op, b, reorth, steps, k_max):
+    """Every output of up to `steps` steps of a factorization built with the
+    step cap k_max (None: none), as bytes, every stored basis included, or
+    the error it raised."""
+    try:
+        state = state_type(op, b, reorth=reorth, k_max=k_max)
+    except bk.BerrkitError as exc:
+        return type(exc), str(exc)
+    cols = []
+    while state.k < steps and not state.breakdown:
+        cols.append(state.step())
+    return (np.array(state.alphas).tobytes(), np.array(state.betas).tobytes(),
+            np.array(cols).tobytes(), state.breakdown,
+            [store.view().tobytes() for store in _stores(state)])
+
+
+class TestReservedStore:
+    """A factorization told its run's step cap reserves each store for
+    k_max + 1 vectors at once (``factorize._reserved_stores``), within half
+    the physical memory; nothing it computes depends on the reservation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(lanczos_problems().map(lambda p: (LanczosState, p)),
+                     golub_kahan_problems().map(lambda p: (BidiagState, p))),
+           st.sampled_from(["plain", "full"]), st.integers(1, 60), st.integers(1, 60))
+    def test_bitwise_equal_to_growing_stores(self, case, reorth, steps, k_max):
+        # a k_max below `steps` steps past the reservation, which then doubles
+        state_type, (op, b) = case
+        reserved = _state_outcome(state_type, op, b, reorth, steps, k_max)
+        assert reserved == _state_outcome(state_type, op, b, reorth, steps, None)
+
+    @pytest.mark.parametrize("reorth", ["plain", "full"])
+    @pytest.mark.parametrize("state_type", [LanczosState, BidiagState])
+    def test_one_buffer_within_the_reservation(self, state_type, reorth, monkeypatch):
+        pushed_into = []
+        push = factorize._GrowingColumns.push
+
+        def spy(self, v):
+            pushed_into.append((self, self._buf))
+            return push(self, v)
+
+        monkeypatch.setattr(factorize._GrowingColumns, "push", spy)
+        k_max = 40
+        state = state_type(bk.DiagonalOperator(np.linspace(1.0, 3.0, 200)), np.ones(200),
+                           reorth=reorth, k_max=k_max)
+        for _ in range(k_max):
+            state.step()
+        assert not state.breakdown
+        for store in _stores(state):
+            buffers = [buf for owner, buf in pushed_into if owner is store]
+            assert len(buffers) == k_max + 1 and store.count == k_max + 1
+            assert all(buf is store._buf for buf in buffers)
+            assert store._buf.shape[1] == k_max + 1
+        # one step past it, each store doubles as an unreserved one does
+        state.step()
+        assert [store._buf.shape[1] for store in _stores(state)] == [2 * (k_max + 1)] * len(
+            _stores(state))
+
+    def test_reservation_is_capped_at_half_the_physical_memory(self, monkeypatch):
+        # half of a 64 MiB machine is 2**22 floats, shared by both stores of a
+        # fully reorthogonalized 300 x 200 run: 2**22 // 500 columns each
+        memory = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(factorize.os, "sysconf", memory.__getitem__)
+        a = np.random.default_rng(3).standard_normal((300, 200))
+        state = BidiagState(dense_op(a), np.ones(300), reorth="full", k_max=10**6)
+        assert [store._buf.shape[1] for store in _stores(state)] == [2**22 // 500] * 2
+        state = BidiagState(dense_op(a), np.ones(300), k_max=10**6)
+        assert state._qcols._buf.shape[1] == 2**22 // 200
+
+    def test_a_refused_reservation_falls_back_to_growth(self, monkeypatch):
+        # 2**40 columns of 1000 floats (8 PB) exceed any address space
+        memory = {"SC_PHYS_PAGES": 2**40, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(factorize.os, "sysconf", memory.__getitem__)
+        state = LanczosState(bk.DiagonalOperator(np.linspace(1.0, 2.0, 1000)), np.ones(1000),
+                             k_max=2**40)
+        assert state._q._buf.shape == (1000, 16)
+
+    def test_default_k_max_on_two_million_rows(self, monkeypatch):
+        # the default k_max = 20000 would reserve 20001 columns of 16 MB
+        # (320 GB) without the cap; with it the store holds what half the
+        # memory does, not the 16 columns of a refused reservation
+        built = []
+        reserve = factorize._reserved_stores
+
+        def spy(lengths, k_max):
+            built.extend(reserve(lengths, k_max))
+            return built[-len(lengths):]
+
+        monkeypatch.setattr(factorize, "_reserved_stores", spy)
+        n = 2_000_000
+        r = bk.minberr_solve(bk.DiagonalOperator(np.full(n, 3.0)), np.ones(n))
+        assert (r.termination, r.iterations) == (bk.Termination.TOLERANCE_REACHED, 1)
+        assert r.trace.final_berr < 1e-12
+        half_ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+        [store] = built
+        assert store._buf.shape == (n, min(20_001, half_ram // (8 * n)))
 
 
 def _bidiag_outcome(state_type, op, b, reorth, steps):

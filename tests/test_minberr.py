@@ -427,9 +427,11 @@ class TestMeasuredClaim:
             r = solve(op, b, eps=eps, reorth=reorth, seed=seed)
         else:
             r = solve(op, b, bk.SolverConfig(max_iterations=500, berr_tolerance=eps))
+        # every stopping row is measured, with or without a claim
+        measured = bk.backward_error(op, b, r.x).value
+        assert r.trace.final_berr == measured
         if r.termination == bk.Termination.TOLERANCE_REACHED:
-            measured = bk.backward_error(op, b, r.x).value
-            assert r.trace.final_berr == measured < eps
+            assert measured < eps
 
 
 class TestPrefixRecovery:
@@ -467,6 +469,76 @@ class TestPrefixRecovery:
         x_now, cert_now = minberr._recover_ne(state, j, 1e-6, 3)
         assert np.array_equal(x_now, x_then)
         assert cert_now == cert_then
+
+
+def _recording(state_type, built, drop_cap=False):
+    """state_type whose instances go to built; with drop_cap it ignores the
+    step cap it is given, so its stores grow from 16 columns as they did
+    before the reservation."""
+
+    class Recording(state_type):
+        def __init__(self, *args, k_max=None, **kwargs):
+            super().__init__(*args, k_max=None if drop_cap else k_max, **kwargs)
+            built.append(self)
+
+    return Recording
+
+
+def _run_bytes(r):
+    """A MINBERR result's outcome, x, certificates and trace rows (wall time
+    aside) as bytes."""
+    rows = [row[:4] for row in r.trace.rows()]
+    return (r.termination, r.iterations, r.x.tobytes(),
+            np.array(r.certificates + [r.sigma_min_certificate]).tobytes(),
+            np.array(rows).tobytes())
+
+
+class TestReservedStores:
+    """minberr_solve and minberr_ne_solve reserve their stores for k_max + 1
+    vectors; states whose stores grow instead give the same run to the
+    byte."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(4, 60),
+        spread=st.floats(2.0, 14.0),
+        log_eps=st.floats(-13.0, -3.0),
+        normal_equations=st.booleans(),
+        reorth=st.sampled_from(["plain", "full"]),
+        trace_every=st.sampled_from([None, 1, 5]),
+        k_max=st.sampled_from([None, 3, 17]),
+    )
+    def test_bitwise_equal_to_growing_stores(self, seed, n, spread, log_eps, normal_equations,
+                                             reorth, trace_every, k_max):
+        op, b = _disguised_spectrum(seed, n, spread, normal_equations)
+        solver = bk.minberr_ne_solve if normal_equations else bk.minberr_solve
+
+        def run():
+            return solver(op, b, eps=10.0**log_eps, k_max=k_max, reorth=reorth, seed=seed,
+                          trace_every=trace_every)
+
+        reserved = run()
+        grown = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("LanczosState", "BidiagState"):
+                mp.setattr(minberr, name, _recording(getattr(minberr, name), grown, True))
+            growing = run()
+        [state] = grown
+        assert state.k == growing.iterations
+        assert _run_bytes(reserved) == _run_bytes(growing)
+
+    @pytest.mark.parametrize("normal_equations", [False, True])
+    def test_solvers_reserve_k_max_plus_one(self, normal_equations, monkeypatch):
+        built = []
+        for name in ("LanczosState", "BidiagState"):
+            monkeypatch.setattr(minberr, name, _recording(getattr(minberr, name), built))
+        op, b = _disguised_spectrum(5, 30, 4.0, normal_equations)
+        solver = bk.minberr_ne_solve if normal_equations else bk.minberr_solve
+        solver(op, b, eps=1e-6, k_max=20, reorth="full")
+        [state] = built
+        stores = [state._qcols, state._ucols] if normal_equations else [state._q]
+        assert [store._buf.shape[1] for store in stores] == [21] * len(stores)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
