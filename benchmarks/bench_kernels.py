@@ -1,15 +1,11 @@
 """Timing harness for the hot kernels.
 
 Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Eight tables:
+millisecond range where dispatch overhead matters. Seven tables:
 
 * the compact-WY Householder chain against the reflector-at-a-time loop it
   replaced (kept here as the reference), at m = n for each ``--wy-sizes``
   entry, with the one-off WY factor build reported separately;
-* ||G||_2 of an n x n Gaussian G, as the minberr-ne-perturbed set-up needs
-  it: LAPACK's full SVD against berrkit's Golub-Kahan norm estimator run
-  until three steps add at most 4u, with its step count, for each
-  ``--norm-sizes`` entry;
 * ``estimate_spectral_norm`` on the operators whose norm perfbench leaves
   unpinned (``opnorm_cases``): matvecs, steps, time and the relative error
   against the exact norm (known in closed form, or from a dense SVD, or from
@@ -348,27 +344,6 @@ def householder_table(sizes, repeats, rng):
               f"{t_loop / t_wy:>8.1f}x {t_build * 1e6:>10.1f}us")
 
 
-def norm_table(sizes, repeats, rng):
-    # private names, imported here so that bench_e2e.py, which does not run
-    # this table, can still import this module against older checkouts
-    from berrkit.minberr import _G_NORM_GROW_TOL
-    from berrkit.operators import _golub_kahan_norm
-
-    header = f"{'n':<8} {'LAPACK SVD':>12} {'Golub-Kahan':>12} {'speedup':>9} {'steps':>6}"
-    print(header)
-    print("-" * len(header))
-    for n in sizes:
-        g = rng.standard_normal((n, n))
-        op = DenseOperator(g, symmetric=False)
-        want = np.linalg.norm(g, 2)
-        got, steps = _golub_kahan_norm(op, _G_NORM_GROW_TOL)
-        assert abs(got - want) <= 1e-13 * want
-        t_svd = best_seconds(np.linalg.norm, (g, 2), repeats)
-        t_gk = best_seconds(_golub_kahan_norm, (op, _G_NORM_GROW_TOL), repeats)
-        print(f"{n:<8} {t_svd * 1e3:>10.1f}ms {t_gk * 1e3:>10.1f}ms "
-              f"{t_svd / t_gk:>8.1f}x {steps:>6}")
-
-
 def band_rows(sizes, repeats, seed):
     """One dict per band size: the best and median microseconds per call of
     BandMatrix.solve, BandMatrix.solve_t and inverse_iteration, and the
@@ -566,7 +541,6 @@ def main(argv=None):
     parser.add_argument("--csr-rows", type=int, default=CSR_ROWS)
     parser.add_argument("--csr-per-row", type=int, default=CSR_PER_ROW)
     parser.add_argument("--wy-sizes", type=int, nargs="+", default=[500, 2000])
-    parser.add_argument("--norm-sizes", type=int, nargs="+", default=[500, 1000, 2000])
     parser.add_argument("--band-sizes", type=int, nargs="+", default=list(BAND_SIZES))
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--seed", type=int, default=0)
@@ -574,8 +548,6 @@ def main(argv=None):
 
     rng = np.random.default_rng(args.seed)
     householder_table(args.wy_sizes, args.repeats, rng)
-    print()
-    norm_table(args.norm_sizes, args.repeats, rng)
     print()
     opnorm_table(args.repeats)
     print()

@@ -13,7 +13,8 @@ three under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
 ``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last
 come runs on ``.mtx`` files that ``berrkit synth`` writes (``MTX_FILES``),
 whose norm is estimated rather than pinned: the ``suitesparse`` suite over
-all of them, and minberr on the symmetric one at ``--trace-every`` 1 and 7.
+all of them, and minberr and minberr-ne-perturbed (whose perturbation is
+scaled by that estimate) on the symmetric one at ``--trace-every`` 1 and 7.
 Each digest covers every history CSV column except ``wall_nanos`` and every
 summary field, so two checkouts that print the same lines produce
 bitwise-identical numbers. After the digest each line shows the run's
@@ -101,6 +102,8 @@ SOLVER_RUNS = [
 MTX_FILES = [("symmetric", SYMMETRIC), ("nonsymmetric", "cyclic-shift:n=64")]
 MTX_SOLVER_RUNS = [
     ("mtx-minberr", "minberr", "symmetric", ["--tol", "1e-6", "--max-iter", "150"]),
+    ("mtx-minberr-ne-perturbed", "minberr-ne-perturbed", "symmetric",
+     ["--tol", "1e-4", "--max-iter", "150"]),
 ]
 
 

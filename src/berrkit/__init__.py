@@ -50,11 +50,10 @@ from .operators import (
     CsrOperator,
     DenseOperator,
     DiagonalOperator,
-    GaussianPerturbedOperator,
     HouseholderChainOperator,
     LinearOperator,
     NormEstimate,
-    ShiftedOperator,
+    SumOperator,
     estimate_spectral_norm,
 )
 from .problems import (
@@ -105,11 +104,10 @@ __all__ = [
     "CsrOperator",
     "DenseOperator",
     "DiagonalOperator",
-    "GaussianPerturbedOperator",
     "HouseholderChainOperator",
     "LinearOperator",
     "NormEstimate",
-    "ShiftedOperator",
+    "SumOperator",
     "estimate_spectral_norm",
     "ProblemInstance",
     "ProblemMeta",

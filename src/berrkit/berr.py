@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedAtZeroError
-from .operators import _check_norm, norm2
+from .operators import _check_norm, _real_array, norm2
 
 __all__ = [
     "BerrValue",
@@ -44,17 +44,18 @@ def backward_error(op, b, x):
         ||A||_2 is ``op.opnorm()``, pinned or estimated; a value that is not
         finite and positive raises as ``set_opnorm`` would.
     b : ndarray
-        Nonzero right-hand side.
+        Nonzero real right-hand side (complex raises TypeError, as for x).
     x : ndarray
-        Candidate solution; must be nonzero (berr is undefined at 0).
+        Real candidate solution; must be nonzero (berr is undefined at 0).
 
     Returns
     -------
     BerrValue
     """
+    b = _real_array(b, "b")
+    x = _real_array(x, "x")
     if not np.any(b):
         raise ValueError("b must be nonzero")
-    x = np.asarray(x, dtype=np.float64)
     x_norm = norm2(x)
     if x_norm == 0.0:
         raise UndefinedAtZeroError("backward error is undefined at x = 0")

@@ -32,10 +32,12 @@ from .errors import NonFiniteError, RequiresSymmetricError, UnrepresentableNormE
 from .factorize import BREAKDOWN_TOL_FACTOR
 from .operators import (
     _NORMAL_MIN,
-    ShiftedOperator,
+    DiagonalOperator,
+    SumOperator,
     _check_norm,
     _golub_kahan_start,
     _golub_kahan_step,
+    _real_array,
     norm2,
 )
 
@@ -153,9 +155,10 @@ def _check_rhs(op, b):
     b whose largest entry lies outside [1/_RHS_SAFE, _RHS_SAFE] is solved as
     b 2^-e with that entry in [1, 2), and unscale = 2^e maps the iterates
     and norms back. A b whose 2-norm is no normal float64 raises
-    UnrepresentableNormError, since no trace row could store its residual.
+    UnrepresentableNormError, since no trace row could store its residual,
+    and a complex b TypeError, since the solve would keep its real part only.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _real_array(b, "b")
     if b.shape != (op.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({op.rows},)")
     if not np.all(np.isfinite(b)):
@@ -488,6 +491,7 @@ def regularized_solve(op, b, k, inner="cg", trace_every=1, seed=0):
     ratio_sq = (math.log(k) / k) ** 2
     shift = 2.0 * ratio_sq * mon.s
     mon.solve_on(mon.s + shift)  # ||A + shift I||_2, exact for PSD A
-    res = (_cg if inner == "cg" else _minres)(ShiftedOperator(op, shift), mon)
+    shifted = SumOperator(op, DiagonalOperator(np.full(op.rows, shift)))
+    res = (_cg if inner == "cg" else _minres)(shifted, mon)
     res.certified_berr_bound = 5.0 * ratio_sq
     return res

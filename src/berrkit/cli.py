@@ -104,7 +104,7 @@ class RunSpec:
                        lambda v: 1.0 <= v < math.inf, "must be finite and at least 1")
     delta: float = _option(1e-6, "recovery failure probability",
                            lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-    perturb_eps: float = _option(1e-3, "relative Gaussian perturbation size",
+    perturb_eps: float = _option(1e-3, "relative perturbation size",
                                  lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
     seed: int = _option(0, "seed for all randomized pieces",
                         lambda v: v >= 0, "must be nonnegative")
@@ -200,8 +200,10 @@ def _parse_params(text, what):
     for piece in text.split(","):
         if "=" not in piece:
             raise SpecError(f"{what}: expected key=value, got {piece!r}")
-        key, _, value = piece.partition("=")
-        params[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in piece.partition("="))
+        if key in params:
+            raise SpecError(f"{what}: parameter {key!r} given twice")
+        params[key] = value
     return params
 
 
@@ -432,7 +434,10 @@ def _read_config(path):
             if "=" not in line:
                 raise SpecError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            config[_key(key.strip())] = value.strip()
+            key = _key(key.strip())
+            if key in config:
+                raise SpecError(f"{path}:{lineno}: key {key!r} given twice")
+            config[key] = value.strip()
     return config
 
 

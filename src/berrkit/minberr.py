@@ -9,8 +9,9 @@ Richardson at the same per-iteration cost.
 
 ``minberr_ne_solve`` is the same construction over the Golub-Kahan
 bidiagonalization (Krylov space of A^T A), for general square or rectangular
-A. ``minberr_ne_perturbed`` runs it against a Gaussian perturbation of A and
-certifies backward error against the original A by the composition bound.
+A. ``minberr_ne_perturbed`` runs it against A + E for a seeded sparse E of
+exactly known norm and certifies backward error against the original A by the
+composition bound.
 
 The per-step convergence decision costs O(1) (incremental Cholesky for the
 tridiagonal case, shifted dqds for the bidiagonal case) at the shift
@@ -37,7 +38,7 @@ from .errors import (
     RequiresSymmetricError,
 )
 from .factorize import BidiagState, LanczosState, _check_reorth
-from .operators import DenseOperator, GaussianPerturbedOperator, _golub_kahan_norm
+from .operators import CsrOperator, SumOperator
 from .smallband import CholTestState, DqdsState, inverse_iteration, inverse_iteration_steps
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
 
 # a recovery scalar below this multiple of ||A||_2 has vanished
 DEGENERATE_ALPHA_TOL = 1e-14
-# ||G||_2 is estimated until three steps add at most 4u, u the unit roundoff
-_G_NORM_GROW_TOL = 2.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -227,25 +226,22 @@ def minberr_ne_solve(op, b, eps=1e-6, delta=1e-6, k_max=None, reorth="plain",
 
 def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
                          reorth="plain", seed=0, trace_every=None):
-    """minberr_ne_solve against A + perturb_eps (||A||_2/||G||_2) G.
+    """minberr_ne_solve against A + E with ||E||_2 = perturb_eps ||A||_2.
 
-    G is a seeded dense Gaussian matrix, so the perturbed operator differs
-    from A by exactly perturb_eps ||A||_2 in spectral norm. A spectrally well
-    behaved perturbation removes the tiny singular values that stall the
-    unperturbed iteration; the trace still reports backward error measured
-    against the original A (and opnorm_used is ||A||_2), and the result
-    carries the certified bound (1 + perturb_eps) berr_perturbed + perturb_eps.
+    E is ``_perturbation``'s seeded sparse matrix, whose norm is exact, so
+    nothing estimates it. A perturbation of that size removes the tiny
+    singular values that stall the unperturbed iteration; the trace still
+    reports backward error measured against the original A (and opnorm_used
+    is ||A||_2), and the result carries the certified bound
+    (1 + perturb_eps) berr_perturbed + perturb_eps.
 
-    ||A||_2 is ``op.opnorm()``. ||G||_2 comes from the Golub-Kahan estimator
-    behind ``estimate_spectral_norm``, run until three steps add at most 4u
-    (within 1e-13 of a full SVD). The solver's own norm is the lower bound
+    ||A||_2 is ``op.opnorm()``. The solver's own norm is the lower bound
     (1 - perturb_eps) ||A||_2 <= ||A||_2 - ||E||_2 <= ||A + E||_2, which errs
     on the safe side: a smaller norm inflates the certificate and therefore
-    the certified bound. Arguments are checked
-    before G is drawn; at perturb_eps = 0 no G is drawn and the run is
-    minberr_ne_solve's. The certified bound never falls below perturb_eps,
-    so with perturb_eps >= eps no run can certify eps against A, and a
-    RuntimeWarning says so.
+    the certified bound. Arguments are checked before E is built; at
+    perturb_eps = 0 no E is built and the run is minberr_ne_solve's. The
+    certified bound never falls below perturb_eps, so with perturb_eps >= eps
+    no run can certify eps against A, and a RuntimeWarning says so.
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")
@@ -259,13 +255,25 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     return res
 
 
+def _perturbation(rows, cols, size, seed):
+    """The seeded rows x cols E of ``minberr_ne_perturbed``, norm pinned to size.
+
+    From ``default_rng([seed, 1])``: the first k = min(rows, cols) entries of
+    a row and of a column permutation place k Gaussians, divided by their
+    largest magnitude and times size. One nonzero per row and column makes
+    ||E||_2 the largest |entry|, which the division leaves at size exactly.
+    """
+    rng = np.random.default_rng([seed, 1])
+    k = min(rows, cols)
+    r, c = rng.permutation(rows)[:k], rng.permutation(cols)[:k]
+    g = rng.standard_normal(k)
+    return CsrOperator.from_coo(r, c, g / np.max(np.abs(g)) * size, (rows, cols)).set_opnorm(size)
+
+
 def _minberr_ne(op, mon, shift, perturb_eps, delta, reorth, seed):
-    """Golub-Kahan run on A, or on A + E with ||E||_2 = perturb_eps ||A||_2."""
+    """Golub-Kahan run on A, or on A + E with ||E||_2 = perturb_eps ||A||_2
+    (the monitor's trace norm, against which every row is measured)."""
     if perturb_eps:
-        g = np.random.default_rng([seed, 1]).standard_normal((op.rows, op.cols))
-        g_norm, _ = _golub_kahan_norm(DenseOperator(g, symmetric=False), _G_NORM_GROW_TOL)
-        # the monitor measures rows against A, so its trace norm is ||A||_2
-        op = GaussianPerturbedOperator(op, g, perturb_eps * mon.trace.opnorm / g_norm)
+        op = SumOperator(op, _perturbation(op.rows, op.cols, perturb_eps * mon.trace.opnorm, seed))
     state = BidiagState(op, mon.b, opnorm=mon.s, reorth=reorth, k_max=mon.cfg.max_iterations)
     return _minberr_loop(state, DqdsState(shift).push, shift, _recover_ne, mon, delta, seed)
-

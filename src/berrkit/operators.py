@@ -5,9 +5,11 @@ They are immutable after construction with one exception: the norm cache,
 which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
 when the exact value is known, e.g. for diagonal test problems). Solvers and
 ``backward_error`` read ||A||_2 only from here, through ``_check_norm``.
-The one norm estimator, ``_golub_kahan_norm``, fills that cache and norms the
-Gaussian perturbation of ``minberr_ne_perturbed``; its step, ``_golub_kahan_step``,
-is the one ``BidiagState`` and ``lsqr`` run.
+The one norm estimator, ``estimate_spectral_norm``, fills that cache; its
+step, ``_golub_kahan_step``, is the one ``BidiagState`` and ``lsqr`` run.
+``SumOperator`` adds ``regularized_solve``'s shift and
+``minberr_ne_perturbed``'s perturbation, both of known norm. Complex data
+given to a constructor raises TypeError by name.
 """
 
 import math
@@ -24,8 +26,7 @@ __all__ = [
     "DenseOperator",
     "CsrOperator",
     "DiagonalOperator",
-    "ShiftedOperator",
-    "GaussianPerturbedOperator",
+    "SumOperator",
     "HouseholderChainOperator",
     "ConjugatedOperator",
     "CountingOperator",
@@ -41,6 +42,15 @@ def _as_vector(v, n, what="vector"):
             f"{what} has shape {v.shape}, expected ({n},)"
         )
     return v
+
+
+def _real_array(a, what):
+    """a as a float64 array; TypeError naming ``what`` for complex data, which
+    the cast would cut to its real part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise TypeError(f"{what} is complex: berrkit solves real systems only")
+    return np.asarray(a, dtype=np.float64)
 
 
 # smallest positive normal float64
@@ -197,9 +207,8 @@ def _golub_kahan_step(op, u, q, alpha, tol, bases=None):
     return beta, u, alpha, None if alpha <= tol else z / alpha
 
 
-def _golub_kahan_norm(op, grow_tol):
-    """Lower bound on ||A||_2 by Golub-Kahan bidiagonalization, and the number
-    of steps taken.
+def estimate_spectral_norm(op):
+    """Estimate of ||A||_2 from below by Golub-Kahan bidiagonalization.
 
     Runs A v_k = alpha_k u_k + beta_{k-1} u_{k-1} and A^T u_k = alpha_k v_k +
     beta_k v_{k+1} (Golub & Kahan 1965) by ``_golub_kahan_step`` at tol 0,
@@ -210,11 +219,15 @@ def _golub_kahan_norm(op, grow_tol):
     power iterate, so the value converges faster than power iteration from
     the same start (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal. Appl. 13).
 
-    The run stops once the value has grown by at most grow_tol (relative)
+    The run stops once the value has grown by at most NORM_REL_TOL (relative)
     over three steps, at a breakdown (alpha or beta exactly 0), or after
     min(m, n, NORM_MAX_ITER) steps for an m x n A; in exact arithmetic the
     value is ||A||_2 by step min(m, n). A zero first product raises
-    ZeroOperatorError and a non-finite product NonFiniteError.
+    ZeroOperatorError and a non-finite product NonFiniteError. The stop rule
+    bounds the progress still being made, not the distance to ||A||_2;
+    ``benchmarks/bench_kernels.py``'s opnorm table measured 1.7e-3 (relative)
+    below it on 2-D Laplacians, 3.3e-4 on random sparse matrices and 4e-6 on
+    a dense disguised diagonal, in 12 to 21 steps. Returns a NormEstimate.
     """
     v = np.random.default_rng(NORM_SEED).standard_normal(op.cols)
     v /= norm2(v)
@@ -234,32 +247,16 @@ def _golub_kahan_norm(op, grow_tol):
             break
         band[k - 1, k - 1 : k + 1] = alpha, beta
         tops.append(float(np.linalg.svd(band[:k, : k + 1], compute_uv=False)[0]))
-        if beta == 0.0 or (k > 3 and tops[-1] - tops[-4] <= grow_tol * tops[-1]):
+        if beta == 0.0 or (k > 3 and tops[-1] - tops[-4] <= NORM_REL_TOL * tops[-1]):
             break
-    return tops[-1], len(tops)
-
-
-def estimate_spectral_norm(op):
-    """Estimate of ||A||_2 from below: ``_golub_kahan_norm`` at grow_tol =
-    NORM_REL_TOL, errors included. The stop rule bounds the progress still
-    being made, not the distance to ||A||_2; ``benchmarks/bench_kernels.py``'s
-    opnorm table measured 1.7e-3 (relative) below it on 2-D Laplacians,
-    3.3e-4 on random sparse matrices and 4e-6 on a dense disguised diagonal,
-    in 12 to 21 steps.
-
-    Returns
-    -------
-    NormEstimate
-    """
-    value, steps = _golub_kahan_norm(op, NORM_REL_TOL)
-    return NormEstimate(value, NORM_REL_TOL, steps)
+    return NormEstimate(tops[-1], NORM_REL_TOL, len(tops))
 
 
 class DenseOperator(LinearOperator):
     """Operator backed by a dense 2-D array."""
 
     def __init__(self, a, symmetric=None):
-        a = np.asarray(a, dtype=np.float64)
+        a = _real_array(a, "dense operator data")
         if a.ndim != 2:
             raise DimensionMismatchError("dense backing must be 2-D")
         if symmetric is None:
@@ -287,7 +284,7 @@ class CsrOperator(LinearOperator):
     def __init__(self, data, indices, indptr, shape, symmetric=False):
         rows, cols = shape
         super().__init__(rows, cols, symmetric)
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _real_array(data, "CSR data")
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         _check_csr(self.data, self.indices, self.indptr, rows, cols)
@@ -307,7 +304,7 @@ class CsrOperator(LinearOperator):
         rows, cols = shape
         rows_idx = np.asarray(rows_idx, dtype=np.int64)
         cols_idx = np.asarray(cols_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        values = _real_array(values, "triplet values")
         if not (rows_idx.ndim == 1 and rows_idx.shape == cols_idx.shape == values.shape):
             raise DimensionMismatchError(
                 f"triplets need three 1-D arrays of one length, got shapes "
@@ -401,7 +398,7 @@ class DiagonalOperator(LinearOperator):
     finite and positive (else the estimator runs, and raises by name)."""
 
     def __init__(self, d):
-        d = np.asarray(d, dtype=np.float64)
+        d = _real_array(d, "diagonal")
         if d.ndim != 1:
             raise DimensionMismatchError("diagonal backing must be 1-D")
         super().__init__(d.shape[0], d.shape[0], symmetric=True)
@@ -414,40 +411,21 @@ class DiagonalOperator(LinearOperator):
         return self.d * v
 
 
-class ShiftedOperator(LinearOperator):
-    """base + shift * I, applied with exactly one extra axpy."""
+class SumOperator(LinearOperator):
+    """a + e for two operators of one shape; symmetric when both are."""
 
-    def __init__(self, base, shift):
-        if base.rows != base.cols:
-            raise DimensionMismatchError("shift needs a square base operator")
-        super().__init__(base.rows, base.cols, base.symmetric)
-        self.base = base
-        self.shift = float(shift)
-
-    def _apply(self, v):
-        return self.base.apply(v) + self.shift * v
-
-    def _apply_adjoint(self, v):
-        return self.base.apply_adjoint(v) + self.shift * v
-
-
-class GaussianPerturbedOperator(LinearOperator):
-    """base + coeff * G for a materialized dense G."""
-
-    def __init__(self, base, g, coeff):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (base.rows, base.cols):
-            raise DimensionMismatchError("perturbation shape must match base")
-        super().__init__(base.rows, base.cols, symmetric=False)
-        self.base = base
-        self.g = g
-        self.coeff = float(coeff)
+    def __init__(self, a, e):
+        if a.shape != e.shape:
+            raise DimensionMismatchError(f"cannot add operators of shapes {a.shape} and {e.shape}")
+        super().__init__(a.rows, a.cols, a.symmetric and e.symmetric)
+        self.a = a
+        self.e = e
 
     def _apply(self, v):
-        return self.base.apply(v) + self.coeff * (self.g @ v)
+        return self.a.apply(v) + self.e.apply(v)
 
     def _apply_adjoint(self, v):
-        return self.base.apply_adjoint(v) + self.coeff * (self.g.T @ v)
+        return self.a.apply_adjoint(v) + self.e.apply_adjoint(v)
 
 
 class HouseholderChainOperator(LinearOperator):
@@ -459,7 +437,7 @@ class HouseholderChainOperator(LinearOperator):
     """
 
     def __init__(self, vecs):
-        vecs = np.asarray(vecs, dtype=np.float64)
+        vecs = _real_array(vecs, "reflector vectors")
         if vecs.ndim != 2:
             raise DimensionMismatchError("reflector stack must be 2-D")
         n = vecs.shape[1]

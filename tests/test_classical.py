@@ -440,7 +440,7 @@ class TestRegularized:
         def no_opnorm(self):
             raise AssertionError("opnorm() called on the shifted operator")
 
-        monkeypatch.setattr(bk.ShiftedOperator, "opnorm", no_opnorm)
+        monkeypatch.setattr(bk.SumOperator, "opnorm", no_opnorm)
         monitors = capture_monitors(monkeypatch, classical)
         rows = capture_row_iterates(monkeypatch)
         a = 3.0 * random_psd(30, seed=41)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import berrkit as bk
-from berrkit import mmio
+from berrkit import cli, mmio
 from berrkit.cli import CSV_HEADER, SOLVERS, RunSpec, main
 
 QUICK = "ill-conditioned:n=50,kappa=1e2"
@@ -286,6 +286,15 @@ class TestSpecErrors:
         assert code == 2
         assert "unknown parameters" in capsys.readouterr().err
 
+    def test_repeated_problem_param_rejected(self, capsys):
+        with pytest.raises(cli.SpecError, match="'n' given twice"):
+            cli.build_problem("ill-conditioned:n=10,n=20,kappa=1e3", 0)
+        code = run(
+            ["solve", "--problem", "ill-conditioned:n=10,kappa=1e3,n=20", "--solver", "cg"]
+        )
+        assert code == 2
+        assert "'n' given twice" in capsys.readouterr().err
+
     def test_missing_matrix_file(self, capsys):
         code = run(["solve", "--problem", "/no/such/file.mtx", "--solver", "cg"])
         assert code == 2
@@ -413,6 +422,16 @@ class TestConfigMerging:
         )
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # max_iter and max-iter are one key, as on the command line
+        cfg = tmp_path / "berr.cfg"
+        cfg.write_text("tol=1e-3\nmax_iter=5\nseed=1\nmax-iter=7\n")
+        code = run(
+            ["solve", "--problem", QUICK, "--solver", "cg", "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "berr.cfg:4: key 'max-iter' given twice" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(

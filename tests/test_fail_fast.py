@@ -35,6 +35,38 @@ def diagonal(bad=None):
 
 
 @pytest.mark.parametrize("name", SOLVERS)
+def test_complex_rhs_is_refused_by_name(name):
+    # a float64 cast would solve the real part and drop the rest
+    b = np.ones(N, dtype=complex)
+    b[0] += 1j
+    with pytest.raises(TypeError, match="^b is complex"):
+        SOLVERS[name](diagonal(), b)
+
+
+@pytest.mark.parametrize("which", ["b", "x"])
+def test_backward_error_refuses_complex_data_by_name(which):
+    args = {"b": np.ones(N), "x": np.ones(N)}
+    args[which] = args[which] + 1j
+    with pytest.raises(TypeError, match=f"^{which} is complex"):
+        bk.backward_error(diagonal(), **args)
+
+
+COMPLEX_DATA = {
+    "dense operator data": lambda: bk.DenseOperator(np.eye(2) + 1j),
+    "diagonal": lambda: bk.DiagonalOperator([1.0, 2j]),
+    "CSR data": lambda: bk.CsrOperator([1j], [0], [0, 1], (1, 1)),
+    "triplet values": lambda: bk.CsrOperator.from_coo([0], [0], [1j], (1, 1)),
+    "reflector vectors": lambda: bk.HouseholderChainOperator([[1j, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("what", COMPLEX_DATA)
+def test_operator_refuses_complex_data_by_name(what):
+    with pytest.raises(TypeError, match=f"^{what} is complex"):
+        COMPLEX_DATA[what]()
+
+
+@pytest.mark.parametrize("name", SOLVERS)
 def test_non_finite_rhs_is_rejected_on_entry(name):
     b = np.ones(N)
     b[5] = np.nan

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 import berrkit as bk
 from berrkit.factorize import BandMatrix, BidiagState, LanczosState
 from berrkit import minberr
-from berrkit.minberr import _G_NORM_GROW_TOL, _recover_ne
-from berrkit.operators import _golub_kahan_norm, norm2
+from berrkit.minberr import _perturbation, _recover_ne
+from berrkit.operators import norm2
 
 from _helpers import capture_monitors, capture_row_iterates, dense_op, measured_berr, random_psd
 from dense_oracle import ExactSolutionInSubspaceError, dense_minberr_oracle, sigma_min_dense
@@ -702,33 +702,31 @@ class TestMinberrNePerturbed:
         {"delta": 1.0},
         {"seed": -1},
     ])
-    def test_bad_arguments_raise_before_the_dense_set_up(self, monkeypatch, bad):
+    def test_bad_arguments_raise_before_the_perturbation_is_built(self, monkeypatch, bad):
         def refuse(*args, **kwargs):
-            raise AssertionError("the dense perturbation was set up")
+            raise AssertionError("the perturbation was built")
 
-        monkeypatch.setattr(minberr, "GaussianPerturbedOperator", refuse)
-        monkeypatch.setattr(minberr, "_golub_kahan_norm", refuse)
+        monkeypatch.setattr(minberr, "_perturbation", refuse)
         p = bk.ill_conditioned(10, 10.0)
         with pytest.raises(ValueError):
             bk.minberr_ne_perturbed(p.op, p.b, 1e-2, **bad)
 
     def test_perturbation_norm_and_solver_norm(self, monkeypatch):
-        """||E|| <= perturb_eps ||A|| (the premise of the composition bound),
-        G is the seeded draw, and the solver runs on the proven lower bound
-        (1 - perturb_eps) ||A|| <= ||A + E|| without estimating a norm of A
-        or A + E. The run's one monitor measures every row against A at
+        """||E|| = perturb_eps ||A|| (the premise of the composition bound),
+        E is the seeded draw, and the solver runs on the proven lower bound
+        (1 - perturb_eps) ||A|| <= ||A + E|| without estimating a norm of A,
+        E or A + E. The run's one monitor measures every row against A at
         ||A||."""
         built = []
-        make_op = minberr.GaussianPerturbedOperator
 
-        def spy_op(*args):
-            built.append(make_op(*args))
-            return built[-1]
+        def spy_perturbation(*args):
+            built.append((args, _perturbation(*args)))
+            return built[-1][1]
 
         def no_norm_estimate(op, *args, **kwargs):
             raise AssertionError(f"norm estimate of {type(op).__name__}")
 
-        monkeypatch.setattr(minberr, "GaussianPerturbedOperator", spy_op)
+        monkeypatch.setattr(minberr, "_perturbation", spy_perturbation)
         monkeypatch.setattr(bk.operators, "estimate_spectral_norm", no_norm_estimate)
         monitors = capture_monitors(monkeypatch, minberr)
         rows = capture_row_iterates(monkeypatch)
@@ -738,12 +736,18 @@ class TestMinberrNePerturbed:
         pe = 1e-2
         op = dense_op(a, s)
         r = bk.minberr_ne_perturbed(op, b, pe, eps=1e-3, k_max=20, seed=3, trace_every=4)
-        (perturbed,), (mon,) = built, monitors
-        g = np.random.default_rng([3, 1]).standard_normal((40, 30))
-        assert np.array_equal(perturbed.g, g)
-        assert np.linalg.norm(perturbed.coeff * g, 2) <= pe * s * (1 + 1e-13)
+        ((args, e),), (mon,) = built, monitors
+        assert args == (40, 30, pe * s, 3)
+        rng = np.random.default_rng([3, 1])
+        e_rows, e_cols = rng.permutation(40)[:30], rng.permutation(30)
+        g = rng.standard_normal(30)
+        want = np.zeros((40, 30))
+        want[e_rows, e_cols] = g / np.max(np.abs(g)) * (pe * s)
+        assert np.array_equal(e.to_dense(), want)
+        assert e.opnorm() == pe * s
+        assert_allclose(np.linalg.norm(want, 2), pe * s, rtol=1e-15)
         assert mon.s == (1 - pe) * s
-        assert mon.s <= np.linalg.norm(perturbed.to_dense(), 2)
+        assert mon.s <= np.linalg.norm(a + want, 2)
         assert r.opnorm_used == r.trace.opnorm == s
         assert [k for k, _ in rows] == r.trace.iterations and len(rows) >= 2
         for (_, x), rn, xn, berr in zip(rows, r.trace.residual_norm, r.trace.x_norm,
@@ -755,50 +759,126 @@ class TestMinberrNePerturbed:
         """The set-up costs no matvec on A: the perturbed solve uses exactly
         the solve's 1 + 2k plus one measuring matvec per trace row."""
         p = bk.ill_conditioned(80, 1e8)
-        counts = {}
         for name, solver in (("plain", bk.minberr_ne_solve), ("perturbed", bk.minberr_ne_perturbed)):
             op = bk.CountingOperator(p.op).set_opnorm(1.0)
             extra = (1e-2,) if name == "perturbed" else ()
             r = solver(op, p.b, *extra, eps=1e-6, k_max=60, trace_every=1)
-            assert r.iterations == 60
-            counts[name] = op.matvecs
-        assert counts["perturbed"] == counts["plain"] == 1 + 2 * 60 + 60
+            # the perturbed run certifies eps against A + E at k = 46
+            assert r.iterations == (60 if name == "plain" else 46) == len(r.trace)
+            assert op.matvecs == 1 + 2 * r.iterations + len(r.trace)
+
+    def test_scales_to_a_dimension_a_dense_perturbation_cannot_reach(self):
+        """At n = 200 000 a dense E would take 298 GiB; the sparse one holds
+        n entries, and the run certifies against A as at small n."""
+        p = bk.ill_conditioned(200000, 1e8)
+        b = np.ones(200000)
+        r = bk.minberr_ne_perturbed(p.op, b, 1e-3, eps=1e-2, k_max=20)
+        assert (r.termination, r.iterations) == (bk.Termination.MAX_ITERATIONS, 20)
+        assert measured_berr(p.op, b, r.x, 1.0) <= r.certified_berr_bound
 
 
-def _g_norm(g):
-    """||G||_2 as minberr_ne_perturbed estimates it, and the step count."""
-    return _golub_kahan_norm(bk.DenseOperator(g, symmetric=False), _G_NORM_GROW_TOL)
+@st.composite
+def _perturbed_problem(draw):
+    """(A, ||A||, b, perturb_eps, eps, k_max, seed): a tall, wide or square A
+    with singular values log-spaced from 1 down to 10^-log_kappa."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    small = draw(st.integers(1, 59 if shape != "square" else 60))
+    big = small if shape == "square" else draw(st.integers(small + 1, 60))
+    m, n = (big, small) if shape == "tall" else (small, big)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, small)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, small)))
+    d = 10.0 ** np.linspace(0.0, -draw(st.floats(0.0, 12.0)), small)
+    a = (u * d) @ v.T
+    log_pe = draw(st.floats(-6.0, -2.0))
+    # eps above perturb_eps: a spec that cannot certify eps warns
+    eps = 10.0 ** (log_pe + draw(st.floats(0.3, 2.0)))
+    k_max = draw(st.integers(1, 60))
+    return a, float(np.linalg.norm(a, 2)), rng.standard_normal(m), 10.0**log_pe, eps, k_max, seed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_perturbed_problem())
+def test_perturbation_is_a_weighted_partial_permutation_of_exact_norm(problem):
+    """E has at most one nonzero per row and per column, its largest entry is
+    perturb_eps ||A|| to the bit and so, up to rounding, is its dense 2-norm;
+    one seed gives the same bytes every time. Under full reorthogonalization
+    the certificate is the dense oracle's subspace minimum over A + E at the
+    solver norm (1 - perturb_eps) ||A||, and whatever the termination the
+    backward error measured against A is within the certified bound, up to
+    rounding."""
+    a, s, b, pe, eps, k_max, seed = problem
+    built = []
+
+    def spy_perturbation(*args):
+        built.append(_perturbation(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minberr, "_perturbation", spy_perturbation)
+        r = bk.minberr_ne_perturbed(dense_op(a, s), b, pe, eps=eps, k_max=k_max,
+                                    reorth="full", seed=seed, trace_every=1)
+    (e,) = built
+    dense = e.to_dense()
+    assert np.count_nonzero(dense) == min(a.shape)
+    assert np.all(np.count_nonzero(dense, axis=0) <= 1)
+    assert np.all(np.count_nonzero(dense, axis=1) <= 1)
+    assert np.max(np.abs(dense)) == e.opnorm() == pe * s
+    assert abs(np.linalg.norm(dense, 2) - pe * s) <= 1e-15 * pe * s
+    again = _perturbation(*a.shape, pe * s, seed)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(again, name).tobytes() == getattr(e, name).tobytes()
+
+    # the bound is attained when all of E acts on x (a 1 x 1 A solved
+    # exactly on A + E); then only the measured residual's rounding, of
+    # order u in berr units, lies between them
+    measured = measured_berr(dense_op(a, s), b, r.x, s)
+    assert measured <= r.certified_berr_bound + 4.0 * np.finfo(float).eps
+    if r.termination in (bk.Termination.BREAKDOWN, bk.Termination.EXACT_SOLUTION):
+        return
+    solver_s = (1.0 - pe) * s
+    state = BidiagState(bk.SumOperator(dense_op(a, s), e), b, opnorm=solver_s, reorth="full")
+    for _ in range(r.iterations):
+        state.step()
+    try:
+        ref = dense_minberr_oracle(a + dense, b, state.basis_q(r.iterations), opnorm=solver_s)
+    except ExactSolutionInSubspaceError:
+        return
+    sigma = math.sqrt(ref.lambda_min)
+    cert = r.sigma_min_certificate
+    assert sigma * (1.0 - 1e-9) - 1e-14 <= cert <= math.sqrt(1.5) * sigma * (1.0 + 1e-9) + 1e-14
 
 
 class TestDenseNorm:
-    """The Golub-Kahan ||G||_2 that scales the Gaussian perturbation: the
-    shared norm estimator run until three steps add at most 4u."""
+    """Norms checked against a dense SVD: the pinned norm of the perturbation
+    E, on the shapes and seeds that once checked an estimate of a dense
+    Gaussian's norm, and the norm estimate on a rank-one matrix."""
 
     @pytest.mark.parametrize("shape", [
         (1, 1), (1, 4), (4, 1), (2, 2), (5, 5), (50, 50), (200, 300), (300, 200),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_svd(self, shape, seed):
-        g = np.random.default_rng([seed, 1]).standard_normal(shape)
-        norm, steps = _g_norm(g)
-        assert 1 <= steps <= min(shape)
-        assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
+        e = _perturbation(*shape, 0.3, seed)
+        assert e.nnz == min(shape)
+        assert e.opnorm() == 0.3
+        assert_allclose(np.linalg.norm(e.to_dense(), 2), 0.3, rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_svd_at_n_1000(self, seed):
-        g = np.random.default_rng([seed, 1]).standard_normal((1000, 1000))
-        norm, steps = _g_norm(g)
-        assert steps < 100
-        assert_allclose(norm, np.linalg.norm(g, 2), rtol=1e-13)
+        e = _perturbation(1000, 1000, 7.5e-3, seed)
+        assert e.opnorm() == 7.5e-3
+        assert_allclose(np.linalg.norm(e.to_dense(), 2), 7.5e-3, rtol=1e-15)
 
     def test_rank_one_is_exact_from_step_one(self):
-        # the first step's value is ||A^T u_1||, which is ||G|| for rank one;
-        # later steps add only rounding, so the growth rule stops at step 4
+        # the first step's value is ||A^T u_1||, which is ||A|| for rank one;
+        # later steps add only rounding, so the growth rule stops by step 4
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal(30), rng.standard_normal(20)
-        norm, steps = _g_norm(np.outer(x, y))
-        assert steps <= 4
-        assert_allclose(norm, np.linalg.norm(x) * np.linalg.norm(y), rtol=1e-15)
+        est = bk.estimate_spectral_norm(bk.DenseOperator(np.outer(x, y)))
+        assert est.iterations_used <= 4
+        assert_allclose(est.value, np.linalg.norm(x) * np.linalg.norm(y), rtol=1e-15)
 
 
 class TestNoFiniteMinimizer:
