@@ -702,11 +702,14 @@ class TestMinberrNePerturbed:
         {"delta": 1.0},
         {"seed": -1},
     ])
-    def test_bad_arguments_raise_before_the_perturbation_is_built(self, monkeypatch, bad):
+    def test_bad_arguments_raise_before_the_dense_set_up(self, monkeypatch, bad):
+        """A bad argument raises before A + E is set up: neither the sparse
+        E nor the sum operator is built."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the perturbation was built")
+            raise AssertionError("the perturbed operator was set up")
 
         monkeypatch.setattr(minberr, "_perturbation", refuse)
+        monkeypatch.setattr(minberr, "SumOperator", refuse)
         p = bk.ill_conditioned(10, 10.0)
         with pytest.raises(ValueError):
             bk.minberr_ne_perturbed(p.op, p.b, 1e-2, **bad)
