@@ -10,7 +10,8 @@ python and numpy versions, the CPU count and model and the BLAS thread count.
 The entry also holds six of ``bench_kernels.py``'s tables at their default
 sizes: the opnorm table (per operator, the matvecs, steps, best milliseconds
 and relative error of one ``estimate_spectral_norm`` call), the CSR table (per shape, nnz and the best and median microseconds per
-call of the reduceat reference and of ``CsrOperator.apply``), the recovery
+call of the reduceat reference, of ``CsrOperator.apply`` and, on the
+unsymmetric shapes, of ``CsrOperator.apply_adjoint``), the recovery
 table (per band size k, the best and median microseconds of one
 ``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
 that call's step count) and the recovery sweep (per factorization, recovery

@@ -12,7 +12,8 @@ millisecond range where dispatch overhead matters. Seven tables:
   a fully reorthogonalized Golub-Kahan reference run of REFERENCE_STEPS);
 * the CSR matvec as ``CsrOperator.apply`` runs it (its cached layout built
   by a warm-up call) against the ``np.add.reduceat`` matvec it replaced
-  (kept here as the reference), on the shapes of ``csr_shapes``;
+  (kept here as the reference), on the shapes of ``csr_shapes``, and
+  ``CsrOperator.apply_adjoint`` on the unsymmetric ones;
 * recovery on the band views at the sizes recovery meets (``--band-sizes``,
   k = 30, 100 and 300 by default): one ``BandMatrix.solve`` and one
   ``solve_t`` as inverse iteration calls them (a unit right-hand side as a
@@ -289,7 +290,10 @@ def interleaved_seconds(fns, repeats):
 
 def csr_rows(rows, per_row, repeats, seed):
     """One dict per CSR shape: nnz and the best and median microseconds per
-    call of the reduceat reference and of CsrOperator.apply."""
+    call of the reduceat reference, of CsrOperator.apply and, on the
+    unsymmetric shapes, of CsrOperator.apply_adjoint (None on the symmetric
+    one, whose adjoint is its apply). The adjoint is checked first by the
+    dot test y^T (A x) = (A^T y)^T x."""
     rng = np.random.default_rng(seed)
     table = []
     for name, op in csr_shapes(rows, per_row, rng):
@@ -297,31 +301,36 @@ def csr_rows(rows, per_row, repeats, seed):
         want = reduceat_matvec(op.data, op.indices, op.indptr, x)
         got = op.apply(x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
-        (ref_best, ref_med), (new_best, new_med) = interleaved_seconds(
-            [lambda: reduceat_matvec(op.data, op.indices, op.indptr, x),
-             lambda: op.apply(x)],
-            repeats,
-        )
-        table.append({
-            "shape": name, "nnz": op.nnz,
-            "reduceat_us_best": round(ref_best * 1e6, 1),
-            "reduceat_us_median": round(ref_med * 1e6, 1),
-            "apply_us_best": round(new_best * 1e6, 1),
-            "apply_us_median": round(new_med * 1e6, 1),
-        })
+        fns = [lambda: reduceat_matvec(op.data, op.indices, op.indptr, x),
+               lambda: op.apply(x)]
+        if not op.symmetric:
+            y = rng.standard_normal(op.rows)
+            scale = np.abs(y) @ reduceat_matvec(np.abs(op.data), op.indices, op.indptr,
+                                                np.abs(x))
+            assert abs(y @ got - op.apply_adjoint(y) @ x) <= 1e-13 * scale, name
+            fns.append(lambda: op.apply_adjoint(y))
+        row = {"shape": name, "nnz": op.nnz, "apply_adjoint_us_best": None,
+               "apply_adjoint_us_median": None}
+        for label, (best, med) in zip(("reduceat", "apply", "apply_adjoint"),
+                                      interleaved_seconds(fns, repeats)):
+            row[f"{label}_us_best"] = round(best * 1e6, 1)
+            row[f"{label}_us_median"] = round(med * 1e6, 1)
+        table.append(row)
     return table
 
 
 def csr_table(rows, per_row, repeats, seed):
     header = (f"{'CSR shape':<26} {'nnz':>8} {'reduceat best/med':>19} "
-              f"{'apply best/med':>17} {'speedup':>8}")
+              f"{'apply best/med':>17} {'speedup':>8} {'adjoint best/med':>17}")
     print(header)
     print("-" * len(header))
     for row in csr_rows(rows, per_row, repeats, seed):
-        ref = f"{row['reduceat_us_best']:.0f}/{row['reduceat_us_median']:.0f}us"
-        new = f"{row['apply_us_best']:.0f}/{row['apply_us_median']:.0f}us"
+        ref, new, adj = ("-" if row[f"{label}_us_best"] is None else
+                         f"{row[f'{label}_us_best']:.0f}/{row[f'{label}_us_median']:.0f}us"
+                         for label in ("reduceat", "apply", "apply_adjoint"))
         speedup = row["reduceat_us_best"] / row["apply_us_best"]
-        print(f"{row['shape']:<26} {row['nnz']:>8} {ref:>19} {new:>17} {speedup:>7.1f}x")
+        print(f"{row['shape']:<26} {row['nnz']:>8} {ref:>19} {new:>17} {speedup:>7.1f}x "
+              f"{adj:>17}")
 
 
 def householder_table(sizes, repeats, rng):

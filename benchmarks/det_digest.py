@@ -11,10 +11,14 @@ measured berr, 3.43e-15, misses; the run goes on to its first measured row
 below tol), one each whose Krylov space breaks down at the first step, and
 three under ``--reorth full`` (minberr, minberr-ne, and minberr-ne on the
 ``small-outlier`` stagnation problem), at ``--trace-every`` 1 and 7. Last
-come runs on ``.mtx`` files that ``berrkit synth`` writes (``MTX_FILES``),
-whose norm is estimated rather than pinned: the ``suitesparse`` suite over
-all of them, and minberr and minberr-ne-perturbed (whose perturbation is
-scaled by that estimate) on the symmetric one at ``--trace-every`` 1 and 7.
+come runs on ``.mtx`` files that ``berrkit synth`` writes (``MTX_FILES``)
+and on a seeded random unsymmetric matrix that ``mmio.write_coordinate``
+writes (``write_random``), whose norm is estimated rather than pinned: the
+``suitesparse`` suite over all of them, minberr and minberr-ne-perturbed
+(whose perturbation is scaled by that estimate) on the symmetric one and
+richardson-ne on the random one, at ``--trace-every`` 1 and 7. The random
+matrix has several entries in most columns, so its runs sum A^T x over
+columns of many terms, which ``cyclic-shift`` (one entry a column) does not.
 Each digest covers every history CSV column except ``wall_nanos`` and every
 summary field, so two checkouts that print the same lines produce
 bitwise-identical numbers. After the digest each line shows the run's
@@ -104,7 +108,24 @@ MTX_SOLVER_RUNS = [
     ("mtx-minberr", "minberr", "symmetric", ["--tol", "1e-6", "--max-iter", "150"]),
     ("mtx-minberr-ne-perturbed", "minberr-ne-perturbed", "symmetric",
      ["--tol", "1e-4", "--max-iter", "150"]),
+    ("mtx-richardson-ne", "richardson-ne", "random", ["--tol", "1e-15", "--max-iter", "1100"]),
 ]
+
+
+def write_random(mmio, path):
+    """Write certify's random unsymmetric matrix (perfbench's
+    ``random_nonsymmetric``) at n = 400, seed 0, with ``mmio.write_coordinate``:
+    8 Gaussian entries of variance 1/8 at random columns of each row plus 1.5
+    on the diagonal, a repeated position written as two entries."""
+    import numpy as np
+
+    n, per_row = 400, 8
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([np.repeat(np.arange(n), per_row), np.arange(n)])
+    cols = np.concatenate([rng.integers(0, n, n * per_row), np.arange(n)])
+    vals = np.concatenate([rng.standard_normal(n * per_row) / np.sqrt(per_row),
+                           np.full(n, 1.5)])
+    mmio.write_coordinate(path, rows, cols, vals, (n, n))
 
 
 def digest(history_path, summary, tmp):
@@ -207,7 +228,7 @@ def main(argv):
     if args.against is not None:
         return against(src, os.path.abspath(args.against))
     sys.path.insert(0, src)
-    from berrkit import cli
+    from berrkit import cli, mmio
 
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
@@ -223,6 +244,7 @@ def main(argv):
             written = os.path.join(tmp, f"{stem}.mtx")
             cli.main(["synth", "--problem", problem, "--out", written])
             os.replace(written, os.path.join(mtx_dir, f"{stem}.mtx"))
+        write_random(mmio, os.path.join(mtx_dir, "random.mtx"))
         bench_lines(cli, tmp, "suitesparse", ["--suitesparse-dir", mtx_dir])
         for label, solver, stem, extra in MTX_SOLVER_RUNS:
             solve_lines(cli, tmp, label, solver, os.path.join(mtx_dir, f"{stem}.mtx"), extra)

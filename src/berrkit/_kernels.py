@@ -41,8 +41,17 @@ floor(log2 max length) + 1 buckets; empty rows are in none and read 0. A
 padded slot holds 0.0 at the row's own last stored column, so it reads only
 an entry of x the row already reads: an inf or NaN in x[j] reaches exactly the
 rows that store column j. Each row sums its products in slot order, first to
-last (numpy's axis-0 reduction), padding included; the padding adds exact
-zeros.
+last, padding included; the padding adds exact zeros. A bucket of several
+rows sums along axis 0, which numpy does one slot after another; a bucket of
+one row would sum along a contiguous axis, which numpy sums pairwise, so it
+runs ``np.cumsum`` and keeps the last partial sum.
+
+The transposed product ``csr_matvec_t`` reads the same CSR arrays: it
+multiplies each stored entry by the x entry of its row (``np.repeat`` over
+the row lengths) and scatter-adds the products into their columns with one
+``np.bincount`` (Saad 2003, "Iterative Methods for Sparse Linear Systems",
+ch. 3). bincount adds in input order, so each column sums its terms in CSR
+(row) order, from 0.0; no transposed copy or second layout is stored.
 """
 
 import numpy as np
@@ -51,6 +60,7 @@ __all__ = [
     "USING_NUMBA",
     "csr_slots",
     "csr_matvec",
+    "csr_matvec_t",
     "householder_chain",
     "householder_wy",
     "band_solve_upper",
@@ -92,8 +102,15 @@ def csr_matvec(data, indices, indptr, x, slots=None):
     for rows, idx, val in slots:
         prod = np.take(x, idx)
         prod *= val
-        out[rows] = prod.sum(axis=0)
+        out[rows] = prod.sum(axis=0) if rows.shape[0] > 1 else np.cumsum(prod)[-1]
     return out
+
+
+def csr_matvec_t(data, indices, indptr, x, cols):
+    """A^T x for CSR (data, indices, indptr) with ``cols`` columns (see above)."""
+    prod = data * np.repeat(x, np.diff(indptr))
+    # bincount over no entries returns int64 zeros
+    return np.bincount(indices, weights=prod, minlength=cols).astype(np.float64, copy=False)
 
 
 # reflector rows per compact-WY block

@@ -308,29 +308,24 @@ def richardson(op, b, config=None):
     if not op.symmetric:
         raise RequiresSymmetricError("richardson expects a symmetric PSD operator")
     mon = _Monitor(op, b, config)
-    b = mon.b
-    eta = 1.0 / (mon.cfg.step_constant * mon.s)
-    x = np.zeros(op.cols)
-    r = -b  # r tracks A x - b
-    for k in range(1, mon.cfg.max_iterations + 1):
-        x = x - eta * r
-        r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(r)
-        stop = mon.check(k, x, norm2(r))
-        if stop is not None:
-            break
-    return mon.result(x, k, stop)
+    return _richardson(op, mon, 1.0 / (mon.cfg.step_constant * mon.s), lambda r: r)
 
 
 def richardson_ne(op, b, config=None):
     """Richardson on the normal equations: x_{k+1} = x_k - eta A^T (A x_k - b),
     eta = 1/(C ||A||_2^2). Works for any (possibly rectangular) A."""
     mon = _Monitor(op, b, config)
+    return _richardson(op, mon, 1.0 / (mon.cfg.step_constant * mon.s * mon.s),
+                       op.apply_adjoint)
+
+
+def _richardson(op, mon, eta, gradient):
+    """x_{k+1} = x_k - eta g_k with g_k = gradient(A x_k - b)."""
     b = mon.b
-    eta = 1.0 / (mon.cfg.step_constant * mon.s * mon.s)
     x = np.zeros(op.cols)
-    r = -b
+    r = -b  # r tracks A x - b
     for k in range(1, mon.cfg.max_iterations + 1):
-        g = op.apply_adjoint(r)
+        g = gradient(r)
         x = x - eta * g
         r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(g)
         stop = mon.check(k, x, norm2(r))

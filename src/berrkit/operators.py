@@ -8,8 +8,9 @@ when the exact value is known, e.g. for diagonal test problems). Solvers and
 The one norm estimator, ``estimate_spectral_norm``, fills that cache; its
 step, ``_golub_kahan_step``, is the one ``BidiagState`` and ``lsqr`` run.
 ``SumOperator`` adds ``regularized_solve``'s shift and
-``minberr_ne_perturbed``'s perturbation, both of known norm. Complex data
-given to a constructor raises TypeError by name.
+``minberr_ne_perturbed``'s perturbation, both of known norm. ``CsrOperator``
+stores one copy of A, in CSR; its adjoint reads the same arrays. Complex
+data given to a constructor raises TypeError by name.
 """
 
 import math
@@ -275,10 +276,12 @@ class DenseOperator(LinearOperator):
 
 
 class CsrOperator(LinearOperator):
-    """Compressed-sparse-row operator; stores the transpose layout as well.
+    """Compressed-sparse-row operator.
 
-    The structure is checked on construction. Each direction's matvec layout
-    (``_kernels.csr_slots``) is built on its first apply and cached.
+    The structure is checked on construction. The matvec layout
+    (``_kernels.csr_slots``) is built on the first apply and cached; A^T x is
+    one scatter-add over the CSR arrays (``_kernels.csr_matvec_t``), so no
+    transposed copy is kept.
     """
 
     def __init__(self, data, indices, indptr, shape, symmetric=False):
@@ -289,12 +292,6 @@ class CsrOperator(LinearOperator):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         _check_csr(self.data, self.indices, self.indptr, rows, cols)
         self._slots = None
-        self._tslots = None
-        if not symmetric:
-            td, ti, tp = _csr_transpose(
-                self.data, self.indices, self.indptr, rows, cols
-            )
-            self._tdata, self._tindices, self._tindptr = td, ti, tp
 
     @classmethod
     def from_coo(cls, rows_idx, cols_idx, values, shape, symmetric=False):
@@ -339,11 +336,7 @@ class CsrOperator(LinearOperator):
         return _kernels.csr_matvec(self.data, self.indices, self.indptr, v, self._slots)
 
     def _apply_adjoint(self, v):
-        if self._tslots is None:
-            self._tslots = _kernels.csr_slots(self._tdata, self._tindices, self._tindptr)
-        return _kernels.csr_matvec(
-            self._tdata, self._tindices, self._tindptr, v, self._tslots
-        )
+        return _kernels.csr_matvec_t(self.data, self.indices, self.indptr, v, self.cols)
 
     @property
     def nnz(self):
@@ -374,23 +367,6 @@ def _check_csr(data, indices, indptr, rows, cols):
     if np.any(np.diff(indptr) < 0):
         raise DimensionMismatchError("indptr decreases")
     _check_index_range(indices, cols, "column")
-
-
-def _csr_transpose(data, indices, indptr, rows, cols):
-    # the unique int64 key column * nnz + position sorts as a stable sort by
-    # column would, so cols * nnz may not exceed 2**63
-    nnz = data.shape[0]
-    if cols * nnz > 2**63:
-        raise DimensionMismatchError(f"{cols} columns x {nnz} entries overflow an int64 key")
-    row_of = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices * nnz + np.arange(nnz, dtype=np.int64))
-    tindices = row_of[order]
-    tdata = data[order]
-    tindptr = np.zeros(cols + 1, dtype=np.int64)
-    np.add.at(tindptr, indices + 1, 1)
-    tindptr = np.cumsum(tindptr)
-    assert tindptr[-1] == nnz
-    return tdata, tindices, tindptr
 
 
 class DiagonalOperator(LinearOperator):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -200,21 +200,6 @@ def test_from_coo_refuses_a_shape_beyond_its_sort_key():
         bk.CsrOperator.from_coo([0], [0], [1.0], (3, 2**62))
 
 
-def test_transpose_refuses_more_entries_than_its_sort_key():
-    with pytest.raises(bk.DimensionMismatchError, match="int64 key"):
-        bk.CsrOperator(np.ones(2), [0, 1], [0, 1, 2], (2, 2**62 + 1))
-
-
-def _stable_transpose(data, indices, indptr, rows, cols):
-    """The transpose's earlier build, the reference: the entries ordered by a
-    stable argsort of their columns."""
-    row_of = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    tindptr = np.zeros(cols + 1, dtype=np.int64)
-    np.add.at(tindptr, indices + 1, 1)
-    return data[order], row_of[order], np.cumsum(tindptr)
-
-
 def _lexsort_csr(rows_idx, cols_idx, values, rows):
     """from_coo's earlier build, the reference: the triplets ordered by
     np.lexsort on (cols, rows), duplicates summed in that order."""
@@ -259,16 +244,55 @@ def _triplets(draw):
 @given(_triplets())
 def test_from_coo_builds_the_lexsort_arrays(triplets):
     # sorting by the key row * cols + col is the lexsort permutation, so
-    # every CSR array, and the transpose's, is the same to the byte
+    # every CSR array is the same to the byte
     r, c, v, shape, symmetric = triplets
     op = bk.CsrOperator.from_coo(r, c, v, shape, symmetric=symmetric)
     expected = _lexsort_csr(r, c, v, shape[0])
-    built = (op.data, op.indices, op.indptr)
-    if not symmetric:
-        expected += _stable_transpose(*expected, *shape)
-        built += (op._tdata, op._tindices, op._tindptr)
-    for ours, theirs in zip(built, expected, strict=True):
+    for ours, theirs in zip((op.data, op.indices, op.indptr), expected, strict=True):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def _csr_loops(op, x, y):
+    """(A x, A^T y) by one scalar loop over the stored entries in CSR order."""
+    ax, aty = np.zeros(op.rows), np.zeros(op.cols)
+    for i in range(op.rows):
+        for p in range(op.indptr[i], op.indptr[i + 1]):
+            j = op.indices[p]
+            ax[i] += op.data[p] * x[j]
+            aty[j] += op.data[p] * y[i]
+    return ax, aty
+
+
+# one row whose pairwise sum (0.0) differs from its sum in slot order
+# (-8014398509481984.0) at _PAIRWISE_X; as a 1 x 8 A it is alone in its
+# bucket of apply, as an 8 x 1 A the one column of apply_adjoint
+_PAIRWISE_ROW = np.array([1e16, 1e16, -2e16, 1e16, -1e16, -1e16, 3.0 / 7.0, -1.0])
+_PAIRWISE_X = [1.0, -1.0, 0.5, 1e16, 1e16, -1.0, -1.0, -0.0]
+_EIGHT = np.arange(8, dtype=np.int64)
+_ZEROS = np.zeros(8, dtype=np.int64)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_triplets(),
+       st.lists(st.sampled_from([1.0, -1.0, 0.5, 1e16, -1e16, 0.0, -0.0, math.inf, -math.inf,
+                                 math.nan, 3.0 / 7.0]), min_size=8, max_size=8))
+@example((_ZEROS, _EIGHT, _PAIRWISE_ROW, (1, 8), False), _PAIRWISE_X)
+@example((_EIGHT, _ZEROS, _PAIRWISE_ROW, (8, 1), False), _PAIRWISE_X)
+def test_csr_products_sum_in_csr_order(triplets, xs):
+    """apply and apply_adjoint are the scalar loops in CSR order, zero signs
+    aside. apply has non-finite entries where the loop has, but may give NaN
+    for inf: a padded slot multiplies 0.0 by an entry of x its row already
+    reads. An unsymmetric adjoint, padded nowhere, matches NaN for NaN."""
+    r, c, v, shape, symmetric = triplets
+    op = bk.CsrOperator.from_coo(r, c, v, shape, symmetric=symmetric)
+    x, y = np.array(xs[: shape[1]]), np.array(xs[: shape[0]])
+    for got, want in zip((op.apply(x), op.apply_adjoint(y)), _csr_loops(op, x, y)):
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[finite], want[finite])
+    if not symmetric:
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestCsrOperator:
@@ -290,6 +314,11 @@ class TestCsrOperator:
         )
         assert_allclose(op.to_dense(), [[0.0, 5.0], [1.0, 0.0]])
         assert op.nnz == 2
+
+    def test_all_zero_matrix_products_are_float_zeros(self):
+        op = bk.CsrOperator([], [], np.zeros(4, dtype=np.int64), (3, 5))
+        for out, n in ((op.apply(np.ones(5)), 3), (op.apply_adjoint(np.ones(3)), 5)):
+            assert out.dtype == np.float64 and out.shape == (n,) and not out.any()
 
     def test_symmetric_flag(self):
         sym = np.array([[2.0, 1.0], [1.0, 3.0]])
