@@ -19,6 +19,10 @@ writes (``write_random``), whose norm is estimated rather than pinned: the
 richardson-ne on the random one, at ``--trace-every`` 1 and 7. The random
 matrix has several entries in most columns, so its runs sum A^T x over
 columns of many terms, which ``cyclic-shift`` (one entry a column) does not.
+The last two lines are cg on a symmetric indefinite diagonal that
+``write_indefinite`` writes: p^T A p <= 0 ends both runs at a breakdown at
+k = 4, whose measured row takes the place of the recurrence row of k = 4 at
+``--trace-every`` 1. 76 lines in all.
 Each digest covers every history CSV column except ``wall_nanos`` and every
 summary field, so two checkouts that print the same lines produce
 bitwise-identical numbers. After the digest each line shows the run's
@@ -126,6 +130,17 @@ def write_random(mmio, path):
     vals = np.concatenate([rng.standard_normal(n * per_row) / np.sqrt(per_row),
                            np.full(n, 1.5)])
     mmio.write_coordinate(path, rows, cols, vals, (n, n))
+
+
+def write_indefinite(mmio, path):
+    """Write a symmetric 400 x 400 diagonal with 399 entries log-spaced from 1
+    to 1e-12 and a last entry -0.1, with ``mmio.write_coordinate``: cg meets
+    p^T A p <= 0 on it and ends at a breakdown."""
+    import numpy as np
+
+    n = 400
+    diag = np.append(np.logspace(0.0, -12.0, n - 1), -0.1)
+    mmio.write_coordinate(path, np.arange(n), np.arange(n), diag, (n, n), symmetric=True)
 
 
 def digest(history_path, summary, tmp):
@@ -248,6 +263,11 @@ def main(argv):
         bench_lines(cli, tmp, "suitesparse", ["--suitesparse-dir", mtx_dir])
         for label, solver, stem, extra in MTX_SOLVER_RUNS:
             solve_lines(cli, tmp, label, solver, os.path.join(mtx_dir, f"{stem}.mtx"), extra)
+        # outside mtx_dir, so the suitesparse suite does not read it
+        indefinite = os.path.join(tmp, "indefinite.mtx")
+        write_indefinite(mmio, indefinite)
+        solve_lines(cli, tmp, "mtx-cg-indefinite", "cg", indefinite,
+                    ["--tol", "1e-6", "--max-iter", "1000"])
     return 0
 
 

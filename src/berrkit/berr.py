@@ -68,6 +68,8 @@ def composition_bound(berr_perturbed, eps):
     """Backward error against A, certified from a run against a perturbed A~.
 
     If ||A - A~||_2 <= eps ||A||_2 then berr_A(x) <= (1 + eps) berr_A~(x) + eps.
+    It holds in exact arithmetic; where A - A~ acts fully on x, the measured
+    berr_A(x) may exceed it by the residual's rounding, about u.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")

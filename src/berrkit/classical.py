@@ -5,20 +5,19 @@ runs under one ``_Monitor`` built on the problem's (A, b). It checks the entry
 data (a finite, nonzero b of the right shape whose 2-norm is a normal float64,
 and a finite positive ``op.opnorm()``, the run's only source of ||A||_2),
 rescales b by a power of two when its entries are far from unit size, and
-owns the trace and its rows (every ``trace_every`` iterations and the last)
-and the one stopping rule of all seven solvers, decided at every iteration,
-so the row schedule never moves a stop: on A itself a solver's claim of
-convergence (its residual recurrence, or MINBERR's certificate) stops the run
-only if the row measured at that step confirms it. That costs one matvec per
-claim, and at every step while a claim keeps failing. Every stopping row is
-measured, so ``final_berr`` is the backward error of the returned x: a run
-that ends at a breakdown or the cap without a claim pays one matvec for it.
-Rows report backward error against A, also for a solver on a nearby
-operator. RECOMPUTE_EVERY serves only cg and the Richardson loops. Every
-solver starts from x_0 = 0; a non-finite residual or iterate norm raises
-NonFiniteError at its iteration, row or not. Identical config and seed give
-bitwise-identical numeric trace columns. LSQR runs
-``operators._golub_kahan_step`` on two vectors.
+owns the trace and its rows (every ``trace_every`` iterations and the last).
+``_Monitor.check``, run at every iteration, is the only place that measures a
+deciding row, picks a Termination and records a row, so the row schedule
+never moves a stop. On A itself a claim of convergence (a residual
+recurrence, or MINBERR's certificate), a breakdown and the cap are decided on
+the row measured at that step (one matvec): a claim stops the run only if
+that row confirms it, and a breakdown or cap row whose measured residual is
+exact ends ExactSolution. So ``final_berr`` is the backward error of the
+returned x, measured against A also for a solver on a nearby operator.
+RECOMPUTE_EVERY serves only cg and the Richardson loops. Every solver starts
+from x_0 = 0; a non-finite residual or iterate norm raises NonFiniteError at
+its iteration, row or not. Identical config and seed give bitwise-identical
+numeric trace columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
 """
 
 import math
@@ -210,25 +209,23 @@ class _Monitor:
         """Whether iteration k recomputes the residual from scratch."""
         return k % RECOMPUTE_EVERY == 0
 
-    def measure(self, k, x, rn=None, xn=None):
+    def measure(self, k, x, rn=None):
         """Residual and iterate norms of iterate x at iteration k, at the scale
         of ``self.b``. rn is the solver's own residual norm; without one the
-        residual against A is measured with one matvec. A norm that is not
-        finite raises NonFiniteError."""
-        if xn is None:
-            xn = norm2(x)
+        residual against A is measured with one matvec (none at x = 0, whose
+        residual is b). A norm that is not finite raises NonFiniteError."""
+        xn = norm2(x)
         if rn is None:
-            rn = norm2(self.op.apply(x) - self.b)
+            rn = norm2(self.op.apply(x) - self.b) if xn else self.norm_b
         if not (math.isfinite(rn) and math.isfinite(xn)):
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
             )
         return rn, xn
 
-    def record(self, k, x, rn=None, xn=None, replace=False):
-        """Append the row for iterate x, its norms as ``measure`` gives them;
-        with ``replace`` it takes the place of the last row."""
-        rn, xn = self.measure(k, x, rn, xn)
+    def record(self, k, rn, xn):
+        """Append the row of the norms ``check`` took at iteration k, at the
+        scale of the b given; a row at the last row's k takes its place."""
         if self.unscale != 1.0:
             rn, xn = rn * self.unscale, xn * self.unscale
             if not (_is_normal(xn) and (rn == 0.0 or _is_normal(rn))):
@@ -236,12 +233,11 @@ class _Monitor:
                     f"iteration {k}: at the scale of b, residual norm {rn} and "
                     f"iterate norm {xn} leave the normal float64 range"
                 )
-        if replace:
-            trace = self.trace
-            for column in (trace.iterations, trace.berr, trace.residual_norm, trace.x_norm,
-                           trace.wall_nanos):
-                del column[-1]
-        self.trace.record(k, rn, xn, self.t0)
+        trace = self.trace
+        if trace.iterations[-1:] == [k]:
+            del (trace.iterations[-1], trace.berr[-1], trace.residual_norm[-1],
+                 trace.x_norm[-1], trace.wall_nanos[-1])
+        trace.record(k, rn, xn, self.t0)
 
     def exact(self, rn, breakdown):
         """Whether residual norm rn, at the scale of ``self.b``, marks an
@@ -250,30 +246,32 @@ class _Monitor:
         return rn == 0.0 or (breakdown and rn <= 1e-15 * self.norm_b)
 
     def check(self, k, x, rn=None, breakdown=False, claim=False):
-        """The stopping decision at iteration k. A solver claims convergence
-        by its own residual norm rn (exact, or rn < tol s ||x||) or, passing
-        no rn, by ``claim``. On A itself a claim stands only if the row
-        measured here (one matvec) is exact or has berr below tol; that row
-        is the stopping row. On a nearby operator (``solve_on``) the claim
-        stands. A claim, a breakdown and the cap decide; without rn only a
-        deciding or due step is measured. The row is recorded when one is due
-        or the run stops (x = 0 gets none); the stopping row is always
-        measured, so a run that ends at a breakdown or the cap without a claim
-        measures its last row too, after the decision. Returns the
-        Termination, or None.
+        """The stopping decision at iteration k: the only place that measures
+        a deciding row, picks a Termination and records a row. A solver
+        claims convergence by its own residual norm rn (exact, or
+        rn < tol s ||x||) or, passing no rn, by ``claim``; a claim, a
+        breakdown and the cap decide. On A itself the deciding row is
+        measured (one matvec) first and every label is read from it: a claim
+        stands only if that row is exact or has berr below tol, and a
+        breakdown or cap row that is exact ends ExactSolution. On a nearby
+        operator (``solve_on``) the solver's norms decide, its claim stands,
+        and the row is measured against A. Without rn only a deciding or due
+        step is measured. A row is recorded when one is due or the run stops
+        (x = 0 gets none). Returns the Termination, or None.
         """
         tol = self.cfg.berr_tolerance
         cap = k == self.cfg.max_iterations
         if rn is not None:
             rn, xn = self.measure(k, x, rn)
             claim = self.exact(rn, breakdown) or (xn > 0.0 and rn < tol * self.s * xn)
-        elif not (claim or breakdown or cap or self.due(k)):
+        decides = claim or breakdown or cap
+        if not (decides or self.due(k)):
             return None
-        on_a = rn is None or (claim and not self.measured)
+        on_a = rn is None or (decides and not self.measured)
         if on_a:
             rn, xn = self.measure(k, x)
         stop = None
-        if claim or breakdown or cap:
+        if decides:
             if self.exact(rn, breakdown):
                 stop = Termination.EXACT_SOLUTION
             elif claim and (self.measured or rn / (self.s * xn) < tol):
@@ -282,11 +280,10 @@ class _Monitor:
                 stop = Termination.BREAKDOWN
             elif cap:
                 stop = Termination.MAX_ITERATIONS
-        if stop is not None and not (on_a or self.measured):
+        if self.measured and not on_a:
             rn, xn = self.measure(k, x)
-            on_a = True
         if xn != 0.0 and (stop is not None or self.due(k)):
-            self.record(k, x, rn if on_a or not self.measured else None, xn)
+            self.record(k, rn, xn)
         return stop
 
     def unscaled(self, x):
@@ -351,11 +348,10 @@ def _cg(op, mon):
         ap = op.apply(p)
         pap = float(p @ ap)
         if pap <= 0.0:
-            # x_{k-1} ends the run on a measured row, in place of the one its
-            # step recorded if it was due (x_0 = 0 gets none)
-            if k > 1:
-                mon.record(k - 1, x, replace=mon.trace.iterations[-1:] == [k - 1])
-            return mon.result(x, k - 1, Termination.BREAKDOWN)
+            # A is not positive definite on the Krylov space: x_{k-1} ends the
+            # run at a breakdown, whose row check measures, in place of the
+            # recurrence row its step recorded if one was due
+            return mon.result(x, k - 1, mon.check(k - 1, x, breakdown=True))
         gamma = rs / pap
         x = x + gamma * p
         r = b - op.apply(x) if mon.refresh(k) else r - gamma * ap

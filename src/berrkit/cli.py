@@ -276,8 +276,6 @@ def run_solver(spec, op, b):
 
 
 def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".17g")
 
 

@@ -139,7 +139,7 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
     only the O(1) test at ``shift``, breakdown, the cap and trace rows
     trigger a recovery; once the test fires every step does. A recovery made
     for a trace row alone claims nothing, so the row schedule moves no
-    decision."""
+    decision. A certificate is kept for each row ``check`` records."""
     k_max = mon.cfg.max_iterations
     eps = mon.cfg.berr_tolerance
     certificates = []
@@ -161,7 +161,7 @@ def _minberr_loop(state, push_test, shift, recover, mon, delta, seed):
             # retry once with a quadrupled step budget
             x, cert = recover(state, k, delta, seed, step_factor=4)
         stop = mon.check(k, x, breakdown=state.breakdown, claim=cert < eps and not rows_only)
-        if stop is not None or mon.due(k):
+        if mon.trace.iterations[-1:] == [k]:
             certificates.append(cert)
         if stop is not None:
             break
@@ -241,7 +241,9 @@ def minberr_ne_perturbed(op, b, perturb_eps, eps=1e-6, delta=1e-6, k_max=None,
     the certified bound. Arguments are checked before E is built; at
     perturb_eps = 0 no E is built and the run is minberr_ne_solve's. The
     certified bound never falls below perturb_eps, so with perturb_eps >= eps
-    no run can certify eps against A, and a RuntimeWarning says so.
+    no run can certify eps against A, and a RuntimeWarning says so. The bound
+    holds in exact arithmetic; where E acts fully on x the berr measured
+    against A may exceed it by the residual's rounding, about u.
     """
     if not (0.0 <= perturb_eps < 1.0):
         raise ValueError("perturb_eps must lie in [0, 1)")

@@ -55,17 +55,27 @@ def measured_berr(op, b, x, s):
 
 
 def capture_row_iterates(monkeypatch):
-    """List that fills with (k, x) for every trace row any solver records."""
+    """List that fills with (k, x) for every trace row any solver records,
+    x being the iterate ``_Monitor.check`` was handed at k; a row that takes
+    the place of the last one does so here too."""
     from berrkit.classical import _Monitor
 
     rows = []
-    record = _Monitor.record
+    check, record = _Monitor.check, _Monitor.record
+    iterate = []
 
-    def spy(self, k, x, *args, **kwargs):
-        rows.append((k, x.copy()))
-        return record(self, k, x, *args, **kwargs)
+    def spy_check(self, k, x, *args, **kwargs):
+        iterate[:] = [x.copy()]
+        return check(self, k, x, *args, **kwargs)
 
-    monkeypatch.setattr(_Monitor, "record", spy)
+    def spy_record(self, k, rn, xn):
+        if self.trace.iterations[-1:] == [k]:
+            rows.pop()
+        rows.append((k, iterate[0]))
+        return record(self, k, rn, xn)
+
+    monkeypatch.setattr(_Monitor, "check", spy_check)
+    monkeypatch.setattr(_Monitor, "record", spy_record)
     return rows
 
 

@@ -114,6 +114,53 @@ class TestRichardson:
         assert np.all(np.array(r.trace.berr) <= 2.0 / ks + 1e-12)
 
 
+# c of the property below, fixed before its first run: evaluating berr costs a
+# few u at any k, and each step's rounding adds at most about u to k berr
+RICHARDSON_ROUNDING_C = 4.0
+
+
+@st.composite
+def _psd_spectra(draw):
+    """(A, b): A = Q diag(d) Q^T of order 2 to 60 with d log-uniform in
+    [1/kappa, 1], kappa up to 1e14, d[0] = 1 and the last z entries exactly
+    0; b random, in the range of A, or a combination of the null columns of Q
+    (an approximate null vector of the rounded A)."""
+    kind = draw(st.sampled_from(["random", "range", "null"]))
+    n = draw(st.integers(2, 60))
+    zeros = draw(st.integers(1 if kind == "null" else 0, n - 1))
+    log_kappa = draw(st.floats(0.0, 14.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 10.0 ** -rng.uniform(0.0, log_kappa, n)
+    d[0] = 1.0
+    d[n - zeros:] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * d) @ q.T
+    if kind == "random":
+        b = rng.standard_normal(n)
+    elif kind == "range":
+        b = q[:, :n - zeros] @ rng.standard_normal(n - zeros)
+    else:
+        b = q[:, n - zeros:] @ rng.standard_normal(zeros)
+    return dense_op(0.5 * (a + a.T)), b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=_psd_spectra())
+def test_richardson_berr_is_at_most_one_over_k(problem):
+    """The paper's universal rate: with eta = 1/||A||_2 every Richardson
+    iterate on PSD A has berr(x_k) <= 1/k, whatever the spectrum and b, up to
+    rounding that grows linearly in k. Each row's x is the iterate the
+    monitor was handed."""
+    op, b = problem
+    u = np.finfo(float).eps / 2
+    with pytest.MonkeyPatch.context() as mp:
+        rows = capture_row_iterates(mp)
+        r = bk.richardson(op, b, tight(200, berr_tolerance=1e-300))
+    assert [k for k, _ in rows] == r.trace.iterations
+    for k, x in rows:
+        assert bk.backward_error(op, b, x).value <= (1.0 + RICHARDSON_ROUNDING_C * k * u) / k
+
+
 class TestRichardsonNe:
     def test_runs_on_nonsymmetric(self):
         p = bk.cyclic_shift(7)
@@ -590,3 +637,61 @@ class TestTraceConsistency:
         r = bk.cg(p.op, p.b, tight(30))
         w = np.array(r.trace.wall_nanos)
         assert np.all(np.diff(w) >= 0)
+
+
+def capture_stops(monkeypatch):
+    """List that fills with every Termination ``_Monitor.check`` returns."""
+    stops = []
+    check = classical._Monitor.check
+
+    def spy(self, *args, **kwargs):
+        stop = check(self, *args, **kwargs)
+        if stop is not None:
+            stops.append(stop)
+        return stop
+
+    monkeypatch.setattr(classical._Monitor, "check", spy)
+    return stops
+
+
+class TestEveryStopComesFromCheck:
+    """Every run's termination is the one Termination ``_Monitor.check``
+    returned: no solver names one itself."""
+
+    @pytest.mark.parametrize("solver", sorted(SCHEDULED))
+    @pytest.mark.parametrize("tol, k_max", [(1e-2, 300), (1e-15, 30)])
+    def test_scheduled_solvers(self, monkeypatch, solver, tol, k_max):
+        symmetric, run = SCHEDULED[solver]
+        p = bk.ill_conditioned(60, 1e4)
+        if not symmetric:
+            p = bk.disguise(p, two_sided=True, seed=0)
+        stops = capture_stops(monkeypatch)
+        r = run(p.op, p.b, tol, k_max, 7)
+        assert stops == [r.termination]
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_cg_indefinite_breakdown(self, monkeypatch, every):
+        # test_cg_breakdown_row_is_measured's problem: p^T A p <= 0 at k = 7
+        rng = np.random.default_rng(2)
+        op = bk.DiagonalOperator(np.append(rng.uniform(1.0, 10.0, 29), -rng.uniform(1e-3, 0.1)))
+        b = rng.standard_normal(30)
+        stops = capture_stops(monkeypatch)
+        r = bk.cg(op, b, tight(200, trace_every=every))
+        assert stops == [r.termination] == [bk.Termination.BREAKDOWN]
+
+    def test_cg_breakdown_at_x0(self, monkeypatch):
+        # b^T A b < 0 ends the run at x_0 = 0, whose residual is b: no row
+        # and no measuring matvec, only the one A p
+        op = bk.CountingOperator(bk.DiagonalOperator(np.array([1.0, -1.0])))
+        stops = capture_stops(monkeypatch)
+        r = bk.cg(op, np.array([1.0, 2.0]), tight(10))
+        assert stops == [r.termination] == [bk.Termination.BREAKDOWN]
+        assert (r.iterations, len(r.trace), op.matvecs) == (0, 0, 1)
+        assert not np.any(r.x)
+
+    @pytest.mark.parametrize("solver", ["lsqr", "minberr-ne"])
+    def test_krylov_breakdown(self, monkeypatch, solver):
+        p = bk.cyclic_shift(16)
+        stops = capture_stops(monkeypatch)
+        r = SCHEDULED[solver][1](p.op, p.b, 1e-6, 50, 1)
+        assert stops == [r.termination] == [bk.Termination.EXACT_SOLUTION]

@@ -599,6 +599,24 @@ def test_exact_solution_gets_one_label_from_every_solver(problem, solver):
     assert r.trace.final_berr <= 1e-15
 
 
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("solve, symmetric", [(bk.minberr_solve, True),
+                                              (bk.minberr_ne_solve, False)])
+def test_certificates_line_up_with_the_trace(solve, symmetric, every):
+    """One certificate for each row the monitor records, the last row's
+    certificate being the run's."""
+    if symmetric:
+        op, b = dense_op(random_psd(60, seed=26, spread=5.0)), np.ones(60)
+    else:
+        p = bk.disguise(bk.ill_conditioned(60, 1e6), two_sided=True, seed=0)
+        op, b = p.op, p.b
+    # each run stops between two rows at 7: ToleranceReached at k = 32 and 15
+    r = solve(op, b, eps=1e-4 if symmetric else 1e-3, k_max=45, trace_every=every)
+    assert r.termination == bk.Termination.TOLERANCE_REACHED
+    assert len(r.certificates) == len(r.trace)
+    assert r.certificates[-1] == r.sigma_min_certificate
+
+
 class TestMinberrNeSolve:
     def test_exact_solution_through_orthogonal_operator(self):
         p = bk.cyclic_shift(8)
