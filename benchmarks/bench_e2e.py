@@ -1,36 +1,13 @@
-"""End-to-end timings of the five offline ``berrkit bench`` suites.
+"""End-to-end timings of the fixed offline ``berrkit bench`` suites.
 
-Every run of each suite's grid executes as ``berrkit bench`` executes it
-(problem build, solve, history CSV), REPEATS times in one process, BLAS on one
-thread. Per run the entry records the min and the median ``wall_ns`` over the
-repeats and the deterministic outcome (matvecs, iterations, termination,
-``final_berr``, which must agree across repeats). Per suite it also records the
-min and median of the whole grid's wall time. An environment block gives the
-python and numpy versions, the CPU count and model and the BLAS thread count.
-The entry also holds six of ``bench_kernels.py``'s tables at their default
-sizes: the opnorm table (per operator, the matvecs, steps, best milliseconds
-and relative error of one ``estimate_spectral_norm`` call), the CSR table (per shape, nnz and the best and median microseconds per
-call of the reduceat reference, of ``CsrOperator.apply`` and, on the
-unsymmetric shapes, of ``CsrOperator.apply_adjoint``), the recovery
-table (per band size k, the best and median microseconds of one
-``BandMatrix.solve``, one ``solve_t`` and one ``inverse_iteration`` call, and
-that call's step count) and the recovery sweep (per factorization, recovery
-at every k: steps per recovery, loop milliseconds, worst certificate over
-sigma_min) and the Matrix Market table (per file, its entries and the best
-and median milliseconds of one ``mmio.read_matrix_market`` and one
-``problems.read_matrix_market`` call) and the Krylov basis memory table (per
-solve, its n, iterations, tracemalloc and resident peaks, k n 8 bytes and
-best wall time).
+Runs each suite's entries (``runs.suite_entries``) REPEATS times in one
+process, BLAS on one thread, and stores per run its min and median wall, its
+outcome and its digest (which must agree across repeats), with an environment
+block and six ``bench_kernels.py`` tables, under ``--label`` in the file
+``--out``, where it replaces an entry of that label. About a minute::
 
-The entry is stored under ``--label`` in the trajectory file ``--out``: an
-entry with the same label is replaced, any other is kept, so one file holds
-the before and after of a change. About a minute on one core::
-
-    python3 benchmarks/bench_e2e.py --out BENCH_19.json --label parent OTHER/src
-    python3 benchmarks/bench_e2e.py --out BENCH_19.json --label change
-
-SRC_DIR defaults to this checkout's ``src``; pass another checkout's ``src``
-to time that one.
+    python3 benchmarks/bench_e2e.py --out BENCH_32.json --label parent OTHER/src
+    python3 benchmarks/bench_e2e.py --out BENCH_32.json --label change
 """
 
 import argparse
@@ -40,14 +17,12 @@ import platform
 import statistics
 import sys
 import tempfile
-import time
 
 BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
-SUITES = ("psd-synthetic", "nonsym-synthetic", "minres-worstcase", "stagnation", "perturbed")
 REPEATS = 3
 OUTCOME = ("total_matvecs", "iterations", "termination", "final_berr")
 
@@ -73,32 +48,30 @@ def environment():
     }
 
 
-def bench_suite(cli, suite, tmp):
-    grid = cli._bench_grid(suite, None)
-    walls = {name: [] for name, _ in grid}
-    runs = {}
+def bench_suite(runs, suite, tmp):
+    entries = runs.suite_entries(suite)
+    walls = {e.name: [] for e in entries}
+    records = {}
     totals = []
+    history = os.path.join(tmp, "history.csv")
     for _ in range(REPEATS):
         total = 0
-        for name, spec in grid:
-            history = os.path.join(tmp, f"{name}.csv")
-            t0 = time.perf_counter_ns()
-            info = cli.run_one(spec, history=history)
-            wall = time.perf_counter_ns() - t0
+        for entry in entries:
+            info, wall = runs.execute(entry.spec, history)
             total += wall
-            walls[name].append(wall)
-            outcome = {key: info[key] for key in OUTCOME}
-            if runs.setdefault(name, outcome) != outcome:
-                raise RuntimeError(f"{suite}/{name}: outcome differs across repeats")
+            walls[entry.name].append(wall)
+            record = {**{key: info[key] for key in OUTCOME},
+                      "digest": runs.digest(entry, history, info, tmp)}
+            if records.setdefault(entry.name, record)["digest"] != record["digest"]:
+                raise RuntimeError(f"{entry.label}: digest differs across repeats")
         totals.append(total)
-    for name, _ in grid:
-        runs[name] = {
-            "wall_ns_min": min(walls[name]),
-            "wall_ns_median": int(statistics.median(walls[name])),
-            **runs[name],
-        }
-    return {"wall_ns_min": min(totals), "wall_ns_median": int(statistics.median(totals)),
-            "runs": runs}
+    return {
+        "wall_ns_min": min(totals),
+        "wall_ns_median": int(statistics.median(totals)),
+        "runs": {name: {"wall_ns_min": min(walls[name]),
+                        "wall_ns_median": int(statistics.median(walls[name])),
+                        **records[name]} for name in records},
+    }
 
 
 def main(argv):
@@ -110,17 +83,16 @@ def main(argv):
     parser.add_argument("--label", required=True, help="name of this entry in the file")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from berrkit import cli
+    import bench_kernels  # from this script's directory
+    import runs
 
     entry = {"label": args.label, "environment": environment(), "repeats": REPEATS,
              "suites": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for suite in SUITES:
-            entry["suites"][suite] = bench_suite(cli, suite, tmp)
+        for suite in runs.FIXED_SUITES:
+            entry["suites"][suite] = bench_suite(runs, suite, tmp)
             med = entry["suites"][suite]["wall_ns_median"] / 1e9
             print(f"{suite}: median {med:.2f} s over {REPEATS} repeats", file=sys.stderr)
-    import bench_kernels  # from this script's directory
-
     entry["kernels"] = {
         "opnorm": bench_kernels.opnorm_rows(bench_kernels.REPEATS),
         "csr_matvec": bench_kernels.csr_rows(

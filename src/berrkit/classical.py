@@ -13,7 +13,9 @@ recurrence, or MINBERR's certificate), a breakdown and the cap are decided on
 the row measured at that step (one matvec): a claim stops the run only if
 that row confirms it, and a breakdown or cap row whose measured residual is
 exact ends ExactSolution. So ``final_berr`` is the backward error of the
-returned x, measured against A also for a solver on a nearby operator.
+returned x, measured against A also for a solver on a nearby operator, and
+only a row measured on A is labelled ExactSolution: a nearby operator's
+exact residual ends Breakdown unless A's row is exact too.
 RECOMPUTE_EVERY serves only cg and the Richardson loops. Every solver starts
 from x_0 = 0; a non-finite residual or iterate norm raises NonFiniteError at
 its iteration, row or not. Identical config and seed give bitwise-identical
@@ -254,21 +256,28 @@ class _Monitor:
         measured (one matvec) first and every label is read from it: a claim
         stands only if that row is exact or has berr below tol, and a
         breakdown or cap row that is exact ends ExactSolution. On a nearby
-        operator (``solve_on``) the solver's norms decide, its claim stands,
-        and the row is measured against A. Without rn only a deciding or due
-        step is measured. A row is recorded when one is due or the run stops
-        (x = 0 gets none). Returns the Termination, or None.
+        operator (``solve_on``) the solver's norms decide and its claim
+        stands, but every row is measured against A before it is labelled and
+        only that row can be exact: a step at which the solver's own residual
+        is exact is a breakdown (its Krylov space is exhausted), which ends
+        ExactSolution only if the row on A is exact too. Without rn only a
+        deciding or due step is measured. A row is recorded when one is due
+        or the run stops (x = 0 gets none). Returns the Termination, or None.
         """
         tol = self.cfg.berr_tolerance
         cap = k == self.cfg.max_iterations
         if rn is not None:
             rn, xn = self.measure(k, x, rn)
-            claim = self.exact(rn, breakdown) or (xn > 0.0 and rn < tol * self.s * xn)
+            if not self.exact(rn, breakdown):
+                claim = xn > 0.0 and rn < tol * self.s * xn
+            elif self.measured:
+                breakdown = True  # the nearby operator's Krylov space is exhausted
+            else:
+                claim = True
         decides = claim or breakdown or cap
         if not (decides or self.due(k)):
             return None
-        on_a = rn is None or (decides and not self.measured)
-        if on_a:
+        if rn is None or decides or self.measured:
             rn, xn = self.measure(k, x)
         stop = None
         if decides:
@@ -280,8 +289,6 @@ class _Monitor:
                 stop = Termination.BREAKDOWN
             elif cap:
                 stop = Termination.MAX_ITERATIONS
-        if self.measured and not on_a:
-            rn, xn = self.measure(k, x)
         if xn != 0.0 and (stop is not None or self.due(k)):
             self.record(k, rn, xn)
         return stop

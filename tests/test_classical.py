@@ -508,6 +508,17 @@ class TestRegularized:
                 assert rn == norm2(op.apply(x) - b)
                 assert berr == rn / (s * xn)
 
+    def test_exact_shifted_residual_ends_breakdown(self):
+        """On the identity the shifted system is solved exactly at k = 1, but
+        the row on A is not exact: the inner Krylov space is exhausted, so the
+        run ends Breakdown with the berr measured on A."""
+        for inner in ("cg", "minres"):
+            r = bk.regularized_solve(bk.DiagonalOperator(np.ones(4)), [1.0, 2.0, 3.0, 4.0], 20,
+                                     inner=inner)
+            assert r.termination == bk.Termination.BREAKDOWN
+            assert r.iterations == 1
+            assert r.trace.final_berr == 0.044872059274064825
+
     def test_validation(self):
         p = bk.ill_conditioned(20, 10.0)
         with pytest.raises(ValueError):
