@@ -1,10 +1,11 @@
 """End-to-end timings of the fixed offline ``berrkit bench`` suites.
 
 Runs each suite's entries (``runs.suite_entries``) REPEATS times in one
-process, BLAS on one thread, and stores per run its min and median wall, its
-outcome and its digest (which must agree across repeats), with an environment
-block and six ``bench_kernels.py`` tables, under ``--label`` in the file
-``--out``, where it replaces an entry of that label. About a minute::
+process, BLAS on ``bench_kernels.BLAS_THREADS`` threads, and stores per run
+its min and median wall, its outcome and its digest (which must agree across
+repeats), with an environment block and every table of
+``bench_kernels.TABLES`` under its name, under ``--label`` in the file
+``--out``, where it replaces an entry of that label. A few minutes::
 
     python3 benchmarks/bench_e2e.py --out BENCH_32.json --label parent OTHER/src
     python3 benchmarks/bench_e2e.py --out BENCH_32.json --label change
@@ -18,16 +19,11 @@ import statistics
 import sys
 import tempfile
 
-BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
-
 REPEATS = 3
 OUTCOME = ("total_matvecs", "iterations", "termination", "final_berr")
 
 
-def environment():
+def environment(blas_threads):
     import numpy as np
 
     cpu = "unknown"
@@ -44,7 +40,7 @@ def environment():
         "numpy": np.__version__,
         "cpu_count": len(os.sched_getaffinity(0)),
         "cpu": cpu,
-        "blas_threads": BLAS_THREADS,
+        "blas_threads": blas_threads,
     }
 
 
@@ -83,26 +79,17 @@ def main(argv):
     parser.add_argument("--label", required=True, help="name of this entry in the file")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    import bench_kernels  # from this script's directory
+    import bench_kernels  # from this script's directory; pins BLAS before numpy loads
     import runs
 
-    entry = {"label": args.label, "environment": environment(), "repeats": REPEATS,
-             "suites": {}}
+    entry = {"label": args.label, "environment": environment(bench_kernels.BLAS_THREADS),
+             "repeats": REPEATS, "suites": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for suite in runs.FIXED_SUITES:
             entry["suites"][suite] = bench_suite(runs, suite, tmp)
             med = entry["suites"][suite]["wall_ns_median"] / 1e9
             print(f"{suite}: median {med:.2f} s over {REPEATS} repeats", file=sys.stderr)
-    entry["kernels"] = {
-        "opnorm": bench_kernels.opnorm_rows(bench_kernels.REPEATS),
-        "csr_matvec": bench_kernels.csr_rows(
-            bench_kernels.CSR_ROWS, bench_kernels.CSR_PER_ROW, bench_kernels.REPEATS, seed=0),
-        "band_recovery": bench_kernels.band_rows(
-            bench_kernels.BAND_SIZES, bench_kernels.REPEATS, seed=0),
-        "recovery_sweep": bench_kernels.sweep_rows(bench_kernels.REPEATS, seed=0),
-        "mtx_read": bench_kernels.mtx_rows(bench_kernels.REPEATS, seed=0),
-        "krylov_memory": bench_kernels.krylov_memory_rows(),
-    }
+    entry["kernels"] = {name: rows(0) for name, rows in bench_kernels.TABLES.items()}
 
     entries = []
     if os.path.exists(args.out):

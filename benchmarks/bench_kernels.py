@@ -1,36 +1,38 @@
-"""Timing harness for the hot kernels.
+"""Timing harness for the hot kernels: one list of tables, ``TABLES``.
 
-Run as a script; sizes are chosen so each call sits in the microsecond to
-millisecond range where dispatch overhead matters. Seven tables:
+Each entry maps a table's name to a function of the seed that returns the
+table's rows; the script prints every table, and ``bench_e2e.py`` records
+them under the same names. Sizes put each call in the microsecond to
+millisecond range where dispatch overhead matters. The tables:
 
-* the compact-WY Householder chain against the reflector-at-a-time loop it
-  replaced (kept here as the reference), at m = n for each ``--wy-sizes``
-  entry, with the one-off WY factor build reported separately;
-* ``estimate_spectral_norm`` on the operators whose norm perfbench leaves
-  unpinned (``opnorm_cases``): matvecs, steps, time and the relative error
-  against the exact norm (known in closed form, or from a dense SVD, or from
-  a fully reorthogonalized Golub-Kahan reference run of REFERENCE_STEPS);
-* the CSR matvec as ``CsrOperator.apply`` runs it (its cached layout built
-  by a warm-up call) against the ``np.add.reduceat`` matvec it replaced
-  (kept here as the reference), on the shapes of ``csr_shapes``, and
+* ``householder``: the compact-WY Householder chain against the
+  reflector-at-a-time loop it replaced (kept here as the reference), at m = n
+  for each of WY_SIZES, with the one-off WY factor build timed apart;
+* ``opnorm``: ``estimate_spectral_norm`` on the operators whose norm perfbench
+  leaves unpinned (``opnorm_cases``): matvecs, steps, time and the relative
+  error against the exact norm (known in closed form, or from a dense SVD, or
+  from a fully reorthogonalized Golub-Kahan reference run of REFERENCE_STEPS);
+* ``csr_matvec``: the CSR matvec as ``CsrOperator.apply`` runs it (its cached
+  layout built by a warm-up call) against the ``np.add.reduceat`` matvec it
+  replaced (kept here as the reference), on the shapes of ``csr_shapes``, and
   ``CsrOperator.apply_adjoint`` on the unsymmetric ones;
-* recovery on the band views at the sizes recovery meets (``--band-sizes``,
-  k = 30, 100 and 300 by default): one ``BandMatrix.solve`` and one
-  ``solve_t`` as inverse iteration calls them (a unit right-hand side as a
-  list of Python floats), on a band that has already solved once, and one
-  whole ``inverse_iteration`` call with its step count.
-  Each band is ``LanczosState.ttilde(k)`` of the minres-worstcase problem
-  (small-outlier n = 2000, kappa = 1e10, sigma = 1e-3, b = its default rhs);
-* recovery at every k of one factorization, as a traced run pays for it
-  (``SWEEPS``): the mean inverse-iteration steps per recovery, the time of
-  the whole loop (band view, ``inverse_iteration`` at delta = 1e-6) and the
-  worst certificate over the dense-SVD sigma_min;
-* Matrix Market reads (``mtx_files``): ``mmio.read_matrix_market`` and
-  ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
+* ``band_recovery``: recovery on the band views at the sizes recovery meets
+  (BAND_SIZES): one ``BandMatrix.solve`` and one ``solve_t`` as inverse
+  iteration calls them (a unit right-hand side as a list of Python floats),
+  on a band that has already solved once, and one whole ``inverse_iteration``
+  call with its step count. Each band is ``LanczosState.ttilde(k)`` of the
+  minres-worstcase problem (small-outlier n = 2000, kappa = 1e10,
+  sigma = 1e-3, b = its default rhs);
+* ``recovery_sweep``: recovery at every k of one factorization, as a traced
+  run pays for it (SWEEPS): the mean inverse-iteration steps per recovery, the
+  time of the whole loop (band view, ``inverse_iteration`` at delta = 1e-6)
+  and the worst certificate over the dense-SVD sigma_min;
+* ``mtx_read``: Matrix Market reads (``mtx_files``): ``mmio.read_matrix_market``
+  and ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
   9 entries a row) and the 120 x 120 Laplacian, both written by
   ``mmio.write_coordinate``;
-* Krylov basis memory (``KRYLOV_SOLVES``): two peaks and the wall time of
-  one untraced ``minberr_solve`` and of ``minberr_ne_solve`` under each
+* ``krylov_memory``: two peaks and the wall time of one untraced
+  ``minberr_solve`` and of ``minberr_ne_solve`` under each
   reorthogonalization policy, on ``ill_conditioned(20000, 1e8)`` with
   b = ones, eps = 1e-12 and k_max = 300, so each run takes all 300 steps,
   and of ``minberr_solve`` on ``ill_conditioned(100000, 1e8)`` at eps = 1e-6
@@ -42,23 +44,30 @@ millisecond range where dispatch overhead matters. Seven tables:
   counts only the pages written, and is shown beside k n 8 bytes, one stored
   n-vector per step (the n = 100000 row should stay within 10% of it).
 
-Each pair in the Householder, ||G||_2 and CSR tables is cross-checked for
-agreement before it is timed; ``tests/test_kernels.py`` and
-``tests/test_smallband.py`` check the code of the recovery tables. The CSR
-pairs, the three recovery timings and the two Matrix Market reads run
-interleaved and report best and median per call. The opnorm, recovery and
-Matrix Market and Krylov basis memory tables time only public entry points,
-so they run unchanged against older checkouts; a checkout whose solves take
-arrays converts the list rhs on each call.
+The Householder and CSR pairs are cross-checked for agreement before they
+are timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
+code of the recovery tables. Each timing but the Krylov basis memory wall
+runs the calls of a row interleaved and reports best and median per call.
+The opnorm, recovery, Matrix Market and Krylov basis memory tables time only
+public entry points, so they run unchanged against older checkouts; a
+checkout whose solves take arrays converts the list rhs on each call. BLAS
+runs on BLAS_THREADS threads, set before numpy loads.
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --csr-rows 500000 --repeats 9
+    python3 benchmarks/bench_kernels.py [--seed N]
 """
+
+import os
+
+# BLAS reads its thread count when numpy loads, so this precedes every import
+# that loads numpy; bench_e2e.py imports this module first for the same reason
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
 
 import argparse
 import json
 import math
-import os
 import statistics
 import subprocess
 import sys
@@ -82,7 +91,9 @@ from berrkit.operators import (
 )
 from berrkit.problems import disguise, ill_conditioned, read_matrix_market, small_outlier
 from berrkit.smallband import inverse_iteration
+from runs import certify_random_coo
 
+WY_SIZES = (500, 2000)
 CSR_ROWS = 200_000
 CSR_PER_ROW = 8
 BAND_SIZES = (30, 100, 300)
@@ -133,16 +144,6 @@ def uniform_coo(rows, per_row, rng):
     return r, rng.integers(0, rows, size=rows * per_row), rng.standard_normal(rows * per_row)
 
 
-def certify_random_coo(n, rng, per_row=8, shift=1.5):
-    """The perfbench certify matrix: per_row Gaussian entries of variance
-    1/per_row at random columns of each row, plus shift on the diagonal (its
-    column counts are Poisson)."""
-    r = np.concatenate([np.repeat(np.arange(n), per_row), np.arange(n)])
-    c = np.concatenate([rng.integers(0, n, n * per_row), np.arange(n)])
-    v = np.concatenate([rng.standard_normal(n * per_row) / np.sqrt(per_row), np.full(n, shift)])
-    return r, c, v
-
-
 def laplacian_coo(g):
     """The 5-point Laplacian on a g x g grid, both triangles stored."""
     idx = np.arange(g * g).reshape(g, g)
@@ -163,14 +164,15 @@ def arrow_coo(n, rng):
     return r, c, rng.standard_normal(r.size)
 
 
-def csr_shapes(rows, per_row, rng):
+def csr_shapes(rng):
     """(name, CsrOperator) for each CSR benchmark shape."""
     n = 10_000
-    uniform = CsrOperator.from_coo(*uniform_coo(rows, per_row, rng), (rows, rows))
+    uniform = CsrOperator.from_coo(*uniform_coo(CSR_ROWS, CSR_PER_ROW, rng),
+                                   (CSR_ROWS, CSR_ROWS))
     r, c, v = certify_random_coo(n, rng)
     lap = laplacian_coo(120)
     return [
-        (f"uniform {rows} x {per_row}/row", uniform),
+        (f"uniform {CSR_ROWS} x {CSR_PER_ROW}/row", uniform),
         (f"certify random {n}", CsrOperator.from_coo(r, c, v, (n, n))),
         (f"certify random^T {n}", CsrOperator.from_coo(c, r, v, (n, n))),
         ("Laplacian 120 x 120", CsrOperator.from_coo(*lap, (14_400, 14_400), symmetric=True)),
@@ -213,33 +215,6 @@ def reference_norm(op):
     return float(np.linalg.norm(bk, 2))
 
 
-def opnorm_rows(repeats):
-    """One dict per ``opnorm_cases`` entry: the matvecs and steps of one
-    estimate_spectral_norm call, its best milliseconds and its relative
-    error against the exact norm."""
-    table = []
-    for name, op, exact in opnorm_cases():
-        exact = reference_norm(op) if exact is None else exact
-        counted = CountingOperator(op)
-        est = estimate_spectral_norm(counted)
-        table.append({
-            "operator": name, "matvecs": counted.matvecs, "steps": est.iterations_used,
-            "ms_best": round(best_seconds(estimate_spectral_norm, (op,), repeats) * 1e3, 2),
-            "rel_error": float(f"{abs(est.value - exact) / exact:.3g}"),
-        })
-    return table
-
-
-def opnorm_table(repeats):
-    header = (f"{'estimate_spectral_norm':<42} {'matvecs':>8} {'steps':>6} "
-              f"{'best':>10} {'rel. error':>11}")
-    print(header)
-    print("-" * len(header))
-    for row in opnorm_rows(repeats):
-        print(f"{row['operator']:<42} {row['matvecs']:>8} {row['steps']:>6} "
-              f"{row['ms_best']:>8.2f}ms {row['rel_error']:>11.2e}")
-
-
 def reduceat_matvec(data, indices, indptr, x):
     """A x by one np.add.reduceat over the products, the CSR matvec that the
     length-bucketed layout replaced."""
@@ -270,74 +245,37 @@ def reflector_loop(vecs, x, adjoint):
     return y
 
 
-def best_seconds(fn, args, repeats):
-    timer = timeit.Timer(lambda: fn(*args))
-    loops, _ = timer.autorange()
-    return min(timer.repeat(repeats, loops)) / loops
-
-
-def interleaved_seconds(fns, repeats):
-    """Per-call (best, median) seconds of each zero-argument fn, the fns taking
-    turns within every repeat."""
+def interleaved_seconds(fns):
+    """Per-call (best, median) seconds of each zero-argument fn over REPEATS
+    repeats, the fns taking turns within every repeat."""
     timers = [timeit.Timer(fn) for fn in fns]
     loops = [timer.autorange()[0] for timer in timers]
     runs = [[] for _ in fns]
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for timer, n, out in zip(timers, loops, runs):
             out.append(timer.timeit(n) / n)
     return [(min(out), statistics.median(out)) for out in runs]
 
 
-def csr_rows(rows, per_row, repeats, seed):
-    """One dict per CSR shape: nnz and the best and median microseconds per
-    call of the reduceat reference, of CsrOperator.apply and, on the
-    unsymmetric shapes, of CsrOperator.apply_adjoint (None on the symmetric
-    one, whose adjoint is its apply). The adjoint is checked first by the
-    dot test y^T (A x) = (A^T y)^T x."""
+def timing_fields(unit, fns):
+    """The fields ``{label}_{unit}_best`` and ``{label}_{unit}_median``: the
+    per-call time of each zero-argument fn of the dict fns, timed
+    interleaved, in unit "us" or "ms" rounded to 0.1."""
+    scale = {"us": 1e6, "ms": 1e3}[unit]
+    fields = {}
+    for label, (best, med) in zip(fns, interleaved_seconds(list(fns.values()))):
+        fields[f"{label}_{unit}_best"] = round(best * scale, 1)
+        fields[f"{label}_{unit}_median"] = round(med * scale, 1)
+    return fields
+
+
+def householder_rows(seed):
+    """One dict per WY_SIZES entry m = n: the microseconds per call of the
+    reflector loop, of the compact-WY chain and of the WY factor build, and
+    the loop / chain speedup of the best times."""
     rng = np.random.default_rng(seed)
     table = []
-    for name, op in csr_shapes(rows, per_row, rng):
-        x = rng.standard_normal(op.cols)
-        want = reduceat_matvec(op.data, op.indices, op.indptr, x)
-        got = op.apply(x)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
-        fns = [lambda: reduceat_matvec(op.data, op.indices, op.indptr, x),
-               lambda: op.apply(x)]
-        if not op.symmetric:
-            y = rng.standard_normal(op.rows)
-            scale = np.abs(y) @ reduceat_matvec(np.abs(op.data), op.indices, op.indptr,
-                                                np.abs(x))
-            assert abs(y @ got - op.apply_adjoint(y) @ x) <= 1e-13 * scale, name
-            fns.append(lambda: op.apply_adjoint(y))
-        row = {"shape": name, "nnz": op.nnz, "apply_adjoint_us_best": None,
-               "apply_adjoint_us_median": None}
-        for label, (best, med) in zip(("reduceat", "apply", "apply_adjoint"),
-                                      interleaved_seconds(fns, repeats)):
-            row[f"{label}_us_best"] = round(best * 1e6, 1)
-            row[f"{label}_us_median"] = round(med * 1e6, 1)
-        table.append(row)
-    return table
-
-
-def csr_table(rows, per_row, repeats, seed):
-    header = (f"{'CSR shape':<26} {'nnz':>8} {'reduceat best/med':>19} "
-              f"{'apply best/med':>17} {'speedup':>8} {'adjoint best/med':>17}")
-    print(header)
-    print("-" * len(header))
-    for row in csr_rows(rows, per_row, repeats, seed):
-        ref, new, adj = ("-" if row[f"{label}_us_best"] is None else
-                         f"{row[f'{label}_us_best']:.0f}/{row[f'{label}_us_median']:.0f}us"
-                         for label in ("reduceat", "apply", "apply_adjoint"))
-        speedup = row["reduceat_us_best"] / row["apply_us_best"]
-        print(f"{row['shape']:<26} {row['nnz']:>8} {ref:>19} {new:>17} {speedup:>7.1f}x "
-              f"{adj:>17}")
-
-
-def householder_table(sizes, repeats, rng):
-    header = f"{'m = n':<8} {'loop':>12} {'compact WY':>12} {'speedup':>9} {'WY build':>12}"
-    print(header)
-    print("-" * len(header))
-    for n in sizes:
+    for n in WY_SIZES:
         vecs = rng.standard_normal((n, n))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         x = rng.standard_normal(n)
@@ -346,51 +284,83 @@ def householder_table(sizes, repeats, rng):
             want = reflector_loop(vecs, x, adjoint)
             got = householder_chain(vecs, tfactors, x, adjoint)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        t_loop = best_seconds(reflector_loop, (vecs, x, False), repeats)
-        t_wy = best_seconds(householder_chain, (vecs, tfactors, x, False), repeats)
-        t_build = best_seconds(householder_wy, (vecs,), repeats)
-        print(f"{n:<8} {t_loop * 1e6:>10.1f}us {t_wy * 1e6:>10.1f}us "
-              f"{t_loop / t_wy:>8.1f}x {t_build * 1e6:>10.1f}us")
-
-
-def band_rows(sizes, repeats, seed):
-    """One dict per band size: the best and median microseconds per call of
-    BandMatrix.solve, BandMatrix.solve_t and inverse_iteration, and the
-    inverse-iteration step count."""
-    rng = np.random.default_rng(seed)
-    table = []
-    for k, band in recovery_bands(sizes):
-        rhs = rng.standard_normal(k)
-        rhs = (rhs / np.linalg.norm(rhs)).tolist()
-        band.solve(rhs)  # a recovery's first solve builds what the rest reuse
-        _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
-        timings = interleaved_seconds(
-            [lambda: band.solve(rhs),
-             lambda: band.solve_t(rhs),
-             lambda: inverse_iteration(band, 1e-6, seed=[seed, k])],
-            repeats,
-        )
-        row = {"k": k, "inverse_iteration_steps": steps}
-        for name, (best, med) in zip(("solve", "solve_t", "inverse_iteration"), timings):
-            row[f"{name}_us_best"] = round(best * 1e6, 1)
-            row[f"{name}_us_median"] = round(med * 1e6, 1)
+        row = {"n": n, **timing_fields("us", {
+            "loop": lambda: reflector_loop(vecs, x, False),
+            "wy": lambda: householder_chain(vecs, tfactors, x, False),
+            "wy_build": lambda: householder_wy(vecs),
+        })}
+        row["speedup"] = round(row["loop_us_best"] / row["wy_us_best"], 1)
         table.append(row)
     return table
 
 
-def band_table(sizes, repeats, seed):
-    header = (f"{'k':>5} {'solve best/med':>16} {'solve_t best/med':>18} "
-              f"{'inverse_iteration best/med':>28} {'steps':>6}")
-    print(header)
-    print("-" * len(header))
-    for row in band_rows(sizes, repeats, seed):
-        cells = [f"{row[f'{name}_us_best']:.1f}/{row[f'{name}_us_median']:.1f}us"
-                 for name in ("solve", "solve_t", "inverse_iteration")]
-        print(f"{row['k']:>5} {cells[0]:>16} {cells[1]:>18} {cells[2]:>28} "
-              f"{row['inverse_iteration_steps']:>6}")
+def opnorm_rows(_seed):
+    """One dict per ``opnorm_cases`` entry: the matvecs and steps of one
+    estimate_spectral_norm call, its best and median milliseconds and its
+    relative error against the exact norm. The cases fix their own seeds."""
+    table = []
+    for name, op, exact in opnorm_cases():
+        exact = reference_norm(op) if exact is None else exact
+        counted = CountingOperator(op)
+        est = estimate_spectral_norm(counted)
+        ((best, med),) = interleaved_seconds([lambda: estimate_spectral_norm(op)])
+        table.append({
+            "operator": name, "matvecs": counted.matvecs, "steps": est.iterations_used,
+            "ms_best": round(best * 1e3, 2), "ms_median": round(med * 1e3, 2),
+            "rel_error": float(f"{abs(est.value - exact) / exact:.3g}"),
+        })
+    return table
 
 
-def sweep_rows(repeats, seed):
+def csr_rows(seed):
+    """One dict per CSR shape: nnz, the best and median microseconds per call
+    of the reduceat reference, of CsrOperator.apply and, on the unsymmetric
+    shapes, of CsrOperator.apply_adjoint (None on the symmetric one, whose
+    adjoint is its apply), and the reduceat / apply speedup of the best times.
+    The adjoint is checked first by the dot test y^T (A x) = (A^T y)^T x."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for name, op in csr_shapes(rng):
+        x = rng.standard_normal(op.cols)
+        want = reduceat_matvec(op.data, op.indices, op.indptr, x)
+        got = op.apply(x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+        fns = {"reduceat": lambda: reduceat_matvec(op.data, op.indices, op.indptr, x),
+               "apply": lambda: op.apply(x)}
+        if not op.symmetric:
+            y = rng.standard_normal(op.rows)
+            scale = np.abs(y) @ reduceat_matvec(np.abs(op.data), op.indices, op.indptr,
+                                                np.abs(x))
+            assert abs(y @ got - op.apply_adjoint(y) @ x) <= 1e-13 * scale, name
+            fns["apply_adjoint"] = lambda: op.apply_adjoint(y)
+        row = {"shape": name, "nnz": op.nnz, **timing_fields("us", fns)}
+        for stat in ("best", "median"):
+            row.setdefault(f"apply_adjoint_us_{stat}", None)
+        row["speedup"] = round(row["reduceat_us_best"] / row["apply_us_best"], 1)
+        table.append(row)
+    return table
+
+
+def band_rows(seed):
+    """One dict per BAND_SIZES entry: the inverse-iteration step count and the
+    best and median microseconds per call of BandMatrix.solve,
+    BandMatrix.solve_t and inverse_iteration."""
+    rng = np.random.default_rng(seed)
+    table = []
+    for k, band in recovery_bands(BAND_SIZES):
+        rhs = rng.standard_normal(k)
+        rhs = (rhs / np.linalg.norm(rhs)).tolist()
+        band.solve(rhs)  # a recovery's first solve builds what the rest reuse
+        _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
+        table.append({"k": k, "inverse_iteration_steps": steps, **timing_fields("us", {
+            "solve": lambda: band.solve(rhs),
+            "solve_t": lambda: band.solve_t(rhs),
+            "inverse_iteration": lambda: inverse_iteration(band, 1e-6, seed=[seed, k]),
+        })})
+    return table
+
+
+def sweep_rows(seed):
     """One dict per SWEEPS entry: recovery at every k = 1..last of one
     factorization, with the mean steps per recovery, the best and median
     milliseconds of the whole loop and the worst certificate / sigma_min."""
@@ -417,26 +387,13 @@ def sweep_rows(repeats, seed):
             sigma_min = np.linalg.svd(dense, compute_uv=False)[-1]
             cert = norm2(band.matvec(v)) / norm2(v)  # the certificate recovery reports
             worst = max(worst, cert / sigma_min)
-        ((best, med),) = interleaved_seconds([recover_all], repeats)
         table.append({
             "sweep": name, "last_k": last,
             "steps_per_recovery": round(sum(r[2] for r in results) / last, 2),
-            "loop_ms_best": round(best * 1e3, 1),
-            "loop_ms_median": round(med * 1e3, 1),
+            **timing_fields("ms", {"loop": recover_all}),
             "worst_cert_over_sigma_min": round(float(worst), 6),
         })
     return table
-
-
-def sweep_table(repeats, seed):
-    header = (f"{'recovery at every k':<48} {'k':>4} {'steps/rec':>9} "
-              f"{'loop best/med':>16} {'cert/sigma_min':>15}")
-    print(header)
-    print("-" * len(header))
-    for row in sweep_rows(repeats, seed):
-        loop = f"{row['loop_ms_best']:.0f}/{row['loop_ms_median']:.0f}ms"
-        print(f"{row['sweep']:<48} {row['last_k']:>4} {row['steps_per_recovery']:>9.2f} "
-              f"{loop:>16} {row['worst_cert_over_sigma_min']:>15.6f}")
 
 
 def mtx_files(workdir, seed):
@@ -455,7 +412,7 @@ def mtx_files(workdir, seed):
     return [(f"certify random {n}", rnd, n), (f"Laplacian {g} x {g}", lap, g * g)]
 
 
-def mtx_rows(repeats, seed):
+def mtx_rows(seed):
     """One dict per ``mtx_files`` file: its entries, and the best and median
     milliseconds per call of ``mmio.read_matrix_market`` and of
     ``problems.read_matrix_market`` (which adds the CSR build; b is given, so
@@ -464,28 +421,12 @@ def mtx_rows(repeats, seed):
     with tempfile.TemporaryDirectory() as workdir:
         for name, path, rows in mtx_files(workdir, seed):
             b = np.ones(rows)
-            timings = interleaved_seconds(
-                [lambda: mmio.read_matrix_market(path),
-                 lambda: read_matrix_market(path, b=b)],
-                repeats,
-            )
-            row = {"file": name, "entries": int(mmio.read_matrix_market(path).values.size)}
-            for label, (best, med) in zip(("mmio_read", "problems_read"), timings):
-                row[f"{label}_ms_best"] = round(best * 1e3, 1)
-                row[f"{label}_ms_median"] = round(med * 1e3, 1)
-            table.append(row)
+            table.append({
+                "file": name, "entries": int(mmio.read_matrix_market(path).values.size),
+                **timing_fields("ms", {"mmio_read": lambda: mmio.read_matrix_market(path),
+                                       "problems_read": lambda: read_matrix_market(path, b=b)}),
+            })
     return table
-
-
-def mtx_table(repeats, seed):
-    header = (f"{'Matrix Market file':<24} {'entries':>8} {'mmio read best/med':>20} "
-              f"{'problems read best/med':>24}")
-    print(header)
-    print("-" * len(header))
-    for row in mtx_rows(repeats, seed):
-        cells = [f"{row[f'{label}_ms_best']:.1f}/{row[f'{label}_ms_median']:.1f}ms"
-                 for label in ("mmio_read", "problems_read")]
-        print(f"{row['file']:<24} {row['entries']:>8} {cells[0]:>20} {cells[1]:>24}")
 
 
 def resident_peak(row):
@@ -499,10 +440,10 @@ def resident_peak(row):
     return k, kib * 1024
 
 
-def krylov_memory_rows():
+def krylov_memory_rows(_seed):
     """One dict per ``KRYLOV_SOLVES`` entry: iterations, the tracemalloc and
-    resident peaks and k n 8 bytes in MiB, and the best wall seconds of three
-    runs."""
+    resident peaks and k n 8 bytes in MiB, resident / (k n 8), and the best
+    wall seconds of three runs. The solves draw nothing at random."""
     table = []
     for row in KRYLOV_SOLVES:
         solver, reorth, n, eps, k_max = row
@@ -529,46 +470,43 @@ def krylov_memory_rows():
         table.append({"solver": solver, "reorth": reorth, "n": n, "k": k,
                       "peak_mib": round(peak / 2**20, 1),
                       "resident_mib": round(resident / 2**20, 1),
-                      "knb_mib": round(k * n * 8 / 2**20, 1), "wall_s": round(wall, 2)})
+                      "knb_mib": round(k * n * 8 / 2**20, 1),
+                      "resident_over_knb": round(resident / (k * n * 8), 2),
+                      "wall_s": round(wall, 2)})
     return table
 
 
-def krylov_memory_table():
-    header = (f"{'Krylov basis memory':<18} {'reorth':>6} {'n':>7} {'k':>5} {'tracemalloc':>12} "
-              f"{'resident':>10} {'k n 8':>10} {'res./kn8':>8} {'wall':>7}")
-    print(header)
-    print("-" * len(header))
-    for row in krylov_memory_rows():
-        print(f"{row['solver']:<18} {row['reorth']:>6} {row['n']:>7} {row['k']:>5} "
-              f"{row['peak_mib']:>9.1f}MiB {row['resident_mib']:>7.1f}MiB "
-              f"{row['knb_mib']:>7.1f}MiB {row['resident_mib'] / row['knb_mib']:>8.2f} "
-              f"{row['wall_s']:>6.2f}s")
+TABLES = {
+    "householder": householder_rows,
+    "opnorm": opnorm_rows,
+    "csr_matvec": csr_rows,
+    "band_recovery": band_rows,
+    "recovery_sweep": sweep_rows,
+    "mtx_read": mtx_rows,
+    "krylov_memory": krylov_memory_rows,
+}
+
+
+def render(name, rows):
+    """The table name over one column per key of rows, None shown as "-",
+    text left-aligned and numbers right-aligned."""
+    keys = list(rows[0])
+    lines = [keys] + [["-" if row[key] is None else str(row[key]) for key in keys]
+                      for row in rows]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(keys))]
+    left = [isinstance(rows[0][key], str) for key in keys]
+    text = [" ".join(cell.ljust(w) if ljust else cell.rjust(w)
+                     for cell, w, ljust in zip(line, widths, left)).rstrip()
+            for line in lines]
+    return "\n".join([name, text[0], "-" * len(text[0]), *text[1:]])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--csr-rows", type=int, default=CSR_ROWS)
-    parser.add_argument("--csr-per-row", type=int, default=CSR_PER_ROW)
-    parser.add_argument("--wy-sizes", type=int, nargs="+", default=[500, 2000])
-    parser.add_argument("--band-sizes", type=int, nargs="+", default=list(BAND_SIZES))
-    parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-
-    rng = np.random.default_rng(args.seed)
-    householder_table(args.wy_sizes, args.repeats, rng)
-    print()
-    opnorm_table(args.repeats)
-    print()
-    csr_table(args.csr_rows, args.csr_per_row, args.repeats, args.seed)
-    print()
-    band_table(args.band_sizes, args.repeats, args.seed)
-    print()
-    sweep_table(args.repeats, args.seed)
-    print()
-    mtx_table(args.repeats, args.seed)
-    print()
-    krylov_memory_table()
+    for name, rows in TABLES.items():
+        print(render(name, rows(args.seed)), end="\n\n", flush=True)
     return 0
 
 

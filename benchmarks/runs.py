@@ -94,17 +94,20 @@ def _solve_entries(solves):
             for label, spec in solves for every in (1, 7)]
 
 
+def certify_random_coo(n, rng, per_row=8, shift=1.5):
+    """The perfbench certify matrix: per_row Gaussian entries of variance
+    1/per_row at random columns of each row, plus shift on the diagonal (its
+    column counts are Poisson)."""
+    r = np.concatenate([np.repeat(np.arange(n), per_row), np.arange(n)])
+    c = np.concatenate([rng.integers(0, n, n * per_row), np.arange(n)])
+    v = np.concatenate([rng.standard_normal(n * per_row) / np.sqrt(per_row), np.full(n, shift)])
+    return r, c, v
+
+
 def write_random(path):
-    """Certify's random unsymmetric matrix at n = 400, seed 0: 8 Gaussian
-    entries of variance 1/8 at random columns of each row plus 1.5 on the
-    diagonal. Most columns hold several entries, so A^T x sums many terms."""
-    n, per_row = 400, 8
-    rng = np.random.default_rng(0)
-    rows = np.concatenate([np.repeat(np.arange(n), per_row), np.arange(n)])
-    cols = np.concatenate([rng.integers(0, n, n * per_row), np.arange(n)])
-    vals = np.concatenate([rng.standard_normal(n * per_row) / np.sqrt(per_row),
-                           np.full(n, 1.5)])
-    mmio.write_coordinate(path, rows, cols, vals, (n, n))
+    """Certify's random unsymmetric matrix at n = 400, seed 0. Most columns
+    hold several entries, so A^T x sums many terms."""
+    mmio.write_coordinate(path, *certify_random_coo(400, np.random.default_rng(0)), (400, 400))
 
 
 def write_diagonal(path, diag):

@@ -73,7 +73,9 @@ class SolverConfig:
     """Knobs shared by the classical solvers.
 
     step_constant is the C in the Richardson step sizes 1/(C ||A||_2) and
-    1/(C ||A||_2^2); it must be at least 1 for the convergence guarantees.
+    1/(C ||A||_2^2); it must be finite and at least 1 for the convergence
+    guarantees. seed is accepted and checked for callers that pass it, but no
+    solver reads it.
     """
 
     step_constant: float = 1.0
@@ -83,15 +85,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_constant < 1.0:
-            raise ValueError("step_constant must be >= 1")
-        if self.max_iterations < 1:
+        # each check is written so that NaN fails it
+        if not 1.0 <= self.step_constant < math.inf:
+            raise ValueError("step_constant must be finite and at least 1")
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 < self.berr_tolerance < 1.0):
             raise ValueError("berr_tolerance must be in (0, 1)")
-        if self.trace_every < 1:
+        if not self.trace_every >= 1:
             raise ValueError("trace_every must be >= 1")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
 
 
@@ -470,7 +473,8 @@ def regularized_solve(op, b, k, inner="cg", trace_every=1, seed=0):
     5 (ln k / k)^2 against the original A.
 
     Requires symmetric PSD A and k >= 9. The trace reports berr against the
-    original operator (one extra matvec per recorded row).
+    original operator (one extra matvec per recorded row). seed is accepted
+    and passed to SolverConfig, but no solver reads it.
     """
     if k < 9:
         raise ValueError("the shift schedule needs k >= 9")

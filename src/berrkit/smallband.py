@@ -131,10 +131,12 @@ def _solve_normalized(solve, rhs):
 
 
 def inverse_iteration_steps(k, delta):
-    """Step budget ceil(2.23 ln(k / delta^2)) for failure probability delta."""
+    """Step budget ceil(2.23 ln(k / delta^2)) for failure probability delta,
+    with ln(delta^2) taken as 2 ln(delta): delta^2 underflows to 0 for delta
+    below about 1e-154."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    return max(1, math.ceil(2.23 * math.log(k / (delta * delta))))
+    return max(1, math.ceil(2.23 * (math.log(k) - 2.0 * math.log(delta))))
 
 
 def inverse_iteration(band, delta, seed, max_steps=None):

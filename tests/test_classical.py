@@ -45,6 +45,10 @@ class TestSolverConfig:
             {"berr_tolerance": 1.0},
             {"trace_every": 0},
             {"seed": -1},
+            {"step_constant": math.inf},
+            {"step_constant": math.nan},
+            {"max_iterations": math.nan},
+            {"trace_every": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kw):

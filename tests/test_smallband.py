@@ -181,6 +181,8 @@ class TestInverseIteration:
     def test_step_budget_formula(self):
         assert inverse_iteration_steps(10, 0.1) == max(1, math.ceil(2.23 * math.log(10 / 0.01)))
         assert inverse_iteration_steps(1, 0.9) == max(1, math.ceil(2.23 * math.log(1 / 0.81)))
+        # delta^2 underflows to 0 here; the budget is 2.23 (ln 10 + 400 ln 10)
+        assert inverse_iteration_steps(10, 1e-200) == math.ceil(2.23 * 401 * math.log(10))
         with pytest.raises(ValueError):
             inverse_iteration_steps(5, 0.0)
         with pytest.raises(ValueError):
