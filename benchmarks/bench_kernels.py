@@ -42,13 +42,22 @@ millisecond range where dispatch overhead matters. The tables:
   peak is the rise of the resident high-water mark (Linux ``VmHWM``) over
   one run in a fresh subprocess, from its mark just before the solve; it
   counts only the pages written, and is shown beside k n 8 bytes, one stored
-  n-vector per step (the n = 100000 row should stay within 10% of it).
+  n-vector per step (the n = 100000 row should stay within 10% of it);
+* ``krylov_loops``: the per-iteration cost of the solver loops on
+  ``ill_conditioned(n, 1e8)`` with b = ones at each n of LOOP_SIZES: cg,
+  minres and lsqr for LOOP_ITERATIONS iterations (their tolerance 1e-300
+  never stops them earlier) and ``minberr_solve`` at eps = 1e-6. Each of
+  three runs is one solve in a fresh interpreter, which reports its wall
+  time and the minor page faults it took (``ru_minflt``); the row shows the
+  best and median microseconds per iteration and the median faults. A loop
+  whose per-step n-vectors the allocator gives back to the system and
+  faults in again shows about n 8 / 4096 faults per iteration.
 
 The Householder and CSR pairs are cross-checked for agreement before they
 are timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
-code of the recovery tables. Each timing but the Krylov basis memory wall
-runs the calls of a row interleaved and reports best and median per call.
-The opnorm, recovery, Matrix Market and Krylov basis memory tables time only
+code of the recovery tables. Each timing but the two Krylov tables' runs
+the calls of a row interleaved and reports best and median per call.
+The opnorm, recovery, Matrix Market and both Krylov tables time only
 public entry points, so they run unchanged against older checkouts; a
 checkout whose solves take arrays converts the list rhs on each call. BLAS
 runs on BLAS_THREADS threads, set before numpy loads.
@@ -116,6 +125,32 @@ KRYLOV_SOLVES = [("minberr_solve", "plain", 20_000, 1e-12, 300),
                  ("minberr_ne_solve", "plain", 20_000, 1e-12, 300),
                  ("minberr_ne_solve", "full", 20_000, 1e-12, 300),
                  ("minberr_solve", "plain", 100_000, 1e-6, None)]
+# the sizes and the iteration count of the krylov_loops table, whose rows run
+# LOOP_SOLVERS (minberr_solve stops at its own eps)
+LOOP_SIZES = (20_000, 100_000)
+LOOP_ITERATIONS = 3000
+LOOP_SOLVERS = ("cg", "minres", "lsqr", "minberr_solve")
+# one krylov_loops run in a fresh interpreter: prints its iterations, its
+# wall seconds and the minor faults of the solve
+LOOP_PROBE = """
+import json, resource, sys, time
+import numpy as np
+import berrkit
+
+solver, n, iterations = json.loads(sys.argv[1])
+p = berrkit.ill_conditioned(n, 1e8)
+b = np.ones(n)
+if solver == "minberr_solve":
+    run = lambda: berrkit.minberr_solve(p.op, b, eps=1e-6)
+else:
+    cfg = berrkit.SolverConfig(max_iterations=iterations, berr_tolerance=1e-300)
+    run = lambda: getattr(berrkit, solver)(p.op, b, cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
+r = run()
+wall = time.perf_counter() - t0
+print(json.dumps([r.iterations, wall, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults]))
+"""
 # one Krylov basis memory row in a fresh interpreter: prints its iterations
 # and the rise of its resident high-water mark (KiB) over the solve. That is
 # VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
@@ -429,14 +464,19 @@ def mtx_rows(seed):
     return table
 
 
-def resident_peak(row):
-    """(iterations, resident peak in bytes) of one ``KRYLOV_SOLVES`` row,
-    solved in a fresh interpreter that imports the berrkit imported here."""
+def fresh_process(probe, row):
+    """What the script probe prints, as JSON, run on the JSON of row in a
+    fresh interpreter that imports the berrkit imported here."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(berrkit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", RESIDENT_PROBE, json.dumps(row)], env=env,
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(row)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    k, kib = json.loads(out)
+    return json.loads(out)
+
+
+def resident_peak(row):
+    """(iterations, resident peak in bytes) of one ``KRYLOV_SOLVES`` row."""
+    k, kib = fresh_process(RESIDENT_PROBE, row)
     return k, kib * 1024
 
 
@@ -476,6 +516,24 @@ def krylov_memory_rows(_seed):
     return table
 
 
+def krylov_loop_rows(_seed):
+    """One dict per solver of LOOP_SOLVERS at each n of LOOP_SIZES: the
+    iterations, the best and median microseconds per iteration of three
+    fresh-process runs and their median minor faults. The solves draw
+    nothing at random."""
+    table = []
+    for n in LOOP_SIZES:
+        for solver in LOOP_SOLVERS:
+            runs = [fresh_process(LOOP_PROBE, [solver, n, LOOP_ITERATIONS]) for _ in range(3)]
+            (k,) = {run[0] for run in runs}
+            per_iteration = [run[1] / k * 1e6 for run in runs]
+            table.append({"solver": solver, "n": n, "iterations": k,
+                          "us_per_iteration_best": round(min(per_iteration), 1),
+                          "us_per_iteration_median": round(statistics.median(per_iteration), 1),
+                          "minor_faults": int(statistics.median(run[2] for run in runs))})
+    return table
+
+
 TABLES = {
     "householder": householder_rows,
     "opnorm": opnorm_rows,
@@ -484,6 +542,7 @@ TABLES = {
     "recovery_sweep": sweep_rows,
     "mtx_read": mtx_rows,
     "krylov_memory": krylov_memory_rows,
+    "krylov_loops": krylov_loop_rows,
 }
 
 

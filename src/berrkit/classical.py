@@ -20,9 +20,13 @@ RECOMPUTE_EVERY serves only cg and the Richardson loops. Every solver starts
 from x_0 = 0; a non-finite residual or iterate norm raises NonFiniteError at
 its iteration, row or not. Identical config and seed give bitwise-identical
 numeric trace columns. LSQR runs ``operators._golub_kahan_step`` on two vectors.
+Each loop allocates its work vectors once per run and updates them in place
+(``out=`` ufuncs, the same operands in the same order), so the only n-vector
+a step allocates is the operator's own output.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -88,14 +92,24 @@ class SolverConfig:
         # each check is written so that NaN fails it
         if not 1.0 <= self.step_constant < math.inf:
             raise ValueError("step_constant must be finite and at least 1")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
+        self.max_iterations = _count(self.max_iterations, "max_iterations")
         if not (0.0 < self.berr_tolerance < 1.0):
             raise ValueError("berr_tolerance must be in (0, 1)")
-        if not self.trace_every >= 1:
-            raise ValueError("trace_every must be >= 1")
+        self.trace_every = _count(self.trace_every, "trace_every")
         if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
+
+
+def _count(value, what):
+    """value as an int if it is an integer (``operator.index``) >= 1, else
+    ValueError naming ``what``: a float such as 10.5 or inf is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return value
 
 
 @dataclass
@@ -221,7 +235,12 @@ class _Monitor:
         residual is b). A norm that is not finite raises NonFiniteError."""
         xn = norm2(x)
         if rn is None:
-            rn = norm2(self.op.apply(x) - self.b) if xn else self.norm_b
+            if xn:
+                r = self.op.apply(x)
+                r -= self.b
+                rn = norm2(r)
+            else:
+                rn = self.norm_b
         if not (math.isfinite(rn) and math.isfinite(xn)):
             raise NonFiniteError(
                 f"iteration {k}: residual norm {rn}, iterate norm {xn}"
@@ -330,11 +349,19 @@ def _richardson(op, mon, eta, gradient):
     """x_{k+1} = x_k - eta g_k with g_k = gradient(A x_k - b)."""
     b = mon.b
     x = np.zeros(op.cols)
+    step = np.empty(op.cols)
     r = -b  # r tracks A x - b
     for k in range(1, mon.cfg.max_iterations + 1):
         g = gradient(r)
-        x = x - eta * g
-        r = op.apply(x) - b if mon.refresh(k) else r - eta * op.apply(g)
+        np.multiply(g, eta, out=step)
+        x -= step
+        if mon.refresh(k):
+            r = op.apply(x)
+            r -= b
+        else:
+            ag = op.apply(g)
+            ag *= eta
+            r -= ag
         stop = mon.check(k, x, norm2(r))
         if stop is not None:
             break
@@ -351,6 +378,7 @@ def cg(op, b, config=None):
 def _cg(op, mon):
     b = mon.b
     x = np.zeros(op.cols)
+    step = np.empty(op.cols)
     r = b.copy()  # r tracks b - A x
     p = r.copy()
     rs = float(r @ r)
@@ -363,13 +391,19 @@ def _cg(op, mon):
             # recurrence row its step recorded if one was due
             return mon.result(x, k - 1, mon.check(k - 1, x, breakdown=True))
         gamma = rs / pap
-        x = x + gamma * p
-        r = b - op.apply(x) if mon.refresh(k) else r - gamma * ap
+        np.multiply(p, gamma, out=step)
+        x += step
+        if mon.refresh(k):
+            np.subtract(b, op.apply(x), out=r)
+        else:
+            ap *= gamma
+            r -= ap
         rs_new = float(r @ r)
         stop = mon.check(k, x, math.sqrt(rs_new), breakdown=rs_new == 0.0)
         if stop is not None:
             break
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return mon.result(x, k, stop)
 
@@ -401,14 +435,17 @@ def _minres(op, mon):
     sn = 0.0
     w = np.zeros(n)
     w2 = np.zeros(n)
+    v, scaled = np.empty(n), np.empty(n)
     x = np.zeros(n)
     for k in range(1, mon.cfg.max_iterations + 1):
-        v = y / beta
+        np.divide(y, beta, out=v)
         y = op.apply(v)
         if k >= 2:
-            y = y - (beta / oldb) * r1
+            r1 *= beta / oldb  # r1 is read no more
+            y -= r1
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
+        np.multiply(r2, alfa / beta, out=scaled)
+        y -= scaled
         r1 = r2
         r2 = y
         oldb = beta
@@ -418,15 +455,22 @@ def _minres(op, mon):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(math.hypot(gbar, beta), np.finfo(float).tiny)
+        gamma = max(math.hypot(gbar, beta), _NORMAL_MIN)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
         w1 = w2
         w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma, formed in w1, read no more
+        w1 *= oldeps
+        np.subtract(v, w1, out=w1)
+        np.multiply(w2, delta, out=scaled)
+        w1 -= scaled
+        w1 /= gamma
+        w = w1
+        np.multiply(w, phi, out=scaled)
+        x += scaled
         stop = mon.check(k, x, phibar, breakdown=beta == 0.0)
         if stop is not None:
             break
@@ -443,23 +487,26 @@ def lsqr(op, b, config=None):
     breakdown_tol = BREAKDOWN_TOL_FACTOR * mon.s
     _, u, alpha, q = _golub_kahan_start(op, b, breakdown_tol)
     x = np.zeros(op.cols)
-    w = q
+    step = np.empty(op.cols)
+    w = q.copy()
     phibar = mon.norm_b
     rhobar = alpha
     for k in range(1, mon.cfg.max_iterations + 1):
         beta, u, alpha, q_next = _golub_kahan_step(op, u, q, alpha, breakdown_tol)
         breakdown = q_next is None
-        rho = max(math.hypot(rhobar, beta), np.finfo(float).tiny)
+        rho = max(math.hypot(rhobar, beta), _NORMAL_MIN)
         c = rhobar / rho
         sn = beta / rho
         theta = sn * alpha
         rhobar = -c * alpha
         phi = c * phibar
         phibar = sn * phibar
-        x = x + (phi / rho) * w
+        np.multiply(w, phi / rho, out=step)
+        x += step
         if not breakdown:
             q = q_next
-            w = q - (theta / rho) * w
+            w *= theta / rho
+            np.subtract(q, w, out=w)
         stop = mon.check(k, x, phibar, breakdown=breakdown)
         if stop is not None:
             break

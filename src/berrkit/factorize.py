@@ -124,12 +124,16 @@ class _GrowingColumns:
         self._buf = np.empty((n, capacity), order="F")
         self.count = 0
 
-    def push(self, v):
+    def push(self, v, divisor=None):
+        """Store v, or v / divisor divided straight into its column."""
         if self.count == self._buf.shape[1]:
             grown = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]), order="F")
             grown[:, : self.count] = self._buf
             self._buf = grown
-        self._buf[:, self.count] = v
+        if divisor is None:
+            self._buf[:, self.count] = v
+        else:
+            np.divide(v, divisor, out=self._buf[:, self.count])
         self.count += 1
 
     def view(self, k=None):
@@ -207,7 +211,8 @@ class LanczosState:
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
         [self._q] = _reserved_stores([op.rows], k_max)
-        self._q.push(b / self.norm_b)
+        self._q.push(b, self.norm_b)
+        self._scratch = np.empty(op.rows)
         self.alphas = []
         self.betas = []
         self.k = 0
@@ -224,19 +229,22 @@ class LanczosState:
             raise PostBreakdownError("Lanczos stepped after breakdown")
         k = self.k + 1
         q_k = self._q.view()[:, k - 1]
+        scaled = self._scratch
         w = self.op.apply(q_k)
         if k >= 2:
-            w -= self.betas[k - 2] * self._q.view()[:, k - 2]
+            np.multiply(self._q.view()[:, k - 2], self.betas[k - 2], out=scaled)
+            w -= scaled
         alpha_k = float(w @ q_k)
-        w -= alpha_k * q_k
+        np.multiply(q_k, alpha_k, out=scaled)
+        w -= scaled
         if self.reorth == "full":
-            w = _reorthogonalize(w, self._q.view())
+            _reorthogonalize(w, self._q.view())
         beta_next = norm2(w)
         self.alphas.append(alpha_k)
         self.betas.append(beta_next)
         self.breakdown = beta_next <= self.breakdown_tol
         if not self.breakdown:
-            self._q.push(w / beta_next)
+            self._q.push(w, beta_next)
         self.k = k
         s = self.opnorm
         return (self.betas[k - 2] / s if k >= 3 else 0.0, alpha_k / s if k >= 2 else 0.0,
@@ -271,11 +279,13 @@ class BidiagState:
         self.reorth = reorth
         self.opnorm = float(op.opnorm() if opnorm is None else opnorm)
         self.breakdown_tol = BREAKDOWN_TOL_FACTOR * self.opnorm
-        self.norm_b, self._u, alpha1, q1 = _golub_kahan_start(
+        # _u and _q are the last vectors, which each step consumes; the stores
+        # hold copies
+        self.norm_b, self._u, alpha1, self._q = _golub_kahan_start(
             op, np.asarray(b, dtype=np.float64), self.breakdown_tol)
         stores = _reserved_stores([op.cols, op.rows] if reorth == "full" else [op.cols], k_max)
         self._qcols = stores[0]
-        self._qcols.push(q1)
+        self._qcols.push(self._q)
         self._ucols = None
         if reorth == "full":
             self._ucols = stores[1]
@@ -298,7 +308,7 @@ class BidiagState:
         k = self.k + 1
         bases = None if self._ucols is None else (self._ucols.view(), self._qcols.view())
         beta, u, alpha, q = _golub_kahan_step(
-            self.op, self._u, self._qcols.view()[:, -1], self.alphas[-1], self.breakdown_tol, bases)
+            self.op, self._u, self._q, self.alphas[-1], self.breakdown_tol, bases)
         self.betas.append(beta)
         self.k = k
         s = self.opnorm
@@ -310,6 +320,7 @@ class BidiagState:
                 self._ucols.push(u)
             self.alphas.append(alpha)
         if q is not None:
+            self._q = q
             self._qcols.push(q)
         return col
 

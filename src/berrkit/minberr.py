@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .berr import composition_bound
-from .classical import SolverConfig, SolveResult, _Monitor
+from .classical import SolverConfig, SolveResult, _count, _Monitor
 from .errors import (
     DegenerateAlphaError,
     NoFiniteMinimizerError,
@@ -81,12 +81,8 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     _check_reorth(reorth)
-    k_max = min(op.cols, 20000) if k_max is None else k_max
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if trace_every is not None and trace_every < 1:
-        raise ValueError("trace_every must be at least 1")
-    # untraced runs record only the final row
+    k_max = min(op.cols, 20000) if k_max is None else _count(k_max, "k_max")
+    # untraced runs record only the final row; SolverConfig checks trace_every
     cfg = SolverConfig(
         max_iterations=k_max,
         berr_tolerance=eps,

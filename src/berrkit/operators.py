@@ -98,7 +98,14 @@ class NormEstimate:
 
 
 class LinearOperator:
-    """Base class. Subclasses implement _apply (and _apply_adjoint if unsymmetric)."""
+    """Base class. Subclasses implement _apply (and _apply_adjoint if unsymmetric).
+
+    ``_apply`` and ``_apply_adjoint`` return a fresh array: it shares no
+    memory with the input or with the operator's own arrays, so the caller
+    may overwrite it. The Krylov loops update that output in place (a
+    subtracted term, a division by a norm) instead of allocating another
+    vector for each step.
+    """
 
     def __init__(self, rows, cols, symmetric):
         self.rows = int(rows)
@@ -169,10 +176,10 @@ def _check_norm(s):
 
 
 def _reorthogonalize(w, basis):
-    """Two classical Gram-Schmidt sweeps of w against the stored columns."""
+    """Two classical Gram-Schmidt sweeps of w, in place, against the stored
+    columns."""
     for _ in range(2):
-        w = w - basis @ (basis.T @ w)
-    return w
+        w -= basis @ (basis.T @ w)
 
 
 def _golub_kahan_start(op, b, tol):
@@ -193,19 +200,26 @@ def _golub_kahan_step(op, u, q, alpha, tol, bases=None):
     """One Golub-Kahan step: beta u' = A q - alpha u, alpha' q' = A^T u' - beta q,
     each new vector reorthogonalized against its side of bases = (left, right)
     when given. Returns (beta, u', alpha', q'): (beta, None, 0.0, None) unless
-    tol < beta < inf, and q' is None when alpha' <= tol."""
-    w = op.apply(q) - alpha * u
+    tol < beta < inf, and q' is None when alpha' <= tol. u' and q' are
+    formed in place of u and q, the caller's last vectors, which it reads no
+    more; each apply output is used once and dropped."""
+    u *= alpha
+    np.subtract(op.apply(q), u, out=u)
     if bases is not None:
-        w = _reorthogonalize(w, bases[0])
-    beta = norm2(w)
+        _reorthogonalize(u, bases[0])
+    beta = norm2(u)
     if not tol < beta < math.inf:
         return beta, None, 0.0, None
-    u = w / beta
-    z = op.apply_adjoint(u) - beta * q
+    u /= beta
+    q *= beta
+    np.subtract(op.apply_adjoint(u), q, out=q)
     if bases is not None:
-        z = _reorthogonalize(z, bases[1])
-    alpha = norm2(z)
-    return beta, u, alpha, None if alpha <= tol else z / alpha
+        _reorthogonalize(q, bases[1])
+    alpha = norm2(q)
+    if alpha <= tol:
+        return beta, u, alpha, None
+    q /= alpha
+    return beta, u, alpha, q
 
 
 def estimate_spectral_norm(op):
@@ -397,11 +411,21 @@ class SumOperator(LinearOperator):
         self.a = a
         self.e = e
 
+    # a + e, added into a's output. e's output is made first and dropped:
+    # freed below the live output, it does not join a freed vector at the
+    # top of the heap, which the allocator would give back to the system
+    # (to fault it in again at the next product)
     def _apply(self, v):
-        return self.a.apply(v) + self.e.apply(v)
+        e = self.e.apply(v)
+        y = self.a.apply(v)
+        y += e
+        return y
 
     def _apply_adjoint(self, v):
-        return self.a.apply_adjoint(v) + self.e.apply_adjoint(v)
+        e = self.e.apply_adjoint(v)
+        y = self.a.apply_adjoint(v)
+        y += e
+        return y
 
 
 class HouseholderChainOperator(LinearOperator):

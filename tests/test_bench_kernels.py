@@ -24,7 +24,8 @@ def bench_kernels():
 def test_tables_are_the_recorded_kernels_and_householder(bench_kernels):
     with open(os.path.join(_ROOT, "BENCH_32.json"), encoding="ascii") as fh:
         recorded = json.load(fh)["entries"][-1]["kernels"]
-    assert set(bench_kernels.TABLES) == set(recorded) | {"householder"}
+    # householder and krylov_loops were added as tables after that file
+    assert set(bench_kernels.TABLES) == set(recorded) | {"householder", "krylov_loops"}
 
 
 def test_each_table_takes_the_seed_alone(bench_kernels):

@@ -371,12 +371,15 @@ class TestBasisStore:
 
     @staticmethod
     def _record_pushes(monkeypatch):
+        # the vector each step computed: v, or v / divisor for a column the
+        # store divides as it writes
         pushed = {}
         push = factorize._GrowingColumns.push
 
-        def spy(self, v):
-            pushed.setdefault(id(self), []).append(np.array(v, copy=True))
-            return push(self, v)
+        def spy(self, v, divisor=None):
+            pushed.setdefault(id(self), []).append(
+                np.array(v, copy=True) if divisor is None else v / divisor)
+            return push(self, v, divisor)
 
         monkeypatch.setattr(factorize._GrowingColumns, "push", spy)
         return pushed
@@ -477,9 +480,9 @@ class TestReservedStore:
         pushed_into = []
         push = factorize._GrowingColumns.push
 
-        def spy(self, v):
+        def spy(self, v, divisor=None):
             pushed_into.append((self, self._buf))
-            return push(self, v)
+            return push(self, v, divisor)
 
         monkeypatch.setattr(factorize._GrowingColumns, "push", spy)
         k_max = 40

@@ -225,3 +225,48 @@ def test_rhs_far_from_unit_size_reaches_tolerance(name, scale):
     assert res.termination == bk.Termination.TOLERANCE_REACHED
     assert res.trace.final_berr < tol
     assert bk.backward_error(p.op, b, res.x).value < tol
+
+
+@pytest.mark.parametrize("value", [math.inf, 10.5, 10.0])
+@pytest.mark.parametrize("field", ["max_iterations", "trace_every"])
+def test_config_refuses_a_non_integer_count(field, value):
+    # refused where it enters, not by a TypeError inside the loop or a
+    # trace_every of inf that records only the final row
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        bk.SolverConfig(**{field: value})
+
+
+def test_config_keeps_a_numpy_integer_count_as_int():
+    cfg = bk.SolverConfig(max_iterations=np.int64(12), trace_every=np.int32(3))
+    assert (cfg.max_iterations, cfg.trace_every) == (12, 3)
+    assert type(cfg.max_iterations) is int and type(cfg.trace_every) is int
+
+
+@pytest.mark.parametrize("value", [math.inf, 10.5])
+@pytest.mark.parametrize("field", ["k_max", "trace_every"])
+@pytest.mark.parametrize("name", ["minberr_solve", "minberr_ne_solve", "minberr_ne_perturbed"])
+def test_minberr_refuses_a_non_integer_count(name, field, value, monkeypatch):
+    monkeypatch.setattr(bk.operators, "estimate_spectral_norm", pytest.fail)
+    solver = getattr(bk, name)
+    extra = (1e-3,) if name == "minberr_ne_perturbed" else ()
+    unpinned = bk.DenseOperator(np.diag(np.linspace(1.0, 0.01, N)))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        solver(unpinned, np.ones(N), *extra, eps=1e-4, **{field: value})
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_solvers_leave_a_read_only_rhs_unchanged(name):
+    # the loops update their vectors in place; b is the caller's array (the
+    # monitor holds it unscaled), so a write to it would raise here
+    b = np.linspace(1.0, 2.0, N)
+    want = b.copy()
+    b.setflags(write=False)
+    res = SOLVERS[name](diagonal(), b)
+    assert res.iterations >= 1
+    assert b.tobytes() == want.tobytes()
+    assert not np.shares_memory(res.x, b)
+
+
+def test_monitor_holds_the_callers_rhs_unscaled():
+    b = np.linspace(1.0, 2.0, N)
+    assert bk.classical._Monitor(diagonal(), b).b is b

@@ -439,3 +439,54 @@ class TestCountingOperator:
         op = bk.CountingOperator(base)
         op.opnorm()
         assert op.matvecs == 0
+
+
+_A = np.random.default_rng(9).standard_normal((6, 6))
+_NONZERO = np.nonzero(np.abs(_A) > 0.5)
+_DIAG = np.linspace(-1.0, 2.0, 6)
+# each built-in operator kind, 6 x 6
+FRESH_OUTPUT_OPERATORS = {
+    "dense": lambda: bk.DenseOperator(_A),
+    "csr": lambda: bk.CsrOperator.from_coo(*_NONZERO, _A[_NONZERO], (6, 6)),
+    "diagonal": lambda: bk.DiagonalOperator(_DIAG),
+    "sum": lambda: bk.SumOperator(bk.DenseOperator(_A), bk.DiagonalOperator(_DIAG)),
+    "householder": lambda: bk.HouseholderChainOperator.random(6, 3, seed=1),
+    "householder, no reflectors": lambda: bk.HouseholderChainOperator.random(6, 0, seed=1),
+    "conjugated": lambda: bk.ConjugatedOperator(bk.HouseholderChainOperator.random(6, 2, seed=2),
+                                                bk.DenseOperator(_A),
+                                                bk.HouseholderChainOperator.random(6, 2, seed=3)),
+    "counting": lambda: bk.CountingOperator(bk.DiagonalOperator(_DIAG)),
+}
+
+
+def _owned_arrays(obj, seen=None):
+    """Every array an operator holds, through its attributes, containers and
+    inner operators."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, bk.LinearOperator):
+        items = vars(obj).values()
+    else:
+        return []
+    return [arr for item in items for arr in _owned_arrays(item, seen)]
+
+
+@pytest.mark.parametrize("name", FRESH_OUTPUT_OPERATORS)
+def test_products_are_fresh_arrays(name):
+    # the Krylov loops overwrite what apply returns, so it may share memory
+    # with neither the input nor the operator's own arrays
+    op = FRESH_OUTPUT_OPERATORS[name]()
+    v = np.random.default_rng(4).standard_normal(6)
+    for product in (op.apply, op.apply_adjoint):
+        product(v)  # builds any cached layout first
+        owned = _owned_arrays(op)
+        assert owned
+        y = product(v)
+        assert not np.shares_memory(y, v)
+        assert not any(np.shares_memory(y, arr) for arr in owned)
