@@ -46,7 +46,6 @@ from .minberr import (
 )
 from .operators import (
     ConjugatedOperator,
-    CountingOperator,
     CsrOperator,
     DenseOperator,
     DiagonalOperator,
@@ -100,7 +99,6 @@ __all__ = [
     "minberr_ne_solve",
     "minberr_solve",
     "ConjugatedOperator",
-    "CountingOperator",
     "CsrOperator",
     "DenseOperator",
     "DiagonalOperator",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedAtZeroError
+from .errors import NonFiniteError, UndefinedAtZeroError
 from .operators import _check_norm, _real_array, norm2
 
 __all__ = [
@@ -44,9 +44,11 @@ def backward_error(op, b, x):
         ||A||_2 is ``op.opnorm()``, pinned or estimated; a value that is not
         finite and positive raises as ``set_opnorm`` would.
     b : ndarray
-        Nonzero real right-hand side (complex raises TypeError, as for x).
+        Nonzero finite real right-hand side (complex raises TypeError, and
+        NaN or infinity NonFiniteError, as for x).
     x : ndarray
-        Real candidate solution; must be nonzero (berr is undefined at 0).
+        Finite real candidate solution; must be nonzero (berr is undefined
+        at 0).
 
     Returns
     -------
@@ -54,6 +56,9 @@ def backward_error(op, b, x):
     """
     b = _real_array(b, "b")
     x = _real_array(x, "x")
+    for v, what in ((b, "b"), (x, "x")):
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError(f"{what} holds NaN or infinite entries")
     if not np.any(b):
         raise ValueError("b must be nonzero")
     x_norm = norm2(x)

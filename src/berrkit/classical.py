@@ -78,8 +78,8 @@ class SolverConfig:
 
     step_constant is the C in the Richardson step sizes 1/(C ||A||_2) and
     1/(C ||A||_2^2); it must be finite and at least 1 for the convergence
-    guarantees. seed is accepted and checked for callers that pass it, but no
-    solver reads it.
+    guarantees. seed is accepted and checked (a nonnegative integer) for
+    callers that pass it, but no solver reads it.
     """
 
     step_constant: float = 1.0
@@ -96,19 +96,18 @@ class SolverConfig:
         if not (0.0 < self.berr_tolerance < 1.0):
             raise ValueError("berr_tolerance must be in (0, 1)")
         self.trace_every = _count(self.trace_every, "trace_every")
-        if not self.seed >= 0:
-            raise ValueError("seed must be nonnegative")
+        self.seed = _count(self.seed, "seed", least=0)
 
 
-def _count(value, what):
-    """value as an int if it is an integer (``operator.index``) >= 1, else
-    ValueError naming ``what``: a float such as 10.5 or inf is refused."""
+def _count(value, what, least=1):
+    """value as an int if it is an integer (``operator.index``) >= least,
+    else ValueError naming ``what``: a float such as 10.5 or inf is refused."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
     return value
 
 
@@ -148,11 +147,16 @@ class SolveTrace:
 
 @dataclass
 class SolveResult:
+    """A run's iterate x, its trace and how it ended after ``iterations``
+    steps. ``matvecs`` counts the products with A the run made, measuring
+    matvecs included and the norm estimate behind ``opnorm_used`` excluded."""
+
     x: np.ndarray
     trace: SolveTrace
     termination: Termination
     opnorm_used: float
     iterations: int
+    matvecs: int
     certified_berr_bound: float = None
 
 
@@ -207,6 +211,7 @@ class _Monitor:
         self.op = op
         self.b, self.unscale = _check_rhs(op, b)
         self.s = _check_norm(op.opnorm())
+        self.start_products = op.products  # the run's matvecs count from here
         self.norm_b = norm2(self.b)
         self.measured = False
         self.trace = SolveTrace(opnorm=self.s)
@@ -322,7 +327,8 @@ class _Monitor:
     def result(self, x, k, termination, kind=SolveResult, **fields):
         """The result (a SolveResult, or the subclass ``kind`` with its extra
         ``fields``) after k iterations."""
-        return kind(self.unscaled(x), self.trace, termination, self.trace.opnorm, k, **fields)
+        return kind(self.unscaled(x), self.trace, termination, self.trace.opnorm, k,
+                    self.op.products - self.start_products, **fields)
 
 
 def richardson(op, b, config=None):

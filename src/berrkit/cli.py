@@ -41,7 +41,6 @@ from . import classical, minberr, mmio, problems
 from .classical import SolverConfig
 from .errors import BerrkitError
 from .factorize import _REORTH_POLICIES
-from .operators import CountingOperator
 
 __all__ = ["RunSpec", "main"]
 
@@ -295,7 +294,7 @@ def _finite_or_none(value):
     return value if value is not None and math.isfinite(value) else None
 
 
-def summarize(spec, result, total_matvecs):
+def summarize(spec, result):
     return {
         "spec": asdict(spec),
         "termination": str(result.termination.value),
@@ -303,7 +302,7 @@ def summarize(spec, result, total_matvecs):
         "certified_bound": _finite_or_none(result.certified_berr_bound),
         "iterations": result.iterations,
         "opnorm_estimate": result.opnorm_used,
-        "total_matvecs": total_matvecs,
+        "total_matvecs": result.matvecs,
     }
 
 
@@ -409,9 +408,8 @@ def run_one(spec, history=None, summary=None, plot=None):
     validate_spec(spec)
     p = build_problem(spec.problem, spec.seed)
     b = resolve_rhs(spec.rhs, p)
-    op = CountingOperator(p.op)
-    result = run_solver(spec, op, b)
-    info = summarize(spec, result, op.matvecs)
+    result = run_solver(spec, p.op, b)
+    info = summarize(spec, result)
     if history:
         write_history(history, result.trace)
     if summary:

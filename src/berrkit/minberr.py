@@ -78,8 +78,7 @@ def _setup(op, b, eps, delta, seed, reorth, k_max, trace_every, perturb_eps=0.0)
         raise ValueError("eps must be in (0, 1)")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _count(seed, "seed", least=0)
     _check_reorth(reorth)
     k_max = min(op.cols, 20000) if k_max is None else _count(k_max, "k_max")
     # untraced runs record only the final row; SolverConfig checks trace_every

@@ -1,9 +1,11 @@
 """Matrix-free linear operators and the spectral-norm estimator.
 
 Operators expose ``apply`` / ``apply_adjoint`` plus a cached 2-norm value.
-They are immutable after construction with one exception: the norm cache,
-which is filled on first use (or pinned via :meth:`LinearOperator.set_opnorm`
-when the exact value is known, e.g. for diagonal test problems). Solvers and
+They are immutable after construction with two exceptions: the ``products``
+count, which each ``apply`` and ``apply_adjoint`` raises by one, and the norm
+cache, which is filled on first use (or pinned via
+:meth:`LinearOperator.set_opnorm` when the exact value is known, e.g. for
+diagonal test problems). Solvers and
 ``backward_error`` read ||A||_2 only from here, through ``_check_norm``.
 The one norm estimator, ``estimate_spectral_norm``, fills that cache; its
 step, ``_golub_kahan_step``, is the one ``BidiagState`` and ``lsqr`` run.
@@ -30,7 +32,6 @@ __all__ = [
     "SumOperator",
     "HouseholderChainOperator",
     "ConjugatedOperator",
-    "CountingOperator",
     "estimate_spectral_norm",
     "norm2",
 ]
@@ -105,6 +106,10 @@ class LinearOperator:
     may overwrite it. The Krylov loops update that output in place (a
     subtracted term, a division by a norm) instead of allocating another
     vector for each step.
+
+    ``products`` counts every ``apply`` and ``apply_adjoint`` on this
+    operator, norm estimates included; a solve reports its own share as
+    ``SolveResult.matvecs``.
     """
 
     def __init__(self, rows, cols, symmetric):
@@ -114,6 +119,7 @@ class LinearOperator:
         if self.symmetric and self.rows != self.cols:
             raise DimensionMismatchError("symmetric operator must be square")
         self._opnorm_cache = None
+        self.products = 0
 
     def _apply(self, v):
         raise NotImplementedError
@@ -123,10 +129,12 @@ class LinearOperator:
 
     def apply(self, v):
         v = _as_vector(v, self.cols)
+        self.products += 1
         return self._apply(v)
 
     def apply_adjoint(self, v):
         v = _as_vector(v, self.rows)
+        self.products += 1
         if self.symmetric:
             return self._apply(v)
         return self._apply_adjoint(v)
@@ -302,8 +310,8 @@ class CsrOperator(LinearOperator):
         rows, cols = shape
         super().__init__(rows, cols, symmetric)
         self.data = _real_array(data, "CSR data")
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = _index_array(indices, "column index")
+        self.indptr = _index_array(indptr, "indptr entry")
         _check_csr(self.data, self.indices, self.indptr, rows, cols)
         self._slots = None
 
@@ -313,8 +321,8 @@ class CsrOperator(LinearOperator):
         given. The triplets are sorted by the int64 key row * cols + col, so
         rows * cols may not exceed 2**63."""
         rows, cols = shape
-        rows_idx = np.asarray(rows_idx, dtype=np.int64)
-        cols_idx = np.asarray(cols_idx, dtype=np.int64)
+        rows_idx = _index_array(rows_idx, "row index")
+        cols_idx = _index_array(cols_idx, "column index")
         values = _real_array(values, "triplet values")
         if not (rows_idx.ndim == 1 and rows_idx.shape == cols_idx.shape == values.shape):
             raise DimensionMismatchError(
@@ -355,6 +363,18 @@ class CsrOperator(LinearOperator):
     @property
     def nnz(self):
         return int(self.data.shape[0])
+
+
+def _index_array(idx, what):
+    """idx as an int64 array; DimensionMismatchError naming the first float
+    entry that the cast would change (a fraction, NaN or infinity)."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            bad = idx[idx.astype(np.int64) != idx]
+        if bad.size:
+            raise DimensionMismatchError(f"{what} {bad[0]} is not an integer")
+    return np.asarray(idx, dtype=np.int64)
 
 
 def _check_index_range(idx, bound, what):
@@ -488,26 +508,3 @@ class ConjugatedOperator(LinearOperator):
     def _apply_adjoint(self, w):
         return self.v.apply(self.base.apply_adjoint(self.u.apply_adjoint(w)))
 
-
-class CountingOperator(LinearOperator):
-    """Transparent wrapper that counts apply / apply_adjoint calls."""
-
-    def __init__(self, base):
-        super().__init__(base.rows, base.cols, base.symmetric)
-        self.base = base
-        self.matvecs = 0
-
-    def _apply(self, v):
-        self.matvecs += 1
-        return self.base.apply(v)
-
-    def _apply_adjoint(self, v):
-        self.matvecs += 1
-        return self.base.apply_adjoint(v)
-
-    def opnorm(self):
-        return self.base.opnorm()
-
-    def set_opnorm(self, value):
-        self.base.set_opnorm(value)
-        return self

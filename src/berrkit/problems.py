@@ -26,6 +26,7 @@ from .operators import (
     CsrOperator,
     DiagonalOperator,
     HouseholderChainOperator,
+    _real_array,
     norm2,
 )
 
@@ -201,7 +202,7 @@ def read_matrix_market(path, b=None):
 
     Symmetric storage is expanded and the operator marked symmetric. The
     default right-hand side is A (1,...,1)^T normalized, a consistent system;
-    pass b to override.
+    pass a real b to override (a complex one raises TypeError).
     """
     data = mmio.read_matrix_market(path)
     r, c, v = data.expanded()
@@ -213,7 +214,7 @@ def read_matrix_market(path, b=None):
             raise ValueError("A(1,...,1) vanished: supply an explicit b")
         b = b / nb
     else:
-        b = np.asarray(b, dtype=np.float64)
+        b = _real_array(b, "b")
         if b.shape != (op.rows,):
             raise DimensionMismatchError(
                 f"b has shape {b.shape}, expected ({op.rows},)"

@@ -46,7 +46,20 @@ def test_nonpositive_opnorm_rejected():
         op = NormOverride(bk.DiagonalOperator(np.array([1.0, 1.0])), s)
         with pytest.raises(error, match="operator norm"):
             bk.backward_error(op, np.ones(2), np.ones(2))
-        assert op.matvecs == 0
+        assert op.products == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["b", "x"])
+def test_non_finite_data_rejected(which, bad):
+    """NaN or infinity in b or x raises by name before any matvec, the norm
+    estimate's included, as the solvers refuse such a b."""
+    op = bk.DenseOperator(np.diag([1.0, 0.5]))
+    data = {"b": np.ones(2), "x": np.ones(2)}
+    data[which][1] = bad
+    with pytest.raises(bk.NonFiniteError, match=f"^{which} holds NaN"):
+        bk.backward_error(op, data["b"], data["x"])
+    assert op.products == 0
 
 
 def test_scale_invariance():

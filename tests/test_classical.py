@@ -49,6 +49,8 @@ class TestSolverConfig:
             {"step_constant": math.nan},
             {"max_iterations": math.nan},
             {"trace_every": math.nan},
+            {"seed": 1.5},
+            {"seed": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -697,11 +699,11 @@ class TestEveryStopComesFromCheck:
     def test_cg_breakdown_at_x0(self, monkeypatch):
         # b^T A b < 0 ends the run at x_0 = 0, whose residual is b: no row
         # and no measuring matvec, only the one A p
-        op = bk.CountingOperator(bk.DiagonalOperator(np.array([1.0, -1.0])))
+        op = bk.DiagonalOperator(np.array([1.0, -1.0]))
         stops = capture_stops(monkeypatch)
         r = bk.cg(op, np.array([1.0, 2.0]), tight(10))
         assert stops == [r.termination] == [bk.Termination.BREAKDOWN]
-        assert (r.iterations, len(r.trace), op.matvecs) == (0, 0, 1)
+        assert (r.iterations, len(r.trace), r.matvecs, op.products) == (0, 0, 1, 1)
         assert not np.any(r.x)
 
     @pytest.mark.parametrize("solver", ["lsqr", "minberr-ne"])

@@ -157,7 +157,7 @@ def test_bad_opnorm_is_rejected_on_entry(name, opnorm):
     with pytest.raises(ValueError, match="operator norm") as info:
         SOLVERS[name](op, np.ones(N))
     assert type(info.value) is _norm_error(opnorm)
-    assert op.matvecs == 0
+    assert op.products == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -228,7 +228,7 @@ def test_rhs_far_from_unit_size_reaches_tolerance(name, scale):
 
 
 @pytest.mark.parametrize("value", [math.inf, 10.5, 10.0])
-@pytest.mark.parametrize("field", ["max_iterations", "trace_every"])
+@pytest.mark.parametrize("field", ["max_iterations", "trace_every", "seed"])
 def test_config_refuses_a_non_integer_count(field, value):
     # refused where it enters, not by a TypeError inside the loop or a
     # trace_every of inf that records only the final row
@@ -243,7 +243,7 @@ def test_config_keeps_a_numpy_integer_count_as_int():
 
 
 @pytest.mark.parametrize("value", [math.inf, 10.5])
-@pytest.mark.parametrize("field", ["k_max", "trace_every"])
+@pytest.mark.parametrize("field", ["k_max", "trace_every", "seed"])
 @pytest.mark.parametrize("name", ["minberr_solve", "minberr_ne_solve", "minberr_ne_perturbed"])
 def test_minberr_refuses_a_non_integer_count(name, field, value, monkeypatch):
     monkeypatch.setattr(bk.operators, "estimate_spectral_norm", pytest.fail)

@@ -181,6 +181,8 @@ class TestMinberrSolve:
             {"reorth": "partial"},
             {"trace_every": 0},
             {"trace_every": -3},
+            {"seed": 2.5},
+            {"seed": math.nan},
         ],
     )
     def test_validation(self, kw):
@@ -781,12 +783,12 @@ class TestMinberrNePerturbed:
         the solve's 1 + 2k plus one measuring matvec per trace row."""
         p = bk.ill_conditioned(80, 1e8)
         for name, solver in (("plain", bk.minberr_ne_solve), ("perturbed", bk.minberr_ne_perturbed)):
-            op = bk.CountingOperator(p.op).set_opnorm(1.0)
+            op = bk.DiagonalOperator(p.op.d)  # pinned to 1, so nothing estimates it
             extra = (1e-2,) if name == "perturbed" else ()
             r = solver(op, p.b, *extra, eps=1e-6, k_max=60, trace_every=1)
             # the perturbed run certifies eps against A + E at k = 46
             assert r.iterations == (60 if name == "plain" else 46) == len(r.trace)
-            assert op.matvecs == 1 + 2 * r.iterations + len(r.trace)
+            assert r.matvecs == op.products == 1 + 2 * r.iterations + len(r.trace)
 
     def test_scales_to_a_dimension_a_dense_perturbation_cannot_reach(self):
         """At n = 200 000 a dense E would take 298 GiB; the sparse one holds

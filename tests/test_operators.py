@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
+from berrkit import cli, mmio
 from berrkit.operators import NORM_REL_TOL, estimate_spectral_norm, norm2
 
 from _helpers import golub_kahan_problems
@@ -193,6 +194,25 @@ def test_malformed_csr_is_rejected_on_construction(fault):
 def test_malformed_coo_is_rejected(rows_idx, cols_idx):
     with pytest.raises(bk.DimensionMismatchError):
         bk.CsrOperator.from_coo(rows_idx, cols_idx, np.ones(len(cols_idx)), (2, 3))
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.9999, np.nan, np.inf])
+def test_fractional_indices_are_refused(bad):
+    # the int64 cast would build another matrix (or, for NaN, fail unnamed)
+    with pytest.raises(bk.DimensionMismatchError, match=f"^row index {bad} is not an integer"):
+        bk.CsrOperator.from_coo([0, bad], [0, 1], [1.0, 2.0], (2, 2))
+    with pytest.raises(bk.DimensionMismatchError, match=f"^column index {bad} is not"):
+        bk.CsrOperator.from_coo([0, 1], [0, bad], [1.0, 2.0], (2, 2))
+    with pytest.raises(bk.DimensionMismatchError, match=f"^column index {bad} is not"):
+        bk.CsrOperator([1.0, 2.0], [0, bad], [0, 1, 2], (2, 2))
+    with pytest.raises(bk.DimensionMismatchError, match=f"^indptr entry {bad} is not"):
+        bk.CsrOperator([1.0, 2.0], [0, 1], [0, bad, 2], (2, 2))
+
+
+def test_integral_float_indices_are_kept():
+    op = bk.CsrOperator.from_coo([0.0, 1.0], [1.0, 0.0], [1.0, 2.0], (2, 2))
+    assert op.indices.dtype == op.indptr.dtype == np.int64
+    assert np.array_equal(op.to_dense(), [[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_from_coo_refuses_a_shape_beyond_its_sort_key():
@@ -425,20 +445,40 @@ class TestConjugatedOperator:
         assert conj._opnorm_cache is None
 
 
-class TestCountingOperator:
-    def test_counts_both_directions(self):
-        op = bk.CountingOperator(bk.DiagonalOperator(np.array([1.0, 2.0])))
-        v = np.ones(2)
-        op.apply(v)
-        op.apply(v)
-        op.apply_adjoint(v)
-        assert op.matvecs == 3
+class TestProductCount:
+    def test_run_matvecs_leave_out_the_norm_estimate(self):
+        # an unpinned operator counts its norm estimate among its products;
+        # the run's matvecs count from after it
+        a = np.diag(np.linspace(1.0, 0.01, 20))
+        op, twin = bk.DenseOperator(a), bk.DenseOperator(a)
+        twin.opnorm()
+        r = bk.cg(op, np.ones(20), bk.SolverConfig(max_iterations=5))
+        assert twin.products > 0 and r.matvecs > 0
+        assert op.products == twin.products + r.matvecs
+        again = bk.cg(op, np.ones(20), bk.SolverConfig(max_iterations=5))
+        assert again.matvecs == r.matvecs
+        assert op.products == twin.products + 2 * r.matvecs
 
-    def test_norm_estimation_not_counted(self):
-        base = bk.DenseOperator(np.diag([1.0, 2.0]), symmetric=True)
-        op = bk.CountingOperator(base)
-        op.opnorm()
-        assert op.matvecs == 0
+    def test_summary_reports_the_run_matvecs(self, tmp_path, monkeypatch):
+        matrix = tmp_path / "a.mtx"
+        idx = np.arange(20)
+        mmio.write_coordinate(matrix, idx, idx, np.linspace(1.0, 0.01, 20), (20, 20),
+                              symmetric=True)
+        runs = []
+        run_solver = cli.run_solver
+
+        def capture(spec, op, b):
+            runs.append((op, run_solver(spec, op, b)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "run_solver", capture)
+        info = cli.run_one(cli.RunSpec(problem=str(matrix), solver="cg", tol=1e-3))
+        ((op, result),) = runs
+        # the twin makes what the operator made outside the run: the default
+        # b and the file's norm estimate
+        twin = cli.build_problem(str(matrix), 0).op
+        twin.opnorm()
+        assert info["total_matvecs"] == result.matvecs == op.products - twin.products > 0
 
 
 _A = np.random.default_rng(9).standard_normal((6, 6))
@@ -455,7 +495,6 @@ FRESH_OUTPUT_OPERATORS = {
     "conjugated": lambda: bk.ConjugatedOperator(bk.HouseholderChainOperator.random(6, 2, seed=2),
                                                 bk.DenseOperator(_A),
                                                 bk.HouseholderChainOperator.random(6, 2, seed=3)),
-    "counting": lambda: bk.CountingOperator(bk.DiagonalOperator(_DIAG)),
 }
 
 
@@ -475,6 +514,18 @@ def _owned_arrays(obj, seen=None):
     else:
         return []
     return [arr for item in items for arr in _owned_arrays(item, seen)]
+
+
+@pytest.mark.parametrize("name", FRESH_OUTPUT_OPERATORS)
+def test_products_count_each_apply(name):
+    # one product on the operator counts once, in either direction, whatever
+    # inner operators it runs
+    op = FRESH_OUTPUT_OPERATORS[name]()
+    v = np.random.default_rng(4).standard_normal(6)
+    assert op.products == 0
+    for count, product in enumerate((op.apply, op.apply_adjoint, op.apply_adjoint, op.apply), 1):
+        product(v)
+        assert op.products == count
 
 
 @pytest.mark.parametrize("name", FRESH_OUTPUT_OPERATORS)

@@ -220,6 +220,13 @@ class TestReadMatrixMarket:
         with pytest.raises(bk.DimensionMismatchError):
             bk.read_matrix_market(path, b=[1.0, 2.0, 3.0])
 
+    def test_complex_rhs_is_refused_by_name(self, tmp_path):
+        # the cast would keep the real part only
+        path = tmp_path / "t.mtx"
+        mmio.write_coordinate(path, [0, 1], [0, 1], [1.0, 1.0], (2, 2))
+        with pytest.raises(TypeError, match="^b is complex"):
+            bk.read_matrix_market(path, b=[1.0, 2.0 + 1.0j])
+
     def test_zero_row_sums_need_explicit_rhs(self, tmp_path):
         path = tmp_path / "z.mtx"
         mmio.write_coordinate(path, [0, 0], [0, 1], [1.0, -1.0], (2, 2))
