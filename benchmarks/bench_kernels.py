@@ -13,9 +13,9 @@ millisecond range where dispatch overhead matters. The tables:
   error against the exact norm (known in closed form, or from a dense SVD, or
   from a fully reorthogonalized Golub-Kahan reference run of REFERENCE_STEPS);
 * ``csr_matvec``: the CSR matvec as ``CsrOperator.apply`` runs it (its cached
-  layout built by a warm-up call) against the ``np.add.reduceat`` matvec it
-  replaced (kept here as the reference), on the shapes of ``csr_shapes``, and
-  ``CsrOperator.apply_adjoint`` on the unsymmetric ones;
+  layout built by the checking call) against the ``np.add.reduceat`` matvec
+  it replaced (kept here as the reference), on the shapes of
+  ``csr_shapes``, and ``CsrOperator.apply_adjoint`` on the unsymmetric ones;
 * ``band_recovery``: recovery on the band views at the sizes recovery meets
   (BAND_SIZES): one ``BandMatrix.solve`` and one ``solve_t`` as inverse
   iteration calls them (a unit right-hand side as a list of Python floats),
@@ -53,10 +53,12 @@ millisecond range where dispatch overhead matters. The tables:
   whose per-step n-vectors the allocator gives back to the system and
   faults in again shows about n 8 / 4096 faults per iteration.
 
-The Householder and CSR pairs are cross-checked for agreement before they
-are timed; ``tests/test_kernels.py`` and ``tests/test_smallband.py`` check the
-code of the recovery tables. Each timing but the two Krylov tables' runs
-the calls of a row interleaved and reports best and median per call.
+The Householder pair is cross-checked for agreement before it is timed,
+and both CSR products must equal ``csr_order``, a CSR-order sum taken one
+slot at a time, to the bit; ``tests/test_kernels.py`` and
+``tests/test_smallband.py`` check the code of the recovery tables. Each
+timing but the two Krylov tables' runs the calls of a row interleaved and
+reports best and median per call.
 The opnorm, recovery, Matrix Market and both Krylov tables time only
 public entry points, so they run unchanged against older checkouts; a
 checkout whose solves take arrays converts the list rhs on each call. BLAS
@@ -261,6 +263,29 @@ def reduceat_matvec(data, indices, indptr, x):
     return out
 
 
+def csr_order(data, indices, indptr, x, y, cols):
+    """(A x, A^T y) with each sum taken from 0.0 in CSR order, the order the
+    CSR kernels keep: slot s of every row, then slot s + 1; the r-th stored
+    entry of every column, then the r+1-th. Each step is one rounded multiply
+    and one rounded add over entries with distinct targets."""
+    lengths = np.diff(indptr)
+    row = np.repeat(np.arange(lengths.shape[0]), lengths)
+    entry = np.arange(data.shape[0])
+    by_col = np.argsort(indices, kind="stable")
+    counts = np.bincount(indices, minlength=cols)
+    rank = np.empty_like(entry)
+    rank[by_col] = entry - np.repeat(np.cumsum(counts) - counts, counts)
+    out = []
+    for key, target, terms, size in ((entry - indptr[row], row, data * x[indices], len(lengths)),
+                                     (rank, indices, data * y[row], cols)):
+        acc = np.zeros(size)
+        order = np.argsort(key, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            acc[target[group]] += terms[group]
+        out.append(acc)
+    return out
+
+
 def recovery_bands(sizes):
     """(k, Ttilde_k) for each k, from one Lanczos run on the minres-worstcase
     problem."""
@@ -352,21 +377,20 @@ def csr_rows(seed):
     of the reduceat reference, of CsrOperator.apply and, on the unsymmetric
     shapes, of CsrOperator.apply_adjoint (None on the symmetric one, whose
     adjoint is its apply), and the reduceat / apply speedup of the best times.
-    The adjoint is checked first by the dot test y^T (A x) = (A^T y)^T x."""
+    apply and apply_adjoint are first checked to the bit against csr_order."""
     rng = np.random.default_rng(seed)
     table = []
     for name, op in csr_shapes(rng):
         x = rng.standard_normal(op.cols)
-        want = reduceat_matvec(op.data, op.indices, op.indptr, x)
-        got = op.apply(x)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+        y = rng.standard_normal(op.rows)
+        want, want_t = csr_order(op.data, op.indices, op.indptr, x, y, op.cols)
+        assert op.apply(x).tobytes() == want.tobytes(), name
+        want_reduceat = reduceat_matvec(op.data, op.indices, op.indptr, x)
+        assert np.linalg.norm(want_reduceat - want) <= 1e-13 * np.linalg.norm(want), name
         fns = {"reduceat": lambda: reduceat_matvec(op.data, op.indices, op.indptr, x),
                "apply": lambda: op.apply(x)}
         if not op.symmetric:
-            y = rng.standard_normal(op.rows)
-            scale = np.abs(y) @ reduceat_matvec(np.abs(op.data), op.indices, op.indptr,
-                                                np.abs(x))
-            assert abs(y @ got - op.apply_adjoint(y) @ x) <= 1e-13 * scale, name
+            assert op.apply_adjoint(y).tobytes() == want_t.tobytes(), name
             fns["apply_adjoint"] = lambda: op.apply_adjoint(y)
         row = {"shape": name, "nnz": op.nnz, **timing_fields("us", fns)}
         for stat in ("best", "median"):

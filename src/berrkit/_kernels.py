@@ -32,26 +32,33 @@ The CSR matvec runs on a length-bucketed, slot-major layout in the spirit of
 sliced ELLPACK (Kreutzer, Hager, Wellein, Fehske & Bishop 2014, "A unified
 sparse matrix data format for efficient general sparse matrix-vector
 multiplication on modern processors with wide SIMD units"). ``csr_slots``
-groups the nonempty rows by floor(log2 length); a bucket stores its rows'
-column indices and values as ``width x rows`` arrays, ``width`` being its
-longest row, so one bucket costs four numpy calls (take, multiply, column
-sum, scatter) whatever its row count. A row of length L sits in a bucket of
-width below 2L, so the padded size stays below 2 nnz, with at most
-floor(log2 max length) + 1 buckets; empty rows are in none and read 0. A
+builds the buckets from the top down: the longest row left sets a bucket's
+width, and the bucket takes every row left that is longer than half the
+width, in ascending row order. It stores its rows' column indices and
+values as ``width x rows`` arrays, so one bucket costs one gather and one
+fused multiply-and-sum whatever its row count. A row of length L sits in a
+bucket of width below 2L, so the padded size stays below 2 nnz, and each
+width is at most half the one before, so there are at most
+floor(log2 max length) + 1 buckets; the Laplacian's rows of 3 to 5 entries
+make one. Empty rows are in none and read 0. When one bucket holds every
+row, its sums are the product itself, with no zero fill and no scatter. A
 padded slot holds 0.0 at the row's own last stored column, so it reads only
-an entry of x the row already reads: an inf or NaN in x[j] reaches exactly the
-rows that store column j. Each row sums its products in slot order, first to
-last, padding included; the padding adds exact zeros. A bucket of several
-rows sums along axis 0, which numpy does one slot after another; a bucket of
-one row would sum along a contiguous axis, which numpy sums pairwise, so it
-runs ``np.cumsum`` and keeps the last partial sum.
+an entry of x the row already reads: an inf or NaN in x[j] reaches exactly
+the rows that store column j. Each row sums its products in slot order,
+first to last, padding included; the padding adds exact zeros. A bucket of
+several rows is summed by ``np.einsum("ij,ij->j", ...)``, which walks the
+C-ordered pair one slot after another, adding each rounded product to the
+running sums from 0.0; a bucket of one row would reduce along a contiguous
+axis, where numpy keeps several partial sums, so it runs ``np.cumsum`` and
+keeps the last partial sum.
 
 The transposed product ``csr_matvec_t`` reads the same CSR arrays: it
-multiplies each stored entry by the x entry of its row (``np.repeat`` over
-the row lengths) and scatter-adds the products into their columns with one
-``np.bincount`` (Saad 2003, "Iterative Methods for Sparse Linear Systems",
-ch. 3). bincount adds in input order, so each column sums its terms in CSR
-(row) order, from 0.0; no transposed copy or second layout is stored.
+repeats each x entry over its row's stored entries (``np.repeat`` over the
+row lengths), multiplies that in place by the values, and scatter-adds the
+products into their columns with one ``np.bincount`` (Saad 2003, "Iterative
+Methods for Sparse Linear Systems", ch. 3). bincount adds in input order, so
+each column sums its terms in CSR (row) order, from 0.0; no transposed copy
+or second layout is stored.
 """
 
 import numpy as np
@@ -74,23 +81,31 @@ USING_NUMBA = False
 def csr_slots(data, indices, indptr):
     """The length-bucketed, slot-major layout of a CSR matrix (see above).
 
-    One ``(rows, idx, val)`` triple per nonempty bucket: ``rows`` are the row
-    ids, ``idx`` and ``val`` are ``width x len(rows)`` arrays with slot s of
-    row ``rows[i]`` in column i.
+    One ``(rows, idx, val)`` triple per bucket: ``rows`` are the row ids in
+    ascending order, ``idx`` and ``val`` are ``width x len(rows)`` arrays with
+    slot s of row ``rows[i]`` in column i.
     """
     lengths = np.diff(indptr)
-    nonempty = np.flatnonzero(lengths)
-    lens = lengths[nonempty]
-    # frexp is exact on integers: its exponent minus one is floor(log2(len))
-    level = np.frexp(lens.astype(np.float64))[1] - 1
     buckets = []
-    for lev in np.unique(level):
-        pick = level == lev
-        rows, rlens = nonempty[pick], lens[pick]
-        slot = np.arange(rlens.max())[:, None]
+    width = lengths.max(initial=0)
+    while width:
+        # every remaining row longer than width / 2
+        rows = np.flatnonzero((lengths > width // 2) & (lengths <= width))
+        rlens = lengths[rows]
+        slot = np.arange(width)[:, None]
         pos = indptr[rows] + np.minimum(slot, rlens - 1)
         buckets.append((rows, indices[pos], np.where(slot < rlens, data[pos], 0.0)))
+        width = lengths.max(initial=0, where=lengths <= width // 2)
     return buckets
+
+
+def _bucket_sums(x, idx, val):
+    """Each column's sum of x[idx] * val, in slot order (see above)."""
+    if idx.shape[1] > 1:
+        return np.einsum("ij,ij->j", np.take(x, idx), val)
+    prod = np.take(x, idx)
+    prod *= val
+    return np.cumsum(prod)[-1:]
 
 
 def csr_matvec(data, indices, indptr, x, slots=None):
@@ -98,17 +113,21 @@ def csr_matvec(data, indices, indptr, x, slots=None):
     same matrix, built here when not given."""
     if slots is None:
         slots = csr_slots(data, indices, indptr)
-    out = np.zeros(indptr.shape[0] - 1)
+    n = indptr.shape[0] - 1
+    if len(slots) == 1 and slots[0][0].shape[0] == n:
+        # one bucket holds every row, in order: its sums are A x
+        _, idx, val = slots[0]
+        return _bucket_sums(x, idx, val)
+    out = np.zeros(n)
     for rows, idx, val in slots:
-        prod = np.take(x, idx)
-        prod *= val
-        out[rows] = prod.sum(axis=0) if rows.shape[0] > 1 else np.cumsum(prod)[-1]
+        out[rows] = _bucket_sums(x, idx, val)
     return out
 
 
 def csr_matvec_t(data, indices, indptr, x, cols):
     """A^T x for CSR (data, indices, indptr) with ``cols`` columns (see above)."""
-    prod = data * np.repeat(x, np.diff(indptr))
+    prod = np.repeat(x, np.diff(indptr))
+    prod *= data
     # bincount over no entries returns int64 zeros
     return np.bincount(indices, weights=prod, minlength=cols).astype(np.float64, copy=False)
 

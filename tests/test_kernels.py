@@ -3,8 +3,12 @@
 The band solves, on the float lists they take, match the scalar reference
 loops bit for bit; the CSR matvec and its transpose are checked against a
 dense product on Hypothesis-drawn and skewed inputs, and the length-bucketed
-layout against its stated bounds. ``tests/test_operators.py`` checks both
-CSR products against scalar loops in CSR order, to the bit up to zero signs.
+layout against its stated bounds and bucket rule. Both CSR products match
+``bench_kernels.csr_order``, the sums in CSR order, to the bit up to zero
+signs on buckets of every width from 1 to 64, on buckets of 1 to 1200 rows
+with and without empty rows between them, and on the benchmarked matrices;
+``tests/test_operators.py`` checks them against scalar loops on small
+Hypothesis-drawn matrices.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import berrkit as bk
-from berrkit import _kernels, factorize
+from berrkit import _kernels, factorize, minberr
 
 
 def _dense_to_csr(dense):
@@ -87,7 +91,9 @@ def _csr_and_vector(draw):
 
 def _check_layout(slots, data, indices, indptr):
     """csr_slots keeps every stored entry once, pads within its bounds, and
-    fills each padded slot with 0.0 at the row's own last stored column."""
+    fills each padded slot with 0.0 at the row's own last stored column. Each
+    bucket is as wide as the longest row left by the buckets before it and
+    takes, in ascending order, every row left that is longer than half that."""
     lengths = np.diff(indptr)
     nnz = data.shape[0]
     assert sum(val.size for _, _, val in slots) < max(2 * nnz, 1)
@@ -95,8 +101,13 @@ def _check_layout(slots, data, indices, indptr):
         assert len(slots) <= int(np.log2(lengths.max())) + 1
     seen = np.concatenate([rows for rows, _, _ in slots] + [np.zeros(0, np.int64)])
     assert np.array_equal(np.sort(seen), np.flatnonzero(lengths))
+    left = lengths.copy()
     for rows, idx, val in slots:
-        assert idx.shape == val.shape == (idx.shape[0], rows.shape[0])
+        width = idx.shape[0]
+        assert idx.shape == val.shape == (width, rows.shape[0])
+        assert width == left.max()
+        assert np.array_equal(rows, np.flatnonzero(left > width / 2))
+        left[rows] = 0
         for j, row in enumerate(rows):
             lo, hi = indptr[row], indptr[row + 1]
             n = hi - lo
@@ -195,6 +206,94 @@ def test_csr_operator_builds_each_layout_once(monkeypatch):
         op.apply(x)
         op.apply_adjoint(x)
     assert len(calls) == 1 and calls[0][0] is op.data
+
+
+def _csr_of_lengths(rng, lengths, cols):
+    """CSR arrays whose rows have the given lengths, at sorted random columns
+    of range(cols), with values from _entries."""
+    indices = np.concatenate([np.sort(rng.choice(cols, size=n, replace=False)) for n in lengths])
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return _entries(rng, indices.shape[0]), indices, indptr
+
+
+def _assert_sums_in_csr_order(bench_kernels, rng, data, indices, indptr, cols):
+    """csr_matvec and csr_matvec_t equal the CSR-order sums of
+    ``bench_kernels.csr_order`` to the bit, zero signs aside, on x and y from
+    _entries."""
+    x, y = _entries(rng, cols), _entries(rng, indptr.shape[0] - 1)
+    got = (_kernels.csr_matvec(data, indices, indptr, x),
+           _kernels.csr_matvec_t(data, indices, indptr, y, cols))
+    for g, want in zip(got, bench_kernels.csr_order(data, indices, indptr, x, y, cols)):
+        assert g.dtype == np.float64 and g.shape == want.shape
+        assert np.array_equal(g, want)
+
+
+def _with_empty_rows(lengths):
+    """lengths with an empty row before each row and one at the end."""
+    gapped = np.zeros(2 * len(lengths) + 1, dtype=np.int64)
+    gapped[1::2] = lengths
+    return gapped
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_a_bucket_of_each_width_sums_in_csr_order(bench_kernels, width):
+    # 11 rows that fill one bucket: it holds every row (no scatter), or, with
+    # empty rows between them, every other row (scattered)
+    rng = np.random.default_rng(width)
+    lengths = rng.integers(width // 2 + 1, width + 1, size=11)
+    lengths[5] = width
+    for lens, cols in ((lengths, width + 3), (_with_empty_rows(lengths), 2 * width + 1)):
+        data, indices, indptr = _csr_of_lengths(rng, lens, cols)
+        slots = _kernels.csr_slots(data, indices, indptr)
+        assert [(idx.shape[0], rows.shape[0]) for rows, idx, _ in slots] == [(width, 11)]
+        _check_layout(slots, data, indices, indptr)
+        _assert_sums_in_csr_order(bench_kernels, rng, data, indices, indptr, cols)
+
+
+@pytest.mark.parametrize("gaps", [False, True])
+def test_buckets_of_one_to_thousands_of_rows_sum_in_csr_order(bench_kernels, gaps):
+    rng = np.random.default_rng(65)
+    # buckets of width 40, 20, 10, 4, 2 and 1 holding 1, 2, 3, 1200, 2 and 1 rows
+    lengths = rng.permutation(np.concatenate(
+        [[40, 17, 20, 6, 10, 9], rng.integers(3, 5, size=1200), [2, 2, 1]]))
+    if gaps:
+        lengths = _with_empty_rows(lengths)
+    for cols in (50, 3000):
+        data, indices, indptr = _csr_of_lengths(rng, lengths, cols)
+        slots = _kernels.csr_slots(data, indices, indptr)
+        assert [(idx.shape[0], rows.shape[0]) for rows, idx, _ in slots] == [
+            (40, 1), (20, 2), (10, 3), (4, 1200), (2, 2), (1, 1)]
+        _check_layout(slots, data, indices, indptr)
+        _assert_sums_in_csr_order(bench_kernels, rng, data, indices, indptr, cols)
+
+
+def test_the_solved_csr_matrices_take_one_bucket(bench_kernels):
+    # the Laplacian's rows of 3-5 entries, the random rows of about 9 and the
+    # one entry a row of minberr_ne_perturbed's E (some rows empty when tall)
+    rng = np.random.default_rng(66)
+    lap = bench_kernels.laplacian_coo(120)
+    rnd = bench_kernels.certify_random_coo(10_000, np.random.default_rng([1, 10]))
+    ops = [(bk.CsrOperator.from_coo(*lap, (14_400, 14_400), symmetric=True), 14_400),
+           (bk.CsrOperator.from_coo(*rnd, (10_000, 10_000)), 10_000),
+           (minberr._perturbation(200, 300, 1e-3, 0), 200),
+           (minberr._perturbation(300, 200, 1e-3, 0), 200)]
+    for op, filled in ops:
+        slots = _kernels.csr_slots(op.data, op.indices, op.indptr)
+        assert len(slots) == 1 and slots[0][0].shape[0] == filled
+        _check_layout(slots, op.data, op.indices, op.indptr)
+        _assert_sums_in_csr_order(bench_kernels, rng, op.data, op.indices, op.indptr, op.cols)
+
+
+def test_arrow_layout_keeps_its_bounds(bench_kernels):
+    # a dense first row and column beside the diagonal: one row of n entries
+    # and n - 1 rows of 2
+    rng = np.random.default_rng(67)
+    n = 300
+    op = bk.CsrOperator.from_coo(*bench_kernels.arrow_coo(n, rng), (n, n))
+    slots = _kernels.csr_slots(op.data, op.indices, op.indptr)
+    assert [(idx.shape[0], rows.shape[0]) for rows, idx, _ in slots] == [(n, 1), (2, n - 1)]
+    _check_layout(slots, op.data, op.indices, op.indptr)
+    _assert_sums_in_csr_order(bench_kernels, rng, op.data, op.indices, op.indptr, n)
 
 
 def _unit_rows(rng, m, n):
