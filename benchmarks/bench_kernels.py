@@ -17,12 +17,15 @@ millisecond range where dispatch overhead matters. The tables:
   it replaced (kept here as the reference), on the shapes of
   ``csr_shapes``, and ``CsrOperator.apply_adjoint`` on the unsymmetric ones;
 * ``band_recovery``: recovery on the band views at the sizes recovery meets
-  (BAND_SIZES): one ``BandMatrix.solve`` and one ``solve_t`` as inverse
-  iteration calls them (a unit right-hand side as a list of Python floats),
-  on a band that has already solved once, and one whole ``inverse_iteration``
-  call with its step count. Each band is ``LanczosState.ttilde(k)`` of the
+  (BAND_SIZES): one ``BandMatrix.solve`` and one ``solve_t`` on a unit
+  right-hand side given as a list of Python floats, on a band that has
+  already solved once, and one whole ``inverse_iteration`` call with its
+  step count. The tridiagonal bands are ``LanczosState.ttilde(k)`` of the
   minres-worstcase problem (small-outlier n = 2000, kappa = 1e10,
-  sigma = 1e-3, b = its default rhs);
+  sigma = 1e-3, b = its default rhs), which solve with three terms a row;
+  the bidiagonal ones ``BidiagState.btilde(k)`` of the NE sweep's problem
+  (small-outlier n = 500, kappa = 1e14, sigma = 1e-3), which solve with
+  two;
 * ``recovery_sweep``: recovery at every k of one factorization, as a traced
   run pays for it (SWEEPS): the mean inverse-iteration steps per recovery, the
   time of the whole loop (band view, ``inverse_iteration`` at delta = 1e-6)
@@ -287,13 +290,19 @@ def csr_order(data, indices, indptr, x, y, cols):
 
 
 def recovery_bands(sizes):
-    """(k, Ttilde_k) for each k, from one Lanczos run on the minres-worstcase
-    problem."""
-    p = small_outlier(2000, 1e10, 1e-3)
-    state = LanczosState(p.op, p.b)
-    for _ in range(max(sizes)):
-        state.step()
-    return [(k, state.ttilde(k)) for k in sizes]
+    """(name, k, band) for each k: Ttilde_k from one Lanczos run on the
+    minres-worstcase problem, then Btilde_k from one Golub-Kahan run on the
+    NE sweep's problem."""
+    bands = []
+    for name, state_type, view, p in [
+        ("Ttilde", LanczosState, "ttilde", small_outlier(2000, 1e10, 1e-3)),
+        ("Btilde", BidiagState, "btilde", small_outlier(500, 1e14, 1e-3)),
+    ]:
+        state = state_type(p.op, p.b)
+        for _ in range(max(sizes)):
+            state.step()
+        bands += [(name, k, getattr(state, view)(k)) for k in sizes]
+    return bands
 
 
 def reflector_loop(vecs, x, adjoint):
@@ -401,21 +410,21 @@ def csr_rows(seed):
 
 
 def band_rows(seed):
-    """One dict per BAND_SIZES entry: the inverse-iteration step count and the
-    best and median microseconds per call of BandMatrix.solve,
-    BandMatrix.solve_t and inverse_iteration."""
+    """One dict per band of recovery_bands(BAND_SIZES): the inverse-iteration
+    step count and the best and median microseconds per call of
+    BandMatrix.solve, BandMatrix.solve_t and inverse_iteration."""
     rng = np.random.default_rng(seed)
     table = []
-    for k, band in recovery_bands(BAND_SIZES):
+    for name, k, band in recovery_bands(BAND_SIZES):
         rhs = rng.standard_normal(k)
         rhs = (rhs / np.linalg.norm(rhs)).tolist()
         band.solve(rhs)  # a recovery's first solve builds what the rest reuse
         _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
-        table.append({"k": k, "inverse_iteration_steps": steps, **timing_fields("us", {
-            "solve": lambda: band.solve(rhs),
-            "solve_t": lambda: band.solve_t(rhs),
-            "inverse_iteration": lambda: inverse_iteration(band, 1e-6, seed=[seed, k]),
-        })})
+        fns = {"solve": lambda: band.solve(rhs),
+               "solve_t": lambda: band.solve_t(rhs),
+               "inverse_iteration": lambda: inverse_iteration(band, 1e-6, seed=[seed, k])}
+        table.append({"band": name, "k": k, "inverse_iteration_steps": steps,
+                      **timing_fields("us", fns)})
     return table
 
 

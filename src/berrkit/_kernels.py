@@ -4,16 +4,26 @@ The kernels take and return float64 arrays, except the band solves, which
 take the band and the right-hand side as sequences (lists or tuples) of
 Python floats and return a list. A band is upper triangular, as in the
 factorization views: ``diag[i]`` is entry (i, i), ``sup1[i]`` is (i, i+1)
-for i < k-1 and ``sup2[i]`` is (i, i+2) for i < k-2. The solves want the
-superdiagonals padded with zeros to length k so that one zip walks all the
-rows: at the end (``sup1 + (0.0,)``, ``sup2 + (0.0, 0.0)``) for
-``band_solve_upper``, in front (``(0.0,) + sup1``, ``(0.0, 0.0) + sup2``) for
-``band_solve_upper_t``. A padding zero only ever multiplies the 0.0 that the
-recurrence starts from, so it subtracts an exact zero and changes no bit.
-``BandMatrix`` builds these sequences in its constructor from the Python
-floats the factorization views hand it, and inverse iteration keeps its
-iterate as a list, so the solves of a recovery convert nothing between numpy
-and Python. The kernels divide by each diagonal entry as given;
+for i < k-1 and ``sup2[i]`` is (i, i+2) for i < k-2; ``sup2`` is None for a
+bidiagonal band. The solves want the superdiagonals padded with zeros to
+length k so that one zip walks all the rows: at the end (``sup1 + (0.0,)``,
+``sup2 + (0.0, 0.0)``) for ``band_solve_upper``, in front (``(0.0,) + sup1``,
+``(0.0, 0.0) + sup2``) for ``band_solve_upper_t``. A padding zero only ever
+multiplies the 0.0 that the recurrence starts from, so it subtracts an exact
+zero and changes no bit. Both solves take the right-hand side divided by a
+``scale``: each entry is divided as it is read, ``r / scale``, which rounds
+exactly as dividing the whole vector first would, so inverse iteration hands
+over its last iterate and that iterate's norm instead of a normalized copy
+(a scale of 1.0 changes no bit). A bidiagonal band solves with two terms,
+x_i = (r_i / scale - s1_i x_{i+-1}) / d_i; a tridiagonal one with three,
+subtracting s2_i x_{i+-2} after the s1 term. The three-term form on a zero
+``sup2`` agrees with the two-term one except in the sign of an exact zero
+(``a - 0.0 * x2`` is +0.0 where a is -0.0 and x2 is sign-negative) and
+after a non-finite entry (0.0 * inf is NaN).
+``BandMatrix`` builds the padded sequences in its constructor from the
+Python floats the factorization views hand it, and inverse iteration keeps
+its iterate as a list, so the solves of a recovery convert nothing between
+numpy and Python. The kernels divide by each diagonal entry as given;
 ``BandMatrix`` floors its diagonal at ``factorize.SOLVE_FLOOR``, so no zero
 pivot reaches them.
 The recurrence runs on Python floats in the operation order of the scalar
@@ -161,25 +171,35 @@ def householder_chain(vecs, tfactors, x, adjoint):
     return y
 
 
-def band_solve_upper(diag, sup1, sup2, rhs):
-    """x with U x = rhs for the upper band U (see above): the superdiagonals
-    zero-padded at the end; the arguments are sequences of Python floats and
-    x is a list."""
+def band_solve_upper(diag, sup1, sup2, rhs, scale):
+    """x with U x = rhs / scale for the upper band U (see above): the
+    superdiagonals zero-padded at the end, sup2 None when U is bidiagonal;
+    the arguments are sequences of Python floats and x is a list."""
     x = []
     x1 = x2 = 0.0  # x[i+1], x[i+2]
-    for d, s1, s2, r in zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs)):
-        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
-        x.append(x1)
+    if sup2 is None:
+        for d, s1, r in zip(reversed(diag), reversed(sup1), reversed(rhs)):
+            x1 = (r / scale - s1 * x1) / d
+            x.append(x1)
+    else:
+        for d, s1, s2, r in zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs)):
+            x2, x1 = x1, (r / scale - s1 * x1 - s2 * x2) / d
+            x.append(x1)
     x.reverse()
     return x
 
 
-def band_solve_upper_t(diag, sup1, sup2, rhs):
-    """x with U^T x = rhs, the superdiagonals zero-padded in front; types as
-    for band_solve_upper."""
+def band_solve_upper_t(diag, sup1, sup2, rhs, scale):
+    """x with U^T x = rhs / scale, the superdiagonals zero-padded in front;
+    types as for band_solve_upper."""
     x = []
     x1 = x2 = 0.0  # x[i-1], x[i-2]
-    for d, s1, s2, r in zip(diag, sup1, sup2, rhs):
-        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
-        x.append(x1)
+    if sup2 is None:
+        for d, s1, r in zip(diag, sup1, rhs):
+            x1 = (r / scale - s1 * x1) / d
+            x.append(x1)
+    else:
+        for d, s1, s2, r in zip(diag, sup1, sup2, rhs):
+            x2, x1 = x1, (r / scale - s1 * x1 - s2 * x2) / d
+            x.append(x1)
     return x

@@ -46,10 +46,10 @@ class BandMatrix:
     """Upper-triangular matrix with up to two superdiagonals.
 
     ``diag`` has length k, ``sup1`` length k-1, ``sup2`` length k-2 (``sup2``
-    is all zeros for bidiagonal views). The three are kept as tuples, an
-    array's entries as Python floats, so a band is a snapshot: a later edit
-    of the caller's lists or arrays reaches neither ``matvec`` nor the
-    solves.
+    is all zeros for a band built without one, as the bidiagonal views are).
+    The three are kept as tuples, an array's entries as Python floats, so a
+    band is a snapshot: a later edit of the caller's lists or arrays reaches
+    neither ``matvec`` nor the solves.
 
     The solves run on the diagonal floored at SOLVE_FLOOR: an entry below it
     in magnitude is solved as -SOLVE_FLOOR when negative and +SOLVE_FLOOR
@@ -59,7 +59,9 @@ class BandMatrix:
     equations and Newton's method", SIAM Rev. 21): the solve then grows along
     the null direction, which is the direction sought. The constructor builds
     what the solves take once: that diagonal and each direction's
-    zero-padded superdiagonals (see ``_kernels``).
+    zero-padded superdiagonals (see ``_kernels``). A band built without
+    ``sup2`` hands the kernels None for it and solves with two terms a row;
+    one built with ``sup2``, even an all-zero one, solves with three.
     """
 
     def __init__(self, diag, sup1, sup2=None):
@@ -72,8 +74,11 @@ class BandMatrix:
         if min(floored, default=SOLVE_FLOOR) < SOLVE_FLOOR:
             floored = [(-SOLVE_FLOOR if d < 0.0 else SOLVE_FLOOR) if abs(d) < SOLVE_FLOOR else d
                        for d in floored]
-        self._upper = (floored, self.sup1 + (0.0,), self.sup2 + (0.0, 0.0))
-        self._upper_t = (floored, (0.0,) + self.sup1, (0.0, 0.0) + self.sup2)
+        bidiagonal = sup2 is None
+        self._upper = (floored, self.sup1 + (0.0,),
+                       None if bidiagonal else self.sup2 + (0.0, 0.0))
+        self._upper_t = (floored, (0.0,) + self.sup1,
+                         None if bidiagonal else (0.0, 0.0) + self.sup2)
 
     @property
     def k(self):
@@ -95,14 +100,15 @@ class BandMatrix:
             y.append(diag[k - 1] * v[k - 1])
         return np.array(y)
 
-    def solve(self, rhs):
-        """Back substitution for self @ x = rhs, on the floored diagonal; rhs
-        and x are lists of Python floats."""
-        return band_solve_upper(*self._upper, rhs)
+    def solve(self, rhs, scale=1.0):
+        """Back substitution for self @ x = rhs / scale, on the floored
+        diagonal; rhs and x are lists of Python floats, and each rhs entry
+        is divided by scale as the solve reads it."""
+        return band_solve_upper(*self._upper, rhs, scale)
 
-    def solve_t(self, rhs):
-        """Forward substitution for self.T @ x = rhs, as ``solve``."""
-        return band_solve_upper_t(*self._upper_t, rhs)
+    def solve_t(self, rhs, scale=1.0):
+        """Forward substitution for self.T @ x = rhs / scale, as ``solve``."""
+        return band_solve_upper_t(*self._upper_t, rhs, scale)
 
 
 def _floats(values):

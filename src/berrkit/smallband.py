@@ -113,23 +113,6 @@ class DqdsState:
         return self.converged
 
 
-def _solve_normalized(solve, rhs):
-    """``solve(rhs)`` scaled to a unit vector, with the norm it was scaled
-    by, or None when its result has a non-finite entry or is zero.
-
-    The band solves floor the diagonal at SOLVE_FLOOR, so a singular band
-    solves like any other. Inverse iteration needs only directions, and
-    normalizing after each solve stops the growth of the iterate from
-    compounding over the two solves of a step and over steps. ``math.hypot``
-    scales internally, so the norm is finite wherever the entries are.
-    """
-    w = solve(rhs)
-    nw = math.hypot(*w)
-    if not 0.0 < nw < math.inf:
-        return None
-    return [x / nw for x in w], nw
-
-
 def inverse_iteration_steps(k, delta):
     """Step budget ceil(2.23 ln(k / delta^2)) for failure probability delta,
     with ln(delta^2) taken as 2 ln(delta): delta^2 underflows to 0 for delta
@@ -149,10 +132,17 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     Appl. 13). The band solves floor the diagonal at SOLVE_FLOOR, so on a
     band with a zero diagonal entry the first step lands on the null
     direction. A solve whose result is zero or not finite ends the iteration
-    with the last unit iterate.
+    with the last iterate. Dividing each solve's result by its norm stops
+    the growth of the iterate from compounding over the two solves of a step
+    and over steps; ``math.hypot`` scales internally, so a norm is finite
+    wherever the entries are.
 
-    The iterate stays a list of Python floats, the band solves' own type, and
-    becomes an array once, at the end. A step solves band^T y = v and
+    The iterate is held as the pair (w, ||w||), w a list of Python floats,
+    the band solves' own type, and the unit vector it stands for is
+    w / ||w||. A solve divides each entry of its right-hand side by the
+    norm as it reads it (see ``_kernels``), which rounds as dividing w out
+    first would, so no normalized copy is built; v = w / ||w|| is formed
+    once, at the end, and becomes an array. A step solves band^T y = v and
     band z = y / ||y||, and takes v = z / ||z||; then band v = (y / ||y||) /
     ||z||, so ||band v||^2 = 1 / ||z||^2 without a matvec. The iteration
     stops early once that estimate moves by at most RQ_STABILIZED_RTOL
@@ -182,25 +172,29 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     k = band.k
     if max_steps is None:
         max_steps = inverse_iteration_steps(k, delta)
-    start = np.random.default_rng(seed).standard_normal(k).tolist()
-    norm = math.hypot(*start)
-    v = [x / norm for x in start]
+    w = np.random.default_rng(seed).standard_normal(k).tolist()
+    nw = math.hypot(*w)
     solve, solve_t = band.solve, band.solve_t
     growth = 0.0  # ||z|| of the last step, so ||band v||^2 = 1 / growth^2
     steps = 0
     for _ in range(max_steps):
         # one inverse power step on band^T band
-        y = _solve_normalized(solve_t, v)
-        z = None if y is None else _solve_normalized(solve, y[0])
-        if z is None:
-            # degenerate iterate; keep the current v
+        y = solve_t(w, nw)
+        ny = math.hypot(*y)
+        if not 0.0 < ny < math.inf:
+            # degenerate iterate; keep the current one
             break
-        v, grown = z
+        z = solve(y, ny)
+        nz = math.hypot(*z)
+        if not 0.0 < nz < math.inf:
+            break
+        w, nw = z, nz
         steps += 1
-        # the estimate moved from 1 / growth^2 to 1 / grown^2
-        if abs(1.0 - (growth / grown) ** 2) <= RQ_STABILIZED_RTOL:
+        # the estimate moved from 1 / growth^2 to 1 / nz^2
+        if abs(1.0 - (growth / nz) ** 2) <= RQ_STABILIZED_RTOL:
             break
-        growth = grown
+        growth = nz
+    v = [x / nw for x in w]
     measured = band.matvec(v)
     v = np.array(v)
     return v, norm2(measured) / norm2(v), steps

@@ -96,7 +96,7 @@ class TestBandMatrix:
         for k in (1, 2, 3, 9):
             d, s1, s2 = diag[9 - k:], sup1[9 - k:], sup2[9 - k:]
             band = BandMatrix(given(d), given(s1), given(s2) if tridiagonal else None)
-            ref = _ArrayBand(d, s1, s2)
+            ref = _ArrayBand(d, s1, s2, bidiagonal=not tridiagonal)
             for values in (band.diag, band.sup1, band.sup2):
                 assert type(values) is tuple and all(type(x) is float for x in values)
             vs = rng.standard_normal((4, k))
@@ -107,7 +107,8 @@ class TestBandMatrix:
                 rhs = v.tolist()
                 for solve, kernel, lists in [(band.solve, band_solve_upper, ref.upper),
                                              (band.solve_t, band_solve_upper_t, ref.upper_t)]:
-                    assert np.array(solve(rhs)).tobytes() == np.array(kernel(*lists, rhs)).tobytes()
+                    want = np.array(kernel(*lists, rhs, 1.0)).tobytes()
+                    assert np.array(solve(rhs)).tobytes() == want
             assert np.signbit(y[-2:]).all()
 
     def test_sigma_min_dense(self):
@@ -123,17 +124,18 @@ class TestBandMatrix:
 
 class _ArrayBand:
     """BandMatrix's earlier array form: float64 copies, the numpy matvec, and
-    solve lists built from the diagonal floored by np.where."""
+    solve lists built from the diagonal floored by np.where, with None for
+    the second superdiagonal of a bidiagonal band."""
 
-    def __init__(self, diag, sup1, sup2):
+    def __init__(self, diag, sup1, sup2, bidiagonal=False):
         self.diag, self.sup1, self.sup2 = (np.array(a, dtype=np.float64)
                                            for a in (diag, sup1, sup2))
         d, mag = self.diag, np.abs(self.diag)
         if mag.min(initial=SOLVE_FLOOR) < SOLVE_FLOOR:
             d = np.where(mag < SOLVE_FLOOR, np.where(d < 0.0, -SOLVE_FLOOR, SOLVE_FLOOR), d)
         s1, s2 = self.sup1.tolist(), self.sup2.tolist()
-        self.upper = (d.tolist(), s1 + [0.0], s2 + [0.0, 0.0])
-        self.upper_t = (d.tolist(), [0.0] + s1, [0.0, 0.0] + s2)
+        self.upper = (d.tolist(), s1 + [0.0], None if bidiagonal else s2 + [0.0, 0.0])
+        self.upper_t = (d.tolist(), [0.0] + s1, None if bidiagonal else [0.0, 0.0] + s2)
 
     def matvec(self, v):
         k = self.diag.shape[0]

@@ -1,15 +1,21 @@
 """The kernels against dense products and the reference loops written here.
 
 The band solves, on the float lists they take, match the scalar reference
-loops bit for bit; the CSR matvec and its transpose are checked against a
-dense product on Hypothesis-drawn and skewed inputs, and the length-bucketed
-layout against its stated bounds and bucket rule. Both CSR products match
+loops bit for bit; the two-term (bidiagonal) loop also matches the
+three-term one on a zero second superdiagonal, but for the sign of an exact
+zero and the entries past a non-finite one. The CSR matvec and its
+transpose are checked against a dense product on Hypothesis-drawn and
+skewed inputs, and the length-bucketed layout against its stated bounds and
+bucket rule. Both CSR products match
 ``bench_kernels.csr_order``, the sums in CSR order, to the bit up to zero
 signs on buckets of every width from 1 to 64, on buckets of 1 to 1200 rows
 with and without empty rows between them, and on the benchmarked matrices;
 ``tests/test_operators.py`` checks them against scalar loops on small
 Hypothesis-drawn matrices.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -374,20 +380,23 @@ class TestHouseholderChain:
 
 
 def _upper_lists(diag, sup1, sup2):
-    """The band as band_solve_upper takes it: floats, zero padding at the end."""
-    return diag.tolist(), sup1.tolist() + [0.0], sup2.tolist() + [0.0, 0.0]
+    """The band as band_solve_upper takes it: floats, zero padding at the
+    end, sup2 None for a bidiagonal band."""
+    return (diag.tolist(), sup1.tolist() + [0.0],
+            None if sup2 is None else sup2.tolist() + [0.0, 0.0])
 
 
 def _transposed_lists(diag, sup1, sup2):
     """As band_solve_upper_t takes it: the zero padding in front."""
-    return diag.tolist(), [0.0] + sup1.tolist(), [0.0, 0.0] + sup2.tolist()
+    return (diag.tolist(), [0.0] + sup1.tolist(),
+            None if sup2 is None else [0.0, 0.0] + sup2.tolist())
 
 
-def _scalar_upper_solve(diag, sup1, sup2, rhs):
+def _scalar_upper_solve(diag, sup1, sup2, rhs, scale=1.0):
     k = diag.shape[0]
     x = np.empty(k)
     for i in range(k - 1, -1, -1):
-        acc = rhs[i]
+        acc = rhs[i] / scale
         if i + 1 < k:
             acc -= sup1[i] * x[i + 1]
         if i + 2 < k:
@@ -396,15 +405,37 @@ def _scalar_upper_solve(diag, sup1, sup2, rhs):
     return x
 
 
-def _scalar_upper_t_solve(diag, sup1, sup2, rhs):
+def _scalar_upper_t_solve(diag, sup1, sup2, rhs, scale=1.0):
     k = diag.shape[0]
     x = np.empty(k)
     for i in range(k):
-        acc = rhs[i]
+        acc = rhs[i] / scale
         if i >= 1:
             acc -= sup1[i - 1] * x[i - 1]
         if i >= 2:
             acc -= sup2[i - 2] * x[i - 2]
+        x[i] = acc / diag[i]
+    return x
+
+
+def _scalar_bidiagonal_solve(diag, sup1, rhs, scale):
+    k = diag.shape[0]
+    x = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        acc = rhs[i] / scale
+        if i + 1 < k:
+            acc -= sup1[i] * x[i + 1]
+        x[i] = acc / diag[i]
+    return x
+
+
+def _scalar_bidiagonal_t_solve(diag, sup1, rhs, scale):
+    k = diag.shape[0]
+    x = np.empty(k)
+    for i in range(k):
+        acc = rhs[i] / scale
+        if i >= 1:
+            acc -= sup1[i - 1] * x[i - 1]
         x[i] = acc / diag[i]
     return x
 
@@ -426,7 +457,7 @@ class TestBandSolves:
         rng = np.random.default_rng(k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper(*_upper_lists(diag, sup1, sup2), rhs.tolist())
+        x = _kernels.band_solve_upper(*_upper_lists(diag, sup1, sup2), rhs.tolist(), 1.0)
         assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
@@ -434,7 +465,7 @@ class TestBandSolves:
         rng = np.random.default_rng(100 + k)
         diag, sup1, sup2, dense = self._random_band(rng, k)
         rhs = rng.standard_normal(k)
-        x = _kernels.band_solve_upper_t(*_transposed_lists(diag, sup1, sup2), rhs.tolist())
+        x = _kernels.band_solve_upper_t(*_transposed_lists(diag, sup1, sup2), rhs.tolist(), 1.0)
         assert_allclose(x, np.linalg.solve(dense.T, rhs), rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 30, 300])
@@ -444,13 +475,62 @@ class TestBandSolves:
         rhs = rng.standard_normal(k)
         rhs[0] = rhs[-1] = -0.0  # the signed zero must survive the edge rows
         band = factorize.BandMatrix(diag, sup1, sup2)
-        for solve, lists, reference, band_solve in [
+        for (solve, lists, reference, band_solve), scale in itertools.product([
             (_kernels.band_solve_upper, _upper_lists, _scalar_upper_solve, band.solve),
             (_kernels.band_solve_upper_t, _transposed_lists, _scalar_upper_t_solve,
              band.solve_t),
-        ]:
-            x = solve(*lists(diag, sup1, sup2), rhs.tolist())
+        ], [1.0, 2.7]):
+            x = solve(*lists(diag, sup1, sup2), rhs.tolist(), scale)
             assert type(x) is list and all(type(xi) is float for xi in x)
-            assert np.array(x).tobytes() == reference(diag, sup1, sup2, rhs).tobytes()
+            assert np.array(x).tobytes() == reference(diag, sup1, sup2, rhs, scale).tobytes()
             # BandMatrix hands the kernels the same lists
-            assert np.array(band_solve(rhs.tolist())).tobytes() == np.array(x).tobytes()
+            assert np.array(band_solve(rhs.tolist(), scale)).tobytes() == np.array(x).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 30, 300])
+    def test_bidiagonal_solves_match_two_term_scalar_loop_bitwise(self, k):
+        rng = np.random.default_rng(300 + k)
+        diag, sup1, _, _ = self._random_band(rng, k)
+        rhs = rng.standard_normal(k)
+        rhs[0] = rhs[-1] = -0.0
+        band = factorize.BandMatrix(diag, sup1)
+        for (solve, lists, reference, band_solve), scale in itertools.product([
+            (_kernels.band_solve_upper, _upper_lists, _scalar_bidiagonal_solve, band.solve),
+            (_kernels.band_solve_upper_t, _transposed_lists, _scalar_bidiagonal_t_solve,
+             band.solve_t),
+        ], [1.0, 2.7]):
+            x = solve(*lists(diag, sup1, None), rhs.tolist(), scale)
+            assert type(x) is list and all(type(xi) is float for xi in x)
+            assert np.array(x).tobytes() == reference(diag, sup1, rhs, scale).tobytes()
+            assert np.array(band_solve(rhs.tolist(), scale)).tobytes() == np.array(x).tobytes()
+
+    def test_two_terms_keep_the_zero_sign_three_terms_lose(self):
+        # the three-term form on a zero sup2 computes a - 0.0 * x2, which is
+        # +0.0 where a is -0.0 and x2 sign-negative: row 0 below reads
+        # (-0.0 - 0.0 * 0.0) - 0.0 * (-1.0) = +0.0, the two-term row -0.0
+        diag, sup1, sup2 = np.ones(3), np.zeros(2), np.zeros(1)
+        for solve, lists, rhs, row in [
+            (_kernels.band_solve_upper, _upper_lists, [-0.0, -0.0, -1.0], 0),
+            (_kernels.band_solve_upper_t, _transposed_lists, [-1.0, -0.0, -0.0], 2),
+        ]:
+            three = solve(*lists(diag, sup1, sup2), rhs, 1.0)
+            two = solve(*lists(diag, sup1, None), rhs, 1.0)
+            assert three == two
+            assert math.copysign(1.0, three[row]) == 1.0
+            assert math.copysign(1.0, two[row]) == -1.0
+            others = [i for i in range(3) if i != row]
+            assert np.array(three)[others].tobytes() == np.array(two)[others].tobytes()
+
+    def test_two_terms_match_three_wherever_three_stay_finite(self):
+        # 0.0 * inf is NaN, so past a non-finite entry the three-term form
+        # reads NaN; wherever it stays finite the two forms agree to the bit
+        rng = np.random.default_rng(400)
+        diag, sup1, _, _ = self._random_band(rng, 30)
+        rhs = rng.standard_normal(30)
+        rhs[12] = math.inf
+        for solve, lists in [(_kernels.band_solve_upper, _upper_lists),
+                             (_kernels.band_solve_upper_t, _transposed_lists)]:
+            three = np.array(solve(*lists(diag, sup1, np.zeros(28)), rhs.tolist(), 2.7))
+            two = np.array(solve(*lists(diag, sup1, None), rhs.tolist(), 2.7))
+            finite = np.isfinite(three)
+            assert 12 <= finite.sum() < 30
+            assert two[finite].tobytes() == three[finite].tobytes()

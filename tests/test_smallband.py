@@ -415,33 +415,130 @@ def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
     assert np.float64(cert).tobytes() == np.float64(rayleigh_certificate(band, v)).tobytes()
 
 
+# Recovery as it was before bidiagonal bands solved with two terms and the
+# solves divided by the last norm as they read the right-hand side, frozen
+# here as the bit oracle of the live path: the same list iterate and stop
+# rule, a normalized copy of the iterate before each solve, and every band
+# solved by the three-term recurrence on BandMatrix's earlier solve lists,
+# an all-zero second superdiagonal included.
+
+
+def _frozen_three_term_upper(diag, sup1, sup2, rhs):
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs)):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    x.reverse()
+    return x
+
+
+def _frozen_three_term_upper_t(diag, sup1, sup2, rhs):
+    x = []
+    x1 = x2 = 0.0
+    for d, s1, s2, r in zip(diag, sup1, sup2, rhs):
+        x2, x1 = x1, (r - s1 * x1 - s2 * x2) / d
+        x.append(x1)
+    return x
+
+
+def _frozen_three_term_solvers(band):
+    """The band's (solve, solve_t) on its floored diagonal and zero-padded
+    superdiagonals, sup2 all zeros for a band built without one."""
+    floored = band.diag
+    if min(floored, default=SOLVE_FLOOR) < SOLVE_FLOOR:
+        floored = [(-SOLVE_FLOOR if d < 0.0 else SOLVE_FLOOR) if abs(d) < SOLVE_FLOOR else d
+                   for d in floored]
+    upper = (floored, band.sup1 + (0.0,), band.sup2 + (0.0, 0.0))
+    upper_t = (floored, (0.0,) + band.sup1, (0.0, 0.0) + band.sup2)
+    return (lambda rhs: _frozen_three_term_upper(*upper, rhs),
+            lambda rhs: _frozen_three_term_upper_t(*upper_t, rhs))
+
+
+def _frozen_normalized_solve(solve, rhs):
+    w = solve(rhs)
+    nw = math.hypot(*w)
+    if not 0.0 < nw < math.inf:
+        return None
+    return [x / nw for x in w], nw
+
+
+def _frozen_list_inverse_iteration(band, delta, seed, max_steps=None):
+    k = band.k
+    if max_steps is None:
+        max_steps = inverse_iteration_steps(k, delta)
+    start = np.random.default_rng(seed).standard_normal(k).tolist()
+    norm = math.hypot(*start)
+    v = [x / norm for x in start]
+    solve, solve_t = _frozen_three_term_solvers(band)
+    growth = 0.0
+    steps = 0
+    for _ in range(max_steps):
+        y = _frozen_normalized_solve(solve_t, v)
+        z = None if y is None else _frozen_normalized_solve(solve, y[0])
+        if z is None:
+            break
+        v, grown = z
+        steps += 1
+        if abs(1.0 - (growth / grown) ** 2) <= 1e-10:
+            break
+        growth = grown
+    measured = band.matvec(v)
+    v = np.array(v)
+    return v, norm2(measured) / norm2(v), steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_bands(), _clustered_bands()), st.integers(0, 1000),
+       st.sampled_from([None, 1, 3]))
+def test_inverse_iteration_matches_the_three_term_oracle(band, seed, max_steps):
+    # steps and certificate to the bit; v to the bit but for the sign of an
+    # exact zero, which only a two-term (bidiagonal) solve can move
+    v, cert, steps = inverse_iteration(band, 1e-6, [seed, band.k], max_steps)
+    v0, cert0, steps0 = _frozen_list_inverse_iteration(band, 1e-6, [seed, band.k], max_steps)
+    assert steps == steps0
+    assert np.float64(cert).tobytes() == np.float64(cert0).tobytes()
+    assert np.array_equal(v, v0)
+    nonzero = v0 != 0.0
+    assert v[nonzero].tobytes() == v0[nonzero].tobytes()
+    if any(band.sup2):
+        # only a band with a second superdiagonal runs the three-term loop
+        assert v.tobytes() == v0.tobytes()
+
+
 @pytest.mark.parametrize("zero_diagonal", [False, True])
 def test_band_builds_its_solve_lists_once_per_band(zero_diagonal, monkeypatch):
     # every solve of a band hands the kernels what its constructor built
     received = {"band_solve_upper": [], "band_solve_upper_t": []}
     for name, calls in received.items():
-        def spy(diag, sup1, sup2, rhs, kernel=getattr(factorize, name), calls=calls):
+        def spy(diag, sup1, sup2, rhs, scale, kernel=getattr(factorize, name), calls=calls):
             calls.append((diag, sup1, sup2))
-            return kernel(diag, sup1, sup2, rhs)
+            return kernel(diag, sup1, sup2, rhs, scale)
 
         monkeypatch.setattr(factorize, name, spy)
     rng = np.random.default_rng(6)
     diag = np.abs(rng.standard_normal(40)) + 0.1
     if zero_diagonal:
         diag[7] = 0.0
-    band = BandMatrix(diag, rng.standard_normal(39), rng.standard_normal(38))
-    _, _, steps = inverse_iteration(band, 1e-6, seed=3, max_steps=12)
-    for rhs in rng.standard_normal((5, 40)):
-        band.solve_t(rhs)
-        band.solve(rhs)
-    assert steps >= 1
-    for calls in received.values():
-        assert len(calls) == steps + 5
-        assert all(got is first for call in calls for got, first in zip(call, calls[0]))
-    # one floored diagonal serves both directions
-    floored = received["band_solve_upper"][0][0]
-    assert floored is received["band_solve_upper_t"][0][0]
-    assert floored[7] == (SOLVE_FLOOR if zero_diagonal else diag[7])
+    sup1, sup2 = rng.standard_normal(39), rng.standard_normal(38)
+    for tridiagonal in (True, False):
+        for calls in received.values():
+            calls.clear()
+        band = BandMatrix(diag, sup1, sup2) if tridiagonal else BandMatrix(diag, sup1)
+        _, _, steps = inverse_iteration(band, 1e-6, seed=3, max_steps=12)
+        for rhs in rng.standard_normal((5, 40)):
+            band.solve_t(rhs)
+            band.solve(rhs)
+        assert steps >= 1
+        for calls in received.values():
+            assert len(calls) == steps + 5
+            assert all(got is first for call in calls for got, first in zip(call, calls[0]))
+            # a band built without sup2 hands the kernels None for it: two terms a row
+            assert (calls[0][2] is None) == (not tridiagonal)
+        # one floored diagonal serves both directions
+        floored = received["band_solve_upper"][0][0]
+        assert floored is received["band_solve_upper_t"][0][0]
+        assert floored[7] == (SOLVE_FLOOR if zero_diagonal else diag[7])
 
 
 @pytest.mark.parametrize(
