@@ -57,7 +57,6 @@ from .operators import (
 )
 from .problems import (
     ProblemInstance,
-    ProblemMeta,
     cyclic_shift,
     disguise,
     ill_conditioned,
@@ -108,7 +107,6 @@ __all__ = [
     "SumOperator",
     "estimate_spectral_norm",
     "ProblemInstance",
-    "ProblemMeta",
     "cyclic_shift",
     "disguise",
     "ill_conditioned",

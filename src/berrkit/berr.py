@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, UndefinedAtZeroError
-from .operators import _check_norm, _real_array, norm2
+from .operators import _check_norm, _real_vector, norm2
 
 __all__ = [
     "BerrValue",
@@ -44,18 +44,19 @@ def backward_error(op, b, x):
         ||A||_2 is ``op.opnorm()``, pinned or estimated; a value that is not
         finite and positive raises as ``set_opnorm`` would.
     b : ndarray
-        Nonzero finite real right-hand side (complex raises TypeError, and
-        NaN or infinity NonFiniteError, as for x).
+        Nonzero finite real right-hand side of shape (op.rows,) (complex
+        raises TypeError, NaN or infinity NonFiniteError and another shape
+        DimensionMismatchError, as for x).
     x : ndarray
-        Finite real candidate solution; must be nonzero (berr is undefined
-        at 0).
+        Finite real candidate solution of shape (op.cols,); must be nonzero
+        (berr is undefined at 0).
 
     Returns
     -------
     BerrValue
     """
-    b = _real_array(b, "b")
-    x = _real_array(x, "x")
+    b = _real_vector(b, op.rows, "b")
+    x = _real_vector(x, op.cols, "x")
     for v, what in ((b, "b"), (x, "x")):
         if not np.all(np.isfinite(v)):
             raise NonFiniteError(f"{what} holds NaN or infinite entries")

@@ -42,7 +42,7 @@ from .operators import (
     _check_norm,
     _golub_kahan_start,
     _golub_kahan_step,
-    _real_array,
+    _real_vector,
     norm2,
 )
 
@@ -178,11 +178,10 @@ def _check_rhs(op, b):
     b 2^-e with that entry in [1, 2), and unscale = 2^e maps the iterates
     and norms back. A b whose 2-norm is no normal float64 raises
     UnrepresentableNormError, since no trace row could store its residual,
-    and a complex b TypeError, since the solve would keep its real part only.
+    a complex b TypeError, since the solve would keep its real part only, and
+    a b of another shape than (op.rows,) DimensionMismatchError.
     """
-    b = _real_array(b, "b")
-    if b.shape != (op.rows,):
-        raise ValueError(f"b has shape {b.shape}, expected ({op.rows},)")
+    b = _real_vector(b, op.rows, "b")
     if not np.all(np.isfinite(b)):
         raise NonFiniteError("b holds NaN or infinite entries")
     if not np.any(b):

@@ -127,7 +127,6 @@ def _config(spec):
         max_iterations=spec.max_iter,
         berr_tolerance=spec.tol,
         trace_every=spec.trace_every,
-        seed=spec.seed,
     )
 
 
@@ -139,7 +138,7 @@ def _minberr_kw(spec):
 
 def _regularized(inner):
     return lambda spec, op, b: classical.regularized_solve(
-        op, b, spec.max_iter, inner=inner, trace_every=spec.trace_every, seed=spec.seed
+        op, b, spec.max_iter, inner=inner, trace_every=spec.trace_every
     )
 
 
@@ -415,7 +414,7 @@ def run_one(spec, history=None, summary=None, plot=None):
     if summary:
         write_summary(summary, info)
     if plot:
-        write_plot(plot, result.trace, f"{spec.solver} on {p.meta.name}")
+        write_plot(plot, result.trace, f"{spec.solver} on {p.name}")
     return info
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import band_solve_upper, band_solve_upper_t
 from .errors import DimensionMismatchError, PostBreakdownError, RequiresSymmetricError
-from .operators import _golub_kahan_start, _golub_kahan_step, _reorthogonalize, norm2
+from .operators import _golub_kahan_start, _golub_kahan_step, _real_vector, _reorthogonalize, norm2
 
 __all__ = ["BandMatrix", "LanczosState", "BidiagState", "BREAKDOWN_TOL_FACTOR", "SOLVE_FLOOR"]
 
@@ -192,7 +192,7 @@ class LanczosState:
     op : LinearOperator
         Must carry symmetric=True.
     b : ndarray
-        Nonzero starting vector.
+        Nonzero real starting vector of shape (op.rows,).
     opnorm : float, optional
         Spectral norm of op; defaults to op.opnorm().
     reorth : {"plain", "full"}
@@ -208,7 +208,7 @@ class LanczosState:
         if not op.symmetric:
             raise RequiresSymmetricError("Lanczos needs a symmetric operator")
         _check_reorth(reorth)
-        b = np.asarray(b, dtype=np.float64)
+        b = _real_vector(b, op.rows, "b")
         self.norm_b = norm2(b)
         if self.norm_b == 0.0:
             raise ValueError("b must be nonzero")
@@ -288,7 +288,7 @@ class BidiagState:
         # _u and _q are the last vectors, which each step consumes; the stores
         # hold copies
         self.norm_b, self._u, alpha1, self._q = _golub_kahan_start(
-            op, np.asarray(b, dtype=np.float64), self.breakdown_tol)
+            op, _real_vector(b, op.rows, "b"), self.breakdown_tol)
         stores = _reserved_stores([op.cols, op.rows] if reorth == "full" else [op.cols], k_max)
         self._qcols = stores[0]
         self._qcols.push(self._q)

@@ -55,6 +55,12 @@ def _real_array(a, what):
     return np.asarray(a, dtype=np.float64)
 
 
+def _real_vector(v, n, what):
+    """v as a float64 vector of shape (n,): TypeError naming ``what`` for
+    complex data, DimensionMismatchError for another shape."""
+    return _as_vector(_real_array(v, what), n, what)
+
+
 # smallest positive normal float64
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
@@ -338,18 +344,13 @@ class CsrOperator(LinearOperator):
         # (a column out of range is refused by the constructor)
         order = np.argsort(rows_idx * cols + cols_idx, kind="stable")
         r, c, v = rows_idx[order], cols_idx[order], values[order]
-        if r.size:
-            keep = np.ones(r.size, dtype=bool)
-            keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            group = np.cumsum(keep) - 1
-            data = np.zeros(int(group[-1]) + 1)
-            np.add.at(data, group, v)
-            r, c = r[keep], c[keep]
-        else:
-            data = v
+        keep = np.ones(r.size, dtype=bool)
+        keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        # bincount adds in input order, here the sorted one
+        data = np.bincount(np.cumsum(keep) - 1, weights=v)
+        r, c = r[keep], c[keep]
         indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(indptr, r + 1, 1)
-        indptr = np.cumsum(indptr)
+        np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])
         return cls(data, c, indptr, shape, symmetric=symmetric)
 
     def _apply(self, v):

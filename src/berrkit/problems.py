@@ -10,7 +10,8 @@ invariant under it. ``cyclic_shift`` is the classic subspace-orthogonal-to-
 the-solution fixture on which residual minimization over the unshifted Krylov
 space stays useless until the very last step.
 
-Condition numbers in the metadata are exact by construction: the extreme
+A ``ProblemInstance`` is (op, b), a name and, for a synthetic family, its
+condition number ``kappa`` (None for a file). That kappa is exact: the extreme
 diagonal entries are written as 1 and 1/kappa directly rather than through
 the rounded log-spacing expression.
 """
@@ -26,12 +27,11 @@ from .operators import (
     CsrOperator,
     DiagonalOperator,
     HouseholderChainOperator,
-    _real_array,
+    _real_vector,
     norm2,
 )
 
 __all__ = [
-    "ProblemMeta",
     "ProblemInstance",
     "ill_conditioned",
     "small_outlier",
@@ -47,20 +47,11 @@ DENSE_SVD_LIMIT = 2000
 
 
 @dataclass
-class ProblemMeta:
-    name: str
-    n: int
-    kappa: float = None
-    sigma_list: np.ndarray = None
-    source: str = "synthetic"
-    seed: int = None
-
-
-@dataclass
 class ProblemInstance:
     op: object
     b: np.ndarray
-    meta: ProblemMeta
+    name: str
+    kappa: float = None
 
 
 def _log_spaced(top, bottom, n):
@@ -74,7 +65,7 @@ def ill_conditioned(n, kappa):
     """Diagonal instance with log-spaced spectrum from 1 down to 1/kappa.
 
     b is all ones except the last entry, which equals kappa, loading the
-    right-hand side onto the weakest direction. meta.kappa is the exact
+    right-hand side onto the weakest direction. kappa is the exact
     condition number max(d)/min(d).
     """
     if n < 2:
@@ -84,14 +75,8 @@ def ill_conditioned(n, kappa):
     d = _log_spaced(1.0, 1.0 / kappa, n)
     b = np.ones(n)
     b[-1] = kappa
-    op = DiagonalOperator(d)
-    meta = ProblemMeta(
-        name=f"ill-conditioned(n={n},kappa={kappa:g})",
-        n=n,
-        kappa=float(kappa),
-        sigma_list=d.copy(),
-    )
-    return ProblemInstance(op, b, meta)
+    name = f"ill-conditioned(n={n},kappa={kappa:g})"
+    return ProblemInstance(DiagonalOperator(d), b, name, float(kappa))
 
 
 def small_outlier(n, kappa, sigma_penult):
@@ -114,14 +99,8 @@ def small_outlier(n, kappa, sigma_penult):
     d[-1] = 1.0 / kappa
     b = np.ones(n)
     b[-1] = np.sqrt(n)
-    op = DiagonalOperator(d)
-    meta = ProblemMeta(
-        name=f"small-outlier(n={n},kappa={kappa:g},sigma={sigma_penult:g})",
-        n=n,
-        kappa=float(kappa),
-        sigma_list=d.copy(),
-    )
-    return ProblemInstance(op, b, meta)
+    name = f"small-outlier(n={n},kappa={kappa:g},sigma={sigma_penult:g})"
+    return ProblemInstance(DiagonalOperator(d), b, name, float(kappa))
 
 
 def cyclic_shift(n):
@@ -138,10 +117,7 @@ def cyclic_shift(n):
     op.set_opnorm(1.0)
     b = np.zeros(n)
     b[-1] = 1.0
-    meta = ProblemMeta(
-        name=f"cyclic-shift(n={n})", n=n, kappa=1.0, sigma_list=np.ones(n)
-    )
-    return ProblemInstance(op, b, meta)
+    return ProblemInstance(op, b, f"cyclic-shift(n={n})", 1.0)
 
 
 def disguise(p, two_sided=False, seed=0):
@@ -149,7 +125,8 @@ def disguise(p, two_sided=False, seed=0):
 
     U (and V when two_sided) is a product of n seeded unit Householder
     reflectors applied implicitly, n the row count of A. Singular values, and
-    therefore every backward-error trace, are unchanged.
+    therefore every backward-error trace, are unchanged; so is kappa, and the
+    name gains a +disguise or +disguise2 tag.
     """
     n = p.op.rows
     u = HouseholderChainOperator.random(n, n, [seed, 0])
@@ -159,16 +136,9 @@ def disguise(p, two_sided=False, seed=0):
         else None
     )
     op = ConjugatedOperator(u, p.op, v)
-    b = u.apply(np.asarray(p.b, dtype=np.float64))
-    meta = ProblemMeta(
-        name=p.meta.name + ("+disguise2" if two_sided else "+disguise"),
-        n=p.meta.n,
-        kappa=p.meta.kappa,
-        sigma_list=p.meta.sigma_list,
-        source=p.meta.source,
-        seed=seed,
-    )
-    return ProblemInstance(op, b, meta)
+    b = u.apply(p.b)
+    return ProblemInstance(op, b, p.name + ("+disguise2" if two_sided else "+disguise"),
+                           p.kappa)
 
 
 def _smallest_left_vector(op):
@@ -214,14 +184,5 @@ def read_matrix_market(path, b=None):
             raise ValueError("A(1,...,1) vanished: supply an explicit b")
         b = b / nb
     else:
-        b = _real_array(b, "b")
-        if b.shape != (op.rows,):
-            raise DimensionMismatchError(
-                f"b has shape {b.shape}, expected ({op.rows},)"
-            )
-    meta = ProblemMeta(
-        name=str(path),
-        n=op.rows,
-        source="file",
-    )
-    return ProblemInstance(op, b, meta)
+        b = _real_vector(b, op.rows, "b")
+    return ProblemInstance(op, b, str(path))

@@ -152,9 +152,8 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     Numerical Algorithms", sec. 3.1), and each solve is exact only for a band
     perturbed by gamma_3 entrywise (ibid., Thm. 8.5). At berrkit's default
     k_max of 20000, k u is 2.2e-12, so 1e-10 stays 45 times above the noise at
-    every k a run reaches; the old 1e-14 sat below it once k passed about 90
-    and rarely fired on clustered spectra. What an early stop leaves: with
-    rho < 1 the ratio of the two smallest singular values, the excess
+    every k a run reaches. What an early stop leaves: with rho < 1 the ratio
+    of the two smallest singular values, the excess
     ||band v||^2 - sigma_min^2 shrinks by about rho^4 per step, so a step
     that moved the estimate by at most 1e-10 leaves an excess of at most
     about 1e-10 rho^4 / (1 - rho^4) relative. That passes the guarantee's

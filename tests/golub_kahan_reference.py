@@ -2,9 +2,10 @@
 replaced, frozen as references: ``BidiagState`` when it stored both bases
 under either reorthogonalization policy, and the two-vector norm estimate.
 ``BidiagReference`` keeps its ``basis_u`` accessor; ``golub_kahan_norm``
-returns the same ``(value, steps)`` and raises the same errors as
-``operators._golub_kahan_norm``. Both run on finite data only: a non-finite
-beta now ends a bidiagonalization step, where these divide by it.
+returns ``(value, steps)``, the ``value`` and ``iterations_used`` of the
+``NormEstimate`` that ``operators.estimate_spectral_norm`` returns, and raises
+the same errors. Both run on finite data only: a non-finite beta now ends a
+bidiagonalization step, where these divide by it.
 """
 
 import math

@@ -22,7 +22,7 @@ SIGNATURES = {
     "estimate_spectral_norm": ["op"],
     "disguise": ["p", "two_sided", "seed"],
     "read_matrix_market": ["path", "b"],
-    "ProblemMeta": ["name", "n", "kappa", "sigma_list", "source", "seed"],
+    "ProblemInstance": ["op", "b", "name", "kappa"],
 }
 
 

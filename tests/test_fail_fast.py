@@ -8,6 +8,7 @@ import pytest
 
 import berrkit as bk
 from _helpers import NormOverride
+from berrkit.factorize import BidiagState, LanczosState
 
 N = 30
 CFG = bk.SolverConfig(max_iterations=40, trace_every=7)
@@ -27,6 +28,10 @@ SOLVERS = {
 }
 
 
+# everything that takes b: its shape and dtype are checked on entry
+RHS_TAKERS = {**SOLVERS, "LanczosState": LanczosState, "BidiagState": BidiagState}
+
+
 def diagonal(bad=None):
     d = np.linspace(1.0, 0.01, N)
     if bad is not None:
@@ -34,13 +39,13 @@ def diagonal(bad=None):
     return bk.DiagonalOperator(d)
 
 
-@pytest.mark.parametrize("name", SOLVERS)
+@pytest.mark.parametrize("name", RHS_TAKERS)
 def test_complex_rhs_is_refused_by_name(name):
     # a float64 cast would solve the real part and drop the rest
     b = np.ones(N, dtype=complex)
     b[0] += 1j
     with pytest.raises(TypeError, match="^b is complex"):
-        SOLVERS[name](diagonal(), b)
+        RHS_TAKERS[name](diagonal(), b)
 
 
 @pytest.mark.parametrize("which", ["b", "x"])
@@ -49,6 +54,26 @@ def test_backward_error_refuses_complex_data_by_name(which):
     args[which] = args[which] + 1j
     with pytest.raises(TypeError, match=f"^{which} is complex"):
         bk.backward_error(diagonal(), **args)
+
+
+WRONG_SHAPES = [(), (N, 1), (N - 1,)]
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+@pytest.mark.parametrize("which", ["b", "x"])
+def test_backward_error_refuses_a_wrong_shape_by_name(which, shape):
+    # numpy would broadcast a column or a scalar b and answer for another system
+    args = {"b": np.ones(N), "x": np.ones(N)}
+    args[which] = np.full(shape, 2.0)
+    with pytest.raises(bk.DimensionMismatchError, match=f"^{which} has shape"):
+        bk.backward_error(diagonal(), **args)
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+@pytest.mark.parametrize("name", RHS_TAKERS)
+def test_a_wrong_shape_rhs_is_refused_by_name(name, shape):
+    with pytest.raises(bk.DimensionMismatchError, match="^b has shape"):
+        RHS_TAKERS[name](diagonal(), np.full(shape, 2.0))
 
 
 COMPLEX_DATA = {

@@ -20,7 +20,7 @@ class TestIllConditioned:
         p = bk.ill_conditioned(137, 1e8)
         assert p.op.d[0] == 1.0
         assert p.op.d[-1] == 1e-8
-        assert p.meta.kappa == 1e8
+        assert p.kappa == 1e8
 
     def test_rhs_loads_weakest_direction(self):
         p = bk.ill_conditioned(10, 50.0)
@@ -31,8 +31,7 @@ class TestIllConditioned:
         p = bk.ill_conditioned(10, 50.0)
         assert p.op.symmetric
         assert p.op.opnorm() == 1.0
-        assert_allclose(p.meta.sigma_list, p.op.d)
-        assert p.meta.source == "synthetic"
+        assert p.name == "ill-conditioned(n=10,kappa=50)"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,6 +56,7 @@ class TestSmallOutlier:
         p = bk.small_outlier(9, 1e8, 1e-2)
         assert_allclose(p.b[:-1], np.ones(8))
         assert p.b[-1] == 3.0
+        assert p.kappa == 1e8
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestCyclicShift:
         p = bk.cyclic_shift(4)
         assert not p.op.symmetric
         assert p.op.opnorm() == 1.0
-        assert p.meta.kappa == 1.0
+        assert p.kappa == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestDisguise:
         p = bk.ill_conditioned(20, 1e6)
         x_star = p.b / p.op.d
         dp = bk.disguise(p, seed=3)
-        assert_allclose(dp.op.apply(dp.op.u.apply(x_star)), dp.b, atol=1e-9 * p.meta.kappa)
+        assert_allclose(dp.op.apply(dp.op.u.apply(x_star)), dp.b, atol=1e-9 * p.kappa)
 
     def test_opnorm_carries_over_exactly(self):
         p = bk.ill_conditioned(10, 100.0)
@@ -152,8 +152,9 @@ class TestDisguise:
 
     def test_name_is_tagged(self):
         p = bk.ill_conditioned(8, 100.0)
-        assert bk.disguise(p).meta.name.endswith("+disguise")
-        assert bk.disguise(p, two_sided=True).meta.name.endswith("+disguise2")
+        assert bk.disguise(p).name.endswith("+disguise")
+        assert bk.disguise(p, two_sided=True).name.endswith("+disguise2")
+        assert bk.disguise(p, two_sided=True).kappa == p.kappa
 
 
 class TestRhsSmallestLeftSingular:
@@ -181,7 +182,7 @@ class TestRhsSmallestLeftSingular:
         n = bk.problems.DENSE_SVD_LIMIT + 1
         idx = np.arange(n)
         op = bk.CsrOperator.from_coo(idx, idx, np.ones(n), (n, n))
-        inst = bk.ProblemInstance(op, np.ones(n), bk.ProblemMeta(name="big", n=n))
+        inst = bk.ProblemInstance(op, np.ones(n), "big")
         with pytest.raises(bk.DimensionMismatchError):
             bk.rhs_smallest_left_singular(inst)
 
@@ -196,8 +197,7 @@ class TestReadMatrixMarket:
         expect = a @ np.ones(3)
         expect /= np.linalg.norm(expect)
         assert_allclose(p.b, expect, rtol=1e-15)
-        assert p.meta.source == "file"
-        assert p.meta.n == 3
+        assert p.kappa is None
         assert not p.op.symmetric
 
     def test_symmetric_storage_expands(self, tmp_path):
@@ -216,7 +216,7 @@ class TestReadMatrixMarket:
         mmio.write_coordinate(path, [0, 1], [0, 1], [1.0, 1.0], (2, 2))
         p = bk.read_matrix_market(path, b=[3.0, 4.0])
         assert_allclose(p.b, [3.0, 4.0])
-        assert p.meta.name == str(path)
+        assert p.name == str(path)
         with pytest.raises(bk.DimensionMismatchError):
             bk.read_matrix_market(path, b=[1.0, 2.0, 3.0])
 

@@ -25,8 +25,15 @@ def test_labels_are_unique(entries):
 
 
 def test_every_solver_and_suite_runs(entries):
+    """Every solver, suite, problem family, disguise, Matrix Market path and
+    named right-hand side reaches the digest."""
     assert set(cli.SOLVERS) <= {e.spec.solver for e in entries}
     assert set(cli.SUITES) <= {e.suite for e in entries}
+    problems = {e.spec.problem for e in entries}
+    assert set(cli._FAMILIES) <= {p.partition(":")[0] for p in problems}
+    assert all(any(p.endswith(s) for p in problems) for s in cli._DISGUISES)
+    assert any(p.endswith(".mtx") for p in problems)
+    assert set(cli._RHS) <= {e.spec.rhs for e in entries}
 
 
 def test_every_solve_runs_at_trace_every_1_and_7(entries):
