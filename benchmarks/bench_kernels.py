@@ -32,8 +32,10 @@ millisecond range where dispatch overhead matters. The tables:
   and the worst certificate over the dense-SVD sigma_min;
 * ``mtx_read``: Matrix Market reads (``mtx_files``): ``mmio.read_matrix_market``
   and ``problems.read_matrix_market`` on certify's random matrix (10 000 rows,
-  9 entries a row) and the 120 x 120 Laplacian, both written by
-  ``mmio.write_coordinate``;
+  9 entries a row), the 120 x 120 Laplacian and the random matrix at
+  100 000 rows (900 000 entries), all written by ``mmio.write_coordinate``,
+  beside a bare ``np.loadtxt`` of the same file, the floor of the reader's
+  one parse; their ratio survives the host's speed swings;
 * ``krylov_memory``: two peaks and the wall time of one untraced
   ``minberr_solve`` and of ``minberr_ne_solve`` under each
   reorthogonalization policy, on ``ill_conditioned(20000, 1e8)`` with
@@ -467,32 +469,51 @@ def sweep_rows(seed):
 def mtx_files(workdir, seed):
     """(name, path, rows) of each Matrix Market table file, written by
     ``mmio.write_coordinate``: certify's random matrix (n = 10000, 9 entries
-    a row, seed ``[seed, 10]``) and the 120 x 120 Laplacian in symmetric
-    storage (its lower triangle, as certify writes it)."""
-    n, g = 10_000, 120
-    r, c, v = certify_random_coo(n, np.random.default_rng([seed, 10]))
-    rnd = os.path.join(workdir, "random.mtx")
-    mmio.write_coordinate(rnd, r, c, v, (n, n))
+    a row, seed ``[seed, 10]``), the 120 x 120 Laplacian in symmetric
+    storage (its lower triangle, as certify writes it) and the random matrix
+    at n = 100000 (900 000 entries, seed ``[seed, 11]``)."""
+
+    def random_file(n, key):
+        r, c, v = certify_random_coo(n, np.random.default_rng([seed, key]))
+        path = os.path.join(workdir, f"random{n}.mtx")
+        mmio.write_coordinate(path, r, c, v, (n, n))
+        return f"certify random {n}", path, n
+
+    g = 120
     r, c, v = laplacian_coo(g)
     lower = r >= c
     lap = os.path.join(workdir, "laplacian.mtx")
     mmio.write_coordinate(lap, r[lower], c[lower], v[lower], (g * g, g * g), symmetric=True)
-    return [(f"certify random {n}", rnd, n), (f"Laplacian {g} x {g}", lap, g * g)]
+    return [random_file(10_000, 10), (f"Laplacian {g} x {g}", lap, g * g),
+            random_file(100_000, 11)]
 
 
 def mtx_rows(seed):
-    """One dict per ``mtx_files`` file: its entries, and the best and median
-    milliseconds per call of ``mmio.read_matrix_market`` and of
+    """One dict per ``mtx_files`` file: its entries, the best and median
+    milliseconds per call of a bare ``np.loadtxt`` of its entry lines (the
+    parse the reader makes), of ``mmio.read_matrix_market`` and of
     ``problems.read_matrix_market`` (which adds the CSR build; b is given, so
-    no default right-hand side is computed)."""
+    no default right-hand side is computed), and the reader's best over
+    loadtxt's (bests, because the medians of the 900 000-entry reads, a
+    third of a second each, swing with the host)."""
     table = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, path, rows in mtx_files(workdir, seed):
             b = np.ones(rows)
+
+            def loadtxt():
+                # the two lines write_coordinate puts before the entries
+                return np.loadtxt(path, dtype=mmio._COORDINATE_ENTRY, comments=None,
+                                  skiprows=2, ndmin=1, encoding="ascii")
+
+            fields = timing_fields("ms", {"loadtxt": loadtxt,
+                                          "mmio_read": lambda: mmio.read_matrix_market(path),
+                                          "problems_read": lambda: read_matrix_market(path, b=b)})
             table.append({
                 "file": name, "entries": int(mmio.read_matrix_market(path).values.size),
-                **timing_fields("ms", {"mmio_read": lambda: mmio.read_matrix_market(path),
-                                       "problems_read": lambda: read_matrix_market(path, b=b)}),
+                **fields,
+                "read_over_loadtxt": round(fields["mmio_read_ms_best"]
+                                           / fields["loadtxt_ms_best"], 2),
             })
     return table
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, UndefinedAtZeroError
-from .operators import _check_norm, _real_vector, norm2
+from .operators import _as_vector, _check_norm, norm2
 
 __all__ = [
     "BerrValue",
@@ -55,8 +55,8 @@ def backward_error(op, b, x):
     -------
     BerrValue
     """
-    b = _real_vector(b, op.rows, "b")
-    x = _real_vector(x, op.cols, "x")
+    b = _as_vector(b, op.rows, "b")
+    x = _as_vector(x, op.cols, "x")
     for v, what in ((b, "b"), (x, "x")):
         if not np.all(np.isfinite(v)):
             raise NonFiniteError(f"{what} holds NaN or infinite entries")

@@ -39,10 +39,10 @@ from .operators import (
     _NORMAL_MIN,
     DiagonalOperator,
     SumOperator,
+    _as_vector,
     _check_norm,
     _golub_kahan_start,
     _golub_kahan_step,
-    _real_vector,
     norm2,
 )
 
@@ -181,7 +181,7 @@ def _check_rhs(op, b):
     a complex b TypeError, since the solve would keep its real part only, and
     a b of another shape than (op.rows,) DimensionMismatchError.
     """
-    b = _real_vector(b, op.rows, "b")
+    b = _as_vector(b, op.rows, "b")
     if not np.all(np.isfinite(b)):
         raise NonFiniteError("b holds NaN or infinite entries")
     if not np.any(b):

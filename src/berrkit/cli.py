@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``solve``  — one (problem, solver) run; emits a per-iteration history CSV,
   a JSON summary embedding the full run spec, and optionally a standalone SVG
-  log-log convergence chart with 1/k and 1/k^2 reference curves.
+  log-log convergence chart with 1/k and 1/k^2 reference curves and the
+  solution x as a Matrix Market array file.
 * ``bench``  — a named grid of solve runs with a combined manifest.
 * ``synth``  — write a synthetic instance to Matrix Market files.
 
@@ -402,13 +403,17 @@ def write_plot(path, trace, title):
         fh.write("\n".join(parts) + "\n")
 
 
-def run_one(spec, history=None, summary=None, plot=None):
-    """Execute a RunSpec and write the requested artifacts. Returns the summary."""
+def run_one(spec, history=None, summary=None, plot=None, solution=None):
+    """Execute a RunSpec and write the requested artifacts. Returns the
+    summary, which names the solution file when one is written."""
     validate_spec(spec)
     p = build_problem(spec.problem, spec.seed)
     b = resolve_rhs(spec.rhs, p)
     result = run_solver(spec, p.op, b)
     info = summarize(spec, result)
+    if solution:
+        mmio.write_array(solution, result.x)
+        info["solution"] = solution
     if history:
         write_history(history, result.trace)
     if summary:
@@ -455,7 +460,8 @@ def _spec_from_args(args):
 
 def cmd_solve(args):
     spec = _spec_from_args(args)
-    run_one(spec, history=args.history, summary=args.summary, plot=args.plot)
+    run_one(spec, history=args.history, summary=args.summary, plot=args.plot,
+            solution=args.solution)
     return EXIT_OK
 
 
@@ -591,6 +597,7 @@ def build_parser():
     sp.add_argument("--history", help="per-iteration CSV output path")
     sp.add_argument("--summary", help="JSON summary output path ('-' for stdout)")
     sp.add_argument("--plot", help="SVG convergence chart output path")
+    sp.add_argument("--solution", help="Matrix Market array output path for x")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("bench", help="run a named suite of solves")

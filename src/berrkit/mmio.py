@@ -3,13 +3,25 @@
 Reads and writes the NIST text format for real or integer matrices in
 coordinate or array layout, with general or symmetric storage. Complex,
 pattern, skew-symmetric, and Hermitian files are rejected rather than half
-supported. The entry lines are parsed in bulk, by numpy's text parser.
-Parse failures carry the 1-based line number of the offending line.
+supported. Parse failures carry the 1-based line number of the offending
+line.
 
-The writer emits values with 17 significant digits, enough to round-trip any
+A read takes one of two paths. The header and size line are read line by
+line, by ``_read_head``, on both. Then numpy's text parser reads the entry
+lines straight from the file, as they stand, in one call. Only when that
+fails, or the count or an index is at fault, are the entry lines read into a
+list and edited for the parser (comment lines blanked, each Fortran D read
+as e) and parsed again, and a fault there is sought by bisection. The first
+path sees unedited lines only, so it reads what the second would, into the
+same arrays; a clean file never holds its text in memory.
+
+The writers emit values with 17 significant digits, enough to round-trip any
 double exactly, so write-then-read is an identity on the stored entries.
+They format and write a fixed number of entries at a time, so their scratch
+does not grow with the file.
 """
 
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -73,18 +85,20 @@ def _integer_value(token):
     return float(int(token))
 
 
-def _load(lines, dtype, converters=None):
-    """The entry lines among ``lines`` parsed by one call of numpy's text
+def _load(lines, dtype, converters=None, skiprows=0):
+    """The entry lines among ``lines`` (a list of lines, or a file path whose
+    first ``skiprows`` lines are skipped) parsed by one call of numpy's text
     parser, or None if any of them does not parse. Blank lines are skipped;
-    a comment line must already be blank."""
+    a comment line must already be blank. A file must be ASCII."""
     with warnings.catch_warnings():
         # no entry lines is an empty result here, not a warning
         warnings.simplefilter("ignore", UserWarning)
         # older numpy reads an integer through a float, with this warning
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            return np.loadtxt(lines, dtype=dtype, comments=None, converters=converters, ndmin=1)
-        except (ValueError, DeprecationWarning):
+            return np.loadtxt(lines, dtype=dtype, comments=None, converters=converters,
+                              ndmin=1, skiprows=skiprows, encoding="ascii")
+        except (ValueError, DeprecationWarning):  # UnicodeDecodeError is a ValueError
             return None
 
 
@@ -157,27 +171,14 @@ def _entry_error(text, lineno, layout, field, nrows, ncols, symmetric):
     return MatrixMarketFormatError(f"bad {field} value {toks[2]!r}", line=lineno)
 
 
-def read_matrix_market(path):
-    """Parse a Matrix Market file into MatrixMarketData.
-
-    The entry lines are parsed in bulk, by one call of numpy's text parser,
-    and their indices checked as arrays. Only when that finds a fault is the
-    first bad line sought, by bisecting the entry lines with the same
-    parser, so the error names the line a line-by-line read would stop at.
-
-    Raises MatrixMarketFormatError (with a line number) on malformed input and
-    on the unsupported field/symmetry combinations.
-    """
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        # split at line ends only (universal newlines already turned \r and
-        # \r\n into \n): splitlines() would also split at form feeds and
-        # the other control characters a comment may hold
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+def _read_head(fh):
+    """The header and size line of the file open as ``fh``, read line by
+    line: (layout, field, symmetric, dims, lineno), where lineno is the size
+    line's 1-based number. ``fh`` is left at the line after it."""
+    header = fh.readline()
+    if not header:
         raise MatrixMarketFormatError("empty file", line=1)
-    header = lines[0].strip().lower().split()
+    header = header.strip().lower().split()
     if len(header) != 5 or header[0] != _HEADER_PREFIX or header[1] != "matrix":
         raise MatrixMarketFormatError(
             "header must read '%%MatrixMarket matrix <layout> <field> <symmetry>'",
@@ -193,14 +194,15 @@ def read_matrix_market(path):
     symmetric = symmetry == "symmetric"
 
     lineno = 1
-    size_line = None
-    for lineno in range(2, len(lines) + 1):
-        stripped = lines[lineno - 1].strip()
-        if stripped and not stripped.startswith("%"):
-            size_line = stripped
+    # readline splits at line ends only (universal newlines already turned
+    # \r and \r\n into \n), not at the form feeds and other control
+    # characters a comment may hold
+    for lineno, text in enumerate(iter(fh.readline, ""), start=2):
+        size_line = text.strip()
+        if size_line and not size_line.startswith("%"):
             break
-    if size_line is None:
-        raise MatrixMarketFormatError("missing size line", line=len(lines))
+    else:
+        raise MatrixMarketFormatError("missing size line", line=lineno)
 
     toks = size_line.split()
     expected = 3 if layout == "coordinate" else 2
@@ -214,43 +216,91 @@ def read_matrix_market(path):
         raise MatrixMarketFormatError("size line must be integers", line=lineno) from None
     if any(d < 0 for d in dims) or dims[0] == 0 or dims[1] == 0:
         raise MatrixMarketFormatError("matrix dimensions must be positive", line=lineno)
-    nrows, ncols = dims[0], dims[1]
-    if symmetric and nrows != ncols:
+    if symmetric and dims[0] != dims[1]:
         raise MatrixMarketFormatError("symmetric matrix must be square", line=lineno)
+    return layout, field, symmetric, dims, lineno
 
-    # body[i] is line lineno + 1 + i
-    body = _parser_lines(lines[lineno:], field)
-    if layout == "coordinate":
-        dtype, count, what = _COORDINATE_ENTRY, dims[2], "entries"
-    else:
-        # one value per line, column-major; symmetric stores the lower
-        # triangle of each column
-        dtype, what = _ARRAY_ENTRY, "array values"
-        count = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
-    converters = {len(dtype) - 1: _integer_value} if field == "integer" else None
+
+def _checked(entries, count, shape, layout, symmetric):
+    """MatrixMarketData of the parsed entry lines, or None when they did not
+    parse, are not ``count`` in number or hold an index at fault."""
+    if entries is None or entries.shape[0] != count:
+        return None
+    nrows, ncols = shape
+    if layout == "array":
+        vals = entries["value"].copy()
+        if symmetric:
+            # triu_indices lists (j, i), i >= j, row by row: column j's
+            # lower part
+            cols, rows = np.triu_indices(nrows)
+        else:
+            cols, rows = np.divmod(np.arange(count), nrows)
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        return MatrixMarketData(shape, rows, cols, vals, symmetric, "array")
+    if _first_index_fault(entries, nrows, ncols, symmetric) is not None:
+        return None
+    return MatrixMarketData(
+        shape, entries["row"] - 1, entries["col"] - 1, entries["value"].copy(),
+        symmetric, "coordinate",
+    )
+
+
+# the extensions numpy's loadtxt decompresses a file path by
+_NUMPY_ARCHIVES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def read_matrix_market(path):
+    """Parse a Matrix Market file into MatrixMarketData.
+
+    The header and size line are read line by line. numpy's text parser
+    then reads the entry lines straight from the file, as they stand, and
+    their indices are checked as arrays. Only when that fails (a comment
+    line among the entries, a Fortran exponent, a byte that is not ASCII, a
+    fault) are the entry lines read into a list and edited for the parser:
+    comment lines blanked, each D read as e. A fault found there is sought
+    line by line, by bisecting the entry lines with the same parser, so the
+    error names the line a line-by-line read would stop at.
+
+    Raises MatrixMarketFormatError (with a line number) on malformed input and
+    on the unsupported field/symmetry combinations.
+    """
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        layout, field, symmetric, dims, lineno = _read_head(fh)
+        shape = nrows, ncols = dims[0], dims[1]
+        if layout == "coordinate":
+            dtype, count, what = _COORDINATE_ENTRY, dims[2], "entries"
+        else:
+            # one value per line, column-major; symmetric stores the lower
+            # triangle of each column
+            dtype, what = _ARRAY_ENTRY, "array values"
+            count = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
+        converters = {len(dtype) - 1: _integer_value} if field == "integer" else None
+        # numpy opens a path by rules of its own: a relative one may read as
+        # a URL, and one ending in an archive extension is decompressed
+        source = os.fsdecode(os.path.abspath(path))
+        if not source.endswith(_NUMPY_ARCHIVES):
+            data = _checked(_load(source, dtype, converters, skiprows=lineno),
+                            count, shape, layout, symmetric)
+            if data is not None:
+                return data
+        # split at line ends only, as readline does: splitlines() would
+        # also split at the control characters a comment may hold
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+
+    # lines[i] and body[i] are line lineno + 1 + i
+    body = _parser_lines(lines, field)
     entries = _load(body, dtype, converters)
-    if entries is not None and entries.shape[0] == count:
-        if layout == "array":
-            vals = entries["value"].copy()
-            if symmetric:
-                # triu_indices lists (j, i), i >= j, row by row: column j's
-                # lower part
-                cols, rows = np.triu_indices(nrows)
-            else:
-                cols, rows = np.divmod(np.arange(count), nrows)
-            rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
-            return MatrixMarketData((nrows, ncols), rows, cols, vals, symmetric, "array")
-        if _first_index_fault(entries, nrows, ncols, symmetric) is None:
-            return MatrixMarketData(
-                (nrows, ncols), entries["row"] - 1, entries["col"] - 1,
-                entries["value"].copy(), symmetric, "coordinate",
-            )
+    data = _checked(entries, count, shape, layout, symmetric)
+    if data is not None:
+        return data
 
     # a fault: report the line a line-by-line read stops at, the count
     # first, then the first entry line at fault in any way
     entry_lines = [lineno + 1 + i for i, text in enumerate(body) if text.strip()]
     if len(entry_lines) != count:
-        where = entry_lines[count] if len(entry_lines) > count else len(lines)
+        where = entry_lines[count] if len(entry_lines) > count else lineno + len(lines)
         raise MatrixMarketFormatError(
             f"expected {count} {what}, found {len(entry_lines)}", line=where
         )
@@ -260,7 +310,11 @@ def read_matrix_market(path):
     if layout == "coordinate":
         pos = _first_index_fault(entries, nrows, ncols, symmetric)
     at = entry_lines[entries.shape[0] if pos is None else pos]
-    raise _entry_error(lines[at - 1], at, layout, field, nrows, ncols, symmetric)
+    raise _entry_error(lines[at - lineno - 1], at, layout, field, nrows, ncols, symmetric)
+
+
+# entries formatted and written per call: a writer's scratch stays below 1 MB
+_WRITE_CHUNK = 1 << 12
 
 
 def write_coordinate(path, rows, cols, values, shape, symmetric=False):
@@ -277,11 +331,14 @@ def write_coordinate(path, rows, cols, values, shape, symmetric=False):
     if symmetric and np.any(cols > rows):
         raise ValueError("symmetric output requires lower-triangle triplets")
     symmetry = "symmetric" if symmetric else "general"
-    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), values.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
         fh.write(f"{shape[0]} {shape[1]} {values.shape[0]}\n")
-        fh.write("%d %d %.17g\n" * values.size % tuple(chain.from_iterable(entries)))
+        for start in range(0, values.size, _WRITE_CHUNK):
+            part = slice(start, start + _WRITE_CHUNK)
+            entries = zip((rows[part] + 1).tolist(), (cols[part] + 1).tolist(),
+                          values[part].tolist())
+            fh.write("%d %d %.17g\n" * values[part].size % tuple(chain.from_iterable(entries)))
 
 
 def write_array(path, a):
@@ -294,4 +351,7 @@ def write_array(path, a):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        fh.write("%.17g\n" * a.size % tuple(a.ravel(order="F").tolist()))
+        column_major = a.T.flat
+        for start in range(0, a.size, _WRITE_CHUNK):
+            part = column_major[start:start + _WRITE_CHUNK].tolist()
+            fh.write("%.17g\n" * len(part) % tuple(part))

@@ -12,7 +12,7 @@ step, ``_golub_kahan_step``, is the one ``BidiagState`` and ``lsqr`` run.
 ``SumOperator`` adds ``regularized_solve``'s shift and
 ``minberr_ne_perturbed``'s perturbation, both of known norm. ``CsrOperator``
 stores one copy of A, in CSR; its adjoint reads the same arrays. Complex
-data given to a constructor raises TypeError by name.
+data given to a constructor or a product raises TypeError by name.
 """
 
 import math
@@ -37,28 +37,31 @@ __all__ = [
 ]
 
 
-def _as_vector(v, n, what="vector"):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != n:
-        raise DimensionMismatchError(
-            f"{what} has shape {v.shape}, expected ({n},)"
-        )
-    return v
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _real_array(a, what):
     """a as a float64 array; TypeError naming ``what`` for complex data, which
     the cast would cut to its real part."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise TypeError(f"{what} is complex: berrkit solves real systems only")
-    return np.asarray(a, dtype=np.float64)
+    # numpy shares one float64 dtype object, so an array that needs no cast
+    # (every product in a solve) costs one identity test
+    if a.dtype is not _FLOAT64:
+        if a.dtype.kind == "c":
+            raise TypeError(f"{what} is complex: berrkit solves real systems only")
+        a = a.astype(np.float64, copy=False)
+    return a
 
 
-def _real_vector(v, n, what):
+def _as_vector(v, n, what="vector"):
     """v as a float64 vector of shape (n,): TypeError naming ``what`` for
     complex data, DimensionMismatchError for another shape."""
-    return _as_vector(_real_array(v, what), n, what)
+    v = _real_array(v, what)
+    if v.ndim != 1 or v.shape[0] != n:
+        raise DimensionMismatchError(
+            f"{what} has shape {v.shape}, expected ({n},)"
+        )
+    return v
 
 
 # smallest positive normal float64

@@ -27,7 +27,7 @@ from .operators import (
     CsrOperator,
     DiagonalOperator,
     HouseholderChainOperator,
-    _real_vector,
+    _as_vector,
     norm2,
 )
 
@@ -184,5 +184,5 @@ def read_matrix_market(path, b=None):
             raise ValueError("A(1,...,1) vanished: supply an explicit b")
         b = b / nb
     else:
-        b = _real_vector(b, op.rows, "b")
+        b = _as_vector(b, op.rows, "b")
     return ProblemInstance(op, b, str(path))

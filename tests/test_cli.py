@@ -76,6 +76,20 @@ class TestSolveArtifacts:
         assert "<svg" in svg
         assert "1/k" in svg
 
+    @pytest.mark.parametrize("solver", ["minberr", "cg"])
+    def test_solution_reads_back_bit_for_bit(self, solver, tmp_path):
+        spec = RunSpec(QUICK, solver, tol=1e-6)
+        p = cli.build_problem(spec.problem, spec.seed)
+        x = cli.run_solver(spec, p.op, cli.resolve_rhs(spec.rhs, p)).x
+        sol, summ = tmp_path / "x.mtx", tmp_path / "s.json"
+        code = run(["solve", "--problem", QUICK, "--solver", solver, "--tol", "1e-6",
+                    "--solution", str(sol), "--summary", str(summ)])
+        assert code == 0
+        assert json.loads(summ.read_text())["solution"] == str(sol)
+        data = mmio.read_matrix_market(sol)
+        assert (data.shape, data.layout) == ((50, 1), "array")
+        assert data.values.tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("stem", ["a&b", "m<1>", "matriz\u00e9"])
     def test_plot_title_is_escaped_xml(self, stem, tmp_path):
         problem = tmp_path / f"{stem}.mtx"

@@ -99,6 +99,22 @@ def test_writers_match_frozen_loops(tmp_path, values, symmetric):
     same_bytes(mmio.write_array, write_array_by_line, v[: v.size // 2 * 2].reshape(-1, 2))
 
 
+def test_writers_match_frozen_loops_across_chunks(tmp_path, monkeypatch):
+    # the writers format a chunk of entries at a time; chunk boundaries add
+    # nothing to the bytes
+    monkeypatch.setattr(mmio, "_WRITE_CHUNK", 4)
+    v = np.array(WRITER_VALUES)
+    rows = np.arange(v.size)
+    for write, reference, args in [
+        (mmio.write_coordinate, write_coordinate_by_line, (rows, rows // 2, v, (14, 14), True)),
+        (mmio.write_array, write_array_by_line, (v,)),
+        (mmio.write_array, write_array_by_line, (v.reshape(7, 2),)),
+    ]:
+        write(tmp_path / "bulk.mtx", *args)
+        reference(tmp_path / "loop.mtx", *args)
+        assert (tmp_path / "bulk.mtx").read_bytes() == (tmp_path / "loop.mtx").read_bytes()
+
+
 class TestFormatAcceptance:
     def test_integer_field(self, tmp_path):
         path = write_text(
@@ -468,6 +484,85 @@ def test_bulk_parse_agrees_with_the_line_by_line_reference(tmp_path, raw):
     path = tmp_path / "fuzz.mtx"
     path.write_bytes(raw)
     assert _outcome(mmio.read_matrix_market, path) == _outcome(read_matrix_market_by_line, path)
+
+
+class TestTwoPaths:
+    """numpy reads the entry lines straight from the file; only input it
+    cannot take as it stands goes through the edited list of lines."""
+
+    COORDINATE = ("%%MatrixMarket matrix coordinate real general\n% note\n3 3 3\n"
+                  "1 1 1.5\n2 3 -2.25e-3\n3 2 7\n")
+    ARRAY = "%%MatrixMarket matrix array integer symmetric\n2 2\n1\n-2\n3\n"
+
+    @pytest.fixture
+    def edits(self, monkeypatch):
+        """The calls of ``_parser_lines``, which only the fallback makes."""
+        calls = []
+        original = mmio._parser_lines
+
+        def spy(body, field):
+            calls.append(field)
+            return original(body, field)
+
+        monkeypatch.setattr(mmio, "_parser_lines", spy)
+        return calls
+
+    @staticmethod
+    def agree(path):
+        assert _outcome(mmio.read_matrix_market, path) == _outcome(read_matrix_market_by_line, path)
+
+    @pytest.mark.parametrize("text", [COORDINATE, ARRAY])
+    def test_clean_files_never_reach_the_edits(self, tmp_path, edits, text):
+        path = write_text(tmp_path / "clean.mtx", text)
+        assert mmio.read_matrix_market(path).values.size == 3
+        assert edits == []
+
+    @pytest.mark.parametrize("raw", [
+        COORDINATE.replace("\n", "\r\n").encode(),
+        COORDINATE.replace("\n", "\r").encode(),
+        COORDINATE.replace(" ", "\t").encode(),
+        COORDINATE.replace("\n", "  \t\n").encode(),
+        COORDINATE.replace("3 3 3\n", "3 3 3\n\n \n").replace("7\n", "7\n\n").encode(),
+        ("%%MatrixMarket matrix coordinate real general\n% one\n\n  % two\n%\x0cthree\n"
+         "3 3 1\n2 2 4\n").encode(),
+        ARRAY.replace("\n", "\r\n").encode(),
+    ], ids=["crlf", "cr", "tabs", "trailing blanks", "blank body lines", "head comments",
+            "array crlf"])
+    def test_fast_path_reads_as_the_reference(self, tmp_path, edits, raw):
+        path = tmp_path / "fast.mtx"
+        path.write_bytes(raw)
+        self.agree(path)
+        assert edits == []
+
+    @pytest.mark.parametrize("name, raw", [
+        ("body comment", COORDINATE.replace("3 2 7", "% note\n3 2 7").encode()),
+        ("fortran exponent", COORDINATE.replace("-2.25e-3", "-2.25D-3").encode()),
+        ("non-ascii head", COORDINATE.replace("% note", "% caf\u00e9").encode("latin-1")),
+        # numpy's loadtxt would decompress a path ending in .gz
+        ("plain text named.gz", COORDINATE.encode()),
+    ])
+    def test_fallback_reads_as_the_reference(self, tmp_path, edits, name, raw):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert mmio.read_matrix_market(path).values.size == 3
+        assert edits == ["real"]
+        self.agree(path)
+
+    def test_large_file_reads_in_twice_its_arrays(self, tmp_path):
+        n = 200_000
+        rng = np.random.default_rng(5)
+        rows, cols = rng.integers(0, 1000, n), rng.integers(0, 1000, n)
+        path = tmp_path / "large.mtx"
+        mmio.write_coordinate(path, rows, cols, rng.standard_normal(n), (1000, 1000))
+        tracemalloc.start()
+        try:
+            data = mmio.read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = data.rows.nbytes + data.cols.nbytes + data.values.nbytes
+        assert np.array_equal(data.rows, rows) and np.array_equal(data.cols, cols)
+        assert peak < 2.5 * result  # a list of lines and its joined text took about 6x
 
 
 class TestScipyCrossCheck:

@@ -541,3 +541,16 @@ def test_products_are_fresh_arrays(name):
         y = product(v)
         assert not np.shares_memory(y, v)
         assert not any(np.shares_memory(y, arr) for arr in owned)
+
+
+@pytest.mark.parametrize("name", FRESH_OUTPUT_OPERATORS)
+def test_products_refuse_complex_vectors(name):
+    # the float64 cast would keep the real part alone, with only a ComplexWarning
+    op = FRESH_OUTPUT_OPERATORS[name]()
+    v = np.random.default_rng(4).standard_normal(6) + 1j
+    for product in (op.apply, op.apply_adjoint):
+        with pytest.raises(TypeError, match="vector is complex"):
+            product(v)
+        with pytest.raises(TypeError, match="vector is complex"):
+            product(v.astype(np.complex64))
+    assert op.products == 0
