@@ -105,7 +105,7 @@ from berrkit.operators import (
     norm2,
 )
 from berrkit.problems import disguise, ill_conditioned, read_matrix_market, small_outlier
-from berrkit.smallband import inverse_iteration
+from berrkit.smallband import inverse_iteration, inverse_iteration_steps
 from runs import certify_random_coo
 
 WY_SIZES = (500, 2000)
@@ -421,10 +421,11 @@ def band_rows(seed):
         rhs = rng.standard_normal(k)
         rhs = (rhs / np.linalg.norm(rhs)).tolist()
         band.solve(rhs)  # a recovery's first solve builds what the rest reuse
-        _, _, steps = inverse_iteration(band, 1e-6, seed=[seed, k])
+        budget = inverse_iteration_steps(k, 1e-6)
+        _, _, steps = inverse_iteration(band, budget, seed=[seed, k])
         fns = {"solve": lambda: band.solve(rhs),
                "solve_t": lambda: band.solve_t(rhs),
-               "inverse_iteration": lambda: inverse_iteration(band, 1e-6, seed=[seed, k])}
+               "inverse_iteration": lambda: inverse_iteration(band, budget, seed=[seed, k])}
         table.append({"band": name, "k": k, "inverse_iteration_steps": steps,
                       **timing_fields("us", fns)})
     return table
@@ -444,7 +445,7 @@ def sweep_rows(seed):
             state.step()
 
         def recover_all():
-            return [inverse_iteration(view(k), 1e-6, seed=[seed, k])
+            return [inverse_iteration(view(k), inverse_iteration_steps(k, 1e-6), seed=[seed, k])
                     for k in range(1, last + 1)]
 
         results = recover_all()

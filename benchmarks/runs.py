@@ -1,9 +1,11 @@
 """The deterministic berrkit runs: one table, one executor and one digest.
 
 ``table`` holds every run of ``cli.SUITES`` and the ``berrkit solve`` runs,
-each at trace-every 1 and 7. A digest covers every history CSV column except
-``wall_nanos`` and every summary field. Import this module with the ``src``
-to run first on ``sys.path``.
+each at trace-every 1 and 7. Each run writes every file ``berrkit solve``
+can write but the summary, which it returns: the history CSV, the SVG plot
+and the solution. A digest covers every history CSV column except
+``wall_nanos``, every summary field, the plot and the solution. Import
+this module with the ``src`` to run first on ``sys.path``.
 """
 
 import hashlib
@@ -156,24 +158,37 @@ def table(tmp):
     ]
 
 
+def _artifacts(history):
+    """The SVG plot and solution paths written beside the history CSV."""
+    root = os.path.splitext(history)[0]
+    return root + ".svg", root + "_x.mtx"
+
+
 def execute(spec, history):
-    """Run spec as ``berrkit solve`` and ``berrkit bench`` do, writing its
-    history CSV; returns the summary and the wall nanoseconds."""
+    """Run spec as ``berrkit solve`` does, writing its history CSV, SVG plot
+    and solution file (``_artifacts``); returns the summary and the wall
+    nanoseconds."""
+    plot, solution = _artifacts(history)
     t0 = time.perf_counter_ns()
-    info = cli.run_one(spec, history=history)
+    info = cli.run_one(spec, history=history, plot=plot, solution=solution)
     return info, time.perf_counter_ns() - t0
 
 
 def digest(entry, history, info, tmp):
-    """sha256 over the history CSV without wall_nanos plus the canonical
-    summary (a suite run's with its name), in which a path under the temporary
-    directory tmp appears relative to it."""
+    """sha256 over the history CSV without wall_nanos, the canonical summary
+    (a suite run's with its name), the SVG plot and the solution file, in
+    which a path under the temporary directory tmp appears relative to it."""
     h = hashlib.sha256()
     with open(history, encoding="ascii") as fh:
         for line in fh:
             h.update(line.rstrip("\n").rsplit(",", 1)[0].encode() + b"\n")
     summary = {**info, "name": entry.name} if entry.suite else info
-    h.update(json.dumps(summary, sort_keys=True).replace(tmp + os.sep, "").encode())
+    texts = [json.dumps(summary, sort_keys=True)]
+    for path in _artifacts(history):
+        with open(path, encoding="ascii") as fh:
+            texts.append(fh.read())
+    for text in texts:
+        h.update(text.replace(tmp + os.sep, "").encode())
     return h.hexdigest()
 
 

@@ -19,7 +19,10 @@ x_i = (r_i / scale - s1_i x_{i+-1}) / d_i; a tridiagonal one with three,
 subtracting s2_i x_{i+-2} after the s1 term. The three-term form on a zero
 ``sup2`` agrees with the two-term one except in the sign of an exact zero
 (``a - 0.0 * x2`` is +0.0 where a is -0.0 and x2 is sign-negative) and
-after a non-finite entry (0.0 * inf is NaN).
+after a non-finite entry (0.0 * inf is NaN). A back substitution is the
+forward one on the reversed band (Golub & Van Loan 2013, "Matrix
+Computations", sec. 4.3), so ``band_solve_upper`` runs the U^T loop on
+reversed iterators over its sequences and reverses the result.
 ``BandMatrix`` builds the padded sequences in its constructor from the
 Python floats the factorization views hand it, and inverse iteration keeps
 its iterate as a list, so the solves of a recovery convert nothing between
@@ -175,23 +178,15 @@ def band_solve_upper(diag, sup1, sup2, rhs, scale):
     """x with U x = rhs / scale for the upper band U (see above): the
     superdiagonals zero-padded at the end, sup2 None when U is bidiagonal;
     the arguments are sequences of Python floats and x is a list."""
-    x = []
-    x1 = x2 = 0.0  # x[i+1], x[i+2]
-    if sup2 is None:
-        for d, s1, r in zip(reversed(diag), reversed(sup1), reversed(rhs)):
-            x1 = (r / scale - s1 * x1) / d
-            x.append(x1)
-    else:
-        for d, s1, s2, r in zip(reversed(diag), reversed(sup1), reversed(sup2), reversed(rhs)):
-            x2, x1 = x1, (r / scale - s1 * x1 - s2 * x2) / d
-            x.append(x1)
+    x = band_solve_upper_t(reversed(diag), reversed(sup1),
+                           None if sup2 is None else reversed(sup2), reversed(rhs), scale)
     x.reverse()
     return x
 
 
 def band_solve_upper_t(diag, sup1, sup2, rhs, scale):
     """x with U^T x = rhs / scale, the superdiagonals zero-padded in front;
-    types as for band_solve_upper."""
+    types as for band_solve_upper, and iterators serve as well."""
     x = []
     x1 = x2 = 0.0  # x[i-1], x[i-2]
     if sup2 is None:

@@ -77,9 +77,10 @@ def composition_bound(berr_perturbed, eps):
     It holds in exact arithmetic; where A - A~ acts fully on x, the measured
     berr_A(x) may exceed it by the residual's rounding, about u.
     """
-    if eps < 0.0:
+    # each check is written so that NaN fails it
+    if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
-    if berr_perturbed < 0.0:
+    if not berr_perturbed >= 0.0:
         raise ValueError("backward error is nonnegative")
     return (1.0 + eps) * berr_perturbed + eps
 

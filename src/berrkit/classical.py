@@ -26,7 +26,6 @@ a step allocates is the operator's own output.
 """
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,6 +40,7 @@ from .operators import (
     SumOperator,
     _as_vector,
     _check_norm,
+    _count,
     _golub_kahan_start,
     _golub_kahan_step,
     norm2,
@@ -97,18 +97,6 @@ class SolverConfig:
             raise ValueError("berr_tolerance must be in (0, 1)")
         self.trace_every = _count(self.trace_every, "trace_every")
         self.seed = _count(self.seed, "seed", least=0)
-
-
-def _count(value, what, least=1):
-    """value as an int if it is an integer (``operator.index``) >= least,
-    else ValueError naming ``what``: a float such as 10.5 or inf is refused."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    return value
 
 
 @dataclass
@@ -528,6 +516,7 @@ def regularized_solve(op, b, k, inner="cg", trace_every=1, seed=0):
     original operator (one extra matvec per recorded row). seed is accepted
     and passed to SolverConfig, but no solver reads it.
     """
+    k = _count(k, "k")
     if k < 9:
         raise ValueError("the shift schedule needs k >= 9")
     if not op.symmetric:

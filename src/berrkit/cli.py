@@ -137,6 +137,10 @@ def _minberr_kw(spec):
                 seed=spec.seed, trace_every=spec.trace_every)
 
 
+def _classical(name):
+    return _Solver(lambda spec, op, b: getattr(classical, name)(op, b, _config(spec)))
+
+
 def _regularized(inner):
     return lambda spec, op, b: classical.regularized_solve(
         op, b, spec.max_iter, inner=inner, trace_every=spec.trace_every
@@ -149,11 +153,8 @@ class _Solver(NamedTuple):
 
 
 SOLVERS = {
-    "richardson": _Solver(lambda spec, op, b: classical.richardson(op, b, _config(spec))),
-    "richardson-ne": _Solver(lambda spec, op, b: classical.richardson_ne(op, b, _config(spec))),
-    "cg": _Solver(lambda spec, op, b: classical.cg(op, b, _config(spec))),
-    "minres": _Solver(lambda spec, op, b: classical.minres(op, b, _config(spec))),
-    "lsqr": _Solver(lambda spec, op, b: classical.lsqr(op, b, _config(spec))),
+    **{name: _classical(name.replace("-", "_"))
+       for name in ("richardson", "richardson-ne", "cg", "minres", "lsqr")},
     # the shift schedule of regularized_solve needs k >= 9
     "regularized-cg": _Solver(_regularized("cg"), min_iter=9),
     "regularized-minres": _Solver(_regularized("minres"), min_iter=9),
@@ -320,19 +321,24 @@ def _svg_path(xs, ys, x_map, y_map):
     return "M " + " L ".join(pts)
 
 
+def _svg_text(x, y, size, body, anchor=None, fill=None):
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{fill}>{body}</text>')
+
+
+def _svg_line(x1, y1, x2, y2, stroke):
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"/>'
+
+
 def write_plot(path, trace, title):
     """Standalone SVG: berr vs iteration, log-log, with 1/k and 1/k^2 guides."""
     # the title holds a file name: escape it, non-ASCII as character references
     title = html.escape(title).encode("ascii", "xmlcharrefreplace").decode("ascii")
-    pairs = [
-        (it, berr)
-        for it, berr in zip(trace.iterations, trace.berr)
-        if it >= 1 and berr > 0.0 and math.isfinite(berr)
-    ]
-    if not pairs:
-        pairs = [(1, 1.0)]
-    its = [p[0] for p in pairs]
-    berrs = [p[1] for p in pairs]
+    pairs = [(it, berr) for it, berr in zip(trace.iterations, trace.berr)
+             if it >= 1 and berr > 0.0 and math.isfinite(berr)]
+    its, berrs = map(list, zip(*pairs)) if pairs else ([1], [1.0])
     x_lo, x_hi = math.log10(its[0]), math.log10(max(its[-1], its[0] * 10))
     y_vals = berrs + [1.0 / its[-1], 1.0 / its[-1] ** 2]
     y_lo = math.floor(math.log10(min(y_vals)))
@@ -340,6 +346,7 @@ def write_plot(path, trace, title):
     if y_hi == y_lo:
         y_hi += 1
     width, height, margin = 640, 480, 60
+    right, bottom, middle = width - margin, height - margin, f"{width / 2:.0f}"
 
     def x_map(it):
         t = (math.log10(it) - x_lo) / max(x_hi - x_lo, 1e-12)
@@ -347,57 +354,34 @@ def write_plot(path, trace, title):
 
     def y_map(val):
         t = (math.log10(val) - y_lo) / (y_hi - y_lo)
-        return height - margin - t * (height - 2 * margin)
+        return bottom - t * (height - 2 * margin)
 
     def clamped(val):
         return min(max(val, 10.0**y_lo), 10.0**y_hi)
 
-    guide_its = [it for it in its if it >= 1]
-    one_over_k = [clamped(1.0 / it) for it in guide_its]
-    one_over_k2 = [clamped(1.0 / it**2) for it in guide_its]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _svg_text(middle, 24, 14, title, anchor="middle"),
     ]
     for exp in range(y_lo, y_hi + 1):
         y = y_map(10.0**exp)
-        parts.append(
-            f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" y2="{y:.2f}" '
-            f'stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{margin - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{exp}</text>'
-        )
-    parts.append(
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>'
+        parts.append(_svg_line(margin, f"{y:.2f}", right, f"{y:.2f}", "#dddddd"))
+        parts.append(_svg_text(margin - 6, f"{y + 4:.2f}", 11, f"1e{exp}", anchor="end"))
+    parts.append(_svg_line(margin, bottom, right, bottom, "black"))
+    parts.append(_svg_line(margin, margin, margin, bottom, "black"))
+    parts.append(_svg_text(middle, height - 16, 12, "iteration (log)", anchor="middle"))
+    curves = (
+        ([clamped(1.0 / it) for it in its], "#999999", ' stroke-dasharray="6 3"', "1/k"),
+        ([clamped(1.0 / it**2) for it in its], "#bbbbbb", ' stroke-dasharray="2 3"', "1/k^2"),
+        ([clamped(v) for v in berrs], "#c0392b", "", "berr"),
     )
-    parts.append(
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{width / 2:.0f}" y="{height - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">iteration (log)</text>'
-    )
-    for xs, ys, color, dash, label in (
-        (guide_its, one_over_k, "#999999", ' stroke-dasharray="6 3"', "1/k"),
-        (guide_its, one_over_k2, "#bbbbbb", ' stroke-dasharray="2 3"', "1/k^2"),
-        (its, [clamped(v) for v in berrs], "#c0392b", "", "berr"),
-    ):
-        if len(xs) >= 2:
-            parts.append(
-                f'<path d="{_svg_path(xs, ys, x_map, y_map)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"{dash}/>'
-            )
-            parts.append(
-                f'<text x="{x_map(xs[-1]) + 4:.2f}" y="{y_map(ys[-1]):.2f}" '
-                f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-            )
+    for ys, color, dash, label in curves if len(its) >= 2 else ():
+        parts.append(f'<path d="{_svg_path(its, ys, x_map, y_map)}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"{dash}/>')
+        parts.append(_svg_text(f"{x_map(its[-1]) + 4:.2f}", f"{y_map(ys[-1]):.2f}", 11,
+                               label, fill=color))
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -549,32 +533,28 @@ def cmd_bench(args):
         info["name"] = name
         info["history"] = history
         manifest.append(info)
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_summary(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
 
 
 def cmd_synth(args):
     p = build_problem(args.problem, args.seed)
     op = p.op
-    if not hasattr(op, "d") and not hasattr(op, "data"):
-        raise SpecError("synth writes bare synthetic or file-backed instances only")
-    out = args.out
     if hasattr(op, "d"):
-        idx = np.arange(op.rows, dtype=np.int64)
-        mmio.write_coordinate(out, idx, idx, op.d, (op.rows, op.cols), symmetric=op.symmetric)
+        rows = cols = np.arange(op.rows, dtype=np.int64)
+        data = op.d
+    elif hasattr(op, "data"):
+        rows = np.repeat(np.arange(op.rows, dtype=np.int64), np.diff(op.indptr))
+        cols, data = op.indices, op.data
     else:
-        counts = np.diff(op.indptr)
-        rows = np.repeat(np.arange(op.rows, dtype=np.int64), counts)
-        cols = op.indices
-        data = op.data
-        if op.symmetric:
-            # symmetric storage keeps one copy of each off-diagonal pair
-            keep = rows >= cols
-            rows, cols, data = rows[keep], cols[keep], data[keep]
-        mmio.write_coordinate(out, rows, cols, data, (op.rows, op.cols), symmetric=op.symmetric)
-    root, ext = os.path.splitext(out)
+        raise SpecError("synth writes bare synthetic or file-backed instances only")
+    if op.symmetric:
+        # symmetric storage keeps one copy of each off-diagonal pair
+        keep = rows >= cols
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+    mmio.write_coordinate(args.out, rows, cols, data, (op.rows, op.cols),
+                          symmetric=op.symmetric)
+    root, ext = os.path.splitext(args.out)
     mmio.write_array(root + "_b" + (ext or ".mtx"), np.asarray(p.b, dtype=np.float64))
     return EXIT_OK
 

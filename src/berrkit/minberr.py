@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .berr import composition_bound
-from .classical import SolverConfig, SolveResult, _count, _Monitor
+from .classical import SolverConfig, SolveResult, _Monitor
 from .errors import (
     DegenerateAlphaError,
     NoFiniteMinimizerError,
@@ -38,7 +38,7 @@ from .errors import (
     RequiresSymmetricError,
 )
 from .factorize import BidiagState, LanczosState, _check_reorth
-from .operators import CsrOperator, SumOperator
+from .operators import CsrOperator, SumOperator, _count
 from .smallband import CholTestState, DqdsState, inverse_iteration, inverse_iteration_steps
 
 __all__ = [
@@ -98,7 +98,7 @@ def _smallest_pair(band, k, delta, seed, step_factor):
     seeded vector, so it does not repeat the first attempt step for step."""
     budget = step_factor * inverse_iteration_steps(k, delta)
     start = [seed, k] if step_factor == 1 else [seed, k, 1]
-    v, cert, _ = inverse_iteration(band, delta, seed=start, max_steps=budget)
+    v, cert, _ = inverse_iteration(band, budget, seed=start)
     return v, cert
 
 

@@ -16,6 +16,7 @@ data given to a constructor or a product raises TypeError by name.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,18 @@ def _as_vector(v, n, what="vector"):
             f"{what} has shape {v.shape}, expected ({n},)"
         )
     return v
+
+
+def _count(value, what, least=1):
+    """value as an int if it is an integer (``operator.index``) >= least,
+    else ValueError naming ``what``: a float such as 10.5 or inf is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 # smallest positive normal float64

@@ -28,6 +28,7 @@ from .operators import (
     DiagonalOperator,
     HouseholderChainOperator,
     _as_vector,
+    _count,
     norm2,
 )
 
@@ -68,8 +69,7 @@ def ill_conditioned(n, kappa):
     right-hand side onto the weakest direction. kappa is the exact
     condition number max(d)/min(d).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _count(n, "n", least=2)
     if not 1.0 < kappa < np.inf:
         raise ValueError("kappa must be finite and exceed 1")
     d = _log_spaced(1.0, 1.0 / kappa, n)
@@ -86,8 +86,7 @@ def small_outlier(n, kappa, sigma_penult):
     is 1/kappa, far below. b is all ones except the last entry sqrt(n).
     Normal-equations methods square the gap and stall near sigma_penult.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    n = _count(n, "n", least=3)
     if not (0.0 < sigma_penult < 1.0):
         raise ValueError("sigma_penult must lie in (0, 1)")
     if not kappa > 0.0:
@@ -110,8 +109,7 @@ def cyclic_shift(n):
     n-1 steps, so methods minimizing over that subspace make no progress; the
     normal-equations subspace starts at A^T b = e_{n-1} and finishes in one.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _count(n, "n", least=2)
     idx = np.arange(n, dtype=np.int64)
     op = CsrOperator.from_coo((idx + 1) % n, idx, np.ones(n), (n, n))
     op.set_opnorm(1.0)

@@ -116,26 +116,28 @@ class DqdsState:
 def inverse_iteration_steps(k, delta):
     """Step budget ceil(2.23 ln(k / delta^2)) for failure probability delta,
     with ln(delta^2) taken as 2 ln(delta): delta^2 underflows to 0 for delta
-    below about 1e-154."""
+    below about 1e-154. With this budget, ``inverse_iteration`` on a k x k
+    band returns a unit v with ||band v||^2 <= 1.5 sigma_min(band)^2 with
+    probability at least 1 - delta (Kuczynski & Wozniakowski 1992, SIAM J.
+    Matrix Anal. Appl. 13)."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     return max(1, math.ceil(2.23 * (math.log(k) - 2.0 * math.log(delta))))
 
 
-def inverse_iteration(band, delta, seed, max_steps=None):
+def inverse_iteration(band, max_steps, seed):
     """Smallest-singular-pair estimate for a BandMatrix via inverse iteration.
 
-    Runs inverse power steps on band^T band from a seeded Gaussian start. With
-    the default budget of ceil(2.23 ln(k/delta^2)) steps, the returned unit
-    vector v satisfies ||band v||^2 <= 1.5 sigma_min(band)^2 with probability
-    at least 1 - delta (Kuczynski & Wozniakowski 1992, SIAM J. Matrix Anal.
-    Appl. 13). The band solves floor the diagonal at SOLVE_FLOOR, so on a
-    band with a zero diagonal entry the first step lands on the null
-    direction. A solve whose result is zero or not finite ends the iteration
-    with the last iterate. Dividing each solve's result by its norm stops
-    the growth of the iterate from compounding over the two solves of a step
-    and over steps; ``math.hypot`` scales internally, so a norm is finite
-    wherever the entries are.
+    Runs at most max_steps inverse power steps on band^T band from a seeded
+    Gaussian start. With max_steps = inverse_iteration_steps(k, delta), the
+    returned unit vector v satisfies ||band v||^2 <= 1.5 sigma_min(band)^2
+    with probability at least 1 - delta. The band solves floor the diagonal
+    at SOLVE_FLOOR, so on a band with a zero diagonal entry the first step
+    lands on the null direction. A solve whose result is zero or not finite
+    ends the iteration with the last iterate. Dividing each solve's result
+    by its norm stops the growth of the iterate from compounding over the two
+    solves of a step and over steps; ``math.hypot`` scales internally, so a
+    norm is finite wherever the entries are.
 
     The iterate is held as the pair (w, ||w||), w a list of Python floats,
     the band solves' own type, and the unit vector it stands for is
@@ -168,10 +170,7 @@ def inverse_iteration(band, delta, seed, max_steps=None):
     (which equals the backward error of the x recovered from v), and the
     number of steps taken.
     """
-    k = band.k
-    if max_steps is None:
-        max_steps = inverse_iteration_steps(k, delta)
-    w = np.random.default_rng(seed).standard_normal(k).tolist()
+    w = np.random.default_rng(seed).standard_normal(band.k).tolist()
     nw = math.hypot(*w)
     solve, solve_t = band.solve, band.solve_t
     growth = 0.0  # ||z|| of the last step, so ||band v||^2 = 1 / growth^2

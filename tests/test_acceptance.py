@@ -17,7 +17,12 @@ import pytest
 import berrkit as bk
 from berrkit.factorize import BandMatrix, BidiagState, LanczosState
 from berrkit.minberr import _recover_ne, _recover_psd
-from berrkit.smallband import CholTestState, DqdsState, inverse_iteration
+from berrkit.smallband import (
+    CholTestState,
+    DqdsState,
+    inverse_iteration,
+    inverse_iteration_steps,
+)
 
 from _helpers import dense_op, measured_berr, random_general, random_psd
 from chebbound import ChebEval
@@ -278,7 +283,7 @@ def test_inverse_iteration_success_rate():
             band = BandMatrix(diag, sup1)
         else:
             band = BandMatrix(diag, sup1, rng.standard_normal(max(k - 2, 0)))
-        _, cert, _ = inverse_iteration(band, 0.1, seed=[8, t, 1])
+        _, cert, _ = inverse_iteration(band, inverse_iteration_steps(k, 0.1), seed=[8, t, 1])
         if cert <= math.sqrt(1.5) * sigma_min_dense(band) * (1.0 + 1e-12):
             wins += 1
     ok = wins >= 450

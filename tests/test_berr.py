@@ -105,6 +105,10 @@ class TestCompositionBound:
             bk.composition_bound(0.1, -0.1)
         with pytest.raises(ValueError):
             bk.composition_bound(-0.1, 0.1)
+        with pytest.raises(ValueError, match="^eps"):
+            bk.composition_bound(0.1, np.nan)
+        with pytest.raises(ValueError, match="^backward error"):
+            bk.composition_bound(np.nan, 0.1)
 
     def test_bound_holds_against_explicit_perturbation(self):
         # perturb A within eps relative norm and compare the two berr values

@@ -533,6 +533,9 @@ class TestRegularized:
             bk.regularized_solve(p.op, p.b, 20, inner="gmres")
         with pytest.raises(bk.RequiresSymmetricError):
             bk.regularized_solve(bk.cyclic_shift(9).op, bk.cyclic_shift(9).b, 9)
+        for k in (9.5, math.nan, 20.0):
+            with pytest.raises(ValueError, match="^k must be an integer"):
+                bk.regularized_solve(p.op, p.b, k)
 
 
 def _config(tol, k_max, every):

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: artifacts, exit codes, option merging."""
 
+import html
 import json
+import math
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -627,3 +631,154 @@ class TestBench:
         with pytest.raises(SystemExit) as info:
             run(["bench", "warp", "--out", "x"])
         assert info.value.code == 2
+
+
+# write_plot and synth's matrix writer as they were before write_plot built
+# its elements through two helpers and synth wrote every operator through one
+# triplet path, frozen here as the references whose bytes the live ones keep
+def _frozen_svg_path(xs, ys, x_map, y_map):
+    pts = [f"{x_map(x):.2f},{y_map(y):.2f}" for x, y in zip(xs, ys)]
+    return "M " + " L ".join(pts)
+
+
+def _frozen_write_plot(path, trace, title):
+    # the title holds a file name: escape it, non-ASCII as character references
+    title = html.escape(title).encode("ascii", "xmlcharrefreplace").decode("ascii")
+    pairs = [
+        (it, berr)
+        for it, berr in zip(trace.iterations, trace.berr)
+        if it >= 1 and berr > 0.0 and math.isfinite(berr)
+    ]
+    if not pairs:
+        pairs = [(1, 1.0)]
+    its = [p[0] for p in pairs]
+    berrs = [p[1] for p in pairs]
+    x_lo, x_hi = math.log10(its[0]), math.log10(max(its[-1], its[0] * 10))
+    y_vals = berrs + [1.0 / its[-1], 1.0 / its[-1] ** 2]
+    y_lo = math.floor(math.log10(min(y_vals)))
+    y_hi = math.ceil(math.log10(max(max(y_vals), 1.0)))
+    if y_hi == y_lo:
+        y_hi += 1
+    width, height, margin = 640, 480, 60
+
+    def x_map(it):
+        t = (math.log10(it) - x_lo) / max(x_hi - x_lo, 1e-12)
+        return margin + t * (width - 2 * margin)
+
+    def y_map(val):
+        t = (math.log10(val) - y_lo) / (y_hi - y_lo)
+        return height - margin - t * (height - 2 * margin)
+
+    def clamped(val):
+        return min(max(val, 10.0**y_lo), 10.0**y_hi)
+
+    guide_its = [it for it in its if it >= 1]
+    one_over_k = [clamped(1.0 / it) for it in guide_its]
+    one_over_k2 = [clamped(1.0 / it**2) for it in guide_its]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+    ]
+    for exp in range(y_lo, y_hi + 1):
+        y = y_map(10.0**exp)
+        parts.append(
+            f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" y2="{y:.2f}" '
+            f'stroke="#dddddd"/>'
+        )
+        parts.append(
+            f'<text x="{margin - 6}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">1e{exp}</text>'
+        )
+    parts.append(
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>'
+    )
+    parts.append(
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="black"/>'
+    )
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="{height - 16}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">iteration (log)</text>'
+    )
+    for xs, ys, color, dash, label in (
+        (guide_its, one_over_k, "#999999", ' stroke-dasharray="6 3"', "1/k"),
+        (guide_its, one_over_k2, "#bbbbbb", ' stroke-dasharray="2 3"', "1/k^2"),
+        (its, [clamped(v) for v in berrs], "#c0392b", "", "berr"),
+    ):
+        if len(xs) >= 2:
+            parts.append(
+                f'<path d="{_frozen_svg_path(xs, ys, x_map, y_map)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"{dash}/>'
+            )
+            parts.append(
+                f'<text x="{x_map(xs[-1]) + 4:.2f}" y="{y_map(ys[-1]):.2f}" '
+                f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
+            )
+    parts.append("</svg>")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def _frozen_synth(problem, out):
+    p = cli.build_problem(problem, 0)
+    op = p.op
+    if hasattr(op, "d"):
+        idx = np.arange(op.rows, dtype=np.int64)
+        mmio.write_coordinate(out, idx, idx, op.d, (op.rows, op.cols), symmetric=op.symmetric)
+    else:
+        counts = np.diff(op.indptr)
+        rows = np.repeat(np.arange(op.rows, dtype=np.int64), counts)
+        cols = op.indices
+        data = op.data
+        if op.symmetric:
+            keep = rows >= cols
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+        mmio.write_coordinate(out, rows, cols, data, (op.rows, op.cols), symmetric=op.symmetric)
+    root, ext = os.path.splitext(out)
+    mmio.write_array(root + "_b" + (ext or ".mtx"), np.asarray(p.b, dtype=np.float64))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "iterations, berr, title",
+    [
+        ([], [], "cg on empty"),
+        ([5], [1e-3], "cg on one row"),
+        ([0, 1, 2, 3, 4, 5], [1.0, 0.5, NAN, 0.0, 1e-4, float("inf")], "nan, 0 and inf"),
+        ([1, 2, 4, 8, 16], [1e-9, 1e-7, 1e-4, 0.5, 30.0], "rising"),
+        ([1, 3, 7, 1000], [0.9, 0.2, 1e-3, 1e-13], "cg on m<1>&matriz\u00e9 \u2264 \U0001d400"),
+    ],
+)
+def test_write_plot_keeps_the_frozen_bytes(iterations, berr, title, tmp_path):
+    trace = SimpleNamespace(iterations=iterations, berr=berr)
+    live, frozen = tmp_path / "live.svg", tmp_path / "frozen.svg"
+    cli.write_plot(live, trace, title)
+    _frozen_write_plot(frozen, trace, title)
+    assert live.read_bytes() == frozen.read_bytes()
+
+
+def _write_tridiagonal(path):
+    """A symmetric tridiagonal 5 x 5 matrix, stored as its lower triangle."""
+    rows, cols = [0, 1, 1, 2, 2, 3, 3, 4, 4], [0, 0, 1, 1, 2, 2, 3, 3, 4]
+    values = [4.0, -1.0, 4.0, -1.5, 4.0, 0.25, 4.0, -1.0, 4.0]
+    mmio.write_coordinate(path, rows, cols, values, (5, 5), symmetric=True)
+    return str(path)
+
+
+@pytest.mark.parametrize("problem", ["ill-conditioned:n=50,kappa=1e6",
+                                     "small-outlier:n=20,kappa=1e8,sigma=1e-2",
+                                     "cyclic-shift:n=64", _write_tridiagonal])
+def test_synth_keeps_the_frozen_bytes(problem, tmp_path):
+    if callable(problem):
+        problem = problem(tmp_path / "tridiagonal.mtx")
+    assert run(["synth", "--problem", problem, "--out", str(tmp_path / "live.mtx")]) == 0
+    _frozen_synth(problem, str(tmp_path / "frozen.mtx"))
+    for suffix in (".mtx", "_b.mtx"):
+        live = (tmp_path / f"live{suffix}").read_bytes()
+        assert live == (tmp_path / f"frozen{suffix}").read_bytes()

@@ -328,10 +328,11 @@ class TestGateBelowSqrtU:
         calls = []
         inverse_iteration = minberr.inverse_iteration
 
-        def spy(band, delta, seed, max_steps=None):
-            first = max_steps == minberr.inverse_iteration_steps(band.k, delta)
+        def spy(band, max_steps, seed):
+            # the solvers' default delta is 1e-6
+            first = max_steps == minberr.inverse_iteration_steps(band.k, 1e-6)
             calls.append((band.k, seed, first))
-            return inverse_iteration(band, delta, seed, max_steps=0 if first else max_steps)
+            return inverse_iteration(band, 0 if first else max_steps, seed)
 
         monkeypatch.setattr(minberr, "inverse_iteration", spy)
         solver, extra = ENTRIES[name]

@@ -41,6 +41,9 @@ class TestIllConditioned:
         for kappa in (np.nan, np.inf):
             with pytest.raises(ValueError, match="kappa"):
                 bk.ill_conditioned(5, kappa)
+        for n in (2.5, 10.0, np.nan):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                bk.ill_conditioned(n, 10)
 
 
 class TestSmallOutlier:
@@ -68,6 +71,9 @@ class TestSmallOutlier:
         for kappa in (np.nan, 0.0, -1e8):
             with pytest.raises(ValueError, match="kappa"):
                 bk.small_outlier(5, kappa, 1e-3)
+        for n in (3.5, 10.0):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                bk.small_outlier(n, 1e4, 1e-2)
 
 
 class TestCyclicShift:
@@ -103,6 +109,9 @@ class TestCyclicShift:
     def test_validation(self):
         with pytest.raises(ValueError):
             bk.cyclic_shift(1)
+        for n in (2.5, 9.0):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                bk.cyclic_shift(n)
 
 
 class TestDisguise:

@@ -80,3 +80,22 @@ def test_a_failing_run_prints_its_exit_code(tmp_path):
                runs.Entry("suite", "cg", cli.RunSpec("cyclic-shift:n=4", "cg"))]
     assert [runs.line(e, str(tmp_path)) for e in failing] == [
         "solve/missing exit=2", "bench/suite/cg exit=3"]
+
+
+def test_digest_covers_every_file_a_solve_writes(tmp_path):
+    """The plot and the solution reach the digest, and the temporary
+    directory's path, which the summary and a file's plot title hold, does not."""
+    entry = runs.Entry(None, "cg", cli.RunSpec("ill-conditioned:n=20,kappa=1e2", "cg", tol=1e-8))
+    digests = []
+    for tmp in (tmp_path / "a", tmp_path / "b"):
+        tmp.mkdir()
+        history = str(tmp / "history.csv")
+        info, _ = runs.execute(entry.spec, history)
+        assert info["solution"] == runs._artifacts(history)[1]
+        digests.append(runs.digest(entry, history, info, str(tmp)))
+    assert digests[0] == digests[1]
+    for path in runs._artifacts(history):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(" ")
+        digests.append(runs.digest(entry, history, info, str(tmp)))
+    assert len(set(digests)) == 3

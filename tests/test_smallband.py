@@ -190,7 +190,7 @@ class TestInverseIteration:
 
     def test_diagonal_band_is_exact(self):
         band = BandMatrix(np.array([2.0, 0.25, 1.0]), np.zeros(2), np.zeros(1))
-        v, cert, steps = inverse_iteration(band, delta=0.1, seed=0)
+        v, cert, steps = inverse_iteration(band, inverse_iteration_steps(band.k, 0.1), seed=0)
         # the certificate stabilizes to machine level well before the stray
         # components of v fully decay, hence the looser tolerance on v
         assert_allclose(abs(v), [0.0, 1.0, 0.0], atol=1e-6)
@@ -199,7 +199,7 @@ class TestInverseIteration:
     def test_respects_step_budget(self):
         rng = np.random.default_rng(3)
         band = BandMatrix(np.abs(rng.standard_normal(12)) + 0.1, rng.standard_normal(11))
-        _, _, steps = inverse_iteration(band, delta=0.5, seed=1, max_steps=2)
+        _, _, steps = inverse_iteration(band, 2, seed=1)
         assert steps <= 2
 
     def test_probabilistic_guarantee_smoke(self):
@@ -212,7 +212,7 @@ class TestInverseIteration:
                 rng.standard_normal(k - 1),
                 rng.standard_normal(max(k - 2, 0)),
             )
-            _, cert, _ = inverse_iteration(band, delta=0.1, seed=[4, trial])
+            _, cert, _ = inverse_iteration(band, inverse_iteration_steps(k, 0.1), seed=[4, trial])
             if cert <= math.sqrt(1.5) * sigma_min_dense(band) * (1 + 1e-12):
                 hits += 1
         assert hits >= 50
@@ -221,7 +221,7 @@ class TestInverseIteration:
         # a zero diagonal entry puts sigma_min at 0; the floored solves must
         # land on the null direction and report an essentially zero certificate
         band = BandMatrix(np.array([1.0, 0.0, 2.0]), np.array([0.5, -0.3]), np.array([0.2]))
-        v, cert, _ = inverse_iteration(band, delta=0.1, seed=2)
+        v, cert, _ = inverse_iteration(band, inverse_iteration_steps(band.k, 0.1), seed=2)
         assert cert <= 3e-13
         assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-12)
 
@@ -229,7 +229,7 @@ class TestInverseIteration:
         band = BandMatrix(np.array([3.0, 1.0]), np.array([0.0]))
         assert_allclose(rayleigh_certificate(band, np.array([0.0, 2.0])), 1.0)
         assert_allclose(rayleigh_certificate(band, np.array([1.0, 0.0])), 3.0)
-        v, cert, _ = inverse_iteration(band, delta=0.1, seed=0)
+        v, cert, _ = inverse_iteration(band, inverse_iteration_steps(band.k, 0.1), seed=0)
         assert cert == rayleigh_certificate(band, v)
         assert_allclose(cert, 1.0, rtol=1e-12)
 
@@ -238,14 +238,14 @@ class TestInverseIteration:
         for trial in range(40):
             k = int(rng.integers(2, 15))
             band = BandMatrix(np.abs(rng.standard_normal(k)) + 0.05, rng.standard_normal(k - 1))
-            _, cert, _ = inverse_iteration(band, delta=0.2, seed=trial)
+            _, cert, _ = inverse_iteration(band, inverse_iteration_steps(k, 0.2), seed=trial)
             assert cert >= sigma_min_dense(band) * (1 - 1e-10)
 
     def test_solve_growth_past_the_square_root_of_the_float_range(self):
         # sigma_min is about 1e-180 and the solves reach entries near 1e180,
         # whose squares overflow: the norm must still come out finite
         band = BandMatrix(1e-9 * np.ones(20), np.ones(19))
-        _, cert, steps = inverse_iteration(band, 1e-6, seed=[0, 20])
+        _, cert, steps = inverse_iteration(band, inverse_iteration_steps(band.k, 1e-6), seed=[0, 20])
         assert steps >= 1
         assert cert < 1e-40
 
@@ -395,7 +395,8 @@ def _clustered_bands(draw):
 @settings(max_examples=160, deadline=None, derandomize=True)
 @given(st.one_of(_bands(), _clustered_bands()), st.integers(0, 1000))
 def test_inverse_iteration_keeps_the_frozen_paths_certificate(band, seed):
-    v, cert, steps = inverse_iteration(band, 1e-6, seed=[seed, band.k])
+    v, cert, steps = inverse_iteration(band, inverse_iteration_steps(band.k, 1e-6),
+                                      seed=[seed, band.k])
     v0, _, _ = _frozen_inverse_iteration(band, 1e-6, [seed, band.k])
     svd = np.linalg.svd(band_dense(band), compute_uv=False)
     sigma = float(svd[-1])
@@ -494,7 +495,8 @@ def _frozen_list_inverse_iteration(band, delta, seed, max_steps=None):
 def test_inverse_iteration_matches_the_three_term_oracle(band, seed, max_steps):
     # steps and certificate to the bit; v to the bit but for the sign of an
     # exact zero, which only a two-term (bidiagonal) solve can move
-    v, cert, steps = inverse_iteration(band, 1e-6, [seed, band.k], max_steps)
+    budget = inverse_iteration_steps(band.k, 1e-6) if max_steps is None else max_steps
+    v, cert, steps = inverse_iteration(band, budget, [seed, band.k])
     v0, cert0, steps0 = _frozen_list_inverse_iteration(band, 1e-6, [seed, band.k], max_steps)
     assert steps == steps0
     assert np.float64(cert).tobytes() == np.float64(cert0).tobytes()
@@ -525,7 +527,7 @@ def test_band_builds_its_solve_lists_once_per_band(zero_diagonal, monkeypatch):
         for calls in received.values():
             calls.clear()
         band = BandMatrix(diag, sup1, sup2) if tridiagonal else BandMatrix(diag, sup1)
-        _, _, steps = inverse_iteration(band, 1e-6, seed=3, max_steps=12)
+        _, _, steps = inverse_iteration(band, 12, seed=3)
         for rhs in rng.standard_normal((5, 40)):
             band.solve_t(rhs)
             band.solve(rhs)
